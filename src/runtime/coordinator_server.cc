@@ -139,17 +139,20 @@ void CoordinatorServer::ReaderLoop(int fd) {
       fd_site_.erase(it);
       connected_[site] = false;
       site_fds_[site] = -1;
-      transport_.UnregisterPeer(site);
+      EndSessionLocked(site);
       reliable_->MarkLinkDown(site);
-      ++site_disconnects_;
-      ++topology_version_;
-      if (config_.runtime.telemetry != nullptr) {
-        config_.runtime.telemetry->trace.Emit("session", "site_disconnect",
-                                              site);
-      }
     }
   }
   cv_.notify_all();
+}
+
+void CoordinatorServer::EndSessionLocked(int site) {
+  transport_.UnregisterPeer(site);
+  ++site_disconnects_;
+  ++topology_version_;
+  if (config_.runtime.telemetry != nullptr) {
+    config_.runtime.telemetry->trace.Emit("session", "site_disconnect", site);
+  }
 }
 
 bool CoordinatorServer::HandleFrame(int fd, const RuntimeMessage& message) {
@@ -161,12 +164,12 @@ bool CoordinatorServer::HandleFrame(int fd, const RuntimeMessage& message) {
         // The site dialed a new connection before we noticed the old one
         // die (or a half-open partition left it readable on our side).
         // The fresh hello wins: displace the stale session — its reader
-        // finds its fd unmapped on exit and leaves the site alone.
+        // finds its fd unmapped on exit and leaves the site alone, so the
+        // session's end is booked here.
         const int stale_fd = site_fds_[site];
         fd_site_.erase(stale_fd);
         ::shutdown(stale_fd, SHUT_RDWR);
-        transport_.UnregisterPeer(site);
-        ++topology_version_;
+        EndSessionLocked(site);
       }
       transport_.RegisterPeer(site, fd);
       connected_[site] = true;
@@ -214,6 +217,13 @@ bool CoordinatorServer::HandleFrame(int fd, const RuntimeMessage& message) {
     case RuntimeMessage::Type::kShutdown:
       return true;  // coordinator-originated control echoed back: ignore
     default: {
+      // Every other frame must come from a site: a sender id outside the
+      // deployment is garbage that happens to pass the CRC, and must not
+      // reach the node or the reliability layer's per-site state.
+      if (message.from < 0 || message.from >= config_.num_sites) {
+        ++corrupt_frames_;
+        return true;
+      }
       // Ordinary protocol traffic: through the receive-side reliability
       // layer (ack/dedup), then into the node — the sim driver's Deliver().
       if (message.counts_as_protocol_traffic()) {

@@ -218,6 +218,11 @@ class CoordinatorServer {
  private:
   void AcceptLoop();
   void ReaderLoop(int fd);
+  /// Books the end of `site`'s current session, exactly once per session
+  /// whichever path sees it end first (its reader's EOF, or a re-hello
+  /// displacing it): drops the peer mapping, counts the disconnect, bumps
+  /// the topology version and traces `site_disconnect`. Caller holds mu_.
+  void EndSessionLocked(int site);
   /// Dispatches one decoded frame; caller holds mu_. Returns false when the
   /// connection must be dropped (bad or duplicate hello).
   bool HandleFrame(int fd, const RuntimeMessage& message);
@@ -284,6 +289,8 @@ class CoordinatorServer {
   /// telemetry). Metrics only — wall time never feeds the trace.
   Histogram* barrier_wait_ms_ = nullptr;
   long cycle_ = -1;  ///< last completed cycle; first RunCycle runs cycle 0
+  /// Garbage on the wire: frames the decoder rejected (CRC, bounds) plus
+  /// decoded frames naming a sender outside the deployment.
   long corrupt_frames_ = 0;
   /// Inbound site-originated protocol data (paper accounting family).
   long site_messages_received_ = 0;

@@ -56,10 +56,11 @@ void RuntimeDriver::Deliver(int receiver, const RuntimeMessage& message) {
     return;
   }
   // The receive-side reliability layer consumes acks, dedups and acks data;
-  // at most one message survives to the node.
-  std::vector<RuntimeMessage> fresh;
-  reliable_->OnDeliver(receiver, message, &fresh);
-  for (const RuntimeMessage& m : fresh) {
+  // at most one message survives to the node. Handlers only queue on the
+  // bus, never re-enter Deliver, so one buffer serves every delivery.
+  fresh_.clear();
+  reliable_->OnDeliver(receiver, message, &fresh_);
+  for (const RuntimeMessage& m : fresh_) {
     if (receiver == kCoordinatorId) {
       coordinator_->OnMessage(m);
       if (crash_after_messages_ > 0 && --crash_after_messages_ == 0) {

@@ -132,6 +132,8 @@ class RuntimeDriver {
   std::unique_ptr<ReliableTransport> reliable_;
   std::unique_ptr<CoordinatorNode> coordinator_;
   std::vector<std::unique_ptr<SiteNode>> sites_;
+  /// Deliver()'s output buffer, reused across deliveries.
+  std::vector<RuntimeMessage> fresh_;
   Telemetry* telemetry_ = nullptr;
   long cycle_ = 0;
 

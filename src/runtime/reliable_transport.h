@@ -1,10 +1,9 @@
 #ifndef SGM_RUNTIME_RELIABLE_TRANSPORT_H_
 #define SGM_RUNTIME_RELIABLE_TRANSPORT_H_
 
+#include <cstddef>
 #include <cstdint>
 #include <functional>
-#include <map>
-#include <set>
 #include <vector>
 
 #include "core/rng.h"
@@ -128,7 +127,7 @@ class ReliableTransport final : public Transport {
 
   /// True while any tracked message still awaits an ack — the driver must
   /// keep advancing rounds before declaring the network quiescent.
-  bool HasUnacked() const { return !in_flight_.empty(); }
+  bool HasUnacked() const { return in_flight_count_ > 0; }
 
   /// Marks a site link administratively down (failure detector verdict):
   /// pending expectations on it are released, and it is excluded from
@@ -162,25 +161,52 @@ class ReliableTransport final : public Transport {
   void PublishMetrics(MetricRegistry* registry) const;
 
  private:
+  /// A tracked message still awaiting acks. It lives in its sender's
+  /// in-flight list, which is kept in seq order.
   struct InFlight {
-    RuntimeMessage message;       ///< original, retransmit flag unset
-    std::set<int> awaiting;       ///< destinations yet to ack
-    int attempts = 0;             ///< retransmissions performed so far
-    long due_round = 0;           ///< next retransmission round
+    RuntimeMessage message;  ///< original, retransmit flag unset
+    /// Destinations yet to ack: a bitset over endpoint slots (see Slot)
+    /// plus its population count. A site's message can only await the
+    /// coordinator, so its set is a single word.
+    std::vector<std::uint64_t> awaiting;
+    int awaiting_count = 0;
+    int attempts = 0;    ///< retransmissions performed so far
+    long due_round = 0;  ///< next retransmission round
   };
 
+  /// Receive-side dedup state of one (receiver, sender) pair: every seq at
+  /// or below `floor` counts as seen, and `seqs[head..]` holds the seen seqs
+  /// above it in ascending order. Compacted to at most dedup_window seqs
+  /// (duplicates arrive within a bounded number of rounds, so the window
+  /// never misjudges); the compacted prefix `seqs[..head)` is reclaimed
+  /// once it outgrows the live part.
+  struct SeenWindow {
+    std::int64_t floor = 0;
+    std::vector<std::int64_t> seqs;
+    std::size_t head = 0;
+  };
+
+  /// Array index of an endpoint: the coordinator is 0, site s is s + 1.
+  static int Slot(int endpoint) { return endpoint + 1; }
+  bool IsEndpoint(int endpoint) const {
+    return endpoint >= kCoordinatorId && endpoint < num_sites_;
+  }
   static bool Tracked(const RuntimeMessage& message);
   long NextBackoff(int attempts);
   void Ack(int receiver, const RuntimeMessage& message);
-  void Resolve(std::int64_t key_sender, std::int64_t seq, int receiver);
+  void Resolve(int sender, std::int64_t seq, int receiver);
+  /// True while `entry` still awaits an ack from `dest`.
+  static bool Awaits(const InFlight& entry, int dest);
   /// Releases `dest` from an entry's awaiting set, maintaining the per-peer
   /// pending count. Returns true if the set is now empty.
   bool ReleaseAwait(InFlight* entry, int dest);
   /// Frees one queue slot for `dest` by evicting the oldest in-flight
-  /// expectation on it (oldest in (sender, seq) key order — per sender that
-  /// is send order, which is what matters: entries piling up on one peer
-  /// come from the one endpoint still talking to it).
+  /// expectation on it (oldest in (sender, seq) order, coordinator first —
+  /// per sender that is send order, which is what matters: entries piling
+  /// up on one peer come from the one endpoint still talking to it).
   void EvictOldestFor(int dest);
+  /// The dedup window for sequenced traffic from `sender` at `receiver`.
+  SeenWindow& WindowFor(int receiver, int sender);
 
   Transport* lower_;
   int num_sites_;
@@ -190,22 +216,24 @@ class ReliableTransport final : public Transport {
   std::function<void(int, const RuntimeMessage&)> dead_link_handler_;
 
   std::vector<bool> link_up_;
-  /// Next sequence number per sender endpoint (site id, or kCoordinatorId).
-  std::map<int, std::int64_t> next_seq_;
-  /// Tracked unacked messages, keyed (sender, seq).
-  std::map<std::pair<int, std::int64_t>, InFlight> in_flight_;
-  /// In-flight expectations per destination (site id or kCoordinatorId),
-  /// bounded by max_in_flight_per_peer via eviction.
-  std::map<int, long> pending_per_dest_;
 
-  /// Receive-side dedup, keyed (receiver, sender): seqs already delivered.
-  /// Compacted to a floor + sliding window (duplicates arrive within a
-  /// bounded number of rounds, so the window never misjudges).
-  struct SeenWindow {
-    std::int64_t floor = 0;       ///< seqs <= floor are all seen
-    std::set<std::int64_t> above; ///< seen seqs > floor
-  };
-  std::map<std::pair<int, int>, SeenWindow> seen_;
+  // Flat per-endpoint state, indexed by Slot(). Every sequenced message has
+  // the coordinator at exactly one end (a site talks only to the
+  // coordinator; the coordinator to one site or to all), so the two ends of
+  // any sequenced message are one site plus a direction.
+
+  /// Last sequence number stamped per sender.
+  std::vector<std::int64_t> next_seq_;
+  /// Tracked unacked messages per sender, each list in seq order.
+  std::vector<std::vector<InFlight>> in_flight_;
+  long in_flight_count_ = 0;
+  /// In-flight expectations per destination, bounded by
+  /// max_in_flight_per_peer via eviction.
+  std::vector<long> pending_per_dest_;
+  /// Dedup windows, one per site and direction: the coordinator's traffic
+  /// as site i receives it, and site i's traffic at the coordinator.
+  std::vector<SeenWindow> seen_at_site_;
+  std::vector<SeenWindow> seen_at_coordinator_;
 
   long round_ = 0;
   Stats stats_;

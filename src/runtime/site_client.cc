@@ -240,6 +240,9 @@ SiteExitReason SiteClient::RunSession(
         case RuntimeMessage::Type::kBarrierAck:
           break;  // site-originated control echoed back: ignore
         default: {
+          // Protocol traffic comes only from the coordinator; anything
+          // else is garbage and must not reach the reliability layer.
+          if (message.from != kCoordinatorId) break;
           std::vector<RuntimeMessage> fresh;
           reliable_->OnDeliver(config_.site_id, message, &fresh);
           for (const RuntimeMessage& m : fresh) node_->OnMessage(m);

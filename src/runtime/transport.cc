@@ -1,5 +1,7 @@
 #include "runtime/transport.h"
 
+#include <utility>
+
 #include "core/check.h"
 
 namespace sgm {
@@ -56,7 +58,7 @@ void InMemoryBus::Send(const RuntimeMessage& message) {
 
 RuntimeMessage InMemoryBus::Pop() {
   SGM_CHECK(!queue_.empty());
-  RuntimeMessage message = queue_.front();
+  RuntimeMessage message = std::move(queue_.front());
   queue_.pop_front();
   return message;
 }

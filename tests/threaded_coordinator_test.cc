@@ -7,16 +7,21 @@
 // per-cycle belief sequence, final estimate, epoch and sync counts.
 
 #include <gtest/gtest.h>
+#include <unistd.h>
 
 #include <atomic>
+#include <chrono>
+#include <cstdint>
 #include <memory>
 #include <thread>
 #include <vector>
 
 #include "data/synthetic.h"
 #include "functions/l2_norm.h"
+#include "obs/telemetry.h"
 #include "runtime/coordinator_server.h"
 #include "runtime/driver.h"
+#include "runtime/serialization.h"
 #include "runtime/site_client.h"
 
 namespace sgm {
@@ -277,6 +282,74 @@ TEST(ThreadedCoordinatorTest, StalledSiteDegradesBarrierThenRejoins) {
   EXPECT_EQ(health.lagging_sites, 0);
   EXPECT_EQ(health.connected_sites, kSites);
   EXPECT_EQ(server.CyclesRun(), kCycles + 1);
+}
+
+TEST(ThreadedCoordinatorTest, OutOfRangeSenderFramesAreCountedNotFatal) {
+  // A CRC-valid frame can still name a sender outside the deployment. The
+  // coordinator must drop it as garbage on the wire (counted, stream kept)
+  // instead of handing it to the node, whose per-site state it would index
+  // out of range.
+  const L2Norm norm;
+  Telemetry telemetry;
+  CoordinatorServerConfig server_config;
+  server_config.num_sites = kSites;
+  server_config.runtime = ProtocolConfig();
+  server_config.runtime.telemetry = &telemetry;
+  CoordinatorServer server(norm, server_config);
+  ASSERT_TRUE(server.Listen());
+
+  std::atomic<bool> sites_ok{true};
+  std::vector<std::thread> sites;
+  for (int id = 0; id < kSites; ++id) {
+    sites.emplace_back(SiteThread, id, server.port(), &sites_ok);
+  }
+  ASSERT_TRUE(server.WaitForSites());
+  ASSERT_TRUE(server.RunCycle());  // the initialization sync
+
+  RuntimeMessage beyond;  // one past the last site
+  beyond.type = RuntimeMessage::Type::kHeartbeat;
+  beyond.from = kSites;
+  beyond.to = kCoordinatorId;
+  RuntimeMessage negative;  // neither a site nor the coordinator
+  negative.type = RuntimeMessage::Type::kDriftReport;
+  negative.from = -7;
+  negative.to = kCoordinatorId;
+  negative.epoch = 1;
+  negative.seq = 1;
+  negative.payload = Vector(4, 0.5);
+  const int raw = ConnectTcpLoopback(server.port(), 2000);
+  ASSERT_GE(raw, 0);
+  for (const RuntimeMessage& message : {beyond, negative}) {
+    const std::vector<std::uint8_t> frame = EncodeMessage(message);
+    const std::uint32_t n = static_cast<std::uint32_t>(frame.size());
+    std::vector<std::uint8_t> bytes = {
+        static_cast<std::uint8_t>(n), static_cast<std::uint8_t>(n >> 8),
+        static_cast<std::uint8_t>(n >> 16), static_cast<std::uint8_t>(n >> 24)};
+    bytes.insert(bytes.end(), frame.begin(), frame.end());
+    ASSERT_TRUE(WriteAll(raw, bytes.data(), bytes.size()));
+  }
+
+  // The raw connection's reader thread handles the frames asynchronously.
+  const Counter* corrupt =
+      telemetry.registry.GetCounter("socket.corrupt_frames");
+  const auto give_up =
+      std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  while (corrupt->value() < 2 && std::chrono::steady_clock::now() < give_up) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+    server.PublishMetrics();
+  }
+  EXPECT_EQ(corrupt->value(), 2);
+
+  // The coordinator keeps serving the deployment.
+  for (int cycle = 1; cycle <= kCycles; ++cycle) {
+    ASSERT_TRUE(server.RunCycle()) << "barrier timed out at cycle " << cycle;
+  }
+  EXPECT_EQ(server.ConnectedCount(), kSites);
+  server.Shutdown();
+  ::close(raw);
+  for (std::thread& site : sites) site.join();
+  EXPECT_TRUE(sites_ok.load());
+  EXPECT_EQ(corrupt->value(), 2);
 }
 
 TEST(ThreadedCoordinatorTest, ShutdownWithoutCyclesIsClean) {

@@ -11,12 +11,15 @@
 // increase beyond baseline × (1 + tolerance); columns with a baseline of 0
 // fail on any nonzero current value. Decreases are reported as info but
 // pass — cheaper is fine, the baseline should then be refreshed.
-// Transport-layer columns (retransmissions, acks, ...) are fault-model
-// internals and deliberately not gated here.
 //
 // `--columns=` replaces the default column set — the same binary then
 // gates other benchmark files (e.g. BENCH_chaos.json's
 // reconnect_ms_p50,reconnect_ms_p99 with a wall-clock-sized tolerance).
+// With `--tolerance=0`, running it twice with the files swapped is an
+// equality gate: CI pins the reliability layer's transport columns
+// (transport_messages, transport_bytes, retransmissions, acks,
+// duplicates_suppressed, give_ups, rejoins_granted) that way, since they
+// are deterministic per seed and must only move on purpose.
 //
 // Schema evolution: a column absent from a baseline cell is *warned about
 // and skipped*, not failed — an old baseline must not block a PR that adds
