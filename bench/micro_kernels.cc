@@ -2,7 +2,8 @@
 // per-site per-cycle operations every protocol executes (drift norms, ball
 // construction and threshold tests, sampling-probability evaluation,
 // Horvitz–Thompson estimation, signed distances) plus the heavier geometric
-// utilities (χ² certified enclosures, hull projection).
+// utilities (χ² certified enclosures and surface distances, hull
+// projection).
 
 #include <benchmark/benchmark.h>
 
@@ -14,6 +15,7 @@
 #include "functions/jeffrey_divergence.h"
 #include "functions/l2_norm.h"
 #include "functions/linf_distance.h"
+#include "functions/mutual_information.h"
 #include "geometry/ball.h"
 #include "geometry/convex.h"
 #include "geometry/safe_zone.h"
@@ -97,6 +99,30 @@ void BM_ChiSquareBallTest(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_ChiSquareBallTest);
+
+// The coordinator's ε_T / certified-cooldown kernel: a Reuters-like χ²
+// average at the Fig. 10 threshold. The radius search bisects over one
+// probe frame, so f(c), ∇f(c) and the probe directions are derived once.
+void BM_ChiSquareDistanceToSurface(benchmark::State& state) {
+  const ChiSquare f(200.0);
+  const Vector point{6.0, 10.0, 40.0};
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(f.DistanceToSurface(point, 0.5));
+  }
+}
+BENCHMARK(BM_ChiSquareDistanceToSurface);
+
+// The other prober: the default Lipschitz enclosure over the probed
+// gradient-norm bound, re-run at every radius (no radius-search override).
+void BM_MutualInformationDistanceToSurface(benchmark::State& state) {
+  const MutualInformation f(20.0, 10);
+  const Vector point{5.0, 3.0, 2.0};
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(
+        f.DistanceToSurface(point, f.ExampleThreshold()));
+  }
+}
+BENCHMARK(BM_MutualInformationDistanceToSurface);
 
 void BM_SamplingProbability(benchmark::State& state) {
   for (auto _ : state) {

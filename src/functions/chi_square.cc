@@ -7,6 +7,17 @@
 
 namespace sgm {
 
+namespace {
+
+// d = 3: axis probes plus extra random boundary probes cover the sphere
+// well; the 2x safety factor absorbs residual curvature. ChiSquare keeps the
+// base finite-difference Gradient(), so its probes evaluate central
+// differences in the frame's buffers.
+constexpr int kRandomProbes = 16;
+constexpr double kSafetyFactor = 2.0;
+
+}  // namespace
+
 ChiSquare::ChiSquare(double window, double smoothing, double scale)
     : window_(window), smoothing_(smoothing), scale_(scale) {
   SGM_CHECK_MSG(window > 0.0, "window must be positive");
@@ -36,15 +47,21 @@ Interval ChiSquare::RangeOverBall(const Ball& ball) const {
   // the second-order probe enclosure is decisively tighter than the
   // Lipschitz one, which would otherwise place the threshold surface a
   // spurious factor ~4 too close.
-  return ProbeQuadraticRange(ball, /*random_probes=*/16,
-                             /*safety_factor=*/2.0);
+  return ProbeQuadraticRange(ball, kRandomProbes, kSafetyFactor,
+                             /*central_differences=*/true);
 }
 
 double ChiSquare::GradientNormBound(const Ball& ball) const {
-  // d = 3: axis probes plus extra random boundary probes cover the sphere
-  // well; the 2x safety factor absorbs residual curvature.
-  return ProbeGradientNormBound(ball, /*random_probes=*/16,
-                                /*safety_factor=*/2.0);
+  return ProbeGradientNormBound(ball, kRandomProbes, kSafetyFactor,
+                                /*central_differences=*/true);
+}
+
+std::unique_ptr<MonitoredFunction::RadiusSearch> ChiSquare::NewRadiusSearch(
+    const Vector& center) const {
+  // The frame RangeOverBall() builds for a single ball, kept for all radii.
+  return std::make_unique<ProbeFrame>(
+      *this, ProbeFrame::Prober::kQuadraticRange, center, kRandomProbes,
+      kSafetyFactor, /*central_differences=*/true);
 }
 
 bool ChiSquare::HomogeneityDegree(double* degree) const {

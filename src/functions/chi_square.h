@@ -25,9 +25,11 @@ namespace sgm {
 /// the Reuters workload of the paper ([18, 19, 21]). Cells are
 /// Laplace-smoothed to keep denominators positive.
 ///
-/// No closed-form ball extrema exist; ball tests use the default certified-
-/// by-probing Lipschitz enclosure with an elevated safety factor (d = 3, so
-/// the probes cover the sphere densely).
+/// No closed-form ball extrema exist; ball tests use the probed second-order
+/// enclosure (ProbeQuadraticRange) with an elevated safety factor (d = 3, so
+/// the probes cover the sphere densely). DistanceToSurface() bisects over one
+/// ProbeFrame per call, which derives f(c), ∇f(c) and the probe directions
+/// once for all radii.
 class ChiSquare final : public MonitoredFunction {
  public:
   /// `window` is the per-site sliding-window length w (fixes the derived
@@ -46,6 +48,10 @@ class ChiSquare final : public MonitoredFunction {
   std::unique_ptr<MonitoredFunction> Clone() const override {
     return std::make_unique<ChiSquare>(*this);
   }
+
+ protected:
+  std::unique_ptr<RadiusSearch> NewRadiusSearch(
+      const Vector& center) const override;
 
  private:
   double window_;

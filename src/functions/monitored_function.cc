@@ -2,113 +2,171 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
 
 #include "core/check.h"
 
 namespace sgm {
 
-Vector MonitoredFunction::Gradient(const Vector& v) const {
-  // Central differences with per-coordinate scaled step.
-  Vector grad(v.dim());
-  Vector probe = v;
-  for (std::size_t j = 0; j < v.dim(); ++j) {
-    const double h = 1e-6 * (1.0 + std::abs(v[j]));
-    const double saved = probe[j];
-    probe[j] = saved + h;
-    const double f_plus = Value(probe);
-    probe[j] = saved - h;
-    const double f_minus = Value(probe);
-    probe[j] = saved;
-    grad[j] = (f_plus - f_minus) / (2.0 * h);
+namespace {
+
+// Seed contribution of one scaled center coordinate. Converting a negative
+// or out-of-range double straight to uint64 is undefined, so non-negative
+// values convert as uint64, negative ones through int64 (keeping its
+// two's-complement bits), and NaN and values outside both ranges map to
+// 2^63.
+std::uint64_t SeedBits(double x) {
+  constexpr double kTwo63 = 9223372036854775808.0;
+  if (x >= 0.0 && x < 2.0 * kTwo63) return static_cast<std::uint64_t>(x);
+  if (x < 0.0 && x >= -kTwo63) {
+    return static_cast<std::uint64_t>(static_cast<std::int64_t>(x));
   }
+  return std::uint64_t{1} << 63;
+}
+
+// Deterministic per-center probe seed keeps results reproducible.
+std::uint64_t ProbeSeed(std::uint64_t seed, const Vector& c) {
+  for (std::size_t j = 0; j < c.dim(); ++j) {
+    seed = seed * 6364136223846793005ULL + SeedBits(c[j] * 1e6) +
+           1442695040888963407ULL;
+  }
+  return seed;
+}
+
+}  // namespace
+
+Vector MonitoredFunction::Gradient(const Vector& v) const {
+  Vector grad(v.dim());
+  Vector probe;
+  CentralDifferenceGradient(v, &probe, &grad);
   return grad;
 }
 
-double MonitoredFunction::ProbeGradientNormBound(const Ball& ball,
-                                                 int random_probes,
-                                                 double safety_factor) const {
-  const Vector& c = ball.center();
-  const double r = ball.radius();
-  double bound = Gradient(c).Norm();
-
-  Vector probe = c;
-  for (std::size_t j = 0; j < c.dim(); ++j) {
-    const double saved = probe[j];
-    probe[j] = saved + r;
-    bound = std::max(bound, Gradient(probe).Norm());
-    probe[j] = saved - r;
-    bound = std::max(bound, Gradient(probe).Norm());
-    probe[j] = saved;
+void MonitoredFunction::CentralDifferenceGradient(const Vector& v,
+                                                  Vector* probe,
+                                                  Vector* gradient) const {
+  // Central differences with per-coordinate scaled step.
+  SGM_DCHECK(gradient->dim() == v.dim());
+  *probe = v;
+  for (std::size_t j = 0; j < v.dim(); ++j) {
+    const double h = 1e-6 * (1.0 + std::abs(v[j]));
+    const double saved = (*probe)[j];
+    (*probe)[j] = saved + h;
+    const double f_plus = Value(*probe);
+    (*probe)[j] = saved - h;
+    const double f_minus = Value(*probe);
+    (*probe)[j] = saved;
+    (*gradient)[j] = (f_plus - f_minus) / (2.0 * h);
   }
-
-  // Deterministic per-ball probe seed keeps results reproducible.
-  std::uint64_t seed = 0x5bd1e995u;
-  for (std::size_t j = 0; j < c.dim(); ++j) {
-    seed = seed * 6364136223846793005ULL +
-           static_cast<std::uint64_t>(c[j] * 1e6) + 1442695040888963407ULL;
-  }
-  Rng rng(seed);
-  for (int p = 0; p < random_probes; ++p) {
-    Vector direction(c.dim());
-    for (std::size_t j = 0; j < c.dim(); ++j) {
-      direction[j] = rng.NextGaussian();
-    }
-    const double norm = direction.Norm();
-    if (norm == 0.0) continue;
-    Vector x = c;
-    x.Axpy(r / norm, direction);
-    bound = std::max(bound, Gradient(x).Norm());
-  }
-  return bound * safety_factor;
 }
 
-Interval MonitoredFunction::ProbeQuadraticRange(const Ball& ball,
-                                                int random_probes,
-                                                double safety_factor) const {
-  const Vector& c = ball.center();
-  const double r = ball.radius();
-  const double center_value = Value(c);
-  if (r == 0.0) return Interval{center_value, center_value};
-  const Vector center_grad = Gradient(c);
+MonitoredFunction::ProbeFrame::ProbeFrame(const MonitoredFunction& function,
+                                          Prober prober, const Vector& center,
+                                          int random_probes,
+                                          double safety_factor,
+                                          bool central_differences)
+    : function_(function),
+      prober_(prober),
+      safety_factor_(safety_factor),
+      central_differences_(central_differences),
+      center_(center),
+      gradient_(center.dim()) {
+  if (prober == Prober::kQuadraticRange) center_value_ = function.Value(center);
+  center_gradient_ = GradientAt(center_);
+  center_gradient_norm_ = center_gradient_.Norm();
 
-  double curvature = 0.0;
-  auto probe = [&](const Vector& x) {
-    const double distance = x.DistanceTo(c);
-    if (distance <= 0.0) return;
-    const double secant = (Gradient(x) - center_grad).Norm() / distance;
-    curvature = std::max(curvature, secant);
-  };
-
-  Vector x = c;
-  for (std::size_t j = 0; j < c.dim(); ++j) {
-    const double saved = x[j];
-    x[j] = saved + r;
-    probe(x);
-    x[j] = saved - r;
-    probe(x);
-    x[j] = saved;
-  }
-  std::uint64_t seed = 0x2545f491u;
-  for (std::size_t j = 0; j < c.dim(); ++j) {
-    seed = seed * 6364136223846793005ULL +
-           static_cast<std::uint64_t>(c[j] * 1e6) + 1442695040888963407ULL;
-  }
-  Rng rng(seed);
+  Rng rng(ProbeSeed(
+      prober == Prober::kQuadraticRange ? 0x2545f491u : 0x5bd1e995u, center));
+  Vector direction(center.dim());
+  directions_.reserve(random_probes * center.dim());
+  direction_norms_.reserve(random_probes);
   for (int p = 0; p < random_probes; ++p) {
-    Vector direction(c.dim());
-    for (std::size_t j = 0; j < c.dim(); ++j) {
+    for (std::size_t j = 0; j < center.dim(); ++j) {
       direction[j] = rng.NextGaussian();
     }
     const double norm = direction.Norm();
     if (norm == 0.0) continue;
-    Vector point = c;
-    point.Axpy(r / norm, direction);
-    probe(point);
+    directions_.insert(directions_.end(), direction.data().begin(),
+                       direction.data().end());
+    direction_norms_.push_back(norm);
   }
+}
 
-  const double spread = r * center_grad.Norm() +
-                        0.5 * r * r * curvature * safety_factor;
-  return Interval{center_value - spread, center_value + spread};
+const Vector& MonitoredFunction::ProbeFrame::GradientAt(const Vector& x) {
+  if (central_differences_) {
+    function_.CentralDifferenceGradient(x, &difference_probe_, &gradient_);
+  } else {
+    gradient_ = function_.Gradient(x);
+  }
+  return gradient_;
+}
+
+// Calls visit(x) at the probe points of B(c, radius) in the probers' fixed
+// order: c ± radius·e_j for every axis j, then c + radius·u/‖u‖ for every
+// seeded direction u.
+template <typename Visit>
+void MonitoredFunction::ProbeFrame::ForEachProbePoint(double radius,
+                                                      Visit&& visit) {
+  const std::size_t dim = center_.dim();
+  point_ = center_;
+  for (std::size_t j = 0; j < dim; ++j) {
+    const double saved = point_[j];
+    point_[j] = saved + radius;
+    visit(point_);
+    point_[j] = saved - radius;
+    visit(point_);
+    point_[j] = saved;
+  }
+  for (std::size_t p = 0; p < direction_norms_.size(); ++p) {
+    // point_ = c; point_.Axpy(radius / ‖u‖, u), on the stored row of u.
+    const double scale = radius / direction_norms_[p];
+    const double* direction = directions_.data() + p * dim;
+    for (std::size_t j = 0; j < dim; ++j) {
+      point_[j] = center_[j] + scale * direction[j];
+    }
+    visit(point_);
+  }
+}
+
+Interval MonitoredFunction::ProbeFrame::At(double radius) {
+  SGM_CHECK(prober_ == Prober::kQuadraticRange);
+  if (radius == 0.0) return Interval{center_value_, center_value_};
+  double curvature = 0.0;
+  ForEachProbePoint(radius, [&](const Vector& x) {
+    const double distance = x.DistanceTo(center_);
+    if (distance <= 0.0) return;
+    // ‖∇f(x) − ∇f(c)‖, computed as the distance between the two gradients.
+    const double secant = GradientAt(x).DistanceTo(center_gradient_) / distance;
+    curvature = std::max(curvature, secant);
+  });
+  const double spread = radius * center_gradient_norm_ +
+                        0.5 * radius * radius * curvature * safety_factor_;
+  return Interval{center_value_ - spread, center_value_ + spread};
+}
+
+double MonitoredFunction::ProbeFrame::GradientNormBound(double radius) {
+  SGM_CHECK(prober_ == Prober::kGradientNorm);
+  double bound = center_gradient_norm_;
+  ForEachProbePoint(radius, [&](const Vector& x) {
+    bound = std::max(bound, GradientAt(x).Norm());
+  });
+  return bound * safety_factor_;
+}
+
+double MonitoredFunction::ProbeGradientNormBound(
+    const Ball& ball, int random_probes, double safety_factor,
+    bool central_differences) const {
+  return ProbeFrame(*this, ProbeFrame::Prober::kGradientNorm, ball.center(),
+                    random_probes, safety_factor, central_differences)
+      .GradientNormBound(ball.radius());
+}
+
+Interval MonitoredFunction::ProbeQuadraticRange(
+    const Ball& ball, int random_probes, double safety_factor,
+    bool central_differences) const {
+  return ProbeFrame(*this, ProbeFrame::Prober::kQuadraticRange, ball.center(),
+                    random_probes, safety_factor, central_differences)
+      .At(ball.radius());
 }
 
 double MonitoredFunction::GradientNormBound(const Ball& ball) const {
@@ -141,21 +199,42 @@ double MonitoredFunction::DistanceToSurface(const Vector& point,
   const double cap =
       search_radius > 0.0 ? search_radius : std::max(1e3, hi * 1e6);
 
+  const std::unique_ptr<RadiusSearch> search = NewRadiusSearch(point);
   int expansions = 0;
-  while (!RangeOverBall(Ball(point, hi)).Straddles(threshold)) {
+  while (!search->At(hi).Straddles(threshold)) {
     lo = hi;
     hi *= 2.0;
     if (hi >= cap || ++expansions > 200) return std::min(hi, cap);
   }
   for (int iter = 0; iter < 60; ++iter) {
     const double mid = 0.5 * (lo + hi);
-    if (RangeOverBall(Ball(point, mid)).Straddles(threshold)) {
+    // Past the fixed point every step re-tests lo or hi, whose verdicts are
+    // known, and moves nothing.
+    if (mid == lo || mid == hi) break;
+    if (search->At(mid).Straddles(threshold)) {
       hi = mid;
     } else {
       lo = mid;
     }
   }
   return lo;
+}
+
+std::unique_ptr<MonitoredFunction::RadiusSearch>
+MonitoredFunction::NewRadiusSearch(const Vector& center) const {
+  class PerRadius final : public RadiusSearch {
+   public:
+    PerRadius(const MonitoredFunction& function, const Vector& center)
+        : function_(function), center_(center) {}
+    Interval At(double radius) override {
+      return function_.RangeOverBall(Ball(center_, radius));
+    }
+
+   private:
+    const MonitoredFunction& function_;
+    Vector center_;
+  };
+  return std::make_unique<PerRadius>(*this, center);
 }
 
 void MonitoredFunction::OnSync(const Vector& /*e*/) {}

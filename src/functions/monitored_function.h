@@ -3,6 +3,7 @@
 
 #include <memory>
 #include <string>
+#include <vector>
 
 #include "core/rng.h"
 #include "core/vector.h"
@@ -73,8 +74,9 @@ class MonitoredFunction {
   /// Lower bound on the Euclidean distance from `point` to {f = T}
   /// (the ε_T of Figure 5, and the safe-zone radius of Section 6.6).
   /// The default binary-searches the largest ball around `point` whose
-  /// RangeOverBall() enclosure stays on one side of T; exact overrides exist
-  /// for norms. `search_radius` caps the search.
+  /// RangeOverBall() enclosure stays on one side of T, asking the enclosures
+  /// of one NewRadiusSearch() object; exact overrides exist for norms.
+  /// `search_radius` caps the search.
   virtual double DistanceToSurface(const Vector& point, double threshold,
                                    double search_radius = 0.0) const;
 
@@ -102,9 +104,83 @@ class MonitoredFunction {
   virtual std::unique_ptr<MonitoredFunction> Clone() const = 0;
 
  protected:
-  /// Shared helper for the default GradientNormBound() probing.
+  /// Enclosures of f over the balls B(c, r) of one fixed center c, asked
+  /// radius by radius: the object DistanceToSurface() bisects over. It
+  /// refers to the function that made it and must not outlive it.
+  class RadiusSearch {
+   public:
+    RadiusSearch() = default;
+    RadiusSearch(const RadiusSearch&) = delete;
+    RadiusSearch& operator=(const RadiusSearch&) = delete;
+    virtual ~RadiusSearch() = default;
+
+    /// Enclosure of f over B(c, radius); equal, bit for bit, to
+    /// RangeOverBall(Ball(c, radius)).
+    virtual Interval At(double radius) = 0;
+  };
+
+  /// The radius-search hook of DistanceToSurface(). The default runs
+  /// RangeOverBall() afresh at every radius. A function whose enclosure
+  /// spends most of its work on the center (see ChiSquare) returns an
+  /// object that does that work once; it must keep the bit-identity
+  /// contract of RadiusSearch::At().
+  virtual std::unique_ptr<RadiusSearch> NewRadiusSearch(
+      const Vector& center) const;
+
+  /// The center-bound part of the probing enclosures below, computed once:
+  /// f(c), ∇f(c), the prober's seeded random directions and their norms,
+  /// plus work buffers reused across probes and radii. Each radius then
+  /// costs only the probe gradients at that radius, and runs the same
+  /// floating-point operations in the same order as a fresh single-ball
+  /// probe, so every result is the same double. A frame is a local object of
+  /// one call (it holds no state shared between calls) and must not outlive
+  /// its function.
+  class ProbeFrame final : public RadiusSearch {
+   public:
+    /// The two probers; each draws its own seeded directions.
+    enum class Prober { kQuadraticRange, kGradientNorm };
+
+    /// `central_differences` declares that `function` keeps the base
+    /// finite-difference Gradient(): the frame then evaluates the same
+    /// central differences into its own buffers instead of calling the
+    /// allocating virtual Gradient().
+    ProbeFrame(const MonitoredFunction& function, Prober prober,
+               const Vector& center, int random_probes, double safety_factor,
+               bool central_differences);
+
+    /// kQuadraticRange: the ProbeQuadraticRange() enclosure of B(c, radius).
+    Interval At(double radius) override;
+
+    /// kGradientNorm: the ProbeGradientNormBound() bound over B(c, radius).
+    double GradientNormBound(double radius);
+
+   private:
+    const Vector& GradientAt(const Vector& x);
+    template <typename Visit>
+    void ForEachProbePoint(double radius, Visit&& visit);
+
+    const MonitoredFunction& function_;
+    Prober prober_;
+    double safety_factor_;
+    bool central_differences_;
+    Vector center_;
+    double center_value_ = 0.0;
+    Vector center_gradient_;
+    double center_gradient_norm_ = 0.0;
+    std::vector<double> directions_;  // one row of dim() draws per probe
+    std::vector<double> direction_norms_;
+    Vector point_;             // the probe point being evaluated
+    Vector gradient_;          // ∇f at point_
+    Vector difference_probe_;  // central-difference work buffer
+  };
+
+  /// Shared helper for the default GradientNormBound() probing: the largest
+  /// ‖∇f‖ over the center, the axis-extreme points and `random_probes`
+  /// seeded boundary points, times `safety_factor`. `central_differences`
+  /// as in ProbeFrame.
   double ProbeGradientNormBound(const Ball& ball, int random_probes,
-                                double safety_factor) const;
+                                double safety_factor,
+                                bool central_differences = false) const;
 
   /// Second-order enclosure for smooth functions:
   ///   f(c) ± (r·‖∇f(c)‖ + ½·r²·H)
@@ -112,8 +188,16 @@ class MonitoredFunction {
   /// axis and random ball points, padded by `safety_factor`. Far tighter
   /// than the Lipschitz enclosure where the gradient vanishes (e.g. χ² near
   /// independence), at the cost of extra gradient evaluations.
+  /// `central_differences` as in ProbeFrame.
   Interval ProbeQuadraticRange(const Ball& ball, int random_probes,
-                               double safety_factor) const;
+                               double safety_factor,
+                               bool central_differences = false) const;
+
+ private:
+  /// The base Gradient(): central differences of `v` into `*gradient` (of
+  /// v's dimension), with `*probe` as a work buffer.
+  void CentralDifferenceGradient(const Vector& v, Vector* probe,
+                                 Vector* gradient) const;
 };
 
 }  // namespace sgm
