@@ -5,6 +5,8 @@
 // utilities (χ² certified enclosures and surface distances, hull
 // projection).
 
+#include <cmath>
+
 #include <benchmark/benchmark.h>
 
 #include "core/rng.h"
@@ -100,9 +102,9 @@ void BM_ChiSquareBallTest(benchmark::State& state) {
 }
 BENCHMARK(BM_ChiSquareBallTest);
 
-// The coordinator's ε_T / certified-cooldown kernel: a Reuters-like χ²
-// average at the Fig. 10 threshold. The radius search bisects over one
-// probe frame, so f(c), ∇f(c) and the probe directions are derived once.
+// The coordinator's ε_T kernel: a Reuters-like χ² average at the Fig. 10
+// threshold. The radius search bisects over one probe frame, so f(c), ∇f(c)
+// and the probe directions are derived once.
 void BM_ChiSquareDistanceToSurface(benchmark::State& state) {
   const ChiSquare f(200.0);
   const Vector point{6.0, 10.0, 40.0};
@@ -111,6 +113,19 @@ void BM_ChiSquareDistanceToSurface(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_ChiSquareDistanceToSurface);
+
+// The partial resolution's cooldown count at the same point: the same
+// bisection, stopped once ⌊(D − margin)/max_step⌋ is decided.
+void BM_ChiSquareCertifiedCooldownCycles(benchmark::State& state) {
+  const ChiSquare f(200.0);
+  const Vector point{6.0, 10.0, 40.0};
+  const double max_step = std::sqrt(2.0);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(
+        f.CertifiedCooldownCycles(point, 0.5, /*margin=*/1.0, max_step));
+  }
+}
+BENCHMARK(BM_ChiSquareCertifiedCooldownCycles);
 
 // The other prober: the default Lipschitz enclosure over the probed
 // gradient-norm bound, re-run at every radius (no radius-search override).

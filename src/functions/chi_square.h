@@ -29,7 +29,8 @@ namespace sgm {
 /// enclosure (ProbeQuadraticRange) with an elevated safety factor (d = 3, so
 /// the probes cover the sphere densely). DistanceToSurface() bisects over one
 /// ProbeFrame per call, which derives f(c), ∇f(c) and the probe directions
-/// once for all radii.
+/// once for all radii; CertifiedCooldownCycles() stops that bisection once
+/// the count is decided.
 class ChiSquare final : public MonitoredFunction {
  public:
   /// `window` is the per-site sliding-window length w (fixes the derived
@@ -44,6 +45,12 @@ class ChiSquare final : public MonitoredFunction {
   Interval RangeOverBall(const Ball& ball) const override;
   double GradientNormBound(const Ball& ball) const override;
   bool HomogeneityDegree(double* degree) const override;
+
+  /// The bisection stops once the cooldown count is decided.
+  long CertifiedCooldownCycles(const Vector& point, double threshold,
+                               double margin, double max_step) const override {
+    return BisectCooldownCycles(point, threshold, margin, max_step);
+  }
 
   std::unique_ptr<MonitoredFunction> Clone() const override {
     return std::make_unique<ChiSquare>(*this);

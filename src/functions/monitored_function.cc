@@ -33,6 +33,15 @@ std::uint64_t ProbeSeed(std::uint64_t seed, const Vector& c) {
   return seed;
 }
 
+// max(0, ⌊(distance − margin)/max_step⌋), kept as a double: a bisection
+// bracket's upper end may lie far beyond the range of long. Subtracting,
+// dividing by a positive step and flooring are each monotone in IEEE
+// arithmetic, so the count is monotone in `distance`.
+double CooldownCount(double distance, double margin, double max_step) {
+  SGM_CHECK(max_step > 0.0);
+  return std::max(0.0, std::floor((distance - margin) / max_step));
+}
+
 }  // namespace
 
 Vector MonitoredFunction::Gradient(const Vector& v) const {
@@ -185,9 +194,10 @@ bool MonitoredFunction::BallCrossesThreshold(const Ball& ball,
   return RangeOverBall(ball).Straddles(threshold);
 }
 
-double MonitoredFunction::DistanceToSurface(const Vector& point,
-                                            double threshold,
-                                            double search_radius) const {
+template <typename Decided>
+double MonitoredFunction::BisectDistance(const Vector& point, double threshold,
+                                         double search_radius,
+                                         Decided&& decided) const {
   const double value_gap = std::abs(Value(point) - threshold);
   if (value_gap == 0.0) return 0.0;
 
@@ -207,6 +217,7 @@ double MonitoredFunction::DistanceToSurface(const Vector& point,
     if (hi >= cap || ++expansions > 200) return std::min(hi, cap);
   }
   for (int iter = 0; iter < 60; ++iter) {
+    if (decided(lo, hi)) break;
     const double mid = 0.5 * (lo + hi);
     // Past the fixed point every step re-tests lo or hi, whose verdicts are
     // known, and moves nothing.
@@ -218,6 +229,36 @@ double MonitoredFunction::DistanceToSurface(const Vector& point,
     }
   }
   return lo;
+}
+
+double MonitoredFunction::DistanceToSurface(const Vector& point,
+                                            double threshold,
+                                            double search_radius) const {
+  return BisectDistance(point, threshold, search_radius,
+                        [](double, double) { return false; });
+}
+
+long MonitoredFunction::CertifiedCooldownCycles(const Vector& point,
+                                                double threshold,
+                                                double margin,
+                                                double max_step) const {
+  return static_cast<long>(CooldownCount(DistanceToSurface(point, threshold),
+                                         margin, max_step));
+}
+
+long MonitoredFunction::BisectCooldownCycles(const Vector& point,
+                                             double threshold, double margin,
+                                             double max_step) const {
+  // lo only grows and hi only shrinks, so every later midpoint, and the lo
+  // the full search returns, lies in [lo, hi]; equal counts at both ends fix
+  // the count there.
+  const auto count = [margin, max_step](double distance) {
+    return CooldownCount(distance, margin, max_step);
+  };
+  const double distance = BisectDistance(
+      point, threshold, /*search_radius=*/0.0,
+      [&count](double lo, double hi) { return count(lo) == count(hi); });
+  return static_cast<long>(count(distance));
 }
 
 std::unique_ptr<MonitoredFunction::RadiusSearch>

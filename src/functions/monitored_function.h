@@ -80,6 +80,16 @@ class MonitoredFunction {
   virtual double DistanceToSurface(const Vector& point, double threshold,
                                    double search_radius = 0.0) const;
 
+  /// The certified-cooldown count (DESIGN.md §5)
+  ///   max(0, ⌊(DistanceToSurface(point, threshold) − margin)/max_step⌋):
+  /// how many cycles an average within `margin` of `point`, moving at most
+  /// `max_step` (> 0) per cycle, stays off the surface. The default computes
+  /// it from DistanceToSurface(), so it is exact for every function; a
+  /// function on the default bisection may return BisectCooldownCycles(),
+  /// which asks far fewer radii for the same count.
+  virtual long CertifiedCooldownCycles(const Vector& point, double threshold,
+                                       double margin, double max_step) const;
+
   /// Re-anchors reference-based functions to the freshly-synced global
   /// average `e`; no-op by default.
   virtual void OnSync(const Vector& e);
@@ -126,6 +136,14 @@ class MonitoredFunction {
   /// contract of RadiusSearch::At().
   virtual std::unique_ptr<RadiusSearch> NewRadiusSearch(
       const Vector& center) const;
+
+  /// CertifiedCooldownCycles() from the default DistanceToSurface()
+  /// bisection, stopped as soon as both ends of the bracket give the same
+  /// count: the full search would end inside the bracket, and the count is
+  /// monotone in the distance, so the result is the default's. Only for
+  /// functions that keep the default DistanceToSurface().
+  long BisectCooldownCycles(const Vector& point, double threshold,
+                            double margin, double max_step) const;
 
   /// The center-bound part of the probing enclosures below, computed once:
   /// f(c), ∇f(c), the prober's seeded random directions and their norms,
@@ -198,6 +216,13 @@ class MonitoredFunction {
   /// v's dimension), with `*probe` as a work buffer.
   void CentralDifferenceGradient(const Vector& v, Vector* probe,
                                  Vector* gradient) const;
+
+  /// The default DistanceToSurface() search. Before each bisection step it
+  /// asks `decided(lo, hi)` of the bracket [lo, hi] and returns lo early
+  /// when that holds.
+  template <typename Decided>
+  double BisectDistance(const Vector& point, double threshold,
+                        double search_radius, Decided&& decided) const;
 };
 
 }  // namespace sgm

@@ -1,7 +1,6 @@
 #include "gm/sgm.h"
 
 #include <algorithm>
-#include <cmath>
 
 #include "core/check.h"
 #include "estimators/horvitz_thompson.h"
@@ -150,10 +149,8 @@ CycleOutcome SamplingGeometricMonitor::MonitorCycle(
     outcome.partial_resolved = true;
     metrics->OnPartialResolution();
     if (options_.certified_cooldown) {
-      const double room =
-          function_->DistanceToSurface(v_hat, threshold_) - epsilon;
-      const long mute =
-          static_cast<long>(std::floor(room / max_step_norm_));
+      const long mute = function_->CertifiedCooldownCycles(
+          v_hat, threshold_, epsilon, max_step_norm_);
       if (mute > 0) {
         muted_until_cycle_ = absolute_cycle_ + mute;
         metrics->AddBroadcast(1);  // the coordinator announces the mute

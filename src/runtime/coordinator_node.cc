@@ -1,7 +1,6 @@
 #include "runtime/coordinator_node.h"
 
 #include <algorithm>
-#include <cmath>
 
 #include "core/check.h"
 #include "estimators/horvitz_thompson.h"
@@ -43,6 +42,16 @@ CoordinatorNode::CoordinatorNode(int num_sites,
   SGM_CHECK(config.rejoin_resync_cycles >= 1);
   SGM_CHECK(config.checkpoint_interval_cycles >= 1);
   SGM_CHECK(config.recovery_resync_cycles >= 1);
+  // A quiet site is silent for heartbeat_interval_cycles cycles between
+  // heartbeats; any longer than a site's (jittered) suspect threshold and
+  // the detector would read the cadence itself as a failure.
+  for (int site = 0; site < num_sites; ++site) {
+    SGM_CHECK_MSG(config.heartbeat_interval_cycles <= fd_.suspect_after(site),
+                  "heartbeat_interval_cycles %d exceeds site %d's failure "
+                  "detector suspect threshold %d",
+                  config.heartbeat_interval_cycles, site,
+                  fd_.suspect_after(site));
+  }
   if (telemetry_ != nullptr) {
     fd_.set_telemetry(telemetry_);
     ht_estimate_ns_ = telemetry_->registry.GetHistogram(
@@ -424,10 +433,8 @@ void CoordinatorNode::ResolvePartial(const Vector& v_hat) {
   const double U = CurrentU();
   const double epsilon = std::min(BernsteinEpsilon(config_.delta, U),
                                   0.5 * epsilon_t_);
-  const double room =
-      function_->DistanceToSurface(v_hat, config_.threshold) - epsilon;
-  const long mute = std::max<long>(
-      0, static_cast<long>(std::floor(room / config_.max_step_norm)));
+  const long mute = function_->CertifiedCooldownCycles(
+      v_hat, config_.threshold, epsilon, config_.max_step_norm);
 
   WalRecord record;
   record.kind = WalRecord::Kind::kPartialResolution;

@@ -1,5 +1,7 @@
 #include "data/csv_stream.h"
 
+#include <unistd.h>
+
 #include <cmath>
 #include <cstdio>
 #include <fstream>
@@ -10,13 +12,19 @@
 namespace sgm {
 namespace {
 
-/// Writes `content` to a unique temp file and returns its path.
+/// Writes `content` to a unique temp file and returns its path. The name
+/// carries the pid and the running test's name: ctest runs each discovered
+/// test in its own process, in parallel, so a per-process counter alone
+/// would hand every process the same first name.
 class TempCsv {
  public:
   explicit TempCsv(const std::string& content) {
     static int counter = 0;
+    const testing::TestInfo* test =
+        testing::UnitTest::GetInstance()->current_test_info();
     path_ = testing::TempDir() + "/sgm_csv_test_" +
-            std::to_string(counter++) + ".csv";
+            std::to_string(getpid()) + "_" + test->test_suite_name() + "_" +
+            test->name() + "_" + std::to_string(counter++) + ".csv";
     std::ofstream file(path_);
     file << content;
   }

@@ -2,6 +2,7 @@
 // types, heartbeat liveness, the named resync/retry configuration knobs,
 // and the crash → rejoin → reconverge path (see docs/DESIGN.md).
 
+#include <algorithm>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -147,6 +148,69 @@ TEST(RuntimeReliabilityTest, HeartbeatsKeepQuietSitesAlive) {
     EXPECT_EQ(fd.state(i), FailureDetector::State::kAlive);
     EXPECT_GT(driver.site(i).audit().heartbeats_sent, 0);
   }
+}
+
+// A heartbeat cadence equal to the suspect threshold is the slowest one the
+// coordinator accepts: a quiet fleet heartbeating every 3 cycles against
+// suspect_after_misses = 3 ends every cycle alive.
+TEST(RuntimeReliabilityTest,
+     HeartbeatCadenceAtSuspectThresholdKeepsSitesAlive) {
+  const L2Norm norm;
+  RuntimeConfig config = Config(1000.0);
+  config.heartbeat_interval_cycles = 3;
+  ASSERT_EQ(config.failure_detector.suspect_after_misses, 3);
+  RuntimeDriver driver(6, norm, config);
+  std::vector<Vector> locals(6, Vector{1.0, 0.0});
+  driver.Initialize(locals);
+  for (int t = 0; t < 30; ++t) {
+    driver.Tick(locals);
+    for (int i = 0; i < 6; ++i) {
+      ASSERT_EQ(driver.coordinator().failure_detector().state(i),
+                FailureDetector::State::kAlive)
+          << "site " << i << " at cycle " << t;
+    }
+  }
+  EXPECT_EQ(driver.coordinator().failure_detector().total_deaths(), 0);
+}
+
+TEST(RuntimeReliabilityDeathTest, HeartbeatCadenceBeyondSuspectThresholdDies) {
+  const L2Norm norm;
+  RuntimeConfig config = Config(1000.0);
+  config.heartbeat_interval_cycles = 4;
+  config.failure_detector.suspect_after_misses = 3;
+  EXPECT_DEATH(RuntimeDriver(6, norm, config),
+               "heartbeat_interval_cycles 4 exceeds site 0's failure "
+               "detector suspect threshold 3");
+}
+
+// The check reads the per-site thresholds after jitter: a cadence within
+// the configured suspect_after_misses still dies when one site's jittered
+// threshold falls below it, and constructs at the smallest one.
+TEST(RuntimeReliabilityDeathTest, JitteredSuspectThresholdBelowCadenceDies) {
+  const L2Norm norm;
+  RuntimeConfig config = Config(1000.0);
+  config.failure_detector.suspect_after_misses = 6;
+  config.failure_detector.dead_after_misses = 12;
+  config.failure_detector.threshold_jitter = 0.5;
+  const FailureDetector fd(16, config.failure_detector);
+  int smallest = fd.suspect_after(0);
+  for (int site = 1; site < 16; ++site) {
+    smallest = std::min(smallest, fd.suspect_after(site));
+  }
+  ASSERT_LT(smallest, config.failure_detector.suspect_after_misses);
+
+  config.heartbeat_interval_cycles = smallest + 1;
+  EXPECT_DEATH(RuntimeDriver(16, norm, config), "heartbeat_interval_cycles");
+
+  config.heartbeat_interval_cycles = smallest;
+  const RuntimeDriver driver(16, norm, config);
+  EXPECT_EQ(driver.coordinator().failure_detector().live_count(), 16);
+}
+
+TEST(RuntimeReliabilityTest, DefaultHeartbeatCadenceConstructs) {
+  const L2Norm norm;
+  const RuntimeDriver driver(6, norm, Config(1000.0));
+  EXPECT_EQ(driver.coordinator().failure_detector().live_count(), 6);
 }
 
 TEST(RuntimeReliabilityTest, QuietRecoveryRevivesWithoutAGrant) {
