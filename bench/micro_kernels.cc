@@ -3,14 +3,17 @@
 // construction and threshold tests, sampling-probability evaluation,
 // Horvitz–Thompson estimation, signed distances) plus the heavier geometric
 // utilities (χ² certified enclosures and surface distances, hull
-// projection).
+// projection), and the telemetry plane's per-cycle costs at fleet scale.
 
 #include <cmath>
+#include <memory>
+#include <vector>
 
 #include <benchmark/benchmark.h>
 
 #include "core/rng.h"
 #include "core/vector.h"
+#include "data/jester_like.h"
 #include "estimators/horvitz_thompson.h"
 #include "estimators/sampling.h"
 #include "functions/chi_square.h"
@@ -21,6 +24,9 @@
 #include "geometry/ball.h"
 #include "geometry/convex.h"
 #include "geometry/safe_zone.h"
+#include "obs/telemetry.h"
+#include "obs/trace.h"
+#include "runtime/driver.h"
 
 namespace sgm {
 namespace {
@@ -180,6 +186,62 @@ void BM_HullProjection(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_HullProjection)->Arg(10)->Arg(100);
+
+// A quiet fleet cycle's trace traffic: each of 2,048 sites emits its
+// heartbeat at the deployed sampling rate 0.1, so about one in ten is
+// recorded. One iteration is one cycle. The log restarts every 256 cycles
+// (outside the timing) to bound its memory.
+void BM_TraceLogEmit(benchmark::State& state) {
+  constexpr int kActors = 2048;
+  auto log = std::make_unique<TraceLog>();
+  long cycle = 0;
+  for (auto _ : state) {
+    if (cycle % 256 == 0) {
+      state.PauseTiming();
+      log = std::make_unique<TraceLog>();
+      log->ConfigureSampling(0.1, 7);
+      state.ResumeTiming();
+    }
+    log->SetCycle(++cycle);
+    for (int actor = 0; actor < kActors; ++actor) {
+      log->Emit(TraceEventId::kHeartbeat, actor);
+    }
+  }
+  state.SetItemsProcessed(state.iterations() * kActors);
+}
+BENCHMARK(BM_TraceLogEmit)->Unit(benchmark::kMicrosecond);
+
+// The per-cycle metric publish of a warm fleet-like deployment: 2,048
+// sites, Jester-like L∞ without global mood shifts, telemetry at rate 0.1.
+void BM_RuntimeDriverPublishMetrics(benchmark::State& state) {
+  constexpr int kSites = 2048;
+  JesterLikeConfig workload;
+  workload.num_sites = kSites;
+  workload.window = 50;
+  workload.num_buckets = 8;
+  workload.shift_spacing = 1000000000;
+  workload.seed = 101;
+  JesterLikeGenerator source(workload);
+  const LInfDistance function{Vector(workload.num_buckets)};
+  Telemetry telemetry;
+  RuntimeConfig config;
+  config.threshold = 20.0;
+  config.max_step_norm = source.max_step_norm();
+  config.drift_norm_cap = source.max_drift_norm();
+  config.seed = 202;
+  config.telemetry = &telemetry;
+  config.trace_sample_rate = 0.1;
+  RuntimeDriver driver(kSites, function, config);
+  std::vector<Vector> locals;
+  source.Advance(&locals);
+  driver.Initialize(locals);
+  for (int t = 0; t < 50; ++t) {
+    source.Advance(&locals);
+    driver.Tick(locals);
+  }
+  for (auto _ : state) driver.PublishMetrics();
+}
+BENCHMARK(BM_RuntimeDriverPublishMetrics)->Unit(benchmark::kMicrosecond);
 
 }  // namespace
 }  // namespace sgm

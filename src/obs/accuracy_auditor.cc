@@ -116,7 +116,7 @@ AccuracyAuditor::Verdict AccuracyAuditor::ObserveCycle(
       if (violations_ != nullptr) violations_->Increment();
       if (config_.telemetry != nullptr) {
         config_.telemetry->trace.Emit(
-            "audit", "bound_violation", -1,
+            TraceEventId::kBoundViolation, -1,
             {{"kind", sample.believed_above ? "false_positive"
                                             : "false_negative"},
              {"span", run_span_},

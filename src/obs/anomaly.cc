@@ -4,6 +4,8 @@
 #include <cmath>
 #include <sstream>
 
+#include "obs/json.h"
+
 namespace sgm {
 
 std::vector<AnomalySignal> DefaultAnomalySignals() {
@@ -109,7 +111,7 @@ void AnomalyDetector::ObserveCycle(long cycle,
       if (trace_ != nullptr) {
         // Actor -1: alerts are a deployment-level verdict, reported on the
         // coordinator's pseudo-thread like other global events.
-        trace_->Emit("alert", "alert_raised", -1,
+        trace_->Emit(TraceEventId::kAlertRaised, -1,
                      {{"metric", alert.metric},
                       {"kind", alert.kind},
                       {"value", alert.value},

@@ -1,25 +1,14 @@
 #include "obs/export.h"
 
 #include <algorithm>
-#include <cstdio>
 #include <fstream>
 
 #include "core/check.h"
+#include "obs/json.h"
 
 namespace sgm {
 
 namespace {
-
-void AppendDouble(std::ostream& out, double value) {
-  if (value == static_cast<double>(static_cast<long long>(value)) &&
-      value > -1e15 && value < 1e15) {
-    out << static_cast<long long>(value);
-  } else {
-    char buffer[64];
-    std::snprintf(buffer, sizeof(buffer), "%.17g", value);
-    out << buffer;
-  }
-}
 
 /// Exact q-quantile of a sample window (nearest-rank with linear
 /// interpolation); the window is small, so a sort per gauge per cycle is
@@ -203,11 +192,11 @@ void TimeSeriesExporter::WriteJsonl(std::ostream& out) const {
     first = true;
     for (const auto& [name, quantiles] : record.window_gauges) {
       out << (first ? "" : ",") << "\"" << name << "\":{\"p50\":";
-      AppendDouble(out, quantiles[0]);
+      AppendJsonNumber(out, quantiles[0]);
       out << ",\"p95\":";
-      AppendDouble(out, quantiles[1]);
+      AppendJsonNumber(out, quantiles[1]);
       out << ",\"p99\":";
-      AppendDouble(out, quantiles[2]);
+      AppendJsonNumber(out, quantiles[2]);
       out << "}";
       first = false;
     }
@@ -215,7 +204,7 @@ void TimeSeriesExporter::WriteJsonl(std::ostream& out) const {
     first = true;
     for (const auto& [name, value] : record.gauges) {
       out << (first ? "" : ",") << "\"" << name << "\":";
-      AppendDouble(out, value);
+      AppendJsonNumber(out, value);
       first = false;
     }
     out << "}}\n";

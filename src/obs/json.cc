@@ -1,6 +1,7 @@
 #include "obs/json.h"
 
 #include <cctype>
+#include <cstdio>
 #include <cstdlib>
 
 namespace sgm {
@@ -217,6 +218,19 @@ double JsonValue::NumberOr(const std::string& key, double fallback) const {
   const JsonValue* value = Find(key);
   return value != nullptr && value->is_number() ? value->number_value()
                                                 : fallback;
+}
+
+void AppendJsonNumber(std::ostream& out, double value) {
+  // The range test comes first: converting a double outside long long's
+  // range (or NaN) is undefined behaviour.
+  if (value > -1e15 && value < 1e15 &&
+      value == static_cast<double>(static_cast<long long>(value))) {
+    out << static_cast<long long>(value);
+  } else {
+    char buffer[64];
+    std::snprintf(buffer, sizeof(buffer), "%.17g", value);
+    out << buffer;
+  }
 }
 
 }  // namespace sgm

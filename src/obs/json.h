@@ -1,6 +1,7 @@
 #ifndef SGM_OBS_JSON_H_
 #define SGM_OBS_JSON_H_
 
+#include <ostream>
 #include <string>
 #include <utility>
 #include <vector>
@@ -54,6 +55,13 @@ class JsonValue {
   std::vector<JsonValue> array_;
   std::vector<std::pair<std::string, JsonValue>> object_;
 };
+
+/// The one number writer of every JSON, JSONL and Prometheus output:
+/// integral values below 1e15 in magnitude print without a fraction,
+/// everything else (NaN and infinities included) as %.17g, the shortest
+/// round-trippable form, so replaying a seed reproduces every artifact
+/// byte for byte. The range is checked before any integer conversion.
+void AppendJsonNumber(std::ostream& out, double value);
 
 }  // namespace sgm
 

@@ -1,11 +1,11 @@
 #include "obs/metric_registry.h"
 
 #include <algorithm>
-#include <cstdio>
 #include <sstream>
 
 #include "core/check.h"
 #include "obs/export.h"
+#include "obs/json.h"
 
 namespace sgm {
 
@@ -94,23 +94,6 @@ Histogram* MetricRegistry::GetHistogram(const std::string& name,
   return slot.get();
 }
 
-namespace {
-
-/// %g loses integer-exactness above 6 digits; metric values are either
-/// exact longs (counters) or doubles where 17 digits round-trip.
-void AppendDouble(std::ostream& out, double value) {
-  if (value == static_cast<double>(static_cast<long long>(value)) &&
-      value > -1e15 && value < 1e15) {
-    out << static_cast<long long>(value);
-  } else {
-    char buffer[64];
-    std::snprintf(buffer, sizeof(buffer), "%.17g", value);
-    out << buffer;
-  }
-}
-
-}  // namespace
-
 void MetricRegistry::WriteJson(std::ostream& out) const {
   std::lock_guard<std::mutex> lock(mu_);
   out << "{\n  \"counters\": {";
@@ -124,7 +107,7 @@ void MetricRegistry::WriteJson(std::ostream& out) const {
   first = true;
   for (const auto& [name, gauge] : gauges_) {
     out << (first ? "" : ",") << "\n    \"" << name << "\": ";
-    AppendDouble(out, gauge->value());
+    AppendJsonNumber(out, gauge->value());
     first = false;
   }
   out << (first ? "" : "\n  ") << "},\n  \"histograms\": {";
@@ -132,13 +115,13 @@ void MetricRegistry::WriteJson(std::ostream& out) const {
   for (const auto& [name, histogram] : histograms_) {
     out << (first ? "" : ",") << "\n    \"" << name
         << "\": {\"count\": " << histogram->count() << ", \"sum\": ";
-    AppendDouble(out, histogram->sum());
+    AppendJsonNumber(out, histogram->sum());
     out << ", \"p50\": ";
-    AppendDouble(out, histogram->Quantile(0.50));
+    AppendJsonNumber(out, histogram->Quantile(0.50));
     out << ", \"p95\": ";
-    AppendDouble(out, histogram->Quantile(0.95));
+    AppendJsonNumber(out, histogram->Quantile(0.95));
     out << ", \"p99\": ";
-    AppendDouble(out, histogram->Quantile(0.99));
+    AppendJsonNumber(out, histogram->Quantile(0.99));
     out << ", \"overflow\": " << histogram->overflow_count();
     out << ", \"buckets\": [";
     const std::vector<long> counts = histogram->bucket_counts();
@@ -147,7 +130,7 @@ void MetricRegistry::WriteJson(std::ostream& out) const {
       if (i > 0) out << ", ";
       out << "{\"le\": ";
       if (i < bounds.size()) {
-        AppendDouble(out, bounds[i]);
+        AppendJsonNumber(out, bounds[i]);
       } else {
         out << "\"+inf\"";
       }
@@ -176,7 +159,7 @@ void MetricRegistry::WritePrometheus(std::ostream& out) const {
         << PrometheusEscapeHelp(PrometheusHelpText(name)) << "\n";
     out << "# TYPE " << prom << " gauge\n";
     out << prom << " ";
-    AppendDouble(out, gauge->value());
+    AppendJsonNumber(out, gauge->value());
     out << "\n";
   }
   for (const auto& [name, histogram] : histograms_) {
@@ -191,7 +174,7 @@ void MetricRegistry::WritePrometheus(std::ostream& out) const {
       cumulative += counts[i];
       std::ostringstream le;
       if (i < bounds.size()) {
-        AppendDouble(le, bounds[i]);
+        AppendJsonNumber(le, bounds[i]);
       } else {
         le << "+Inf";
       }
@@ -200,7 +183,7 @@ void MetricRegistry::WritePrometheus(std::ostream& out) const {
           << "\n";
     }
     out << prom << "_sum ";
-    AppendDouble(out, histogram->sum());
+    AppendJsonNumber(out, histogram->sum());
     out << "\n" << prom << "_count " << histogram->count() << "\n";
     // Above-last-edge observations, surfaced as an explicit (untyped)
     // companion series: quantile estimates clamp there, so alerting on a

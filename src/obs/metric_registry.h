@@ -7,6 +7,7 @@
 #include <memory>
 #include <mutex>
 #include <ostream>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -131,6 +132,57 @@ class MetricRegistry {
   std::map<std::string, std::unique_ptr<Counter>> counters_;
   std::map<std::string, std::unique_ptr<Gauge>> gauges_;
   std::map<std::string, std::unique_ptr<Histogram>> histograms_;
+};
+
+/// A fixed table of counter and gauge rows, each a metric name and a
+/// reader over `Source`, mirrored into one registry. The handles are
+/// resolved on the first Publish (and again only if the registry changes),
+/// so a per-cycle publish does no name lookup and takes no registry lock,
+/// and a row appears in the registry exactly when it is first published.
+/// The row tables are static arrays, and every registry published to must
+/// outlive this object (its handles are cached).
+template <typename Source>
+class MetricRows {
+ public:
+  struct CounterRow {
+    const char* name;
+    long (*read)(const Source&);
+  };
+  struct GaugeRow {
+    const char* name;
+    double (*read)(const Source&);
+  };
+
+  explicit MetricRows(std::span<const CounterRow> counters,
+                      std::span<const GaugeRow> gauges = {})
+      : counter_rows_(counters), gauge_rows_(gauges) {}
+
+  void Publish(MetricRegistry* registry, const Source& source) {
+    if (registry != registry_) {
+      registry_ = registry;
+      counters_.clear();
+      gauges_.clear();
+      for (const CounterRow& row : counter_rows_) {
+        counters_.push_back(registry->GetCounter(row.name));
+      }
+      for (const GaugeRow& row : gauge_rows_) {
+        gauges_.push_back(registry->GetGauge(row.name));
+      }
+    }
+    for (std::size_t i = 0; i < counters_.size(); ++i) {
+      counters_[i]->Set(counter_rows_[i].read(source));
+    }
+    for (std::size_t i = 0; i < gauges_.size(); ++i) {
+      gauges_[i]->Set(gauge_rows_[i].read(source));
+    }
+  }
+
+ private:
+  std::span<const CounterRow> counter_rows_;
+  std::span<const GaugeRow> gauge_rows_;
+  MetricRegistry* registry_ = nullptr;
+  std::vector<Counter*> counters_;
+  std::vector<Gauge*> gauges_;
 };
 
 }  // namespace sgm

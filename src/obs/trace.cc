@@ -1,10 +1,13 @@
 #include "obs/trace.h"
 
+#include <array>
 #include <chrono>
 #include <cstdio>
+#include <iterator>
 #include <map>
 #include <set>
 #include <sstream>
+#include <string_view>
 
 #include "core/check.h"
 #include "obs/flight_recorder.h"
@@ -35,111 +38,150 @@ void AppendArgs(const std::vector<TraceArg>& args, std::ostream& out) {
   out << "}";
 }
 
-/// How head-based sampling treats an event (docs/OBSERVABILITY.md):
-///  * kAlways  — rare lifecycle/diagnostic events, never sampled out;
-///  * kCascade — rides a coordinator-minted span: skipped when the span
-///    carries kSpanUnsampledBit (span-less instances always record);
-///  * kNoise   — span-less high-volume chatter, kept by a deterministic
-///    per-(actor, cycle) coin at the configured rate.
-enum class SampleClass { kAlways, kCascade, kNoise };
+using SampleClass = TraceLog::SampleClass;
 
-/// The event catalog: every name a conforming trace may contain, its
-/// category, the argument keys that must be present, and its sampling
-/// class. Extra args are allowed (events may carry more context than the
-/// schema demands); unknown names are schema violations. Keep in sync with
-/// docs/OBSERVABILITY.md.
+/// One catalog row: the event's category and name, the argument keys that
+/// must be present, and its sampling class. Extra args are allowed (events
+/// may carry more context than the schema demands); unknown names are
+/// schema violations. Keep in sync with docs/OBSERVABILITY.md.
 struct EventSpec {
+  TraceEventId id;
   const char* cat;
-  std::vector<const char*> required_args;
+  const char* name;
+  std::array<const char*, 5> required_args;  ///< nullptr-padded
   SampleClass sample = SampleClass::kAlways;
 };
 
-const std::map<std::string, EventSpec>& EventCatalog() {
-  static const auto* catalog = new std::map<std::string, EventSpec>{
-      // Protocol lifecycle (coordinator / site / sim protocols).
-      {"sync_cycle_begin",
-       {"protocol", {"span", "trigger"}, SampleClass::kCascade}},
-      {"local_alarm", {"protocol", {}}},
-      {"probe_begin", {"protocol", {"epoch"}, SampleClass::kCascade}},
-      {"partial_resolution", {"protocol", {}, SampleClass::kCascade}},
-      {"one_d_resolution", {"protocol", {}, SampleClass::kCascade}},
-      {"full_sync_begin", {"protocol", {"epoch"}, SampleClass::kCascade}},
-      {"full_sync_complete",
-       {"protocol", {"epoch", "degraded"}, SampleClass::kCascade}},
-      {"sync_rerequest",
-       {"protocol", {"epoch", "site"}, SampleClass::kCascade}},
-      {"epoch_bump", {"protocol", {"epoch"}}},
-      {"anchor_applied",
-       {"protocol", {"epoch", "source"}, SampleClass::kCascade}},
-      {"epoch_gap", {"protocol", {"from_epoch", "to_epoch"}}},
-      {"stale_epoch_drop", {"protocol", {"msg_epoch"}}},
-      {"late_report", {"protocol", {"site"}}},
-      // Reliability layer (acks, rejoin handshake, heartbeats).
-      {"heartbeat", {"reliability", {}, SampleClass::kNoise}},
-      {"rejoin_request", {"reliability", {}}},
-      {"rejoin_grant", {"reliability", {"epoch"}}},
-      {"retransmit",
-       {"reliability", {"sender", "seq", "attempt"}, SampleClass::kCascade}},
-      {"give_up", {"reliability", {"sender", "seq"}}},
-      {"duplicate_suppressed",
-       {"reliability", {"sender", "seq"}, SampleClass::kNoise}},
-      {"queue_evict", {"reliability", {"dest", "seq"}}},
-      // Failure detector transitions.
-      {"heartbeat_miss", {"failure", {"misses"}, SampleClass::kNoise}},
-      {"suspect", {"failure", {"misses"}}},
-      {"dead", {"failure", {"deaths"}}},
-      {"unreachable", {"failure", {}}},
-      {"quarantined", {"failure", {"until_cycle"}}},
-      {"rejoin_begin", {"failure", {}}},
-      {"rejoin_complete", {"failure", {}}},
-      // Lag quarantine (FailureDetector): missed barrier deadlines, the
-      // lagging verdict, and the staleness-window close on catch-up.
-      {"deadline_miss", {"failure", {"misses"}, SampleClass::kNoise}},
-      {"lagging", {"failure", {"since_cycle"}}},
-      {"lag_recovered", {"failure", {"staleness_cycles"}}},
-      // Per-span transport cost attribution (ReliableTransport).
-      {"msg_send", {"transport", {"type", "span", "bytes"},
-                    SampleClass::kCascade}},
-      // Online accuracy auditing (AccuracyAuditor).
-      {"bound_violation", {"audit", {"kind", "span"}}},
-      // Online anomaly detection (AnomalyDetector): a tracked signal's
-      // per-cycle value left its Welford z-score band.
-      {"alert_raised", {"alert", {"metric", "kind", "value", "mean", "z"}}},
-      // Injected faults (SimTransport).
-      {"site_crash", {"fault", {}}},
-      {"site_recover", {"fault", {}}},
-      {"drop", {"fault", {"type"}, SampleClass::kNoise}},
-      {"duplicate", {"fault", {"type"}, SampleClass::kNoise}},
-      {"delay", {"fault", {"type", "rounds"}, SampleClass::kNoise}},
-      {"corrupt", {"fault", {"type"}, SampleClass::kNoise}},
-      {"coordinator_crash", {"fault", {"epoch"}}},
-      // Crash recovery (checkpoint writes and the recovery state machine).
-      {"checkpoint_write", {"recovery", {"epoch", "bytes"}}},
-      {"recovery_begin", {"recovery", {"span", "epoch", "wal_replayed"}}},
-      {"recovery_complete", {"recovery", {"span", "epoch", "grants"}}},
-      {"snapshot_fallback", {"recovery", {"discarded"}}},
-      {"wal_torn_tail", {"recovery", {"bytes"}}},
-      // Deadline-driven barriers and lag quarantine (CoordinatorServer /
-      // CoordinatorNode): straggler handling, never sampled away.
-      {"barrier_slow", {"degraded", {"deadline_ms"}}},
-      {"barrier_deadline", {"degraded", {"missed", "quarantined"}}},
-      {"degraded_cycle", {"degraded", {"missing"}}},
-      {"site_quarantined", {"degraded", {}}},
-      // Socket-session lifecycle (CoordinatorServer / SiteClient).
-      {"site_hello", {"session", {"fd"}}},
-      {"site_rehello", {"session", {"fd"}}},
-      {"site_disconnect", {"session", {}}},
-      {"connection_lost", {"session", {"reason"}}},
-      {"reconnect", {"session", {"attempt"}}},
-      // Injected network chaos (ChaosSocketTransport).
-      {"chaos_reset", {"chaos", {}}},
-      {"chaos_half_open", {"chaos", {}}},
-      {"chaos_stall", {"chaos", {"ms"}}},
-      // Run/benchmark markers emitted by the tools.
-      {"run_begin", {"run", {}}},
-      {"cell_begin", {"run", {}}},
-  };
-  return *catalog;
+using Id = TraceEventId;
+constexpr SampleClass kCascade = SampleClass::kCascade;
+constexpr SampleClass kNoise = SampleClass::kNoise;
+
+/// The event catalog, indexed by TraceEventId.
+constexpr EventSpec kCatalog[] = {
+    // Protocol lifecycle (coordinator / site / sim protocols).
+    {Id::kSyncCycleBegin, "protocol", "sync_cycle_begin", {"span", "trigger"},
+     kCascade},
+    {Id::kLocalAlarm, "protocol", "local_alarm", {}},
+    {Id::kProbeBegin, "protocol", "probe_begin", {"epoch"}, kCascade},
+    {Id::kPartialResolution, "protocol", "partial_resolution", {}, kCascade},
+    {Id::kOneDResolution, "protocol", "one_d_resolution", {}, kCascade},
+    {Id::kFullSyncBegin, "protocol", "full_sync_begin", {"epoch"}, kCascade},
+    {Id::kFullSyncComplete, "protocol", "full_sync_complete",
+     {"epoch", "degraded"}, kCascade},
+    {Id::kSyncRerequest, "protocol", "sync_rerequest", {"epoch", "site"},
+     kCascade},
+    {Id::kEpochBump, "protocol", "epoch_bump", {"epoch"}},
+    {Id::kAnchorApplied, "protocol", "anchor_applied", {"epoch", "source"},
+     kCascade},
+    {Id::kEpochGap, "protocol", "epoch_gap", {"from_epoch", "to_epoch"}},
+    {Id::kStaleEpochDrop, "protocol", "stale_epoch_drop", {"msg_epoch"}},
+    {Id::kLateReport, "protocol", "late_report", {"site"}},
+    // Reliability layer (acks, rejoin handshake, heartbeats).
+    {Id::kHeartbeat, "reliability", "heartbeat", {}, kNoise},
+    {Id::kRejoinRequest, "reliability", "rejoin_request", {}},
+    {Id::kRejoinGrant, "reliability", "rejoin_grant", {"epoch"}},
+    {Id::kRetransmit, "reliability", "retransmit", {"sender", "seq", "attempt"},
+     kCascade},
+    {Id::kGiveUp, "reliability", "give_up", {"sender", "seq"}},
+    {Id::kDuplicateSuppressed, "reliability", "duplicate_suppressed",
+     {"sender", "seq"}, kNoise},
+    {Id::kQueueEvict, "reliability", "queue_evict", {"dest", "seq"}},
+    // Failure detector transitions.
+    {Id::kHeartbeatMiss, "failure", "heartbeat_miss", {"misses"}, kNoise},
+    {Id::kSuspect, "failure", "suspect", {"misses"}},
+    {Id::kDead, "failure", "dead", {"deaths"}},
+    {Id::kUnreachable, "failure", "unreachable", {}},
+    {Id::kQuarantined, "failure", "quarantined", {"until_cycle"}},
+    {Id::kRejoinBegin, "failure", "rejoin_begin", {}},
+    {Id::kRejoinComplete, "failure", "rejoin_complete", {}},
+    // Lag quarantine (FailureDetector): missed barrier deadlines, the
+    // lagging verdict, and the staleness-window close on catch-up.
+    {Id::kDeadlineMiss, "failure", "deadline_miss", {"misses"}, kNoise},
+    {Id::kLagging, "failure", "lagging", {"since_cycle"}},
+    {Id::kLagRecovered, "failure", "lag_recovered", {"staleness_cycles"}},
+    // Per-span transport cost attribution (ReliableTransport).
+    {Id::kMsgSend, "transport", "msg_send", {"type", "span", "bytes"},
+     kCascade},
+    // Online accuracy auditing (AccuracyAuditor).
+    {Id::kBoundViolation, "audit", "bound_violation", {"kind", "span"}},
+    // Online anomaly detection (AnomalyDetector): a tracked signal's
+    // per-cycle value left its Welford z-score band.
+    {Id::kAlertRaised, "alert", "alert_raised",
+     {"metric", "kind", "value", "mean", "z"}},
+    // Injected faults (SimTransport).
+    {Id::kSiteCrash, "fault", "site_crash", {}},
+    {Id::kSiteRecover, "fault", "site_recover", {}},
+    {Id::kDrop, "fault", "drop", {"type"}, kNoise},
+    {Id::kDuplicate, "fault", "duplicate", {"type"}, kNoise},
+    {Id::kDelay, "fault", "delay", {"type", "rounds"}, kNoise},
+    {Id::kCorrupt, "fault", "corrupt", {"type"}, kNoise},
+    {Id::kCoordinatorCrash, "fault", "coordinator_crash", {"epoch"}},
+    // Crash recovery (checkpoint writes and the recovery state machine).
+    {Id::kCheckpointWrite, "recovery", "checkpoint_write", {"epoch", "bytes"}},
+    {Id::kRecoveryBegin, "recovery", "recovery_begin",
+     {"span", "epoch", "wal_replayed"}},
+    {Id::kRecoveryComplete, "recovery", "recovery_complete",
+     {"span", "epoch", "grants"}},
+    {Id::kSnapshotFallback, "recovery", "snapshot_fallback", {"discarded"}},
+    {Id::kWalTornTail, "recovery", "wal_torn_tail", {"bytes"}},
+    // Deadline-driven barriers and lag quarantine (CoordinatorServer /
+    // CoordinatorNode): straggler handling, never sampled away.
+    {Id::kBarrierSlow, "degraded", "barrier_slow", {"deadline_ms"}},
+    {Id::kBarrierDeadline, "degraded", "barrier_deadline",
+     {"missed", "quarantined"}},
+    {Id::kDegradedCycle, "degraded", "degraded_cycle", {"missing"}},
+    {Id::kSiteQuarantined, "degraded", "site_quarantined", {}},
+    // Socket-session lifecycle (CoordinatorServer / SiteClient).
+    {Id::kSiteHello, "session", "site_hello", {"fd"}},
+    {Id::kSiteRehello, "session", "site_rehello", {"fd"}},
+    {Id::kSiteDisconnect, "session", "site_disconnect", {}},
+    {Id::kConnectionLost, "session", "connection_lost", {"reason"}},
+    {Id::kReconnect, "session", "reconnect", {"attempt"}},
+    // Injected network chaos (ChaosSocketTransport).
+    {Id::kChaosReset, "chaos", "chaos_reset", {}},
+    {Id::kChaosHalfOpen, "chaos", "chaos_half_open", {}},
+    {Id::kChaosStall, "chaos", "chaos_stall", {"ms"}},
+    // Run/benchmark markers emitted by the tools.
+    {Id::kRunBegin, "run", "run_begin", {}},
+    {Id::kCellBegin, "run", "cell_begin", {}},
+};
+
+/// The audit/alert/recovery planes are diagnostic surfaces an operator must
+/// be able to trust at any rate; they bypass sampling entirely (checked
+/// before the span scan — bound_violation carries a possibly-tagged span).
+constexpr bool ExemptCategory(std::string_view cat) {
+  return cat == "audit" || cat == "alert" || cat == "recovery";
+}
+
+/// Rows sit at their id's index, and an exempt category's rows are all
+/// kAlways, so the id path can take a row's class as its decision.
+constexpr bool CatalogIsConsistent() {
+  if (std::size(kCatalog) != kTraceEventCount) return false;
+  for (std::size_t i = 0; i < std::size(kCatalog); ++i) {
+    if (static_cast<std::size_t>(kCatalog[i].id) != i) return false;
+    if (ExemptCategory(kCatalog[i].cat) &&
+        kCatalog[i].sample != SampleClass::kAlways) {
+      return false;
+    }
+  }
+  return true;
+}
+static_assert(CatalogIsConsistent(),
+              "kCatalog must list every TraceEventId in enum order");
+
+const EventSpec& Spec(TraceEventId id) {
+  return kCatalog[static_cast<std::size_t>(id)];
+}
+
+/// The catalog row named `name`, or nullptr.
+const EventSpec* FindSpec(std::string_view name) {
+  static const auto* by_name = [] {
+    auto* index = new std::map<std::string_view, const EventSpec*>;
+    for (const EventSpec& spec : kCatalog) (*index)[spec.name] = &spec;
+    return index;
+  }();
+  const auto it = by_name->find(name);
+  return it == by_name->end() ? nullptr : it->second;
 }
 
 /// SplitMix64 finalizer — the same mixing the seeded RNGs use, applied to
@@ -158,13 +200,6 @@ bool SampledCoin(std::uint64_t key, double rate) {
   const double u =
       static_cast<double>(MixBits(key) >> 11) * (1.0 / 9007199254740992.0);
   return u < rate;
-}
-
-/// The audit/alert/recovery planes are diagnostic surfaces an operator must
-/// be able to trust at any rate; they bypass sampling entirely (checked
-/// before the span scan — bound_violation carries a possibly-tagged span).
-bool ExemptCategory(const std::string& cat) {
-  return cat == "audit" || cat == "alert" || cat == "recovery";
 }
 
 /// Removes kSpanUnsampledBit from span-carrying args so recorded traces
@@ -190,16 +225,9 @@ bool TraceSampleDecision(std::uint64_t seed, std::int64_t root_span,
                      rate);
 }
 
-void AppendJsonNumber(std::ostream& out, double value) {
-  if (value == static_cast<double>(static_cast<long long>(value)) &&
-      value > -1e15 && value < 1e15) {
-    out << static_cast<long long>(value);
-  } else {
-    char buffer[64];
-    std::snprintf(buffer, sizeof(buffer), "%.17g", value);
-    out << buffer;
-  }
-}
+const char* TraceEventCategory(TraceEventId id) { return Spec(id).cat; }
+
+const char* TraceEventName(TraceEventId id) { return Spec(id).name; }
 
 std::string JsonEscape(const std::string& text) {
   std::string out;
@@ -280,18 +308,9 @@ TraceLog::SelfCost TraceLog::self_cost() const {
   return self_cost_;
 }
 
-bool TraceLog::ShouldRecordLocked(const std::string& cat,
-                                  const std::string& name, int actor,
+bool TraceLog::ShouldRecordLocked(SampleClass sample, int actor,
                                   std::vector<TraceArg>* args) {
-  if (ExemptCategory(cat)) {
-    StripSpanTags(args);
-    return true;
-  }
-  const auto& catalog = EventCatalog();
-  const auto it = catalog.find(name);
-  const SampleClass cls =
-      it == catalog.end() ? SampleClass::kAlways : it->second.sample;
-  switch (cls) {
+  switch (sample) {
     case SampleClass::kAlways:
       StripSpanTags(args);
       return true;
@@ -316,24 +335,46 @@ bool TraceLog::ShouldRecordLocked(const std::string& cat,
   return true;
 }
 
-void TraceLog::Emit(std::string cat, std::string name, int actor,
-                    std::vector<TraceArg> args) {
-  std::lock_guard<std::mutex> lock(mu_);
+bool TraceLog::AdmitLocked(SampleClass sample, int actor,
+                           std::vector<TraceArg>* args) {
   ++self_cost_.events_emitted;
-  if (sample_rate_ < 1.0 && !ShouldRecordLocked(cat, name, actor, &args)) {
+  if (sample_rate_ < 1.0 && !ShouldRecordLocked(sample, actor, args)) {
     // Sampled-out fast path: counter bumps and the sampling decision only —
     // deliberately untimed, since a pair of clock reads would cost several
     // times the path itself and the whole point of sampling is that skipped
     // events are nearly free.
     ++self_cost_.events_sampled_out;
-    return;
+    return false;
   }
+  return true;
+}
+
+void TraceLog::Emit(TraceEventId id, int actor, std::vector<TraceArg> args) {
+  const EventSpec& spec = Spec(id);
+  std::lock_guard<std::mutex> lock(mu_);
+  if (!AdmitLocked(spec.sample, actor, &args)) return;
+  RecordLocked(spec.cat, spec.name, actor, std::move(args));
+}
+
+void TraceLog::Emit(std::string cat, std::string name, int actor,
+                    std::vector<TraceArg> args) {
+  const EventSpec* spec = FindSpec(name);
+  const SampleClass sample = spec == nullptr || ExemptCategory(cat)
+                                 ? SampleClass::kAlways
+                                 : spec->sample;
+  std::lock_guard<std::mutex> lock(mu_);
+  if (!AdmitLocked(sample, actor, &args)) return;
+  RecordLocked(std::move(cat), std::move(name), actor, std::move(args));
+}
+
+void TraceLog::RecordLocked(std::string cat, std::string name, int actor,
+                            std::vector<TraceArg> args) {
   // Self-cost timing is itself sampled (every 13th recorded event, scaled
   // back up): a clock-read pair costs as much as storing the event, so
   // timing each one would double the overhead the meter exists to expose.
-  // The stride is prime so it can't alias the event vector's power-of-two
-  // reallocation points (which would attribute every realloc to a timed
-  // event and overstate the extrapolation).
+  // The stride is prime so it can't alias the log's periodic block
+  // allocations (which would attribute every allocation to a timed event
+  // and overstate the extrapolation).
   const bool timed = self_cost_.events_recorded % 13 == 0;
   const auto start = timed ? std::chrono::steady_clock::now()
                            : std::chrono::steady_clock::time_point();
@@ -369,7 +410,7 @@ std::size_t TraceLog::size() const {
 
 std::vector<TraceEvent> TraceLog::events() const {
   std::lock_guard<std::mutex> lock(mu_);
-  return events_;
+  return {events_.begin(), events_.end()};
 }
 
 void TraceLog::AppendEventJson(const TraceEvent& event, std::ostream& out) {
@@ -481,18 +522,18 @@ bool ValidateTraceJsonLine(const std::string& line, std::string* error) {
       return false;
     }
   }
-  const auto& catalog = EventCatalog();
-  const auto it = catalog.find(name->string_value());
-  if (it == catalog.end()) {
+  const EventSpec* spec = FindSpec(name->string_value());
+  if (spec == nullptr) {
     *error = "unknown event name \"" + name->string_value() + "\"";
     return false;
   }
-  if (cat->string_value() != it->second.cat) {
+  if (cat->string_value() != spec->cat) {
     *error = "event \"" + name->string_value() + "\" expects category \"" +
-             it->second.cat + "\", got \"" + cat->string_value() + "\"";
+             spec->cat + "\", got \"" + cat->string_value() + "\"";
     return false;
   }
-  for (const char* required : it->second.required_args) {
+  for (const char* required : spec->required_args) {
+    if (required == nullptr) break;
     if (args->Find(required) == nullptr) {
       *error = "event \"" + name->string_value() +
                "\" missing required arg \"" + required + "\"";

@@ -1,7 +1,9 @@
 #ifndef SGM_OBS_TRACE_H_
 #define SGM_OBS_TRACE_H_
 
+#include <cstddef>
 #include <cstdint>
+#include <deque>
 #include <mutex>
 #include <ostream>
 #include <string>
@@ -41,6 +43,93 @@ constexpr bool SpanUnsampled(std::int64_t span) {
 /// 0.0 ⇒ always false.
 bool TraceSampleDecision(std::uint64_t seed, std::int64_t root_span,
                          double rate);
+
+/// Every event a conforming trace may contain: one value per row of the
+/// catalog in trace.cc, which gives each its category, name, required
+/// argument keys and sampling class. Emitting by id costs no string and no
+/// lookup, so a sampled-out event is nearly free. To add an event, add the
+/// value here, its row in trace.cc (same position) and its row in the
+/// docs/OBSERVABILITY.md catalog.
+enum class TraceEventId : std::uint8_t {
+  // Protocol lifecycle.
+  kSyncCycleBegin,
+  kLocalAlarm,
+  kProbeBegin,
+  kPartialResolution,
+  kOneDResolution,
+  kFullSyncBegin,
+  kFullSyncComplete,
+  kSyncRerequest,
+  kEpochBump,
+  kAnchorApplied,
+  kEpochGap,
+  kStaleEpochDrop,
+  kLateReport,
+  // Reliability layer.
+  kHeartbeat,
+  kRejoinRequest,
+  kRejoinGrant,
+  kRetransmit,
+  kGiveUp,
+  kDuplicateSuppressed,
+  kQueueEvict,
+  // Failure detector.
+  kHeartbeatMiss,
+  kSuspect,
+  kDead,
+  kUnreachable,
+  kQuarantined,
+  kRejoinBegin,
+  kRejoinComplete,
+  kDeadlineMiss,
+  kLagging,
+  kLagRecovered,
+  // Transport cost attribution, audit, alerts.
+  kMsgSend,
+  kBoundViolation,
+  kAlertRaised,
+  // Injected faults.
+  kSiteCrash,
+  kSiteRecover,
+  kDrop,
+  kDuplicate,
+  kDelay,
+  kCorrupt,
+  kCoordinatorCrash,
+  // Crash recovery.
+  kCheckpointWrite,
+  kRecoveryBegin,
+  kRecoveryComplete,
+  kSnapshotFallback,
+  kWalTornTail,
+  // Deadline barriers and lag quarantine.
+  kBarrierSlow,
+  kBarrierDeadline,
+  kDegradedCycle,
+  kSiteQuarantined,
+  // Socket sessions and injected network chaos.
+  kSiteHello,
+  kSiteRehello,
+  kSiteDisconnect,
+  kConnectionLost,
+  kReconnect,
+  kChaosReset,
+  kChaosHalfOpen,
+  kChaosStall,
+  // Run markers.
+  kRunBegin,
+  kCellBegin,
+};
+
+/// Number of TraceEventId values (ids are 0 .. kTraceEventCount - 1). It
+/// names the last value: move it when adding one after kCellBegin (the
+/// catalog's static_assert fails until it matches).
+constexpr std::size_t kTraceEventCount =
+    static_cast<std::size_t>(TraceEventId::kCellBegin) + 1;
+
+/// The catalog's category and name of `id`.
+const char* TraceEventCategory(TraceEventId id);
+const char* TraceEventName(TraceEventId id);
 
 /// One structured argument of a trace event. Values are integers, doubles
 /// or short strings; keys are lower_snake identifiers.
@@ -97,6 +186,14 @@ struct TraceEvent {
 /// deterministic.
 class TraceLog {
  public:
+  /// How head-based sampling treats an event (docs/OBSERVABILITY.md):
+  ///  * kAlways  — rare lifecycle/diagnostic events, never sampled out;
+  ///  * kCascade — rides a coordinator-minted span: skipped when the span
+  ///    carries kSpanUnsampledBit (span-less instances always record);
+  ///  * kNoise   — span-less high-volume chatter, kept by a deterministic
+  ///    per-(actor, cycle) coin at the configured rate.
+  enum class SampleClass { kAlways, kCascade, kNoise };
+
   TraceLog() = default;
   TraceLog(const TraceLog&) = delete;
   TraceLog& operator=(const TraceLog&) = delete;
@@ -120,6 +217,15 @@ class TraceLog {
   void SetEpoch(long epoch);
   long epoch() const;
 
+  /// Records one catalog event, subject to sampling (ConfigureSampling).
+  /// A sampled-out event bumps the self-cost counters and draws its coin;
+  /// it builds no string and no TraceEvent.
+  void Emit(TraceEventId id, int actor, std::vector<TraceArg> args = {});
+
+  /// Adapter for events known only by name: re-emitting parsed traces
+  /// (trace_inspect, bench_reliability) and tests. A catalog name shares
+  /// the id overload's sampling decision; the event is recorded with the
+  /// given `cat` and `name`. A name outside the catalog is always recorded.
   void Emit(std::string cat, std::string name, int actor,
             std::vector<TraceArg> args = {});
 
@@ -170,8 +276,14 @@ class TraceLog {
  private:
   /// The sampling gate; caller holds mu_. Strips span tags from `args` and
   /// returns whether the event is recorded.
-  bool ShouldRecordLocked(const std::string& cat, const std::string& name,
-                          int actor, std::vector<TraceArg>* args);
+  bool ShouldRecordLocked(SampleClass sample, int actor,
+                          std::vector<TraceArg>* args);
+  /// Counts one Emit and runs the sampling gate; caller holds mu_.
+  bool AdmitLocked(SampleClass sample, int actor,
+                   std::vector<TraceArg>* args);
+  /// Appends an admitted event to the log; caller holds mu_.
+  void RecordLocked(std::string cat, std::string name, int actor,
+                    std::vector<TraceArg> args);
 
   mutable std::mutex mu_;
   long cycle_ = 0;
@@ -182,7 +294,9 @@ class TraceLog {
   std::uint64_t sample_seed_ = 0;
   FlightRecorder* flight_ = nullptr;
   mutable SelfCost self_cost_;
-  std::vector<TraceEvent> events_;
+  /// Appends never reallocate or move recorded events (a growing vector
+  /// copies every 152-byte event on each doubling).
+  std::deque<TraceEvent> events_;
 };
 
 /// Validates one JSONL trace line against the event schema: structural keys
@@ -194,12 +308,6 @@ bool ValidateTraceJsonLine(const std::string& line, std::string* error);
 
 /// JSON string escaping shared by the trace/metric writers.
 std::string JsonEscape(const std::string& text);
-
-/// Deterministic JSON number formatting shared by the trace/alert writers:
-/// integral values print without a fraction, everything else as %.17g (the
-/// shortest round-trippable form), so replaying a seed reproduces every
-/// JSONL artifact byte for byte.
-void AppendJsonNumber(std::ostream& out, double value);
 
 }  // namespace sgm
 

@@ -1,7 +1,9 @@
 #include "obs/trace_merge.h"
 
 #include <algorithm>
+#include <cmath>
 #include <fstream>
+#include <limits>
 #include <map>
 #include <set>
 
@@ -28,6 +30,39 @@ std::string StringArg(const TraceEvent& event, const char* key) {
   const TraceArg* arg = FindArg(event, key);
   if (arg == nullptr || arg->kind != TraceArg::Kind::kString) return "";
   return arg->string_value;
+}
+
+// Integer ranges as [min, end) doubles. Both bounds are powers of two, so
+// they convert exactly; a double outside its target type's range must be
+// rejected before the cast, which would be undefined behaviour.
+constexpr double kLongMin =
+    static_cast<double>(std::numeric_limits<long>::min());
+constexpr double kLongEnd = -kLongMin;
+constexpr double kIntMin = static_cast<double>(std::numeric_limits<int>::min());
+constexpr double kIntEnd = -kIntMin;
+
+bool IsIntegerIn(double number, double min, double end) {
+  return number >= min && number < end && number == std::trunc(number);
+}
+
+/// Reads the optional integer member `key` of a trace line into `out`
+/// (`fallback` when absent). Fails, naming the key, when the member is not
+/// an integer in [min, end).
+bool ReadIntegerField(const JsonValue& line, const char* key, long fallback,
+                      double min, double end, long* out, std::string* error) {
+  const JsonValue* field = line.Find(key);
+  if (field == nullptr) {
+    *out = fallback;
+    return true;
+  }
+  if (!field->is_number() || !IsIntegerIn(field->number_value(), min, end)) {
+    if (error != nullptr) {
+      *error = std::string("\"") + key + "\" is not an integer in range";
+    }
+    return false;
+  }
+  *out = static_cast<long>(field->number_value());
+  return true;
 }
 
 struct SpanNode {
@@ -77,28 +112,36 @@ bool ParseTraceEventLine(const std::string& line, TraceEvent* event,
     if (error != nullptr) *error = "trace line is not a JSON object";
     return false;
   }
-  event->ts = static_cast<long>(value.NumberOr("ts", 0));
-  event->cycle = static_cast<long>(value.NumberOr("cycle", 0));
+  long actor = 0;
+  if (!ReadIntegerField(value, "ts", 0, kLongMin, kLongEnd, &event->ts,
+                        error) ||
+      !ReadIntegerField(value, "cycle", 0, kLongMin, kLongEnd, &event->cycle,
+                        error) ||
+      !ReadIntegerField(value, "actor", 0, kIntMin, kIntEnd, &actor, error) ||
+      !ReadIntegerField(value, "tepoch", -1, kLongMin, kLongEnd,
+                        &event->epoch, error)) {
+    return false;
+  }
+  event->actor = static_cast<int>(actor);
   if (const JsonValue* cat = value.Find("cat")) {
     event->cat = cat->string_value();
   }
   if (const JsonValue* name = value.Find("name")) {
     event->name = name->string_value();
   }
-  event->actor = static_cast<int>(value.NumberOr("actor", 0));
   if (const JsonValue* proc = value.Find("proc")) {
     event->proc = proc->string_value();
   }
-  event->epoch = static_cast<long>(value.NumberOr("tepoch", -1));
   if (const JsonValue* args = value.Find("args")) {
     for (const auto& [key, arg] : args->object()) {
       if (arg.is_string()) {
         event->args.emplace_back(key, arg.string_value());
       } else if (arg.is_number()) {
+        // Integral values inside int64's range round-trip as int args;
+        // anything else (fractions, 1e19) stays a double.
         const double number = arg.number_value();
-        const auto as_int = static_cast<std::int64_t>(number);
-        if (static_cast<double>(as_int) == number) {
-          event->args.emplace_back(key, as_int);
+        if (IsIntegerIn(number, kLongMin, kLongEnd)) {
+          event->args.emplace_back(key, static_cast<std::int64_t>(number));
         } else {
           event->args.emplace_back(key, number);
         }
@@ -128,7 +171,7 @@ Status LoadTraceJsonl(const std::string& path,
     TraceEvent event;
     if (!ParseTraceEventLine(line, &event, &error)) {
       return Status::InvalidArgument(path + ":" + std::to_string(line_number) +
-                                     ": not JSON: " + error);
+                                     ": unparseable event: " + error);
     }
     if (event.proc.empty()) event.proc = fallback_proc;
     out->push_back(std::move(event));

@@ -11,9 +11,11 @@
 namespace sgm {
 
 /// Rebuilds a TraceEvent from one JSONL trace line, including the optional
-/// cross-process `proc` / `tepoch` stamps. Integral JSON numbers
-/// round-trip as int args. Returns false and fills `error` on parse
-/// failure (shared by trace_inspect and the merge loader).
+/// cross-process `proc` / `tepoch` stamps. Integral JSON numbers within
+/// int64's range round-trip as int args; other numbers stay doubles.
+/// Returns false and fills `error` on parse failure, or when `ts`, `cycle`,
+/// `actor` or `tepoch` is not an integer in its field's range (shared by
+/// trace_inspect and the merge loader).
 bool ParseTraceEventLine(const std::string& line, TraceEvent* event,
                          std::string* error);
 

@@ -44,21 +44,21 @@ void ChaosSocketTransport::Send(const RuntimeMessage& message) {
     ++resets_;
     sends_since_fault_ = 0;
     if (telemetry_ != nullptr) {
-      telemetry_->trace.Emit("chaos", "chaos_reset", actor_);
+      telemetry_->trace.Emit(TraceEventId::kChaosReset, actor_);
     }
     if (reset_hook_) reset_hook_();
   } else if (gate_open && want_half_open) {
     ++half_opens_;
     sends_since_fault_ = 0;
     if (telemetry_ != nullptr) {
-      telemetry_->trace.Emit("chaos", "chaos_half_open", actor_);
+      telemetry_->trace.Emit(TraceEventId::kChaosHalfOpen, actor_);
     }
     if (half_open_hook_) half_open_hook_();
   } else if (gate_open && want_stall) {
     ++stalls_;
     sends_since_fault_ = 0;
     if (telemetry_ != nullptr) {
-      telemetry_->trace.Emit("chaos", "chaos_stall", actor_,
+      telemetry_->trace.Emit(TraceEventId::kChaosStall, actor_,
                              {{"ms", static_cast<std::int64_t>(
                                          config_.stall_ms)}});
     }

@@ -129,7 +129,7 @@ void CoordinatorNode::WriteSnapshot() {
   config_.checkpoint_store->PutSnapshot(std::move(bytes));
   ++recovery_stats_.snapshots_written;
   if (telemetry_ != nullptr) {
-    telemetry_->trace.Emit("recovery", "checkpoint_write", kCoordinatorId,
+    telemetry_->trace.Emit(TraceEventId::kCheckpointWrite, kCoordinatorId,
                            {{"epoch", epoch_}, {"bytes", size}});
   }
 }
@@ -211,19 +211,19 @@ bool CoordinatorNode::Recover() {
     // The coordinator issues the trace epoch: every subsequent event of
     // this incarnation carries the fenced epoch as its tepoch stamp.
     telemetry_->trace.SetEpoch(epoch_);
-    telemetry_->trace.Emit("protocol", "epoch_bump", kCoordinatorId,
+    telemetry_->trace.Emit(TraceEventId::kEpochBump, kCoordinatorId,
                            {{"epoch", epoch_}});
     telemetry_->trace.Emit(
-        "recovery", "recovery_begin", kCoordinatorId,
+        TraceEventId::kRecoveryBegin, kCoordinatorId,
         {{"span", recovery_span},
          {"epoch", epoch_},
          {"wal_replayed", rec.wal_records_replayed}});
     if (rec.snapshots_discarded > 0) {
-      telemetry_->trace.Emit("recovery", "snapshot_fallback", kCoordinatorId,
+      telemetry_->trace.Emit(TraceEventId::kSnapshotFallback, kCoordinatorId,
                              {{"discarded", rec.snapshots_discarded}});
     }
     if (rec.torn_wal_bytes > 0) {
-      telemetry_->trace.Emit("recovery", "wal_torn_tail", kCoordinatorId,
+      telemetry_->trace.Emit(TraceEventId::kWalTornTail, kCoordinatorId,
                              {{"bytes", rec.torn_wal_bytes}});
     }
   }
@@ -254,7 +254,7 @@ bool CoordinatorNode::Recover() {
   }
   if (telemetry_ != nullptr) {
     telemetry_->trace.Emit(
-        "recovery", "recovery_complete", kCoordinatorId,
+        TraceEventId::kRecoveryComplete, kCoordinatorId,
         {{"span", recovery_span},
          {"epoch", epoch_},
          {"grants", recovery_stats_.reconcile_grants}});
@@ -309,7 +309,7 @@ void CoordinatorNode::BumpEpoch() {
   ++epoch_;
   if (telemetry_ != nullptr) {
     telemetry_->trace.SetEpoch(epoch_);
-    telemetry_->trace.Emit("protocol", "epoch_bump", kCoordinatorId,
+    telemetry_->trace.Emit(TraceEventId::kEpochBump, kCoordinatorId,
                            {{"epoch", epoch_}});
   }
   // Logged before the round's first message is sent (both callers bump
@@ -334,7 +334,7 @@ void CoordinatorNode::EnsureCycleSpan(const char* trigger) {
   cycle_span_ = TagSpan(root);
   last_cycle_span_ = cycle_span_;
   if (telemetry_ != nullptr) {
-    telemetry_->trace.Emit("protocol", "sync_cycle_begin", kCoordinatorId,
+    telemetry_->trace.Emit(TraceEventId::kSyncCycleBegin, kCoordinatorId,
                            {{"span", cycle_span_},
                             {"trigger", std::string(trigger)}});
   }
@@ -356,7 +356,7 @@ void CoordinatorNode::RequestFullState() {
   received_.assign(num_sites_, false);
   received_count_ = 0;
   if (telemetry_ != nullptr) {
-    telemetry_->trace.Emit("protocol", "full_sync_begin", kCoordinatorId,
+    telemetry_->trace.Emit(TraceEventId::kFullSyncBegin, kCoordinatorId,
                            {{"epoch", epoch_},
                             {"span", phase_span_},
                             {"parent", cycle_span_}});
@@ -391,7 +391,7 @@ void CoordinatorNode::FinishFullSync(bool degraded) {
   phase_ = Phase::kIdle;
   const std::int64_t broadcast_span = TagSpan(MintSpan());
   if (telemetry_ != nullptr) {
-    telemetry_->trace.Emit("protocol", "full_sync_complete", kCoordinatorId,
+    telemetry_->trace.Emit(TraceEventId::kFullSyncComplete, kCoordinatorId,
                            {{"epoch", epoch_},
                             {"degraded", degraded ? 1 : 0},
                             {"span", phase_span_},
@@ -425,7 +425,7 @@ void CoordinatorNode::ResolvePartial(const Vector& v_hat) {
   phase_ = Phase::kIdle;
   const std::int64_t resolve_span = TagSpan(MintSpan());
   if (telemetry_ != nullptr) {
-    telemetry_->trace.Emit("protocol", "partial_resolution", kCoordinatorId,
+    telemetry_->trace.Emit(TraceEventId::kPartialResolution, kCoordinatorId,
                            {{"span", resolve_span}, {"parent", cycle_span_}});
   }
   // Certified cooldown (see SgmOptions::certified_cooldown): the average
@@ -469,7 +469,7 @@ void CoordinatorNode::MaybeGrantRejoin(int site) {
   // site outside any sync cascade.
   const std::int64_t grant_span = MintSpan();
   if (telemetry_ != nullptr) {
-    telemetry_->trace.Emit("reliability", "rejoin_grant", site,
+    telemetry_->trace.Emit(TraceEventId::kRejoinGrant, site,
                            {{"epoch", epoch_}, {"span", grant_span}});
   }
   WalRecord record;
@@ -575,7 +575,7 @@ void CoordinatorNode::OnMessage(const RuntimeMessage& message) {
   if (!control && message.epoch < epoch_) {
     ++audit_.stale_epoch_drops;
     if (telemetry_ != nullptr) {
-      telemetry_->trace.Emit("protocol", "stale_epoch_drop", kCoordinatorId,
+      telemetry_->trace.Emit(TraceEventId::kStaleEpochDrop, kCoordinatorId,
                              {{"msg_epoch", message.epoch}});
     }
     return;
@@ -601,7 +601,7 @@ void CoordinatorNode::OnMessage(const RuntimeMessage& message) {
       probe_g_.assign(num_sites_, 0.0);
       probe_reports_ = 0;
       if (telemetry_ != nullptr) {
-        telemetry_->trace.Emit("protocol", "probe_begin", kCoordinatorId,
+        telemetry_->trace.Emit(TraceEventId::kProbeBegin, kCoordinatorId,
                                {{"epoch", epoch_},
                                 {"span", phase_span_},
                                 {"parent", cycle_span_}});
@@ -644,7 +644,7 @@ void CoordinatorNode::OnMessage(const RuntimeMessage& message) {
         // handshake's fresh state: last-known is refreshed, nothing else.
         ++audit_.late_reports;
         if (telemetry_ != nullptr) {
-          telemetry_->trace.Emit("protocol", "late_report", kCoordinatorId,
+          telemetry_->trace.Emit(TraceEventId::kLateReport, kCoordinatorId,
                                  {{"site", site}});
         }
         return;
@@ -673,7 +673,7 @@ bool CoordinatorNode::OnBarrierDeadlineMissed(int site) {
     reliable_->MarkLinkDown(site);
   }
   if (telemetry_ != nullptr) {
-    telemetry_->trace.Emit("degraded", "site_quarantined", site,
+    telemetry_->trace.Emit(TraceEventId::kSiteQuarantined, site,
                            {{"cycle", cycle_}});
   }
   return true;
@@ -687,7 +687,7 @@ void CoordinatorNode::OnBarrierDeadlineMet(int site) {
 void CoordinatorNode::RecordDegradedCycle(int missing_sites) {
   ++degraded_cycles_;
   if (telemetry_ != nullptr) {
-    telemetry_->trace.Emit("degraded", "degraded_cycle", kCoordinatorId,
+    telemetry_->trace.Emit(TraceEventId::kDegradedCycle, kCoordinatorId,
                            {{"cycle", cycle_}, {"missing", missing_sites}});
   }
 }
@@ -711,7 +711,7 @@ void CoordinatorNode::OnQuiescent() {
         if (received_[site] || !fd_.IsLive(site)) continue;
         ++audit_.sync_rerequests;
         if (telemetry_ != nullptr) {
-          telemetry_->trace.Emit("protocol", "sync_rerequest", kCoordinatorId,
+          telemetry_->trace.Emit(TraceEventId::kSyncRerequest, kCoordinatorId,
                                  {{"epoch", epoch_},
                                   {"site", site},
                                   {"span", phase_span_}});

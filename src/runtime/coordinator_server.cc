@@ -14,7 +14,6 @@
 
 #include "core/check.h"
 #include "core/version.h"
-#include "obs/flight_recorder.h"
 #include "obs/telemetry.h"
 
 namespace sgm {
@@ -151,7 +150,7 @@ void CoordinatorServer::EndSessionLocked(int site) {
   ++site_disconnects_;
   ++topology_version_;
   if (config_.runtime.telemetry != nullptr) {
-    config_.runtime.telemetry->trace.Emit("session", "site_disconnect", site);
+    config_.runtime.telemetry->trace.Emit(TraceEventId::kSiteDisconnect, site);
   }
 }
 
@@ -181,13 +180,13 @@ bool CoordinatorServer::HandleFrame(int fd, const RuntimeMessage& message) {
         registered_[site] = true;
         ++hellos_;
         if (telemetry != nullptr) {
-          telemetry->trace.Emit("session", "site_hello", site, {{"fd", fd}});
+          telemetry->trace.Emit(TraceEventId::kSiteHello, site, {{"fd", fd}});
         }
       } else {
         ++site_rehellos_;
         reliable_->MarkLinkUp(site);
         if (telemetry != nullptr) {
-          telemetry->trace.Emit("session", "site_rehello", site,
+          telemetry->trace.Emit(TraceEventId::kSiteRehello, site,
                                 {{"fd", fd}});
         }
         // The rejoiner missed this cycle's observe trigger; a unicast
@@ -308,7 +307,7 @@ int CoordinatorServer::HandleBarrierDeadlineLocked() {
   if (missed > 0) coordinator_->RecordDegradedCycle(missed);
   if (config_.runtime.telemetry != nullptr) {
     config_.runtime.telemetry->trace.Emit(
-        "degraded", "barrier_deadline", kCoordinatorId,
+        TraceEventId::kBarrierDeadline, kCoordinatorId,
         {{"missed", missed}, {"quarantined", quarantined}});
   }
   return missed;
@@ -352,7 +351,7 @@ bool CoordinatorServer::AwaitQuiescence() {
         slow_warned = true;
         if (config_.runtime.telemetry != nullptr) {
           config_.runtime.telemetry->trace.Emit(
-              "degraded", "barrier_slow", kCoordinatorId,
+              TraceEventId::kBarrierSlow, kCoordinatorId,
               {{"deadline_ms", config_.barrier_deadline_ms}});
         }
       }
@@ -600,102 +599,54 @@ std::string CoordinatorServer::HealthJson() const {
   return out.str();
 }
 
+MetricRows<CoordinatorServer> CoordinatorServer::SocketRows() {
+  using Server = CoordinatorServer;
+  static constexpr MetricRows<Server>::CounterRow kCounters[] = {
+      {"transport.paper_messages",
+       [](const Server& s) {
+         return s.transport_.messages_sent() + s.site_messages_received_;
+       }},
+      {"transport.paper_site_messages",
+       [](const Server& s) { return s.site_messages_received_; }},
+      {"transport.total_messages",
+       [](const Server& s) { return s.transport_.transport_messages_sent(); }},
+      {"socket.send_failures",
+       [](const Server& s) { return s.transport_.send_failures(); }},
+      {"socket.short_writes",
+       [](const Server& s) { return s.transport_.short_writes(); }},
+      {"socket.send_queue_drops",
+       [](const Server& s) { return s.transport_.send_queue_drops(); }},
+      {"socket.corrupt_frames",
+       [](const Server& s) { return s.corrupt_frames_; }},
+      {"socket.site_disconnects",
+       [](const Server& s) { return s.site_disconnects_; }},
+      {"socket.site_rehellos",
+       [](const Server& s) { return s.site_rehellos_; }},
+  };
+  static constexpr MetricRows<Server>::GaugeRow kGauges[] = {
+      {"transport.paper_bytes",
+       [](const Server& s) {
+         return s.transport_.bytes_sent() + s.site_bytes_received_;
+       }},
+      {"transport.total_bytes",
+       [](const Server& s) { return s.transport_.transport_bytes_sent(); }},
+      {"socket.send_queue_depth",
+       [](const Server& s) -> double {
+         return s.transport_.send_queue_depth();
+       }},
+      {"socket.connected_sites",
+       [](const Server& s) -> double { return s.ConnectedCountLocked(); }},
+  };
+  return MetricRows<Server>(kCounters, kGauges);
+}
+
 void CoordinatorServer::PublishMetrics() {
   Telemetry* telemetry = config_.runtime.telemetry;
   if (telemetry == nullptr) return;
   std::lock_guard<std::mutex> lock(mu_);
-  MetricRegistry* registry = &telemetry->registry;
-  registry->GetCounter("transport.paper_messages")
-      ->Set(transport_.messages_sent() + site_messages_received_);
-  registry->GetCounter("transport.paper_site_messages")
-      ->Set(site_messages_received_);
-  registry->GetGauge("transport.paper_bytes")
-      ->Set(transport_.bytes_sent() + site_bytes_received_);
-  registry->GetCounter("transport.total_messages")
-      ->Set(transport_.transport_messages_sent());
-  registry->GetGauge("transport.total_bytes")
-      ->Set(transport_.transport_bytes_sent());
-  registry->GetCounter("socket.send_failures")
-      ->Set(transport_.send_failures());
-  registry->GetCounter("socket.short_writes")->Set(transport_.short_writes());
-  registry->GetGauge("socket.send_queue_depth")
-      ->Set(static_cast<double>(transport_.send_queue_depth()));
-  registry->GetCounter("socket.send_queue_drops")
-      ->Set(transport_.send_queue_drops());
-  registry->GetCounter("socket.corrupt_frames")->Set(corrupt_frames_);
-  registry->GetCounter("socket.site_disconnects")->Set(site_disconnects_);
-  registry->GetCounter("socket.site_rehellos")->Set(site_rehellos_);
-  registry->GetGauge("socket.connected_sites")
-      ->Set(static_cast<double>(ConnectedCountLocked()));
-  reliable_->PublishMetrics(registry);
-
-  const CoordinatorNode::AuditStats coord = coordinator_->audit();
-  registry->GetCounter("coordinator.full_syncs")
-      ->Set(coordinator_->full_syncs());
-  registry->GetCounter("coordinator.partial_resolutions")
-      ->Set(coordinator_->partial_resolutions());
-  registry->GetCounter("coordinator.degraded_syncs")
-      ->Set(coordinator_->degraded_syncs());
-  registry->GetCounter("coordinator.epoch")
-      ->Set(static_cast<long>(coordinator_->epoch()));
-  registry->GetCounter("coordinator.stale_epoch_drops")
-      ->Set(coord.stale_epoch_drops);
-  registry->GetCounter("coordinator.stale_epoch_applied")
-      ->Set(coord.stale_epoch_applied);
-  registry->GetCounter("coordinator.late_reports")->Set(coord.late_reports);
-  registry->GetCounter("coordinator.rejoins_granted")
-      ->Set(coord.rejoins_granted);
-  registry->GetCounter("coordinator.sync_rerequests")
-      ->Set(coord.sync_rerequests);
-
-  const CoordinatorNode::RecoveryStats& rec = coordinator_->recovery_stats();
-  registry->GetCounter("recovery.restores")->Set(rec.restores);
-  registry->GetCounter("recovery.snapshots_written")
-      ->Set(rec.snapshots_written);
-  registry->GetCounter("recovery.wal_records")->Set(rec.wal_records);
-  registry->GetCounter("recovery.wal_records_replayed")
-      ->Set(rec.wal_records_replayed);
-  registry->GetCounter("recovery.snapshots_discarded")
-      ->Set(rec.snapshots_discarded);
-  registry->GetCounter("recovery.torn_wal_bytes")->Set(rec.torn_wal_bytes);
-  registry->GetCounter("recovery.reconcile_grants")
-      ->Set(rec.reconcile_grants);
-
-  const FailureDetector& fd = coordinator_->failure_detector();
-  registry->GetCounter("failure.total_deaths")->Set(fd.total_deaths());
-  registry->GetGauge("failure.live_count")
-      ->Set(static_cast<double>(fd.live_count()));
-
-  // Straggler / bounded-staleness accounting (see FailureDetector::kLagging
-  // and CoordinatorServerConfig::barrier_deadline_ms).
-  registry->GetCounter("degraded.cycles")->Set(coordinator_->degraded_cycles());
-  registry->GetGauge("degraded.lagging_sites")
-      ->Set(static_cast<double>(fd.lagging_count()));
-  registry->GetCounter("degraded.lag_quarantines")
-      ->Set(fd.total_lagging_verdicts());
-  registry->GetCounter("degraded.staleness_cycles_total")
-      ->Set(fd.staleness_cycles_total());
-  registry->GetGauge("degraded.staleness_cycles_max")
-      ->Set(static_cast<double>(fd.staleness_cycles_max()));
-
-  // Telemetry self-cost: what observability itself spends. Emitted counts
-  // include sampled-out events, so `sampled_out / events` is the live
-  // sampling ratio and `telemetry_ns` bounds the instrumentation tax.
-  const TraceLog::SelfCost cost = telemetry->trace.self_cost();
-  registry->GetCounter("obs.trace.events")->Set(cost.events_emitted);
-  registry->GetCounter("obs.trace.recorded")->Set(cost.events_recorded);
-  registry->GetCounter("obs.trace.sampled_out")->Set(cost.events_sampled_out);
-  registry->GetCounter("obs.trace.bytes_written")
-      ->Set(static_cast<long>(cost.bytes_written));
-  registry->GetCounter("obs.telemetry.ns")
-      ->Set(static_cast<long>(cost.telemetry_ns));
-  if (const FlightRecorder* ring = telemetry->trace.flight_recorder()) {
-    registry->GetCounter("obs.ring.recorded")->Set(ring->lines_recorded());
-    registry->GetCounter("obs.ring.overwrites")->Set(ring->overwrites());
-    registry->GetCounter("obs.ring.dropped")->Set(ring->lines_dropped());
-  }
-
-  if (telemetry->series) telemetry->series->Sample(cycle_, *registry);
+  socket_rows_.Publish(&telemetry->registry, *this);
+  node_metrics_.Publish(*telemetry, *reliable_, coordinator_.get(),
+                        &coordinator_->recovery_stats(), cycle_);
 }
 
 }  // namespace sgm

@@ -11,7 +11,9 @@
 #include <thread>
 #include <vector>
 
+#include "obs/metric_registry.h"
 #include "runtime/coordinator_node.h"
+#include "runtime/node_metrics.h"
 #include "runtime/reliable_transport.h"
 #include "runtime/round_clock.h"
 #include "runtime/site_node.h"  // RuntimeConfig
@@ -211,8 +213,9 @@ class CoordinatorServer {
   void FlushCheckpoint();
 
   /// Mirrors coordinator/transport/failure counters into the attached
-  /// telemetry registry (same metric names as RuntimeDriver) and samples
-  /// the time series. Called automatically at the end of every RunCycle.
+  /// telemetry registry through the publisher RuntimeDriver shares (same
+  /// metric names) and samples the time series. Called automatically at
+  /// the end of every RunCycle.
   void PublishMetrics();
 
  private:
@@ -243,6 +246,9 @@ class CoordinatorServer {
   /// Shared teardown of Shutdown()/Halt(): stop accept, sever sessions,
   /// join every thread, close every fd.
   void StopThreads();
+  /// The socket tier's own metric rows (its transport accounting and
+  /// `socket.*`), read under mu_.
+  static MetricRows<CoordinatorServer> SocketRows();
 
   CoordinatorServerConfig config_;
   MonotonicRoundClock clock_;
@@ -296,6 +302,9 @@ class CoordinatorServer {
   long site_messages_received_ = 0;
   double site_bytes_received_ = 0.0;
   bool shut_down_ = false;
+  /// PublishMetrics' rows: the socket tier's, then the shared publisher's.
+  MetricRows<CoordinatorServer> socket_rows_ = SocketRows();
+  NodeMetricsPublisher node_metrics_;
 };
 
 }  // namespace sgm

@@ -1,19 +1,65 @@
 #include "runtime/driver.h"
 
 #include "core/check.h"
-#include "obs/flight_recorder.h"
 #include "obs/telemetry.h"
 
 namespace sgm {
 
+namespace {
+
+using SiteAudit = SiteNode::AuditStats;
+
+constexpr MetricRows<InMemoryBus>::CounterRow kBusCounters[] = {
+    {"transport.paper_messages",
+     [](const InMemoryBus& b) { return b.messages_sent(); }},
+    {"transport.paper_site_messages",
+     [](const InMemoryBus& b) { return b.site_messages_sent(); }},
+    {"transport.total_messages",
+     [](const InMemoryBus& b) { return b.transport_messages_sent(); }},
+};
+constexpr MetricRows<InMemoryBus>::GaugeRow kBusGauges[] = {
+    {"transport.paper_bytes",
+     [](const InMemoryBus& b) { return b.bytes_sent(); }},
+    {"transport.total_bytes",
+     [](const InMemoryBus& b) { return b.transport_bytes_sent(); }},
+};
+
+/// Site audit counters, summed over sites.
+constexpr MetricRows<SiteAudit>::CounterRow kSiteCounters[] = {
+    {"site.stale_epoch_drops",
+     [](const SiteAudit& a) { return a.stale_epoch_drops; }},
+    {"site.stale_epoch_applied",
+     [](const SiteAudit& a) { return a.stale_epoch_applied; }},
+    {"site.heartbeats_sent",
+     [](const SiteAudit& a) { return a.heartbeats_sent; }},
+    {"site.rejoin_requests_sent",
+     [](const SiteAudit& a) { return a.rejoin_requests_sent; }},
+};
+
+/// The driver's own `recovery.*` rows: crash injection is a DST feature.
+constexpr MetricRows<RuntimeDriver>::CounterRow kCrashCounters[] = {
+    {"recovery.coordinator_crashes",
+     [](const RuntimeDriver& d) { return d.coordinator_crashes(); }},
+    {"recovery.down_drops",
+     [](const RuntimeDriver& d) { return d.coordinator_down_drops(); }},
+};
+
+}  // namespace
+
 RuntimeDriver::RuntimeDriver(int num_sites, const MonitoredFunction& function,
-                             const RuntimeConfig& config) {
+                             const RuntimeConfig& config)
+    : bus_rows_(kBusCounters, kBusGauges),
+      site_rows_(kSiteCounters),
+      crash_rows_(kCrashCounters) {
   BuildNodes(num_sites, function, config, &bus_);
 }
 
 RuntimeDriver::RuntimeDriver(int num_sites, const MonitoredFunction& function,
                              const RuntimeConfig& config,
-                             const SimTransportConfig& sim_config) {
+                             const SimTransportConfig& sim_config)
+    : bus_rows_(kBusCounters, kBusGauges),
+      site_rows_(kSiteCounters),
+      crash_rows_(kCrashCounters) {
   SimTransportConfig effective = sim_config;
   effective.num_sites = num_sites;
   sim_ = std::make_unique<SimTransport>(&bus_, effective);
@@ -105,7 +151,7 @@ void RuntimeDriver::CrashCoordinator() {
   ++coordinator_crashes_;
   crash_after_messages_ = 0;
   if (telemetry_ != nullptr) {
-    telemetry_->trace.Emit("fault", "coordinator_crash", kCoordinatorId,
+    telemetry_->trace.Emit(TraceEventId::kCoordinatorCrash, kCoordinatorId,
                            {{"epoch", last_crash_epoch_}});
   }
   coordinator_.reset();
@@ -232,57 +278,8 @@ void RuntimeDriver::PublishMetrics() {
     sim_->PublishMetrics(registry);
   } else {
     // Faultless wiring: the bus carries the sender-side accounting.
-    registry->GetCounter("transport.paper_messages")
-        ->Set(bus_.messages_sent());
-    registry->GetCounter("transport.paper_site_messages")
-        ->Set(bus_.site_messages_sent());
-    registry->GetGauge("transport.paper_bytes")->Set(bus_.bytes_sent());
-    registry->GetCounter("transport.total_messages")
-        ->Set(bus_.transport_messages_sent());
-    registry->GetGauge("transport.total_bytes")
-        ->Set(bus_.transport_bytes_sent());
+    bus_rows_.Publish(registry, bus_);
   }
-  reliable_->PublishMetrics(registry);
-
-  if (coordinator_ != nullptr) {
-    const CoordinatorNode::AuditStats coord = coordinator_->audit();
-    registry->GetCounter("coordinator.full_syncs")
-        ->Set(coordinator_->full_syncs());
-    registry->GetCounter("coordinator.partial_resolutions")
-        ->Set(coordinator_->partial_resolutions());
-    registry->GetCounter("coordinator.degraded_syncs")
-        ->Set(coordinator_->degraded_syncs());
-    registry->GetCounter("coordinator.epoch")
-        ->Set(static_cast<long>(coordinator_->epoch()));
-    registry->GetCounter("coordinator.stale_epoch_drops")
-        ->Set(coord.stale_epoch_drops);
-    registry->GetCounter("coordinator.stale_epoch_applied")
-        ->Set(coord.stale_epoch_applied);
-    registry->GetCounter("coordinator.late_reports")->Set(coord.late_reports);
-    registry->GetCounter("coordinator.rejoins_granted")
-        ->Set(coord.rejoins_granted);
-    registry->GetCounter("coordinator.sync_rerequests")
-        ->Set(coord.sync_rerequests);
-  }
-
-  if (config_.checkpoint_store != nullptr) {
-    const CoordinatorNode::RecoveryStats rec = recovery_totals();
-    registry->GetCounter("recovery.restores")->Set(rec.restores);
-    registry->GetCounter("recovery.snapshots_written")
-        ->Set(rec.snapshots_written);
-    registry->GetCounter("recovery.wal_records")->Set(rec.wal_records);
-    registry->GetCounter("recovery.wal_records_replayed")
-        ->Set(rec.wal_records_replayed);
-    registry->GetCounter("recovery.snapshots_discarded")
-        ->Set(rec.snapshots_discarded);
-    registry->GetCounter("recovery.torn_wal_bytes")->Set(rec.torn_wal_bytes);
-    registry->GetCounter("recovery.reconcile_grants")
-        ->Set(rec.reconcile_grants);
-    registry->GetCounter("recovery.coordinator_crashes")
-        ->Set(coordinator_crashes_);
-    registry->GetCounter("recovery.down_drops")->Set(coordinator_down_drops_);
-  }
-
   SiteNode::AuditStats sites_total;
   for (const auto& site : sites_) {
     const SiteNode::AuditStats audit = site->audit();
@@ -291,54 +288,16 @@ void RuntimeDriver::PublishMetrics() {
     sites_total.heartbeats_sent += audit.heartbeats_sent;
     sites_total.rejoin_requests_sent += audit.rejoin_requests_sent;
   }
-  registry->GetCounter("site.stale_epoch_drops")
-      ->Set(sites_total.stale_epoch_drops);
-  registry->GetCounter("site.stale_epoch_applied")
-      ->Set(sites_total.stale_epoch_applied);
-  registry->GetCounter("site.heartbeats_sent")
-      ->Set(sites_total.heartbeats_sent);
-  registry->GetCounter("site.rejoin_requests_sent")
-      ->Set(sites_total.rejoin_requests_sent);
+  site_rows_.Publish(registry, sites_total);
 
-  if (coordinator_ != nullptr) {
-    const FailureDetector& fd = coordinator_->failure_detector();
-    registry->GetCounter("failure.total_deaths")->Set(fd.total_deaths());
-    registry->GetGauge("failure.live_count")
-        ->Set(static_cast<double>(fd.live_count()));
-
-    // Straggler / bounded-staleness accounting (deadline-driven barriers).
-    registry->GetCounter("degraded.cycles")
-        ->Set(coordinator_->degraded_cycles());
-    registry->GetGauge("degraded.lagging_sites")
-        ->Set(static_cast<double>(fd.lagging_count()));
-    registry->GetCounter("degraded.lag_quarantines")
-        ->Set(fd.total_lagging_verdicts());
-    registry->GetCounter("degraded.staleness_cycles_total")
-        ->Set(fd.staleness_cycles_total());
-    registry->GetGauge("degraded.staleness_cycles_max")
-        ->Set(static_cast<double>(fd.staleness_cycles_max()));
+  CoordinatorNode::RecoveryStats recovery;
+  if (config_.checkpoint_store != nullptr) {
+    recovery = recovery_totals();
+    crash_rows_.Publish(registry, *this);
   }
-
-  // Telemetry self-cost: what observability itself spends. Emitted counts
-  // include sampled-out events, so `sampled_out / events` is the live
-  // sampling ratio and `telemetry_ns` bounds the instrumentation tax.
-  const TraceLog::SelfCost cost = telemetry_->trace.self_cost();
-  registry->GetCounter("obs.trace.events")->Set(cost.events_emitted);
-  registry->GetCounter("obs.trace.recorded")->Set(cost.events_recorded);
-  registry->GetCounter("obs.trace.sampled_out")->Set(cost.events_sampled_out);
-  registry->GetCounter("obs.trace.bytes_written")
-      ->Set(static_cast<long>(cost.bytes_written));
-  registry->GetCounter("obs.telemetry.ns")
-      ->Set(static_cast<long>(cost.telemetry_ns));
-  if (const FlightRecorder* ring = telemetry_->trace.flight_recorder()) {
-    registry->GetCounter("obs.ring.recorded")->Set(ring->lines_recorded());
-    registry->GetCounter("obs.ring.overwrites")->Set(ring->overwrites());
-    registry->GetCounter("obs.ring.dropped")->Set(ring->lines_dropped());
-  }
-
-  // Windowed time-series export: one sample per cycle (idempotent — an
-  // on-demand PublishMetrics within the same cycle does not duplicate).
-  if (telemetry_->series) telemetry_->series->Sample(cycle_, *registry);
+  node_metrics_.Publish(
+      *telemetry_, *reliable_, coordinator_.get(),
+      config_.checkpoint_store != nullptr ? &recovery : nullptr, cycle_);
 }
 
 }  // namespace sgm

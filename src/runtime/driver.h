@@ -4,7 +4,9 @@
 #include <memory>
 #include <vector>
 
+#include "obs/metric_registry.h"
 #include "runtime/coordinator_node.h"
+#include "runtime/node_metrics.h"
 #include "runtime/reliable_transport.h"
 #include "runtime/sim_transport.h"
 #include "runtime/site_node.h"
@@ -54,9 +56,10 @@ class RuntimeDriver {
 
   /// Mirrors every component's counters into the attached telemetry's
   /// metric registry (`transport.*`, `coordinator.*`, `site.*`,
-  /// `failure.*`, `recovery.*`). No-op without a RuntimeConfig::telemetry.
-  /// Called automatically after every Tick; also callable on demand before
-  /// a metrics snapshot is written out.
+  /// `failure.*`, `degraded.*`, `obs.*`, and `recovery.*` with a checkpoint
+  /// store) through handles resolved on the first call. No-op without a
+  /// RuntimeConfig::telemetry. Called automatically after every Tick; also
+  /// callable on demand before a metrics snapshot is written out.
   void PublishMetrics();
 
   /// Deterministic stall-fault hook (DST): the harness's stall schedule
@@ -147,6 +150,12 @@ class RuntimeDriver {
   long coordinator_down_drops_ = 0;
   /// Totals from dead incarnations; the live one's stats add on top.
   CoordinatorNode::RecoveryStats recovery_totals_;
+
+  /// PublishMetrics' rows: the driver's own, then the shared publisher's.
+  MetricRows<InMemoryBus> bus_rows_;
+  MetricRows<SiteNode::AuditStats> site_rows_;
+  MetricRows<RuntimeDriver> crash_rows_;
+  NodeMetricsPublisher node_metrics_;
 };
 
 }  // namespace sgm

@@ -44,6 +44,26 @@ FailureDetector::FailureDetector(int num_sites,
       s.lagging_after = config.lagging_after_deadline_misses;
     }
   }
+  Recount();
+}
+
+void FailureDetector::SetState(SiteState* site, State next) {
+  live_count_ += static_cast<int>(IsLiveState(next)) -
+                 static_cast<int>(IsLiveState(site->state));
+  lagging_count_ += static_cast<int>(next == State::kLagging) -
+                    static_cast<int>(site->state == State::kLagging);
+  site->state = next;
+}
+
+void FailureDetector::Recount() {
+  live_count_ = 0;
+  lagging_count_ = 0;
+  total_deaths_ = 0;
+  for (const SiteState& s : sites_) {
+    if (IsLiveState(s.state)) ++live_count_;
+    if (s.state == State::kLagging) ++lagging_count_;
+    total_deaths_ += s.deaths;
+  }
 }
 
 /// Shared death bookkeeping (miss escalation and transport unreachability
@@ -51,8 +71,9 @@ FailureDetector::FailureDetector(int num_sites,
 /// window, and the dead/quarantined trace events.
 void FailureDetector::RecordDeath(int site) {
   SiteState& s = sites_[site];
-  s.state = State::kDead;
+  SetState(&s, State::kDead);
   ++s.deaths;
+  ++total_deaths_;
   s.death_cycles.push_back(cycle_);
   const long horizon = cycle_ - config_.flap_window_cycles;
   s.death_cycles.erase(
@@ -60,13 +81,13 @@ void FailureDetector::RecordDeath(int site) {
                      [horizon](long c) { return c < horizon; }),
       s.death_cycles.end());
   if (telemetry_ != nullptr) {
-    telemetry_->trace.Emit("failure", "dead", site, {{"deaths", s.deaths}});
+    telemetry_->trace.Emit(TraceEventId::kDead, site, {{"deaths", s.deaths}});
   }
   if (static_cast<int>(s.death_cycles.size()) >=
       config_.flap_death_threshold) {
     s.quarantine_until = cycle_ + s.quarantine;
     if (telemetry_ != nullptr) {
-      telemetry_->trace.Emit("failure", "quarantined", site,
+      telemetry_->trace.Emit(TraceEventId::kQuarantined, site,
                              {{"until_cycle", s.quarantine_until}});
     }
   }
@@ -80,14 +101,14 @@ void FailureDetector::Escalate(int site) {
     RecordDeath(site);
   } else if (misses > s.suspect_after) {
     if (telemetry_ != nullptr && s.state != State::kSuspect) {
-      telemetry_->trace.Emit("failure", "suspect", site,
+      telemetry_->trace.Emit(TraceEventId::kSuspect, site,
                              {{"misses", misses}});
     }
-    s.state = State::kSuspect;
+    SetState(&s, State::kSuspect);
   } else if (misses >= 2 && telemetry_ != nullptr) {
     // One silent cycle is routine scheduling noise; two or more is a
     // trend worth a breadcrumb before the suspect threshold trips.
-    telemetry_->trace.Emit("failure", "heartbeat_miss", site,
+    telemetry_->trace.Emit(TraceEventId::kHeartbeatMiss, site,
                            {{"misses", misses}});
   }
 }
@@ -103,7 +124,7 @@ void FailureDetector::RecordAlive(int site) {
   SGM_CHECK(site >= 0 && site < static_cast<int>(sites_.size()));
   SiteState& s = sites_[site];
   s.last_heard_cycle = cycle_;
-  if (s.state == State::kSuspect) s.state = State::kAlive;
+  if (s.state == State::kSuspect) SetState(&s, State::kAlive);
   // kDead / kRejoining: liveness alone does not revive — the rejoin
   // handshake must resync the site's estimate and Δv baseline first.
 }
@@ -113,7 +134,7 @@ void FailureDetector::ReportUnreachable(int site) {
   SiteState& s = sites_[site];
   if (s.state == State::kDead || s.state == State::kRejoining) return;
   if (telemetry_ != nullptr) {
-    telemetry_->trace.Emit("failure", "unreachable", site);
+    telemetry_->trace.Emit(TraceEventId::kUnreachable, site);
   }
   RecordDeath(site);
 }
@@ -126,16 +147,16 @@ bool FailureDetector::RecordMissedDeadline(int site) {
   if (s.state != State::kAlive && s.state != State::kSuspect) return false;
   ++s.deadline_misses;
   if (telemetry_ != nullptr) {
-    telemetry_->trace.Emit("failure", "deadline_miss", site,
+    telemetry_->trace.Emit(TraceEventId::kDeadlineMiss, site,
                            {{"misses", s.deadline_misses}});
   }
   if (s.deadline_misses < s.lagging_after) return false;
-  s.state = State::kLagging;
+  SetState(&s, State::kLagging);
   s.lagging_since = cycle_;
   s.deadline_misses = 0;
   ++total_lagging_verdicts_;
   if (telemetry_ != nullptr) {
-    telemetry_->trace.Emit("failure", "lagging", site,
+    telemetry_->trace.Emit(TraceEventId::kLagging, site,
                            {{"since_cycle", s.lagging_since}});
   }
   return true;
@@ -148,11 +169,11 @@ void FailureDetector::RecordDeadlineMet(int site) {
 
 void FailureDetector::BeginRejoin(int site) {
   SGM_CHECK(site >= 0 && site < static_cast<int>(sites_.size()));
-  if (sites_[site].state == State::kDead ||
-      sites_[site].state == State::kLagging) {
-    sites_[site].state = State::kRejoining;
+  SiteState& s = sites_[site];
+  if (s.state == State::kDead || s.state == State::kLagging) {
+    SetState(&s, State::kRejoining);
     if (telemetry_ != nullptr) {
-      telemetry_->trace.Emit("failure", "rejoin_begin", site);
+      telemetry_->trace.Emit(TraceEventId::kRejoinBegin, site);
     }
   }
 }
@@ -173,36 +194,20 @@ void FailureDetector::CompleteRejoin(int site) {
     staleness_cycles_max_ = std::max(staleness_cycles_max_, staleness);
     s.lagging_since = -1;
     if (telemetry_ != nullptr) {
-      telemetry_->trace.Emit("failure", "lag_recovered", site,
+      telemetry_->trace.Emit(TraceEventId::kLagRecovered, site,
                              {{"staleness_cycles", staleness}});
     }
   }
-  s.state = State::kAlive;
+  SetState(&s, State::kAlive);
   s.last_heard_cycle = cycle_;
   s.deadline_misses = 0;
   if (telemetry_ != nullptr) {
-    telemetry_->trace.Emit("failure", "rejoin_complete", site);
+    telemetry_->trace.Emit(TraceEventId::kRejoinComplete, site);
   }
 }
 
 bool FailureDetector::IsQuarantined(int site) const {
   return sites_[site].quarantine_until >= cycle_;
-}
-
-int FailureDetector::live_count() const {
-  int live = 0;
-  for (int site = 0; site < static_cast<int>(sites_.size()); ++site) {
-    if (IsLive(site)) ++live;
-  }
-  return live;
-}
-
-int FailureDetector::lagging_count() const {
-  int lagging = 0;
-  for (const SiteState& s : sites_) {
-    if (s.state == State::kLagging) ++lagging;
-  }
-  return lagging;
 }
 
 std::vector<FailureDetector::SiteSnapshot> FailureDetector::Snapshot() const {
@@ -232,12 +237,7 @@ void FailureDetector::Restore(const std::vector<SiteSnapshot>& sites,
     // over-counted.
     s.lagging_since = s.state == State::kLagging ? cycle : -1;
   }
-}
-
-long FailureDetector::total_deaths() const {
-  long total = 0;
-  for (const SiteState& s : sites_) total += s.deaths;
-  return total;
+  Recount();
 }
 
 const char* ToString(FailureDetector::State state) {

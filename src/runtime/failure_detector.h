@@ -99,21 +99,19 @@ class FailureDetector {
   void CompleteRejoin(int site);
 
   State state(int site) const { return sites_[site].state; }
-  bool IsLive(int site) const {
-    return sites_[site].state == State::kAlive ||
-           sites_[site].state == State::kSuspect;
-  }
+  bool IsLive(int site) const { return IsLiveState(sites_[site].state); }
   bool IsQuarantined(int site) const;
 
   /// Sites currently in the sample pool (kAlive or kSuspect): the population
-  /// the Horvitz–Thompson estimator reweights over.
-  int live_count() const;
+  /// the Horvitz–Thompson estimator reweights over. The three totals below
+  /// are kept current on every state change, so reading them is O(1).
+  int live_count() const { return live_count_; }
 
   long deaths(int site) const { return sites_[site].deaths; }
-  long total_deaths() const;
+  long total_deaths() const { return total_deaths_; }
 
   /// Sites currently under the kLagging verdict.
-  int lagging_count() const;
+  int lagging_count() const { return lagging_count_; }
   /// Lagging verdicts issued over the detector's lifetime (quarantines).
   long total_lagging_verdicts() const { return total_lagging_verdicts_; }
   /// Cycle the site's current lag quarantine started, or -1 when not
@@ -169,6 +167,13 @@ class FailureDetector {
     int lagging_after = 0;
   };
 
+  static bool IsLiveState(State state) {
+    return state == State::kAlive || state == State::kSuspect;
+  }
+  /// Every state change goes through here, keeping the totals current.
+  void SetState(SiteState* site, State next);
+  /// Recomputes the totals from the per-site states (after Restore).
+  void Recount();
   void Escalate(int site);
   void RecordDeath(int site);
 
@@ -176,6 +181,9 @@ class FailureDetector {
   std::vector<SiteState> sites_;
   Telemetry* telemetry_ = nullptr;
   long cycle_ = 0;
+  int live_count_ = 0;
+  int lagging_count_ = 0;
+  long total_deaths_ = 0;
   long total_lagging_verdicts_ = 0;
   long staleness_cycles_total_ = 0;
   long staleness_cycles_max_ = 0;

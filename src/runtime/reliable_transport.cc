@@ -45,6 +45,23 @@ void ForEachAwaited(const std::vector<std::uint64_t>& awaiting, Visit visit) {
   }
 }
 
+using Stats = ReliableTransport::Stats;
+
+/// The `transport.*` rows PublishMetrics mirrors from Stats.
+constexpr MetricRows<Stats>::CounterRow kStatsRows[] = {
+    {"transport.tracked_sends", [](const Stats& s) { return s.tracked_sends; }},
+    {"transport.retransmissions",
+     [](const Stats& s) { return s.retransmissions; }},
+    {"transport.acks_sent", [](const Stats& s) { return s.acks_sent; }},
+    {"transport.duplicates_suppressed",
+     [](const Stats& s) { return s.duplicates_suppressed; }},
+    {"transport.give_ups", [](const Stats& s) { return s.give_ups; }},
+    {"transport.queue_evictions",
+     [](const Stats& s) { return s.queue_evictions; }},
+    {"transport.dedup_evictions",
+     [](const Stats& s) { return s.dedup_evictions; }},
+};
+
 }  // namespace
 
 ReliableTransport::ReliableTransport(Transport* lower, int num_sites,
@@ -60,7 +77,8 @@ ReliableTransport::ReliableTransport(Transport* lower, int num_sites,
       in_flight_(num_sites + 1),
       pending_per_dest_(num_sites + 1, 0),
       seen_at_site_(num_sites),
-      seen_at_coordinator_(num_sites) {
+      seen_at_coordinator_(num_sites),
+      metric_rows_(kStatsRows) {
   SGM_CHECK(lower != nullptr);
   SGM_CHECK(num_sites > 0);
   SGM_CHECK(config.max_retransmits >= 0);
@@ -118,7 +136,7 @@ void ReliableTransport::EvictOldestFor(int dest) {
       if (!Awaits(*it, dest)) continue;
       ++stats_.queue_evictions;
       if (telemetry_ != nullptr) {
-        telemetry_->trace.Emit("reliability", "queue_evict", it->message.from,
+        telemetry_->trace.Emit(TraceEventId::kQueueEvict, it->message.from,
                                {{"dest", dest}, {"seq", it->message.seq}});
       }
       if (ReleaseAwait(&*it, dest)) {
@@ -220,7 +238,7 @@ void ReliableTransport::Send(const RuntimeMessage& message) {
     // acks, rejoin requests) stays out of the span trees, and an unsampled
     // cascade skips the whole formatting call, not just the recording.
     telemetry_->trace.Emit(
-        "transport", "msg_send", stamped.from,
+        TraceEventId::kMsgSend, stamped.from,
         {{"type", RuntimeMessage::TypeName(stamped.type)},
          {"span", stamped.span},
          {"parent", stamped.parent_span},
@@ -292,7 +310,7 @@ void ReliableTransport::OnDeliver(int receiver, const RuntimeMessage& message,
   if (duplicate) {
     ++stats_.duplicates_suppressed;
     if (telemetry_ != nullptr) {
-      telemetry_->trace.Emit("reliability", "duplicate_suppressed", receiver,
+      telemetry_->trace.Emit(TraceEventId::kDuplicateSuppressed, receiver,
                              {{"sender", message.from}, {"seq", seq}});
     }
     Ack(receiver, message);  // the previous ack may have been lost
@@ -342,7 +360,7 @@ void ReliableTransport::AdvanceRound() {
         ++stats_.give_ups;
         if (telemetry_ != nullptr) {
           telemetry_->trace.Emit(
-              "reliability", "give_up", entry.message.from,
+              TraceEventId::kGiveUp, entry.message.from,
               {{"sender", entry.message.from}, {"seq", entry.message.seq}});
         }
         ForEachAwaited(entry.awaiting, [&](int dest) {
@@ -363,7 +381,7 @@ void ReliableTransport::AdvanceRound() {
         ++stats_.retransmissions;
         if (telemetry_ != nullptr && !SpanUnsampled(copy.span)) {
           telemetry_->trace.Emit(
-              "reliability", "retransmit", copy.from,
+              TraceEventId::kRetransmit, copy.from,
               {{"sender", copy.from},
                {"seq", copy.seq},
                {"attempt", entry.attempts},
@@ -384,17 +402,7 @@ void ReliableTransport::AdvanceRound() {
 
 void ReliableTransport::PublishMetrics(MetricRegistry* registry) const {
   if (registry == nullptr) return;
-  registry->GetCounter("transport.tracked_sends")->Set(stats_.tracked_sends);
-  registry->GetCounter("transport.retransmissions")
-      ->Set(stats_.retransmissions);
-  registry->GetCounter("transport.acks_sent")->Set(stats_.acks_sent);
-  registry->GetCounter("transport.duplicates_suppressed")
-      ->Set(stats_.duplicates_suppressed);
-  registry->GetCounter("transport.give_ups")->Set(stats_.give_ups);
-  registry->GetCounter("transport.queue_evictions")
-      ->Set(stats_.queue_evictions);
-  registry->GetCounter("transport.dedup_evictions")
-      ->Set(stats_.dedup_evictions);
+  metric_rows_.Publish(registry, stats_);
 }
 
 }  // namespace sgm

@@ -7,12 +7,12 @@
 #include <vector>
 
 #include "core/rng.h"
+#include "obs/metric_registry.h"
 #include "runtime/transport.h"
 
 namespace sgm {
 
 struct Telemetry;
-class MetricRegistry;
 class RoundClock;
 
 /// Tuning knobs of the ack/retransmit layer. Every stochastic choice (the
@@ -157,7 +157,9 @@ class ReliableTransport final : public Transport {
 
   Stats stats() const { return stats_; }
   /// Mirrors the Stats counters into `registry` under `transport.*`
-  /// (transport.retransmissions, transport.acks_sent, ...).
+  /// (transport.retransmissions, transport.acks_sent, ...). The handles are
+  /// resolved on the first call and cached, so `registry` must outlive
+  /// this transport.
   void PublishMetrics(MetricRegistry* registry) const;
 
  private:
@@ -237,6 +239,8 @@ class ReliableTransport final : public Transport {
 
   long round_ = 0;
   Stats stats_;
+  /// PublishMetrics' handles, resolved on its first call.
+  mutable MetricRows<Stats> metric_rows_;
 };
 
 }  // namespace sgm

@@ -56,7 +56,7 @@ void SimTransport::CrashSite(int site) {
   }
   crashed_[site] = true;
   if (telemetry_ != nullptr) {
-    telemetry_->trace.Emit("fault", "site_crash", site);
+    telemetry_->trace.Emit(TraceEventId::kSiteCrash, site);
   }
 }
 
@@ -64,7 +64,7 @@ void SimTransport::RecoverSite(int site) {
   if (site >= 0 && static_cast<std::size_t>(site) < crashed_.size()) {
     crashed_[site] = false;
     if (telemetry_ != nullptr) {
-      telemetry_->trace.Emit("fault", "site_recover", site);
+      telemetry_->trace.Emit(TraceEventId::kSiteRecover, site);
     }
   }
 }
@@ -90,7 +90,7 @@ void SimTransport::Admit(const RuntimeMessage& message, int link) {
     ++dropped_messages_;
     if (telemetry_ != nullptr) {
       telemetry_->trace.Emit(
-          "fault", "drop", link,
+          TraceEventId::kDrop, link,
           {{"type", RuntimeMessage::TypeName(message.type)}});
     }
     return;
@@ -106,7 +106,7 @@ void SimTransport::Admit(const RuntimeMessage& message, int link) {
     ++corrupted_messages_;
     if (telemetry_ != nullptr) {
       telemetry_->trace.Emit(
-          "fault", "corrupt", link,
+          TraceEventId::kCorrupt, link,
           {{"type", RuntimeMessage::TypeName(message.type)}});
     }
     Result<RuntimeMessage> decoded = DecodeMessage(wire);
@@ -124,7 +124,7 @@ void SimTransport::Admit(const RuntimeMessage& message, int link) {
   const bool duplicated = rng.NextBernoulli(config_.duplicate_probability);
   if (delay > 0 && telemetry_ != nullptr) {
     telemetry_->trace.Emit(
-        "fault", "delay", link,
+        TraceEventId::kDelay, link,
         {{"type", RuntimeMessage::TypeName(message.type)},
          {"rounds", delay}});
   }
@@ -138,7 +138,7 @@ void SimTransport::Admit(const RuntimeMessage& message, int link) {
     transport_bytes_sent_ += WireBytes(message);
     if (telemetry_ != nullptr) {
       telemetry_->trace.Emit(
-          "fault", "duplicate", link,
+          TraceEventId::kDuplicate, link,
           {{"type", RuntimeMessage::TypeName(message.type)}});
     }
     Forward(message, delay);

@@ -153,7 +153,7 @@ bool SiteClient::Run(const std::function<Vector(long)>& next_vector) {
     TearDownSession();
     reader.Reset();
     if (telemetry != nullptr) {
-      telemetry->trace.Emit("session", "connection_lost", config_.site_id,
+      telemetry->trace.Emit(TraceEventId::kConnectionLost, config_.site_id,
                             {{"reason", SiteExitReasonName(reason)}});
     }
     if (reconnects_ >= config_.max_reconnects) return false;
@@ -163,7 +163,7 @@ bool SiteClient::Run(const std::function<Vector(long)>& next_vector) {
     }
     ++reconnects_;
     if (telemetry != nullptr) {
-      telemetry->trace.Emit("session", "reconnect", config_.site_id,
+      telemetry->trace.Emit(TraceEventId::kReconnect, config_.site_id,
                             {{"attempt", reconnects_.load()}});
     }
     // The hello above re-registered the connection; now drive the rejoin

@@ -55,7 +55,7 @@ void SiteNode::SendHeartbeatIfDue() {
   heartbeat.type = RuntimeMessage::Type::kHeartbeat;
   ++audit_.heartbeats_sent;
   if (telemetry_ != nullptr) {
-    telemetry_->trace.Emit("reliability", "heartbeat", id_);
+    telemetry_->trace.Emit(TraceEventId::kHeartbeat, id_);
   }
   SendToCoordinator(std::move(heartbeat));
 }
@@ -67,7 +67,7 @@ void SiteNode::RequestRejoin() {
   request.type = RuntimeMessage::Type::kRejoinRequest;
   ++audit_.rejoin_requests_sent;
   if (telemetry_ != nullptr) {
-    telemetry_->trace.Emit("reliability", "rejoin_request", id_);
+    telemetry_->trace.Emit(TraceEventId::kRejoinRequest, id_);
   }
   SendToCoordinator(std::move(request));
 }
@@ -127,7 +127,7 @@ void SiteNode::Observe(const Vector& local_vector) {
     }
     if (crossed) {
       if (telemetry_ != nullptr) {
-        telemetry_->trace.Emit("protocol", "local_alarm", id_);
+        telemetry_->trace.Emit(TraceEventId::kLocalAlarm, id_);
       }
       RuntimeMessage alarm;
       alarm.type = RuntimeMessage::Type::kLocalViolation;
@@ -148,7 +148,7 @@ void SiteNode::ApplyAnchor(const RuntimeMessage& message, const char* source) {
     // tepoch stream the coordinator's file carries, letting the merge
     // group events by protocol incarnation.
     telemetry_->trace.SetEpoch(message.epoch);
-    telemetry_->trace.Emit("protocol", "anchor_applied", id_,
+    telemetry_->trace.Emit(TraceEventId::kAnchorApplied, id_,
                            {{"epoch", message.epoch},
                             {"source", source},
                             {"span", message.span}});
@@ -172,7 +172,7 @@ void SiteNode::OnMessage(const RuntimeMessage& message) {
   if (message.epoch < epoch_) {
     ++audit_.stale_epoch_drops;
     if (telemetry_ != nullptr) {
-      telemetry_->trace.Emit("protocol", "stale_epoch_drop", id_,
+      telemetry_->trace.Emit(TraceEventId::kStaleEpochDrop, id_,
                              {{"msg_epoch", message.epoch}});
     }
     return;
@@ -181,7 +181,7 @@ void SiteNode::OnMessage(const RuntimeMessage& message) {
     const bool gap = message.epoch > epoch_ + 1;
     if (gap && telemetry_ != nullptr) {
       telemetry_->trace.Emit(
-          "protocol", "epoch_gap", id_,
+          TraceEventId::kEpochGap, id_,
           {{"from_epoch", epoch_}, {"to_epoch", message.epoch}});
     }
     epoch_ = message.epoch;

@@ -313,7 +313,7 @@ StressReport RunSimStress(const StressConfig& config) {
     // runtime leg.
     config.telemetry->trace.ConfigureSampling(
         config.trace_sample_rate, DeriveSeed(config.seed, kProtocolStream));
-    config.telemetry->trace.Emit("run", "run_begin", -1);
+    config.telemetry->trace.Emit(TraceEventId::kRunBegin, -1);
   }
 
   const InvariantOptions tolerances =
@@ -636,7 +636,7 @@ StressReport RunRuntimeStress(const StressConfig& config) {
   StressReport report;
   RuntimeLeg leg(config);
   if (config.telemetry != nullptr) {
-    config.telemetry->trace.Emit("run", "run_begin", -1);
+    config.telemetry->trace.Emit(TraceEventId::kRunBegin, -1);
   }
 
   RuntimeDriver driver(config.num_sites, *leg.function_, leg.NodeConfig(),

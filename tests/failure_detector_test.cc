@@ -4,6 +4,10 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <vector>
+
+#include "core/rng.h"
 #include "runtime/failure_detector.h"
 
 namespace sgm {
@@ -340,6 +344,81 @@ TEST(FailureDetectorTest, SnapshotRestorePreservesLaggingVerdict) {
   recovered.BeginRejoin(1);
   recovered.CompleteRejoin(1);
   EXPECT_EQ(recovered.staleness_cycles_total(), 2);
+}
+
+// The live, lagging and death totals are kept current on every state change
+// rather than recounted on each read. After every step of seeded random
+// walks over every transition, Restore included, they must equal a recount.
+TEST(FailureDetectorTest, RunningTotalsMatchARecountAfterEveryTransition) {
+  constexpr int kSites = 64;
+  FailureDetectorConfig config = SmallConfig();
+  config.threshold_jitter = 0.3;
+  using State = FailureDetector::State;
+  struct Checkpoint {
+    std::vector<FailureDetector::SiteSnapshot> sites;
+    long cycle;
+  };
+  for (std::uint64_t seed = 1; seed <= 8; ++seed) {
+    FailureDetector fd(kSites, config);
+    Rng rng(seed);
+    long cycle = 0;
+    std::vector<Checkpoint> checkpoints;
+    long restores = 0;
+    for (int step = 0; step < 4000; ++step) {
+      const int site = static_cast<int>(rng.NextBounded(kSites));
+      switch (rng.NextBounded(12)) {
+        case 0:
+          fd.BeginCycle(++cycle);
+          break;
+        case 1:
+        case 2:
+        case 3:
+        case 4:
+          fd.RecordAlive(site);
+          break;
+        case 5:
+          fd.ReportUnreachable(site);
+          break;
+        case 6:
+          fd.RecordMissedDeadline(site);
+          break;
+        case 7:
+          fd.RecordDeadlineMet(site);
+          break;
+        case 8:
+          fd.BeginRejoin(site);
+          break;
+        case 9:
+          fd.CompleteRejoin(site);
+          break;
+        default:
+          if (checkpoints.empty() || rng.NextBernoulli(0.5)) {
+            checkpoints.push_back({fd.Snapshot(), cycle});
+          } else {
+            const Checkpoint& back =
+                checkpoints[rng.NextBounded(checkpoints.size())];
+            fd.Restore(back.sites, back.cycle);
+            cycle = back.cycle;
+            ++restores;
+          }
+      }
+      int live = 0;
+      int lagging = 0;
+      long deaths = 0;
+      for (int s = 0; s < kSites; ++s) {
+        if (fd.IsLive(s)) ++live;
+        if (fd.state(s) == State::kLagging) ++lagging;
+        deaths += fd.deaths(s);
+      }
+      ASSERT_EQ(fd.live_count(), live) << "seed " << seed << " step " << step;
+      ASSERT_EQ(fd.lagging_count(), lagging)
+          << "seed " << seed << " step " << step;
+      ASSERT_EQ(fd.total_deaths(), deaths)
+          << "seed " << seed << " step " << step;
+    }
+    EXPECT_GT(restores, 0);
+    EXPECT_GT(fd.total_deaths(), 0);
+  }
 }
 
 TEST(FailureDetectorTest, StateNames) {

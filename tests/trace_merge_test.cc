@@ -6,10 +6,13 @@
 
 #include "obs/trace_merge.h"
 
+#include <cstdint>
 #include <cstdio>
 #include <fstream>
+#include <limits>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "gtest/gtest.h"
@@ -127,6 +130,60 @@ TEST(ParseTraceEventLineTest, StampsAreOmittedWhenUnset) {
   EXPECT_EQ(line.str(),
             "{\"ts\":0,\"cycle\":0,\"cat\":\"reliability\","
             "\"name\":\"heartbeat\",\"actor\":2,\"args\":{}}");
+}
+
+// Trace files are outside input: a structural integer out of its field's
+// range (or not an integer at all) rejects the line, naming the key,
+// instead of reaching an undefined float-to-integer conversion.
+TEST(ParseTraceEventLineTest, RejectsStructuralIntegersOutOfRange) {
+  const auto line = [](const std::string& key, const std::string& value) {
+    std::string text =
+        R"({"ts":0,"cycle":0,"cat":"run","name":"run_begin","actor":0,)"
+        R"("tepoch":1,"args":{}})";
+    const std::string field = "\"" + key + "\":";
+    const std::size_t at = text.find(field) + field.size();
+    return text.replace(at, text.find_first_of(",}", at) - at, value);
+  };
+  const std::pair<std::string, std::string> bad[] = {
+      {"actor", "1e10"},       {"actor", "2147483648"}, {"actor", "-2.5"},
+      {"ts", "1e19"},          {"ts", "-1e300"},        {"cycle", "1.5"},
+      {"cycle", "\"7\""},      {"tepoch", "9.3e18"},    {"tepoch", "1e999"},
+  };
+  for (const auto& [key, value] : bad) {
+    TraceEvent event;
+    std::string error;
+    EXPECT_FALSE(ParseTraceEventLine(line(key, value), &event, &error))
+        << key << "=" << value;
+    EXPECT_NE(error.find(key), std::string::npos) << error;
+  }
+  TraceEvent event;
+  std::string error;
+  ASSERT_TRUE(ParseTraceEventLine(line("actor", "-2147483648"), &event,
+                                  &error))
+      << error;
+  EXPECT_EQ(event.actor, -2147483647 - 1);
+  ASSERT_TRUE(ParseTraceEventLine(line("ts", "-9223372036854775808"), &event,
+                                  &error))
+      << error;
+  EXPECT_EQ(event.ts, std::numeric_limits<long>::min());
+}
+
+TEST(ParseTraceEventLineTest, ArgsOutsideInt64StayDoubles) {
+  TraceEvent event;
+  std::string error;
+  ASSERT_TRUE(ParseTraceEventLine(
+      R"({"ts":0,"cycle":0,"cat":"run","name":"cell_begin","actor":-1,)"
+      R"("args":{"big":1e19,"seed":42,"drop":0.5,"low":-9223372036854775808}})",
+      &event, &error))
+      << error;
+  ASSERT_EQ(event.args.size(), 4u);
+  EXPECT_EQ(event.args[0].kind, TraceArg::Kind::kDouble);
+  EXPECT_EQ(event.args[0].double_value, 1e19);
+  EXPECT_EQ(event.args[1].kind, TraceArg::Kind::kInt);
+  EXPECT_EQ(event.args[1].int_value, 42);
+  EXPECT_EQ(event.args[2].kind, TraceArg::Kind::kDouble);
+  EXPECT_EQ(event.args[3].kind, TraceArg::Kind::kInt);
+  EXPECT_EQ(event.args[3].int_value, std::numeric_limits<std::int64_t>::min());
 }
 
 TEST(LoadTraceJsonlTest, AppliesFallbackProcAndValidates) {

@@ -3,6 +3,9 @@
 
 #include "obs/trace.h"
 
+#include <cstdint>
+#include <limits>
+#include <optional>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -155,6 +158,117 @@ TEST(TraceLogTest, ChromeTraceParsesAndNamesThreads) {
   EXPECT_EQ(instant.Find("ph")->string_value(), "i");
   // The cycle rides along as an arg on every instant event.
   EXPECT_DOUBLE_EQ(instant.Find("args")->NumberOr("cycle", -1), 5.0);
+}
+
+std::string Jsonl(const TraceLog& log) {
+  std::ostringstream out;
+  log.WriteJsonl(out);
+  return out.str();
+}
+
+/// Every argument key some catalog row requires, with a value of the right
+/// kind, so any event carrying them validates (extra args are allowed).
+/// `span` adds span/parent args, possibly tagged unsampled.
+std::vector<TraceArg> CatalogArgs(std::optional<std::int64_t> span) {
+  std::vector<TraceArg> args;
+  if (span) {
+    args.emplace_back("span", *span);
+    args.emplace_back("parent", *span);
+  }
+  for (const char* key :
+       {"epoch", "degraded", "site", "from_epoch", "to_epoch", "msg_epoch",
+        "sender", "seq", "attempt", "dest", "misses", "deaths", "until_cycle",
+        "since_cycle", "staleness_cycles", "bytes", "rounds", "wal_replayed",
+        "grants", "discarded", "deadline_ms", "missed", "quarantined",
+        "missing", "fd", "ms"}) {
+    args.emplace_back(key, 3);
+  }
+  for (const char* key :
+       {"trigger", "source", "type", "kind", "metric", "reason"}) {
+    args.emplace_back(key, "x");
+  }
+  for (const char* key : {"value", "mean", "z"}) args.emplace_back(key, 0.5);
+  return args;
+}
+
+// Emitting by id and emitting the catalog's category and name are the same
+// event: byte-identical JSONL and equal self-cost counters at every
+// sampling rate, with no span, an untagged span and a tagged one.
+TEST(TraceLogTest, EmitByIdMatchesEmitByName) {
+  const std::optional<std::int64_t> spans[] = {std::nullopt, 21,
+                                               21 | kSpanUnsampledBit};
+  for (const double rate : {1.0, 0.1, 0.0}) {
+    TraceLog by_id;
+    TraceLog by_name;
+    by_id.ConfigureSampling(rate, 42);
+    by_name.ConfigureSampling(rate, 42);
+    for (long cycle = 0; cycle < 12; ++cycle) {
+      by_id.SetCycle(cycle);
+      by_name.SetCycle(cycle);
+      for (std::size_t i = 0; i < kTraceEventCount; ++i) {
+        const auto id = static_cast<TraceEventId>(i);
+        for (int actor = -1; actor < 4; ++actor) {
+          for (const auto& span : spans) {
+            by_id.Emit(id, actor, CatalogArgs(span));
+            by_name.Emit(TraceEventCategory(id), TraceEventName(id), actor,
+                         CatalogArgs(span));
+          }
+        }
+      }
+    }
+    EXPECT_EQ(Jsonl(by_id), Jsonl(by_name)) << "rate " << rate;
+    const TraceLog::SelfCost a = by_id.self_cost();
+    const TraceLog::SelfCost b = by_name.self_cost();
+    EXPECT_EQ(a.events_emitted, b.events_emitted) << "rate " << rate;
+    EXPECT_EQ(a.events_recorded, b.events_recorded) << "rate " << rate;
+    EXPECT_EQ(a.events_sampled_out, b.events_sampled_out) << "rate " << rate;
+    EXPECT_EQ(a.bytes_written, b.bytes_written) << "rate " << rate;
+    // Every rate exercises its paths: 1.0 records everything, 0.0 still
+    // records the never-sampled classes, 0.1 keeps some of everything.
+    EXPECT_GT(a.events_recorded, 0) << "rate " << rate;
+    EXPECT_EQ(a.events_sampled_out == 0, rate == 1.0) << "rate " << rate;
+  }
+}
+
+TEST(TraceLogTest, EveryEventIdEmitsAValidLineOfItsCatalogRow) {
+  for (std::size_t i = 0; i < kTraceEventCount; ++i) {
+    const auto id = static_cast<TraceEventId>(i);
+    TraceLog log;
+    log.Emit(id, 2, CatalogArgs(21));
+    const std::vector<std::string> lines = Lines(Jsonl(log));
+    ASSERT_EQ(lines.size(), 1u);
+    std::string error;
+    EXPECT_TRUE(ValidateTraceJsonLine(lines[0], &error)) << lines[0] << error;
+    const std::vector<TraceEvent> events = log.events();
+    EXPECT_EQ(events[0].cat, TraceEventCategory(id));
+    EXPECT_EQ(events[0].name, TraceEventName(id));
+  }
+}
+
+std::string FormatNumber(double value) {
+  std::ostringstream out;
+  AppendJsonNumber(out, value);
+  return out.str();
+}
+
+TEST(JsonNumberTest, IntegersPrintExactlyAndEverythingElseRoundTrips) {
+  EXPECT_EQ(FormatNumber(0.0), "0");
+  EXPECT_EQ(FormatNumber(-0.0), "0");
+  EXPECT_EQ(FormatNumber(42.0), "42");
+  EXPECT_EQ(FormatNumber(-7.0), "-7");
+  EXPECT_EQ(FormatNumber(999999999999999.0), "999999999999999");
+  EXPECT_EQ(FormatNumber(1e15), "1000000000000000");
+  EXPECT_EQ(FormatNumber(0.1), "0.10000000000000001");
+  EXPECT_EQ(FormatNumber(-2.5), "-2.5");
+}
+
+// Values outside long long's range are formatted without ever being
+// converted to an integer (the conversion would be undefined behaviour).
+TEST(JsonNumberTest, OutOfRangeValuesAreNeverConverted) {
+  EXPECT_EQ(FormatNumber(1e19), "1e+19");
+  EXPECT_EQ(FormatNumber(-1e19), "-1e+19");
+  EXPECT_EQ(FormatNumber(std::numeric_limits<double>::infinity()), "inf");
+  EXPECT_EQ(FormatNumber(std::numeric_limits<double>::quiet_NaN()), "nan");
 }
 
 TEST(JsonEscapeTest, EscapesControlAndQuoteCharacters) {

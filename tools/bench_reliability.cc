@@ -159,7 +159,7 @@ void RunCell(const Cell& cell, bool first, sgm::TraceLog* trace,
   if (trace != nullptr) {
     // Append this cell's events to the matrix-wide log (each cell's own
     // TraceLog restarts ts at 0; the cell_begin marker delimits them).
-    trace->Emit("run", "cell_begin", -1,
+    trace->Emit(sgm::TraceEventId::kCellBegin, -1,
                 {{"seed", static_cast<std::int64_t>(cell.seed)},
                  {"drop", cell.drop}});
     for (const sgm::TraceEvent& event : telemetry->trace.events()) {

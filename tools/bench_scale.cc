@@ -2,16 +2,24 @@
 // Jester-like workload) at increasing site counts and emits one JSON row
 // per deployment size — update throughput, per-sync-cycle wall latency
 // quantiles, the paper-vs-transport cost split, and what the telemetry
-// plane itself cost (trace events emitted/sampled-out and the ns spent
-// inside Emit, as a percentage of the run's wall time).
+// plane costs end to end.
+//
+// Every row runs its deployment kRepeats times with telemetry attached and
+// kRepeats times detached, on the same seed and cycles, alternating which
+// goes first. The wall-clock columns come from the attached run with the
+// median wall time; telemetry_e2e_overhead_pct is the attached median wall
+// time over the detached one, minus one, in percent. It counts everything
+// telemetry costs (sampled-out emits, recorded events, metric publishing),
+// which the trace's own self-cost meter (telemetry_ns, recorded events
+// only) cannot see.
 //
 // The committed BENCH_scale.json at the repo root is the output of
 //   bench_scale > BENCH_scale.json
 // Wall-clock columns (wall_time_ms, updates_per_sec, ns_per_update,
-// sync_cycle_p*_ns, telemetry_overhead_pct) vary with the machine; CI gates
-// them loosely via tools/bench_drift_check --columns=ns_per_update,
-// sync_cycle_p99_ns --tolerance=3.0. Everything else (messages, bytes,
-// syncs, trace counters) is seed-deterministic.
+// sync_cycle_p*_ns, telemetry_ns, telemetry_e2e_overhead_pct) vary with the
+// machine; CI gates them loosely via tools/bench_drift_check
+// --columns=ns_per_update,sync_cycle_p99_ns --tolerance=3.0. Everything else
+// (messages, bytes, syncs, trace counters) is seed-deterministic.
 //
 // Flags:
 //   --sites=a,b,c     site counts to sweep            [24,128,512,2048]
@@ -49,7 +57,9 @@ namespace {
 using Clock = std::chrono::steady_clock;
 
 /// Bump when per-row columns are added or renamed.
-constexpr long kSchemaVersion = 1;
+constexpr long kSchemaVersion = 2;
+/// Runs per telemetry mode and row (odd, so the median is one run).
+constexpr int kRepeats = 5;
 constexpr std::size_t kNumBuckets = 8;
 constexpr std::size_t kWindow = 50;
 constexpr double kThreshold = 5.0;
@@ -87,6 +97,7 @@ struct RowResult {
   long full_syncs = 0;
   long partial_resolutions = 0;
   sgm::TraceLog::SelfCost trace_cost;
+  double e2e_overhead_pct = 0.0;  ///< set by MeasureRow
 };
 
 sgm::RuntimeConfig NodeConfig(std::uint64_t seed, double trace_sample,
@@ -113,16 +124,16 @@ sgm::JesterLikeConfig WorkloadConfig(int sites, std::uint64_t seed) {
 
 /// One single-process sweep row: the RuntimeDriver over the faultless
 /// simulated transport, which isolates protocol + telemetry cost from
-/// kernel socket cost.
+/// kernel socket cost. `attach` selects whether telemetry is attached.
 RowResult RunSimRow(int sites, long cycles, std::uint64_t seed,
-                    double trace_sample) {
+                    double trace_sample, bool attach) {
   RowResult row;
   row.cycles = cycles;
   sgm::JesterLikeGenerator source(WorkloadConfig(sites, seed));
   const sgm::LInfDistance function{sgm::Vector(kNumBuckets)};
   sgm::Telemetry telemetry;
   const sgm::RuntimeConfig node =
-      NodeConfig(seed, trace_sample, source, &telemetry);
+      NodeConfig(seed, trace_sample, source, attach ? &telemetry : nullptr);
   sgm::SimTransportConfig transport;
   transport.seed = sgm::DeriveSeed(seed, 303);
   sgm::RuntimeDriver driver(sites, function, node, transport);
@@ -144,12 +155,11 @@ RowResult RunSimRow(int sites, long cycles, std::uint64_t seed,
                                                           start)
                     .count();
 
-  sgm::MetricRegistry& reg = telemetry.registry;
-  row.paper_messages = reg.GetCounter("transport.paper_messages")->value();
-  row.paper_bytes = reg.GetGauge("transport.paper_bytes")->value();
-  row.transport_messages =
-      reg.GetCounter("transport.total_messages")->value();
-  row.transport_bytes = reg.GetGauge("transport.total_bytes")->value();
+  const sgm::SimTransport& wire = *driver.sim_transport();
+  row.paper_messages = wire.messages_sent();
+  row.paper_bytes = wire.bytes_sent();
+  row.transport_messages = wire.transport_messages_sent();
+  row.transport_bytes = wire.transport_bytes_sent();
   row.full_syncs = driver.coordinator().full_syncs();
   row.partial_resolutions = driver.coordinator().partial_resolutions();
   row.trace_cost = telemetry.trace.self_cost();
@@ -161,7 +171,7 @@ RowResult RunSimRow(int sites, long cycles, std::uint64_t seed,
 /// SiteClient thread per site), measuring the same columns through the
 /// kernel. Thread-per-site bounds the useful N — the caller caps it.
 RowResult RunLoopbackRow(int sites, long cycles, std::uint64_t seed,
-                         double trace_sample) {
+                         double trace_sample, bool attach) {
   RowResult row;
   row.cycles = cycles;
   const sgm::JesterLikeConfig workload = WorkloadConfig(sites, seed);
@@ -171,7 +181,8 @@ RowResult RunLoopbackRow(int sites, long cycles, std::uint64_t seed,
 
   sgm::CoordinatorServerConfig server_config;
   server_config.num_sites = sites;
-  server_config.runtime = NodeConfig(seed, trace_sample, probe, &telemetry);
+  server_config.runtime =
+      NodeConfig(seed, trace_sample, probe, attach ? &telemetry : nullptr);
   sgm::CoordinatorServer server(function, server_config);
   if (!server.Listen()) return row;
 
@@ -233,6 +244,39 @@ RowResult RunLoopbackRow(int sites, long cycles, std::uint64_t seed,
   return row;
 }
 
+/// Runs `run(attach)` kRepeats times with telemetry attached and kRepeats
+/// times detached, alternating which mode goes first, and returns the
+/// attached run with the median wall time, carrying the end-to-end
+/// telemetry overhead of the two modes' median wall times.
+template <typename Run>
+RowResult MeasureRow(Run run) {
+  std::vector<RowResult> attached;
+  std::vector<double> detached_ms;
+  bool ok = true;
+  for (int rep = 0; rep < kRepeats; ++rep) {
+    for (int k = 0; k < 2; ++k) {
+      const bool attach = (rep + k) % 2 == 0;
+      RowResult result = run(attach);
+      ok = ok && result.ok;
+      if (attach) {
+        attached.push_back(std::move(result));
+      } else {
+        detached_ms.push_back(result.wall_ms);
+      }
+    }
+  }
+  std::sort(attached.begin(), attached.end(),
+            [](const RowResult& a, const RowResult& b) {
+              return a.wall_ms < b.wall_ms;
+            });
+  RowResult row = std::move(attached[kRepeats / 2]);
+  const double detached = Percentile(detached_ms, 0.5);
+  row.ok = ok;
+  row.e2e_overhead_pct =
+      detached > 0.0 ? 100.0 * (row.wall_ms / detached - 1.0) : 0.0;
+  return row;
+}
+
 void PrintRow(const char* mode, int sites, std::uint64_t seed,
               double trace_sample, const RowResult& row, bool first) {
   const long updates = static_cast<long>(sites) * row.cycles;
@@ -244,8 +288,6 @@ void PrintRow(const char* mode, int sites, std::uint64_t seed,
       updates > 0 ? wall_ns / static_cast<double>(updates) : 0.0;
   const double telemetry_ns =
       static_cast<double>(row.trace_cost.telemetry_ns);
-  const double overhead_pct =
-      wall_ns > 0.0 ? 100.0 * telemetry_ns / wall_ns : 0.0;
   std::printf(
       "%s  {\"seed\": %llu, \"drop\": 0.00, \"mode\": \"%s\","
       " \"sites\": %d, \"cycles\": %ld, \"trace_sample\": %.2f,\n"
@@ -259,7 +301,7 @@ void PrintRow(const char* mode, int sites, std::uint64_t seed,
       "   \"full_syncs\": %ld, \"partial_resolutions\": %ld,\n"
       "   \"trace_events\": %ld, \"trace_recorded\": %ld,"
       " \"trace_sampled_out\": %ld, \"telemetry_ns\": %.0f,"
-      " \"telemetry_overhead_pct\": %.3f}",
+      " \"telemetry_e2e_overhead_pct\": %.1f}",
       first ? "" : ",\n", static_cast<unsigned long long>(seed), mode, sites,
       row.cycles, trace_sample, updates, row.wall_ms, updates_per_sec,
       ns_per_update, Percentile(row.cycle_ns, 0.50),
@@ -272,7 +314,7 @@ void PrintRow(const char* mode, int sites, std::uint64_t seed,
           : 0.0,
       row.full_syncs, row.partial_resolutions, row.trace_cost.events_emitted,
       row.trace_cost.events_recorded, row.trace_cost.events_sampled_out,
-      telemetry_ns, overhead_pct);
+      telemetry_ns, row.e2e_overhead_pct);
 }
 
 std::vector<int> ParseSitesList(const std::string& list) {
@@ -331,7 +373,9 @@ int main(int argc, char** argv) {
     const long cycles =
         cycles_override > 0 ? cycles_override : CyclesFor(sites);
     const std::uint64_t seed = kSimSeedBase + static_cast<std::uint64_t>(sites);
-    const RowResult row = RunSimRow(sites, cycles, seed, trace_sample);
+    const RowResult row = MeasureRow([&](bool attach) {
+      return RunSimRow(sites, cycles, seed, trace_sample, attach);
+    });
     all_ok = all_ok && row.ok;
     PrintRow("sim", sites, seed, trace_sample, row, first);
     first = false;
@@ -349,7 +393,9 @@ int main(int argc, char** argv) {
       const long cycles = cycles_override > 0 ? cycles_override : 60;
       const std::uint64_t seed =
           kLoopbackSeedBase + static_cast<std::uint64_t>(sites);
-      const RowResult row = RunLoopbackRow(sites, cycles, seed, trace_sample);
+      const RowResult row = MeasureRow([&](bool attach) {
+        return RunLoopbackRow(sites, cycles, seed, trace_sample, attach);
+      });
       all_ok = all_ok && row.ok;
       PrintRow("loopback", sites, seed, trace_sample, row, first);
       first = false;

@@ -469,8 +469,8 @@ int main(int argc, char** argv) {
     sgm::TraceEvent event;
     std::string parse_error;
     if (!sgm::ParseTraceEventLine(line, &event, &parse_error)) {
-      std::fprintf(stderr, "%s:%ld: not JSON: %s\n", options.file.c_str(),
-                   line_number, parse_error.c_str());
+      std::fprintf(stderr, "%s:%ld: unparseable event: %s\n",
+                   options.file.c_str(), line_number, parse_error.c_str());
       return 1;
     }
     if (!Matches(options, event)) continue;
