@@ -1,0 +1,77 @@
+#ifndef SGM_ESTIMATORS_SGM_RULES_H_
+#define SGM_ESTIMATORS_SGM_RULES_H_
+
+#include <algorithm>
+#include <cstddef>
+
+#include "core/rng.h"
+#include "core/vector.h"
+#include "functions/monitored_function.h"
+
+namespace sgm {
+
+// The SGM decisions the simulator (SamplingGeometricMonitor,
+// CvSamplingMonitor) and the runtime (SiteNode, CoordinatorNode) share, each
+// defined once, pure and IO-free; callers own every RNG and all state.
+
+/// U(t), the drift-norm scale of Section 3, the minimum of: the drift one
+/// step per cycle accumulates since the sync (Example 3); the a-priori drift
+/// cap (√2·window for windowed streams); and β·max(ε_T, step), the U ∝ ε_T
+/// that Lemma 3's final P_FN = O(δ^{|Z|M/√N}) bound instantiates, floored at
+/// one step so U never vanishes on the surface. Inline: per site and cycle.
+inline double DriftBoundU(double max_step_norm, long cycles_since_sync,
+                          double drift_norm_cap, double beta,
+                          double epsilon_t) {
+  const double accumulated = max_step_norm * static_cast<double>(
+                                 std::max<long>(1, cycles_since_sync));
+  const double threshold_scale = beta * std::max(epsilon_t, max_step_norm);
+  return std::min({accumulated, drift_norm_cap, threshold_scale});
+}
+
+/// A site's membership in one cycle's M sampling trials (Lemma 2).
+struct TrialDraw {
+  bool first_trial = false;  ///< trial 1: the sample a probe asks
+  bool any_trial = false;    ///< some trial: arms the local ball test
+};
+
+/// Flips all M coins with probability g, whatever they show, so the RNG's
+/// use never depends on the outcome. Inline: per site and cycle.
+inline TrialDraw DrawTrials(Rng* rng, double g, int num_trials) {
+  TrialDraw draw;
+  for (int trial = 0; trial < num_trials; ++trial) {
+    const bool sampled = rng->NextBernoulli(g);
+    if (trial == 0) draw.first_trial = sampled;
+    draw.any_trial = draw.any_trial || sampled;
+  }
+  return draw;
+}
+
+/// The partial check's ε: the tail bound's (Bernstein's ε for SGM,
+/// McDiarmid's ε_C for CVSGM) held to ε_T/2, so a probe escalates once the
+/// estimate has used half its room to the surface (DESIGN.md §5).
+inline double PartialCheckEpsilon(double bound_epsilon, double epsilon_t) {
+  return std::min(bound_epsilon, 0.5 * epsilon_t);
+}
+
+/// The partial synchronization's verdict (Section 2.2): escalate to a full
+/// sync when f(v̂) > T disagrees with the belief or B(v̂, ε) crosses T.
+bool ProbeEscalates(const MonitoredFunction& function, double threshold,
+                    bool believes_above, const Vector& v_hat, double epsilon);
+
+/// The re-anchor after a sync to the estimate e: `function`'s OnSync(e),
+/// then the belief f(e) > T and ε_T, the distance of e from the surface.
+void AnchorAt(MonitoredFunction* function, const Vector& e, double threshold,
+              bool* believes_above, double* epsilon_t);
+
+/// The simulator's adaptive re-anchoring (DESIGN.md §5; the runtime has
+/// none): a full sync instead of a probe once `consecutive_alarms` (alarm
+/// cycles in a row, this one included) reaches `after_consecutive`, or once
+/// the first-trial sample holds `probe_fraction` of the N sites. A zero
+/// parameter disables its rule.
+bool ReanchorInsteadOfProbe(int consecutive_alarms, int after_consecutive,
+                            std::size_t probe_size, double probe_fraction,
+                            int num_sites);
+
+}  // namespace sgm
+
+#endif  // SGM_ESTIMATORS_SGM_RULES_H_

@@ -1,11 +1,11 @@
 #include "gm/cvsgm.h"
 
-#include <algorithm>
 #include <cmath>
 
 #include "core/check.h"
 #include "estimators/horvitz_thompson.h"
 #include "estimators/sampling.h"
+#include "estimators/sgm_rules.h"
 #include "estimators/tail_bounds.h"
 
 namespace sgm {
@@ -35,11 +35,7 @@ void CvSamplingMonitor::AfterSync(const std::vector<Vector>& local_vectors,
 CycleOutcome CvSamplingMonitor::MonitorCycle(
     const std::vector<Vector>& local_vectors, Metrics* metrics) {
   CycleOutcome outcome;
-  ++absolute_cycle_;
-  if (absolute_cycle_ <= muted_until_cycle_) {
-    consecutive_alarms_ = 0;
-    return outcome;
-  }
+  if (Muted()) return outcome;
   const double U = CurrentU();
 
   // Monitoring phase in 1-d: sampled sites check the sign of d_C.
@@ -52,37 +48,21 @@ CycleOutcome CvSamplingMonitor::MonitorCycle(
     distances[i] = zone_->SignedDistance(position);
     const double g =
         SamplingProbabilityCV(options_.delta, U, num_sites_, distances[i]);
-    bool in_any_trial = false;
-    for (int trial = 0; trial < effective_trials_; ++trial) {
-      const bool sampled = site_rngs_[i].NextBernoulli(g);
-      if (trial == 0 && sampled) {
-        first_trial.push_back(i);
-        first_trial_g.push_back(g);
-      }
-      in_any_trial = in_any_trial || sampled;
+    const TrialDraw draw = DrawTrials(&site_rngs_[i], g, effective_trials_);
+    if (draw.first_trial) {
+      first_trial.push_back(i);
+      first_trial_g.push_back(g);
     }
-    if (in_any_trial && distances[i] >= 0.0) alarm = true;
+    if (draw.any_trial && distances[i] >= 0.0) alarm = true;
   }
-  if (!alarm) {
-    consecutive_alarms_ = 0;
-    return outcome;
-  }
+  if (!alarm) return outcome;
   outcome.local_alarm = true;
-  ++consecutive_alarms_;
 
-  if (options_.escalate_after_consecutive_alarms > 0 &&
-      consecutive_alarms_ >= options_.escalate_after_consecutive_alarms) {
-    consecutive_alarms_ = 0;
-    FullSync(local_vectors, metrics, /*already_collected=*/0);
-    outcome.full_sync = true;
-    return outcome;
-  }
-
-  // Drift-saturation escalation (see CvsgmOptions).
-  if (options_.escalate_probe_fraction > 0.0 &&
-      static_cast<double>(first_trial.size()) >=
-          options_.escalate_probe_fraction * static_cast<double>(num_sites_)) {
-    consecutive_alarms_ = 0;
+  // Adaptive re-anchoring (see CvsgmOptions).
+  if (ReanchorInsteadOfProbe(alarm_streak_ + 1,
+                             options_.escalate_after_consecutive_alarms,
+                             first_trial.size(),
+                             options_.escalate_probe_fraction, num_sites_)) {
     FullSync(local_vectors, metrics, /*already_collected=*/0);
     outcome.full_sync = true;
     return outcome;
@@ -97,22 +77,17 @@ CycleOutcome CvSamplingMonitor::MonitorCycle(
     estimator.AddSample(distances[first_trial[k]], first_trial_g[k]);
   }
   const double d_hat = estimator.Estimate();
-  // ε_C from McDiarmid, held to half the e-to-surface room exactly as in
-  // SGM's partial check (see sgm.cc); ε_C ≤ ε keeps the revised scheme's
-  // tighter-error advantage.
-  const double epsilon_c = std::min(McDiarmidEpsilon(options_.delta, U),
-                                    0.5 * epsilon_T());
+  // ε_C from McDiarmid, capped as in SGM's partial check; ε_C ≤ ε keeps
+  // the revised scheme's tighter-error advantage.
+  const double epsilon_c = PartialCheckEpsilon(
+      McDiarmidEpsilon(options_.delta, U), epsilon_T());
   if (d_hat + epsilon_c <= 0.0) {
     outcome.partial_resolved = true;
     last_alarm_reached_stage2_ = false;
     metrics->OnPartialResolution();
     if (options_.certified_cooldown) {
-      const long mute = static_cast<long>(
-          std::floor((-d_hat - epsilon_c) / max_step_norm_));
-      if (mute > 0) {
-        muted_until_cycle_ = absolute_cycle_ + mute;
-        metrics->AddBroadcast(1);
-      }
+      Mute(static_cast<long>(std::floor((-d_hat - epsilon_c) / max_step_norm_)),
+           metrics);
     }
     return outcome;
   }
@@ -122,7 +97,6 @@ CycleOutcome CvSamplingMonitor::MonitorCycle(
   // costs N messages — re-anchor instead (same cost, resets every drift).
   if (last_alarm_reached_stage2_) {
     last_alarm_reached_stage2_ = false;
-    consecutive_alarms_ = 0;
     FullSync(local_vectors, metrics, /*already_collected=*/0);
     outcome.full_sync = true;
     return outcome;
@@ -143,18 +117,13 @@ CycleOutcome CvSamplingMonitor::MonitorCycle(
     outcome.resolved_1d = true;
     metrics->OnOneDResolution();
     if (options_.certified_cooldown) {
-      const long mute =
-          static_cast<long>(std::floor(-exact_dc / max_step_norm_));
-      if (mute > 0) {
-        muted_until_cycle_ = absolute_cycle_ + mute;
-        metrics->AddBroadcast(1);
-      }
+      Mute(static_cast<long>(std::floor(-exact_dc / max_step_norm_)),
+           metrics);
     }
     return outcome;
   }
 
   // 3. Full synchronization: the scalars do not substitute for vectors.
-  consecutive_alarms_ = 0;
   FullSync(local_vectors, metrics, /*already_collected=*/0);
   outcome.full_sync = true;
   return outcome;

@@ -63,9 +63,6 @@ class CvSamplingMonitor : public ConvexSafeZoneMonitor {
   CvsgmOptions options_;
   std::vector<Rng> site_rngs_;
   int effective_trials_ = 1;
-  int consecutive_alarms_ = 0;
-  long muted_until_cycle_ = -1;
-  long absolute_cycle_ = 0;
   bool last_alarm_reached_stage2_ = false;
 };
 

@@ -1,10 +1,9 @@
 #include "gm/sgm.h"
 
-#include <algorithm>
-
 #include "core/check.h"
 #include "estimators/horvitz_thompson.h"
 #include "estimators/sampling.h"
+#include "estimators/sgm_rules.h"
 #include "estimators/tail_bounds.h"
 #include "geometry/ball.h"
 
@@ -52,12 +51,8 @@ double SamplingGeometricMonitor::AverageSampleSize() const {
 CycleOutcome SamplingGeometricMonitor::MonitorCycle(
     const std::vector<Vector>& local_vectors, Metrics* metrics) {
   CycleOutcome outcome;
-  ++absolute_cycle_;
-  if (absolute_cycle_ <= muted_until_cycle_) {
-    // Certified cooldown: the average provably cannot have crossed yet.
-    consecutive_alarms_ = 0;
-    return outcome;
-  }
+  // Certified cooldown: the average provably cannot have crossed yet.
+  if (Muted()) return outcome;
   const double U = CurrentU();
 
   // Monitoring phase: every site decides its own sample membership; sampled
@@ -69,16 +64,12 @@ CycleOutcome SamplingGeometricMonitor::MonitorCycle(
   for (int i = 0; i < num_sites_; ++i) {
     const Vector drift = Drift(i, local_vectors);
     const double g = InclusionProbability(drift.Norm(), U);
-    bool in_any_trial = false;
-    for (int trial = 0; trial < effective_trials_; ++trial) {
-      const bool sampled = site_rngs_[i].NextBernoulli(g);
-      if (trial == 0 && sampled) {
-        first_trial.push_back(i);
-        first_trial_g.push_back(g);
-      }
-      in_any_trial = in_any_trial || sampled;
+    const TrialDraw draw = DrawTrials(&site_rngs_[i], g, effective_trials_);
+    if (draw.first_trial) {
+      first_trial.push_back(i);
+      first_trial_g.push_back(g);
     }
-    if (in_any_trial && !alarm) {
+    if (draw.any_trial && !alarm) {
       const Ball constraint = Ball::LocalConstraint(e_, drift);
       if (function_->BallCrossesThreshold(constraint, threshold_)) {
         alarm = true;  // keep drawing samples so RNG use stays uniform
@@ -87,36 +78,16 @@ CycleOutcome SamplingGeometricMonitor::MonitorCycle(
   }
   sample_size_accum_ += static_cast<long>(first_trial.size());
   ++sample_cycles_;
-  if (!alarm) {
-    consecutive_alarms_ = 0;
-    return outcome;
-  }
+  if (!alarm) return outcome;
   outcome.local_alarm = true;
-  ++consecutive_alarms_;
 
-  if (options_.always_full_sync) {
-    consecutive_alarms_ = 0;
-    FullSync(local_vectors, metrics, /*already_collected=*/0);
-    outcome.full_sync = true;
-    return outcome;
-  }
-
-  // Sustained back-to-back alarm pressure: re-anchor once instead of paying
-  // partial probes indefinitely (see SgmOptions).
-  if (options_.escalate_after_consecutive_alarms > 0 &&
-      consecutive_alarms_ >= options_.escalate_after_consecutive_alarms) {
-    consecutive_alarms_ = 0;
-    FullSync(local_vectors, metrics, /*already_collected=*/0);
-    outcome.full_sync = true;
-    return outcome;
-  }
-
-  // Drift-saturation escalation: when the would-be probe is already a
-  // sizable fraction of the network, re-anchor instead (see SgmOptions).
-  if (options_.escalate_probe_fraction > 0.0 &&
-      static_cast<double>(first_trial.size()) >=
-          options_.escalate_probe_fraction * static_cast<double>(num_sites_)) {
-    consecutive_alarms_ = 0;
+  // Re-anchor instead of probing: always under the ablation switch, else
+  // under sustained alarm pressure or drift saturation (see SgmOptions).
+  if (options_.always_full_sync ||
+      ReanchorInsteadOfProbe(alarm_streak_ + 1,
+                             options_.escalate_after_consecutive_alarms,
+                             first_trial.size(),
+                             options_.escalate_probe_fraction, num_sites_)) {
     FullSync(local_vectors, metrics, /*already_collected=*/0);
     outcome.full_sync = true;
     return outcome;
@@ -132,34 +103,21 @@ CycleOutcome SamplingGeometricMonitor::MonitorCycle(
                         first_trial_g[k]);
   }
   const Vector v_hat = estimator.Estimate(e_);
-  // ε from the Vector Bernstein bound, additionally held to half the room
-  // between e and the surface: with Section 3's third U guidance (U tied to
-  // ε_T) the ε-ball check stays decisive — it escalates exactly when the
-  // estimate has genuinely consumed a constant fraction of its slack rather
-  // than whenever enough cycles have elapsed since the last sync.
-  const double epsilon = std::min(BernsteinEpsilon(options_.delta, U),
-                                  0.5 * epsilon_T());
-
-  const bool estimate_switched =
-      (function_->Value(v_hat) > threshold_) != believes_above_;
-  const bool ball_crosses =
-      function_->BallCrossesThreshold(Ball(v_hat, epsilon), threshold_);
-  if (!estimate_switched && !ball_crosses) {
+  const double epsilon =
+      PartialCheckEpsilon(BernsteinEpsilon(options_.delta, U), epsilon_T());
+  if (!ProbeEscalates(*function_, threshold_, believes_above_, v_hat,
+                      epsilon)) {
     // High-probability FP: dismiss without touching the other N − |K| sites.
     outcome.partial_resolved = true;
     metrics->OnPartialResolution();
     if (options_.certified_cooldown) {
-      const long mute = function_->CertifiedCooldownCycles(
-          v_hat, threshold_, epsilon, max_step_norm_);
-      if (mute > 0) {
-        muted_until_cycle_ = absolute_cycle_ + mute;
-        metrics->AddBroadcast(1);  // the coordinator announces the mute
-      }
+      Mute(function_->CertifiedCooldownCycles(v_hat, threshold_, epsilon,
+                                              max_step_norm_),
+           metrics);
     }
     return outcome;
   }
 
-  consecutive_alarms_ = 0;
   FullSync(local_vectors, metrics,
            /*already_collected=*/static_cast<int>(first_trial.size()));
   outcome.full_sync = true;

@@ -96,9 +96,6 @@ class SamplingGeometricMonitor : public ProtocolBase {
   int effective_trials_ = 1;
   long sample_size_accum_ = 0;
   long sample_cycles_ = 0;
-  int consecutive_alarms_ = 0;
-  long muted_until_cycle_ = -1;  ///< absolute cycle count, see cooldown
-  long absolute_cycle_ = 0;
 };
 
 }  // namespace sgm

@@ -4,8 +4,8 @@
 
 #include "core/check.h"
 #include "estimators/horvitz_thompson.h"
+#include "estimators/sgm_rules.h"
 #include "estimators/tail_bounds.h"
-#include "geometry/ball.h"
 #include "obs/telemetry.h"
 
 namespace sgm {
@@ -68,16 +68,6 @@ void CoordinatorNode::AttachReliability(ReliableTransport* reliable) {
   reliable_ = reliable;
   reliable_->SetDeadLinkHandler(
       [this](int site, const RuntimeMessage& m) { OnLinkDead(site, m); });
-}
-
-double CoordinatorNode::CurrentU() const {
-  const double accumulated =
-      config_.max_step_norm *
-      static_cast<double>(std::max<long>(1, cycles_since_sync_));
-  const double threshold_scale =
-      config_.u_threshold_factor *
-      std::max(epsilon_t_, config_.max_step_norm);
-  return std::min({accumulated, config_.drift_norm_cap, threshold_scale});
 }
 
 void CoordinatorNode::Start() {
@@ -383,9 +373,8 @@ void CoordinatorNode::FinishFullSync(bool degraded) {
   SGM_CHECK(have > 0);
   sum /= static_cast<double>(have);
   e_ = sum;
-  function_->OnSync(e_);
-  believes_above_ = function_->Value(e_) > config_.threshold;
-  epsilon_t_ = function_->DistanceToSurface(e_, config_.threshold);
+  AnchorAt(function_.get(), e_, config_.threshold, &believes_above_,
+           &epsilon_t_);
   cycles_since_sync_ = 0;
   ++full_syncs_;
   phase_ = Phase::kIdle;
@@ -420,7 +409,7 @@ void CoordinatorNode::FinishFullSync(bool degraded) {
   CloseCycleSpan();  // the cascade ends with the anchor broadcast
 }
 
-void CoordinatorNode::ResolvePartial(const Vector& v_hat) {
+void CoordinatorNode::ResolvePartial(const Vector& v_hat, double epsilon) {
   ++partial_resolutions_;
   phase_ = Phase::kIdle;
   const std::int64_t resolve_span = TagSpan(MintSpan());
@@ -430,9 +419,6 @@ void CoordinatorNode::ResolvePartial(const Vector& v_hat) {
   }
   // Certified cooldown (see SgmOptions::certified_cooldown): the average
   // cannot cross for (D − ε)/max_step cycles.
-  const double U = CurrentU();
-  const double epsilon = std::min(BernsteinEpsilon(config_.delta, U),
-                                  0.5 * epsilon_t_);
   const long mute = function_->CertifiedCooldownCycles(
       v_hat, config_.threshold, epsilon, config_.max_step_norm);
 
@@ -592,6 +578,7 @@ void CoordinatorNode::OnMessage(const RuntimeMessage& message) {
     }
     case RuntimeMessage::Type::kLocalViolation: {
       if (phase_ != Phase::kIdle || alarm_this_cycle_) return;  // coalesce
+      if (e_.empty()) return;  // no estimate to vet against before a sync
       alarm_this_cycle_ = true;
       BumpEpoch();  // the probe round begins
       EnsureCycleSpan("local_violation");
@@ -599,7 +586,6 @@ void CoordinatorNode::OnMessage(const RuntimeMessage& message) {
       phase_ = Phase::kProbing;
       probe_drift_.assign(num_sites_, Vector());
       probe_g_.assign(num_sites_, 0.0);
-      probe_reports_ = 0;
       if (telemetry_ != nullptr) {
         telemetry_->trace.Emit(TraceEventId::kProbeBegin, kCoordinatorId,
                                {{"epoch", epoch_},
@@ -619,17 +605,22 @@ void CoordinatorNode::OnMessage(const RuntimeMessage& message) {
         ++audit_.stale_epoch_applied;
         return;
       }
-      SGM_CHECK_MSG(message.scalar > 0.0,
-                    "drift report with non-positive inclusion probability");
+      if (!WellFormedReport(message)) {
+        ++audit_.malformed_reports;
+        return;
+      }
       if (probe_g_[site] > 0.0) return;  // first first-trial report wins
       probe_g_[site] = message.scalar;
       probe_drift_[site] = message.payload;
-      ++probe_reports_;
       return;
     }
     case RuntimeMessage::Type::kStateReport: {
       if (message.epoch != epoch_) {  // fencing audit: must be unreachable
         ++audit_.stale_epoch_applied;
+        return;
+      }
+      if (!WellFormedReport(message)) {
+        ++audit_.malformed_reports;
         return;
       }
       last_known_[site] = message.payload;
@@ -735,33 +726,48 @@ void CoordinatorNode::OnQuiescent() {
   // estimate and vet the alarm (Section 2.2's partial synchronization).
   // The estimator reweights over the live population — dead sites are not
   // part of the sample frame.
-  const int live = std::max(1, fd_.live_count());
-  Vector v_hat = e_;
-  bool estimate_switched = false;
-  bool ball_crosses = false;
+  Vector v_hat;
+  double epsilon = 0.0;
+  bool escalate = false;
   {
     ScopedTimer timer(ht_estimate_ns_);
     // Fold the buffered reports in site-id order — the sum is then a pure
     // function of the report set, not of the order the network delivered it.
-    Vector probe_weighted_sum(e_.dim());
+    HtVectorEstimator estimator(std::max(1, fd_.live_count()), e_.dim());
     for (int site = 0; site < num_sites_; ++site) {
       if (probe_g_[site] <= 0.0) continue;
-      probe_weighted_sum.Axpy(1.0 / probe_g_[site], probe_drift_[site]);
+      estimator.AddSample(probe_drift_[site], probe_g_[site]);
     }
-    v_hat.Axpy(1.0 / static_cast<double>(live), probe_weighted_sum);
-    const double U = CurrentU();
-    const double epsilon = std::min(BernsteinEpsilon(config_.delta, U),
-                                    0.5 * epsilon_t_);
-    estimate_switched =
-        (function_->Value(v_hat) > config_.threshold) != believes_above_;
-    ball_crosses = function_->BallCrossesThreshold(Ball(v_hat, epsilon),
-                                                   config_.threshold);
+    v_hat = estimator.Estimate(e_);
+    const double U =
+        DriftBoundU(config_.max_step_norm, cycles_since_sync_,
+                    config_.drift_norm_cap, config_.u_threshold_factor,
+                    epsilon_t_);
+    epsilon = PartialCheckEpsilon(BernsteinEpsilon(config_.delta, U),
+                                  epsilon_t_);
+    escalate = ProbeEscalates(*function_, config_.threshold, believes_above_,
+                              v_hat, epsilon);
   }
-  if (estimate_switched || ball_crosses) {
+  if (escalate) {
     RequestFullState();
   } else {
-    ResolvePartial(v_hat);
+    ResolvePartial(v_hat, epsilon);
   }
+}
+
+bool CoordinatorNode::WellFormedReport(const RuntimeMessage& message) const {
+  if (message.type == RuntimeMessage::Type::kDriftReport &&
+      !(message.scalar > 0.0 && message.scalar <= 1.0)) {
+    return false;  // the HT weight 1/g needs g ∈ (0, 1]; NaN fails too
+  }
+  if (message.payload.empty()) return false;
+  // Every vector has e's dimension; before the first sync, that of the
+  // first report accepted.
+  if (!e_.empty()) return message.payload.dim() == e_.dim();
+  for (const Vector& known : last_known_) {
+    if (!known.empty()) return message.payload.dim() == known.dim();
+  }
+  return true;
 }
 
 }  // namespace sgm

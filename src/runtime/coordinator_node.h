@@ -157,6 +157,8 @@ class CoordinatorNode {
     long rejoins_granted = 0;
     /// Unicast straggler re-requests issued under the per-epoch deadline.
     long sync_rerequests = 0;
+    /// Drift and state reports dropped as malformed (see WellFormedReport).
+    long malformed_reports = 0;
   };
   AuditStats audit() const { return audit_; }
 
@@ -181,7 +183,6 @@ class CoordinatorNode {
  private:
   enum class Phase { kIdle, kProbing, kCollecting };
 
-  double CurrentU() const;
   void SendBroadcast(RuntimeMessage message);
   /// Next causal span id from the logical counter (never random — replaying
   /// a seed must reproduce identical spans). Minted unconditionally: spans
@@ -205,7 +206,12 @@ class CoordinatorNode {
   /// Advances the epoch (sync-round counter) and traces the bump.
   void BumpEpoch();
   void FinishFullSync(bool degraded);
-  void ResolvePartial(const Vector& v_hat);
+  void ResolvePartial(const Vector& v_hat, double epsilon);
+  /// A drift or state report the fold can use: a nonempty vector of the
+  /// deployment's dimension and, on a drift report, g ∈ (0, 1]. A CRC-valid
+  /// frame can carry anything; a report failing this is dropped and counted
+  /// (AuditStats::malformed_reports), then handled like a lost one.
+  bool WellFormedReport(const RuntimeMessage& message) const;
   /// Merges a new wish into the pending resync schedule (soonest wins).
   void ScheduleResync(long cycles);
   /// Liveness bookkeeping for any inbound site message: feeds the failure
@@ -306,7 +312,6 @@ class CoordinatorNode {
   // floating-point result as the deterministic simulation.
   std::vector<Vector> probe_drift_;
   std::vector<double> probe_g_;
-  int probe_reports_ = 0;
 
   // Full-sync collection state.
   std::vector<Vector> collected_;

@@ -204,7 +204,7 @@ bool CoordinatorServer::HandleFrame(int fd, const RuntimeMessage& message) {
       return true;
     }
     case RuntimeMessage::Type::kBarrierAck:
-      if (static_cast<long>(message.scalar) == barrier_token_) {
+      if (WireCount(message.scalar) == barrier_token_) {
         ++barrier_acks_;
         if (message.from >= 0 && message.from < config_.num_sites) {
           barrier_acked_[message.from] = true;

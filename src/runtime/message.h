@@ -2,6 +2,8 @@
 #define SGM_RUNTIME_MESSAGE_H_
 
 #include <cstdint>
+#include <limits>
+#include <optional>
 #include <string>
 
 #include "core/vector.h"
@@ -177,6 +179,20 @@ struct RuntimeMessage {
 
   static const char* TypeName(Type type);
 };
+
+/// Reads a wire scalar that carries a count — the kResolved mute length,
+/// the kBarrier/kBarrierAck token, the kCycleBegin cycle number — as a
+/// nonnegative integer, truncated toward zero. A frame can pass its CRC and
+/// still carry NaN, a negative value or one beyond `long`, whose direct
+/// conversion is undefined behaviour; such a scalar reads as no valid count.
+inline std::optional<long> WireCount(double scalar) {
+  // A 64-bit LONG_MAX rounds up to 2^63 as a double, so every value below
+  // the bound fits.
+  constexpr double kBound =
+      static_cast<double>(std::numeric_limits<long>::max());
+  if (!(scalar >= 0.0 && scalar < kBound)) return std::nullopt;
+  return static_cast<long>(scalar);
+}
 
 }  // namespace sgm
 

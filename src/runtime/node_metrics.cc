@@ -28,6 +28,8 @@ constexpr MetricRows<Node>::CounterRow kNodeCounters[] = {
      [](const Node& c) { return c.audit().rejoins_granted; }},
     {"coordinator.sync_rerequests",
      [](const Node& c) { return c.audit().sync_rerequests; }},
+    {"coordinator.malformed_reports",
+     [](const Node& c) { return c.audit().malformed_reports; }},
     {"failure.total_deaths",
      [](const Node& c) { return c.failure_detector().total_deaths(); }},
     // Straggler / bounded-staleness accounting (deadline-driven barriers).

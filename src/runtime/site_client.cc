@@ -214,11 +214,12 @@ SiteExitReason SiteClient::RunSession(
     for (const RuntimeMessage& message : frames) {
       switch (message.type) {
         case RuntimeMessage::Type::kCycleBegin: {
-          const long cycle = static_cast<long>(message.scalar);
+          const std::optional<long> cycle = WireCount(message.scalar);
+          if (!cycle) break;  // no cycle number: ignore the frame
           if (config_.runtime.telemetry != nullptr) {
-            config_.runtime.telemetry->SetCycle(cycle);
+            config_.runtime.telemetry->SetCycle(*cycle);
           }
-          node_->Observe(next_vector(cycle));
+          node_->Observe(next_vector(*cycle));
           ++cycles_observed_;
           break;
         }

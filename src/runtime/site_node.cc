@@ -1,9 +1,8 @@
 #include "runtime/site_node.h"
 
-#include <algorithm>
-
 #include "core/check.h"
 #include "estimators/sampling.h"
+#include "estimators/sgm_rules.h"
 #include "geometry/ball.h"
 #include "obs/telemetry.h"
 
@@ -30,16 +29,6 @@ SiteNode::SiteNode(int id, int num_sites, const MonitoredFunction& function,
 }
 
 Vector SiteNode::Drift() const { return local_ - synced_local_; }
-
-double SiteNode::CurrentU() const {
-  const double accumulated =
-      config_.max_step_norm *
-      static_cast<double>(std::max<long>(1, cycles_since_sync_));
-  const double threshold_scale =
-      config_.u_threshold_factor *
-      std::max(epsilon_t_, config_.max_step_norm);
-  return std::min({accumulated, config_.drift_norm_cap, threshold_scale});
-}
 
 void SiteNode::SendToCoordinator(RuntimeMessage message) {
   message.from = id_;
@@ -110,15 +99,16 @@ void SiteNode::Observe(const Vector& local_vector) {
   // Monitoring phase: M independent self-sampling trials; any hit arms the
   // un-scaled GM ball test (Lemma 2).
   const Vector drift = Drift();
-  inclusion_probability_ = SamplingProbability(config_.delta, CurrentU(),
-                                               num_sites_, drift.Norm());
-  bool sampled_any = false;
-  for (int trial = 0; trial < config_.num_trials; ++trial) {
-    const bool sampled = rng_.NextBernoulli(inclusion_probability_);
-    if (trial == 0) in_first_trial_ = sampled;
-    sampled_any = sampled_any || sampled;
-  }
-  if (sampled_any) {
+  const double U =
+      DriftBoundU(config_.max_step_norm, cycles_since_sync_,
+                  config_.drift_norm_cap, config_.u_threshold_factor,
+                  epsilon_t_);
+  inclusion_probability_ =
+      SamplingProbability(config_.delta, U, num_sites_, drift.Norm());
+  const TrialDraw draw =
+      DrawTrials(&rng_, inclusion_probability_, config_.num_trials);
+  in_first_trial_ = draw.first_trial;
+  if (draw.any_trial) {
     bool crossed = false;
     {
       ScopedTimer timer(ball_test_ns_);
@@ -240,7 +230,7 @@ void SiteNode::OnMessage(const RuntimeMessage& message) {
     case RuntimeMessage::Type::kResolved: {
       if (!anchored_) return;
       if (message.epoch != epoch_) ++audit_.stale_epoch_applied;  // audit
-      mute_remaining_ = static_cast<long>(message.scalar);
+      mute_remaining_ = WireCount(message.scalar).value_or(0);  // else no mute
       return;
     }
     default:

@@ -29,7 +29,7 @@ struct RuntimeConfig {
   double max_step_norm = 1.0;
   /// A-priori ‖Δv_i‖ cap (√2·window for sliding windows; +inf if unknown).
   double drift_norm_cap = 1e18;
-  /// β of the U ≤ β·ε_T ceiling (see sim/protocol.h's CurrentU).
+  /// β of the U ≤ β·ε_T ceiling (see estimators/sgm_rules.h's DriftBoundU).
   double u_threshold_factor = 6.0;
   std::uint64_t seed = 99;
 
@@ -170,7 +170,6 @@ class SiteNode {
   AuditStats audit() const { return audit_; }
 
  private:
-  double CurrentU() const;
   Vector Drift() const;
   void SendToCoordinator(RuntimeMessage message);
   void SendHeartbeatIfDue();

@@ -1,7 +1,7 @@
 #include "sim/protocol.h"
 
-#include <algorithm>
 #include <limits>
+#include <utility>
 
 #include "core/check.h"
 #include "obs/telemetry.h"
@@ -20,11 +20,6 @@ ProtocolBase::ProtocolBase(const MonitoredFunction& function, double threshold,
 void ProtocolBase::set_drift_norm_cap(double cap) {
   SGM_CHECK_MSG(cap > 0.0, "drift norm cap must be positive");
   drift_norm_cap_ = cap;
-}
-
-void ProtocolBase::set_u_threshold_factor(double factor) {
-  SGM_CHECK_MSG(factor > 0.0, "U threshold factor must be positive");
-  u_threshold_factor_ = factor;
 }
 
 void ProtocolBase::set_telemetry(Telemetry* telemetry) {
@@ -49,14 +44,7 @@ void ProtocolBase::Initialize(const std::vector<Vector>& local_vectors,
 
   // All sites ship their vectors; the coordinator broadcasts e back.
   metrics->AddSiteMessages(num_sites_, dim_);
-  e_ = Mean(local_vectors);
-  metrics->AddBroadcast(dim_);
-
-  synced_locals_ = local_vectors;
-  function_->OnSync(e_);
-  believes_above_ = function_->Value(e_) > threshold_;
-  epsilon_t_ = function_->DistanceToSurface(e_, threshold_);
-  cycles_since_sync_ = 0;
+  Anchor(local_vectors, Mean(local_vectors), metrics);
   initialized_ = true;
   AfterSync(local_vectors, metrics);
 }
@@ -66,13 +54,16 @@ CycleOutcome ProtocolBase::OnCycle(const std::vector<Vector>& local_vectors,
   SGM_CHECK_MSG(initialized_, "Initialize() must run before OnCycle()");
   SGM_CHECK(static_cast<int>(local_vectors.size()) == num_sites_);
   ++cycles_since_sync_;
-  if (telemetry_ != nullptr) telemetry_->SetCycle(++absolute_cycle_);
+  ++absolute_cycle_;
+  if (telemetry_ != nullptr) telemetry_->SetCycle(absolute_cycle_);
   CycleOutcome outcome;
   {
     ScopedTimer timer(monitor_cycle_ns_);
     outcome = MonitorCycle(local_vectors, metrics);
   }
   if (outcome.local_alarm) metrics->OnLocalAlarm();
+  alarm_streak_ =
+      outcome.local_alarm && !outcome.full_sync ? alarm_streak_ + 1 : 0;
   if (telemetry_ != nullptr) {
     // The simulator plays both tiers in one object, so outcome events carry
     // the coordinator actor (-1); full_sync_complete is traced by FullSync.
@@ -97,12 +88,19 @@ Vector ProtocolBase::Drift(int site,
   return local_vectors[site] - synced_locals_[site];
 }
 
-double ProtocolBase::CurrentU() const {
-  const double accumulated = max_step_norm_ * static_cast<double>(
-                                 std::max<long>(1, cycles_since_sync_));
-  const double threshold_scale =
-      u_threshold_factor_ * std::max(epsilon_t_, max_step_norm_);
-  return std::min({accumulated, drift_norm_cap_, threshold_scale});
+void ProtocolBase::Mute(long cycles, Metrics* metrics) {
+  if (cycles <= 0) return;
+  muted_until_cycle_ = absolute_cycle_ + cycles;
+  metrics->AddBroadcast(1);  // the coordinator announces the mute
+}
+
+void ProtocolBase::Anchor(const std::vector<Vector>& local_vectors,
+                          Vector mean, Metrics* metrics) {
+  e_ = std::move(mean);
+  metrics->AddBroadcast(dim_);  // the coordinator broadcasts e
+  synced_locals_ = local_vectors;
+  AnchorAt(function_.get(), e_, threshold_, &believes_above_, &epsilon_t_);
+  cycles_since_sync_ = 0;
 }
 
 bool ProtocolBase::FullSync(const std::vector<Vector>& local_vectors,
@@ -111,7 +109,7 @@ bool ProtocolBase::FullSync(const std::vector<Vector>& local_vectors,
   ScopedTimer timer(full_sync_ns_);
   metrics->AddSiteMessages(num_sites_ - already_collected, dim_);
 
-  const Vector mean = Mean(local_vectors);
+  Vector mean = Mean(local_vectors);
   // Classified against the pre-sync belief: the synchronization was
   // justified iff the true value had switched sides.
   // BelievesAbove() is virtual: prediction-based protocols hold a
@@ -120,13 +118,7 @@ bool ProtocolBase::FullSync(const std::vector<Vector>& local_vectors,
   const bool was_true_crossing = (true_above != BelievesAbove());
   metrics->OnFullSync(was_true_crossing);
 
-  e_ = mean;
-  metrics->AddBroadcast(dim_);
-  synced_locals_ = local_vectors;
-  function_->OnSync(e_);
-  believes_above_ = function_->Value(e_) > threshold_;
-  epsilon_t_ = function_->DistanceToSurface(e_, threshold_);
-  cycles_since_sync_ = 0;
+  Anchor(local_vectors, std::move(mean), metrics);
   if (telemetry_ != nullptr) {
     // The sim has no transport epochs; the sync ordinal plays that role.
     telemetry_->trace.Emit(

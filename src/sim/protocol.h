@@ -6,6 +6,7 @@
 #include <vector>
 
 #include "core/vector.h"
+#include "estimators/sgm_rules.h"
 #include "functions/monitored_function.h"
 #include "sim/metrics.h"
 
@@ -59,8 +60,8 @@ class Protocol {
 
 /// Shared two-tier machinery: the coordinator-side estimate vector e(t), the
 /// per-site snapshots v_i(t_s), the drift computation, the adaptive drift cap
-/// U(t), and the full-synchronization procedure with honest accounting and
-/// oracle-side FP classification.
+/// U(t), the certified-cooldown clock, and the full-synchronization
+/// procedure with honest accounting and oracle-side FP classification.
 class ProtocolBase : public Protocol {
  public:
   /// `function` is cloned; `max_step_norm` feeds the U(t) policy
@@ -91,11 +92,6 @@ class ProtocolBase : public Protocol {
   /// synchronization (the ε_T of Figure 5 / Lemma 3).
   double epsilon_T() const { return epsilon_t_; }
 
-  /// Factor β in U(t) ≤ β·ε_T (see CurrentU). Larger β → smaller sampling
-  /// probabilities (cheaper probes, slower single-site FN detection);
-  /// Lemma 3's P_FN bound becomes δ^(|Z|M·ε_T/(U√N)) = δ^(|Z|M/(β√N)).
-  void set_u_threshold_factor(double factor);
-
   /// Optional observability sink (nullable, not owned): cycle outcomes are
   /// traced as protocol events (the simulator plays both tiers, so events
   /// carry the coordinator actor), and the monitoring/sync phases feed
@@ -117,19 +113,18 @@ class ProtocolBase : public Protocol {
   /// Δv_i(t) = v_i(t) − v_i(t_s).
   Vector Drift(int site, const std::vector<Vector>& local_vectors) const;
 
-  /// U(t): the drift-norm scale of Section 3, known to every node without
-  /// communication. Three ingredients, combined as their minimum:
-  ///  1. per-cycle accumulation max_step_norm · (cycles since sync) — drifts
-  ///     cannot have grown faster (Example 3's pattern);
-  ///  2. the a-priori drift cap (windowed streams, set_drift_norm_cap);
-  ///  3. β·ε_T — the paper's third U guidance ("set U according to the
-  ///     minimum distance of e from the threshold surface"), which Lemma 3's
-  ///     final P_FN = O(δ^{|Z|M/√N}) bound instantiates (U ∝ ε_T). Tying U
-  ///     to the threshold distance keeps sampling probabilities — and hence
-  ///     probe sizes — scaled to how *dangerous* a drift actually is, rather
-  ///     than to elapsed time.
-  /// Floored at one step so U never degenerates to zero on the surface.
-  double CurrentU() const;
+  /// U(t) for this cycle (estimators/sgm_rules.h's DriftBoundU).
+  double CurrentU() const {
+    return DriftBoundU(max_step_norm_, cycles_since_sync_, drift_norm_cap_,
+                       kUThresholdFactor, epsilon_t_);
+  }
+
+  /// Certified cooldown: true while an earlier resolution's mute covers
+  /// this cycle, so no site monitors.
+  bool Muted() const { return absolute_cycle_ <= muted_until_cycle_; }
+  /// Mutes the next `cycles` cycles and accounts the coordinator's
+  /// one-scalar announcement; no-op unless `cycles` > 0.
+  void Mute(long cycles, Metrics* metrics);
 
   /// Executes a full synchronization: collects the `num_sites −
   /// already_collected` outstanding local vectors, classifies the decision
@@ -139,14 +134,14 @@ class ProtocolBase : public Protocol {
   bool FullSync(const std::vector<Vector>& local_vectors, Metrics* metrics,
                 int already_collected);
 
-  MonitoredFunction* mutable_function() { return function_.get(); }
-
   std::unique_ptr<MonitoredFunction> function_;
   double threshold_;
   double max_step_norm_;
   double drift_norm_cap_;
   double epsilon_t_ = 0.0;
-  double u_threshold_factor_ = 6.0;
+  /// β of U(t) ≤ β·ε_T (DriftBoundU); Lemma 3's P_FN bound becomes
+  /// δ^(|Z|M/(β√N)). RuntimeConfig::u_threshold_factor defaults to it.
+  static constexpr double kUThresholdFactor = 6.0;
 
   int num_sites_ = 0;
   std::size_t dim_ = 0;
@@ -161,9 +156,19 @@ class ProtocolBase : public Protocol {
   /// disables the profiling scopes entirely (no clock reads).
   Histogram* monitor_cycle_ns_ = nullptr;
   Histogram* full_sync_ns_ = nullptr;
-  /// Absolute update-cycle counter (never reset by syncs) — the logical
-  /// clock stamped on this protocol's trace events.
+  /// Absolute update-cycle counter (never reset by syncs): the clock of the
+  /// certified cooldown and the one stamped on this protocol's trace events.
   long absolute_cycle_ = 0;
+  long muted_until_cycle_ = -1;  ///< last muted absolute cycle
+  /// Alarm cycles in a row up to the previous cycle that no full sync
+  /// ended: the count of the consecutive-alarm re-anchoring rule.
+  int alarm_streak_ = 0;
+
+ private:
+  /// Adopts `mean` as e, broadcasts it and re-anchors v_i(t_s), belief, ε_T
+  /// and the sync clock (Initialize and FullSync account the collection).
+  void Anchor(const std::vector<Vector>& local_vectors, Vector mean,
+              Metrics* metrics);
 };
 
 }  // namespace sgm

@@ -71,6 +71,7 @@ constexpr char kFaultlessRows[] = R"(counter coordinator.degraded_syncs 0
 counter coordinator.epoch 13
 counter coordinator.full_syncs 6
 counter coordinator.late_reports 0
+counter coordinator.malformed_reports 0
 counter coordinator.partial_resolutions 2
 counter coordinator.rejoins_granted 0
 counter coordinator.stale_epoch_applied 0
@@ -109,6 +110,7 @@ constexpr char kFaultyRows[] = R"(counter coordinator.degraded_syncs 1
 counter coordinator.epoch 14
 counter coordinator.full_syncs 8
 counter coordinator.late_reports 17
+counter coordinator.malformed_reports 0
 counter coordinator.partial_resolutions 1
 counter coordinator.rejoins_granted 17
 counter coordinator.stale_epoch_applied 0
@@ -163,6 +165,7 @@ constexpr char kServerNames[] = R"(counter coordinator.degraded_syncs
 counter coordinator.epoch
 counter coordinator.full_syncs
 counter coordinator.late_reports
+counter coordinator.malformed_reports
 counter coordinator.partial_resolutions
 counter coordinator.rejoins_granted
 counter coordinator.stale_epoch_applied

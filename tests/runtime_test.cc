@@ -4,6 +4,11 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
+#include <memory>
+
+#include "core/rng.h"
 #include "data/jester_like.h"
 #include "functions/l2_norm.h"
 #include "functions/linf_distance.h"
@@ -172,6 +177,160 @@ TEST(RuntimeTest, AgreesWithSimulatorOnWorkloadScale) {
   // in an undetected-but-rare state; assert agreement with the simulator's
   // oracle-checked behaviour by checking FN cycles were rare there.
   EXPECT_LE(sim_run.metrics.false_negative_cycles(), cycles / 10);
+}
+
+// ── Differential test: the simulator and the runtime, cycle for cycle ─────
+//
+// SamplingGeometricMonitor (the paper figures) and RuntimeDriver's SiteNode /
+// CoordinatorNode (the deployment) run side by side on one stream and must
+// take the same decision every cycle: the same belief, the same cumulative
+// full-sync and partial-resolution counts, and bit-identical e and ε_T.
+//
+// The tiers seed their sampling coins differently, so the stream leaves the
+// coins nothing to decide. Every site either stands still (Δv_i = 0, so
+// g_i = 0) or has moved one full step per cycle in a fixed direction since
+// the last full sync (‖Δv_i‖ = max_step·k ≥ U after k cycles). With
+// ln(1/δ)/√N > 1, g_i then clamps to 1, and Rng::NextBernoulli draws nothing
+// at g ∈ {0, 1}. Directions are re-drawn only right after a full sync, when
+// every drift restarts from zero.
+//
+// Blind spot: a change that only moves g_i inside its clamp, such as a
+// site-only change to U, cannot show in this regime. The runtime runs no
+// escalation, so the simulator's two escalation rules are off. Message
+// totals are not compared: with identical decisions the runtime still sends
+// more paper messages, because (1) every alarming site sends its own
+// kLocalViolation, (2) a full sync broadcasts a request and re-collects all
+// N sites where the simulator collects N − |K1|, and (3) kResolved is
+// broadcast even when the mute is 0.
+
+struct DifferentialScenario {
+  int sites;
+  double delta;  ///< ln(1/δ)/√N > 1, so every g_i clamps to 0 or 1
+  bool linf;     ///< L∞ distance to the last estimate; else the L2 norm
+  double threshold;
+  std::uint64_t seed;
+};
+
+bool SameBits(double a, double b) {
+  return std::bit_cast<std::uint64_t>(a) == std::bit_cast<std::uint64_t>(b);
+}
+
+bool SameBits(const Vector& a, const Vector& b) {
+  if (a.dim() != b.dim()) return false;
+  for (std::size_t k = 0; k < a.dim(); ++k) {
+    if (!SameBits(a[k], b[k])) return false;
+  }
+  return true;
+}
+
+/// Counts of what a differential run exercised, for the coverage checks.
+struct DifferentialCoverage {
+  long full_syncs = 0;   ///< after initialization
+  long partials = 0;
+  long cooldowns = 0;    ///< partial resolutions that broadcast a mute
+};
+
+/// Runs one scenario, asserting agreement every cycle (ASSERT_* returns
+/// early, so the coverage comes back through `seen`).
+void RunDifferential(const DifferentialScenario& s,
+                     DifferentialCoverage* seen) {
+  constexpr int kDim = 3;
+  constexpr double kStep = 1.0;
+  constexpr long kCycles = 400;
+  SCOPED_TRACE(::testing::Message()
+               << "N=" << s.sites << (s.linf ? " linf" : " l2")
+               << " T=" << s.threshold << " seed=" << s.seed);
+  std::unique_ptr<MonitoredFunction> f;
+  if (s.linf) {
+    f = std::make_unique<LInfDistance>(Vector(kDim));
+  } else {
+    f = std::make_unique<L2Norm>();
+  }
+
+  SgmOptions options;
+  options.delta = s.delta;
+  options.escalate_after_consecutive_alarms = 0;
+  options.escalate_probe_fraction = 0.0;
+  SamplingGeometricMonitor sim(*f, s.threshold, kStep, options);
+  RuntimeConfig config;
+  config.threshold = s.threshold;
+  config.delta = s.delta;
+  config.max_step_norm = kStep;
+  RuntimeDriver driver(s.sites, *f, config);
+  const CoordinatorNode& rt = driver.coordinator();
+
+  // Sites start scattered around a point well inside the threshold. After
+  // each full sync, site 0 and about half of the others move. While
+  // f(e) > T, movers head back toward the origin, so an L2 run keeps
+  // re-crossing the surface.
+  Rng rng(s.seed);
+  std::vector<Vector> locals(s.sites, Vector(kDim));
+  std::vector<Vector> velocity(s.sites, Vector(kDim));
+  for (Vector& v : locals) {
+    for (std::size_t k = 0; k < kDim; ++k) {
+      v[k] = (k == 0 ? 0.5 * s.threshold : 0.0) + rng.NextGaussian();
+    }
+  }
+  const auto redraw = [&](bool above, const Vector& e) {
+    for (int i = 0; i < s.sites; ++i) {
+      Vector& v = velocity[i];
+      v.SetZero();
+      if (i > 0 && !rng.NextBernoulli(0.5)) continue;
+      for (std::size_t k = 0; k < kDim; ++k) v[k] = rng.NextGaussian();
+      v *= kStep / v.Norm();
+      if (above && !s.linf && v.Dot(e) > 0.0) v *= -1.0;
+    }
+  };
+
+  Metrics metrics;
+  sim.Initialize(locals, &metrics);
+  driver.Initialize(locals);
+  redraw(sim.BelievesAbove(), sim.estimate());
+  for (long t = 1; t <= kCycles; ++t) {
+    for (int i = 0; i < s.sites; ++i) locals[i] += velocity[i];
+    const long sim_broadcasts = metrics.coordinator_messages();
+    const CycleOutcome outcome = sim.OnCycle(locals, &metrics);
+    driver.Tick(locals);
+
+    SCOPED_TRACE(::testing::Message() << "cycle " << t);
+    ASSERT_EQ(rt.BelievesAbove(), sim.BelievesAbove());
+    // The runtime counts the initializing sync; the simulator does not.
+    ASSERT_EQ(rt.full_syncs(), metrics.full_syncs() + 1);
+    ASSERT_EQ(rt.partial_resolutions(), metrics.partial_resolutions());
+    ASSERT_TRUE(SameBits(rt.estimate(), sim.estimate()));
+    ASSERT_TRUE(SameBits(rt.epsilon_T(), sim.epsilon_T()));
+
+    if (outcome.full_sync) {
+      ++seen->full_syncs;
+      redraw(sim.BelievesAbove(), sim.estimate());
+    }
+    if (outcome.partial_resolved) {
+      ++seen->partials;
+      // The probe request is one broadcast; a mute announcement is another.
+      if (metrics.coordinator_messages() - sim_broadcasts == 2) {
+        ++seen->cooldowns;
+      }
+    }
+  }
+}
+
+TEST(RuntimeTest, MatchesSimulatorCycleForCycle) {
+  // δ per N: ln(1/δ)/√N is 1.15 at N = 4, 16 and 64.
+  const DifferentialScenario scenarios[] = {
+      {4, 0.1, false, 6.0, 11},    {4, 0.1, true, 6.0, 12},
+      {16, 0.01, false, 8.0, 13},  {16, 0.01, true, 3.0, 14},
+      {64, 1e-4, false, 8.0, 15},  {64, 1e-4, true, 2.0, 16},
+      {16, 0.01, false, 12.0, 17}, {64, 1e-4, true, 3.0, 18},
+  };
+  for (const DifferentialScenario& s : scenarios) {
+    DifferentialCoverage seen;
+    RunDifferential(s, &seen);
+    if (HasFatalFailure()) return;
+    // Every scenario exercises all three outcomes of an alarm.
+    EXPECT_GT(seen.full_syncs, 0) << "N=" << s.sites;
+    EXPECT_GT(seen.partials, 0) << "N=" << s.sites;
+    EXPECT_GT(seen.cooldowns, 0) << "N=" << s.sites;
+  }
 }
 
 TEST(RuntimeTest, SiteFirstTrialFlagConsistent) {
