@@ -33,7 +33,8 @@ CoordinatorNode::CoordinatorNode(int num_sites,
       last_known_(num_sites),
       last_grant_cycle_(num_sites, -1),
       grant_pending_(num_sites, false),
-      anchor_undelivered_(num_sites, false) {
+      anchor_undelivered_(num_sites, false),
+      grant_epoch_(num_sites, -1) {
   SGM_CHECK(num_sites > 0);
   SGM_CHECK(transport != nullptr);
   SGM_CHECK(config.empty_collection_retry_cycles >= 1);
@@ -42,16 +43,6 @@ CoordinatorNode::CoordinatorNode(int num_sites,
   SGM_CHECK(config.rejoin_resync_cycles >= 1);
   SGM_CHECK(config.checkpoint_interval_cycles >= 1);
   SGM_CHECK(config.recovery_resync_cycles >= 1);
-  // A quiet site is silent for heartbeat_interval_cycles cycles between
-  // heartbeats; any longer than a site's (jittered) suspect threshold and
-  // the detector would read the cadence itself as a failure.
-  for (int site = 0; site < num_sites; ++site) {
-    SGM_CHECK_MSG(config.heartbeat_interval_cycles <= fd_.suspect_after(site),
-                  "heartbeat_interval_cycles %d exceeds site %d's failure "
-                  "detector suspect threshold %d",
-                  config.heartbeat_interval_cycles, site,
-                  fd_.suspect_after(site));
-  }
   if (telemetry_ != nullptr) {
     fd_.set_telemetry(telemetry_);
     ht_estimate_ns_ = telemetry_->registry.GetHistogram(
@@ -258,6 +249,10 @@ void CoordinatorNode::ScheduleResync(long cycles) {
 }
 
 void CoordinatorNode::BeginCycle() {
+  // A collection the last cycle left open (a straggler re-request found no
+  // route) closes now, over last cycle's reports: finishing it on a report
+  // from this cycle would average vectors from two cycles as a clean sync.
+  if (phase_ == Phase::kCollecting) CompleteCollection();
   ++cycle_;
   epoch_cycle_start_ = epoch_;
   if (config_.checkpoint_store != nullptr &&
@@ -265,10 +260,14 @@ void CoordinatorNode::BeginCycle() {
     WriteSnapshot();
   }
   fd_.BeginCycle(cycle_);
-  if (reliable_ != nullptr) {
+  const long verdicts = fd_.total_deaths() + fd_.total_lagging_verdicts();
+  if (reliable_ != nullptr && verdicts != link_scan_verdicts_) {
     // Heartbeat-miss deaths and lag quarantines release the site's pending
     // acks and stop retransmissions toward it; the rejoin path marks the
-    // link up again.
+    // link up again. Both totals only grow within an incarnation, so an
+    // unchanged sum means no new verdict; a fresh or recovered node scans
+    // on its first cycle.
+    link_scan_verdicts_ = verdicts;
     for (int site = 0; site < num_sites_; ++site) {
       const FailureDetector::State state = fd_.state(site);
       if ((state == FailureDetector::State::kDead ||
@@ -378,6 +377,7 @@ void CoordinatorNode::FinishFullSync(bool degraded) {
   cycles_since_sync_ = 0;
   ++full_syncs_;
   phase_ = Phase::kIdle;
+  anchor_epoch_ = epoch_;
   const std::int64_t broadcast_span = TagSpan(MintSpan());
   if (telemetry_ != nullptr) {
     telemetry_->trace.Emit(TraceEventId::kFullSyncComplete, kCoordinatorId,
@@ -449,6 +449,7 @@ void CoordinatorNode::MaybeGrantRejoin(int site) {
   }
   grant_pending_[site] = true;
   anchor_undelivered_[site] = false;  // this grant supersedes the lost anchor
+  grant_epoch_[site] = epoch_;
   if (reliable_ != nullptr) reliable_->MarkLinkUp(site);
   ++audit_.rejoins_granted;
   // A rejoin grant is its own (single-node) causal tree: it re-anchors one
@@ -525,6 +526,15 @@ bool CoordinatorNode::AllLiveReported() const {
 }
 
 void CoordinatorNode::CompleteCollection() {
+  if (received_count_ == 0) {
+    // The entire collection round was swallowed (e.g. the very first
+    // request on a lossy network): go idle and retry shortly. The retry
+    // opens a fresh cascade, so this tree ends here.
+    phase_ = Phase::kIdle;
+    CloseCycleSpan();
+    ScheduleResync(config_.empty_collection_retry_cycles);
+    return;
+  }
   bool degraded = false;
   bool missing_live = false;
   for (int i = 0; i < num_sites_; ++i) {
@@ -550,6 +560,15 @@ void CoordinatorNode::OnMessage(const RuntimeMessage& message) {
   // The coordinator is the epoch authority; sites only ever echo epochs it
   // issued, so a message from the future is a protocol bug.
   SGM_CHECK_MSG(message.epoch <= epoch_, "message from a future epoch");
+  // Proof of anchor: a heartbeat names the epoch of the anchor its site
+  // holds. Naming the last estimate broadcast proves that a give-up on it
+  // lost only acks, unless a grant in that same epoch (which may predate
+  // the broadcast and carry the estimate before it) is what the site holds.
+  if (message.type == RuntimeMessage::Type::kHeartbeat &&
+      WireCount(message.scalar) == anchor_epoch_ &&
+      grant_epoch_[site] != anchor_epoch_) {
+    anchor_undelivered_[site] = false;
+  }
   ObserveSite(site, message.epoch);
 
   // ── Epoch fence ────────────────────────────────────────────────────────
@@ -685,16 +704,8 @@ void CoordinatorNode::RecordDegradedCycle(int missing_sites) {
 
 void CoordinatorNode::OnQuiescent() {
   if (phase_ == Phase::kCollecting) {
-    if (received_count_ == 0) {
-      // The entire collection round was swallowed (e.g. the very first
-      // request on a lossy network): go idle and retry shortly. The retry
-      // opens a fresh cascade, so this tree ends here.
-      phase_ = Phase::kIdle;
-      CloseCycleSpan();
-      ScheduleResync(config_.empty_collection_retry_cycles);
-      return;
-    }
-    if (!AllLiveReported() && sync_retries_ < config_.max_sync_retries) {
+    if (received_count_ > 0 && !AllLiveReported() &&
+        sync_retries_ < config_.max_sync_retries) {
       // Per-epoch sync deadline: re-request the live stragglers directly
       // (same epoch — this continues the round, it does not start one).
       ++sync_retries_;

@@ -82,7 +82,8 @@ class CoordinatorNode {
   /// fatal). Call on a freshly constructed node, in place of Start().
   bool Recover();
 
-  /// Marks the beginning of an update cycle: advances the failure
+  /// Marks the beginning of an update cycle: completes (degraded) a
+  /// collection the previous cycle left open, advances the failure
   /// detector's clock, applies newly-detected deaths to the link state, and
   /// runs due scheduled resyncs.
   void BeginCycle();
@@ -222,7 +223,8 @@ class CoordinatorNode {
   void OnLinkDead(int site, const RuntimeMessage& message);
   bool AllLiveReported() const;
   /// Completes the in-flight collection with whatever arrived, folding in
-  /// last-known vectors for the missing sites.
+  /// last-known vectors for the missing sites; with nothing arrived, goes
+  /// idle and schedules a retry instead.
   void CompleteCollection();
   /// Captures the full durable state into a checkpoint struct.
   CoordinatorCheckpoint BuildCheckpoint() const;
@@ -300,8 +302,18 @@ class CoordinatorNode {
   std::vector<bool> grant_pending_;
   /// Sites for which an anchor-carrying message (kNewEstimate /
   /// kRejoinGrant) exhausted its retransmissions: re-grant on next contact
-  /// even if the site looks alive and epoch-current.
+  /// even if the site looks alive and epoch-current, unless a heartbeat
+  /// proves the site holds the last estimate broadcast (see OnMessage).
   std::vector<bool> anchor_undelivered_;
+  /// Epoch of the last kNewEstimate broadcast, −1 before the first. Not
+  /// checkpointed: a recovered node re-grants every reachable site anyway.
+  std::int64_t anchor_epoch_ = -1;
+  /// Epoch of each site's last rejoin grant from this incarnation (−1:
+  /// none).
+  std::vector<std::int64_t> grant_epoch_;
+  /// Deaths plus lagging verdicts when BeginCycle last scanned the links
+  /// (−1: never).
+  long link_scan_verdicts_ = -1;
 
   AuditStats audit_;
 

@@ -218,8 +218,11 @@ bool CoordinatorServer::HandleFrame(int fd, const RuntimeMessage& message) {
     default: {
       // Every other frame must come from a site: a sender id outside the
       // deployment is garbage that happens to pass the CRC, and must not
-      // reach the node or the reliability layer's per-site state.
-      if (message.from < 0 || message.from >= config_.num_sites) {
+      // reach the node or the reliability layer's per-site state. So is an
+      // epoch the coordinator has not issued yet, which the node treats as
+      // a broken invariant.
+      if (message.from < 0 || message.from >= config_.num_sites ||
+          message.epoch > coordinator_->epoch()) {
         ++corrupt_frames_;
         return true;
       }

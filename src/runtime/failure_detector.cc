@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 
 #include "core/check.h"
 #include "core/rng.h"
@@ -9,9 +10,26 @@
 
 namespace sgm {
 
+namespace {
+
+constexpr long kNever = std::numeric_limits<long>::max();
+
+}  // namespace
+
+int HeartbeatIntervalCycles(int num_sites) {
+  SGM_CHECK(num_sites > 0);
+  // ⌊√N⌋ is exact in double for every int N; step up to ⌈√N⌉.
+  long h = static_cast<long>(std::sqrt(static_cast<double>(num_sites)));
+  while (h * h < num_sites) ++h;
+  return static_cast<int>(h);
+}
+
 FailureDetector::FailureDetector(int num_sites,
                                  const FailureDetectorConfig& config)
-    : config_(config), sites_(num_sites) {
+    : config_(config),
+      heartbeat_interval_(HeartbeatIntervalCycles(num_sites)),
+      sites_(num_sites),
+      due_(num_sites) {
   SGM_CHECK(num_sites > 0);
   SGM_CHECK(config.suspect_after_misses >= 1);
   SGM_CHECK(config.dead_after_misses > config.suspect_after_misses);
@@ -43,8 +61,20 @@ FailureDetector::FailureDetector(int num_sites,
       s.quarantine = config.quarantine_cycles;
       s.lagging_after = config.lagging_after_deadline_misses;
     }
+    Schedule(site);
   }
   Recount();
+}
+
+void FailureDetector::Schedule(int site) {
+  const SiteState& s = sites_[site];
+  if (!IsLiveState(s.state)) {
+    due_[site] = kNever;
+    return;
+  }
+  const long h = heartbeat_interval_;
+  due_[site] = s.last_heard_cycle + std::min(2 * h, s.suspect_after * h + 1);
+  next_due_ = std::min(next_due_, due_[site]);
 }
 
 void FailureDetector::SetState(SiteState* site, State next) {
@@ -97,16 +127,17 @@ void FailureDetector::Escalate(int site) {
   SiteState& s = sites_[site];
   if (s.state != State::kAlive && s.state != State::kSuspect) return;
   const long misses = cycle_ - s.last_heard_cycle;
-  if (misses > s.dead_after) {
+  const long h = heartbeat_interval_;
+  if (misses > s.dead_after * h) {
     RecordDeath(site);
-  } else if (misses > s.suspect_after) {
+  } else if (misses > s.suspect_after * h) {
     if (telemetry_ != nullptr && s.state != State::kSuspect) {
       telemetry_->trace.Emit(TraceEventId::kSuspect, site,
                              {{"misses", misses}});
     }
     SetState(&s, State::kSuspect);
-  } else if (misses >= 2 && telemetry_ != nullptr) {
-    // One silent cycle is routine scheduling noise; two or more is a
+  } else if (misses >= 2 * h && telemetry_ != nullptr) {
+    // One silent beat is routine scheduling noise; two or more is a
     // trend worth a breadcrumb before the suspect threshold trips.
     telemetry_->trace.Emit(TraceEventId::kHeartbeatMiss, site,
                            {{"misses", misses}});
@@ -115,9 +146,18 @@ void FailureDetector::Escalate(int site) {
 
 void FailureDetector::BeginCycle(long cycle) {
   cycle_ = cycle;
-  for (int site = 0; site < static_cast<int>(sites_.size()); ++site) {
-    Escalate(site);
+  if (cycle < next_due_) return;
+  long next = kNever;
+  for (int site = 0; site < static_cast<int>(due_.size()); ++site) {
+    if (due_[site] <= cycle) {
+      Escalate(site);
+      // A site that left the sample pool stays out of the pass until
+      // CompleteRejoin or Restore brings it back.
+      if (!IsLiveState(sites_[site].state)) due_[site] = kNever;
+    }
+    next = std::min(next, due_[site]);
   }
+  next_due_ = next;
 }
 
 void FailureDetector::RecordAlive(int site) {
@@ -127,6 +167,7 @@ void FailureDetector::RecordAlive(int site) {
   if (s.state == State::kSuspect) SetState(&s, State::kAlive);
   // kDead / kRejoining: liveness alone does not revive — the rejoin
   // handshake must resync the site's estimate and Δv baseline first.
+  Schedule(site);
 }
 
 void FailureDetector::ReportUnreachable(int site) {
@@ -201,6 +242,7 @@ void FailureDetector::CompleteRejoin(int site) {
   SetState(&s, State::kAlive);
   s.last_heard_cycle = cycle_;
   s.deadline_misses = 0;
+  Schedule(site);
   if (telemetry_ != nullptr) {
     telemetry_->trace.Emit(TraceEventId::kRejoinComplete, site);
   }
@@ -236,6 +278,7 @@ void FailureDetector::Restore(const std::vector<SiteSnapshot>& sites,
     // pre-crash window is not durable, so it is under- rather than
     // over-counted.
     s.lagging_since = s.state == State::kLagging ? cycle : -1;
+    Schedule(static_cast<int>(i));
   }
   Recount();
 }

@@ -8,12 +8,21 @@ namespace sgm {
 
 struct Telemetry;
 
-/// Tuning knobs of the coordinator-side failure detector.
+/// Cycles between a quiet site's standalone heartbeats in a deployment of
+/// `num_sites` sites: H = ⌈√N⌉, the smallest h with h² ≥ N. Site i beats
+/// when (c + i) mod H = 0 on its c-th observed cycle, so about N/H = √N
+/// heartbeats cross the network per cycle, the paper's O(√N) budget. The
+/// site's cadence and the failure detector's miss unit both come from here.
+int HeartbeatIntervalCycles(int num_sites);
+
+/// Tuning knobs of the coordinator-side failure detector. Silence is
+/// counted in missed beats of HeartbeatIntervalCycles(N) cycles each.
 struct FailureDetectorConfig {
-  /// Consecutive silent cycles before a site is suspected.
+  /// Missed beats before a site is suspected (silent for more than
+  /// suspect_after_misses·H cycles).
   int suspect_after_misses = 3;
-  /// Consecutive silent cycles before a suspected site is declared dead
-  /// (removed from the sample pool and the ack-expectation set).
+  /// Missed beats before a suspected site is declared dead (removed from
+  /// the sample pool and the ack-expectation set).
   int dead_after_misses = 6;
   /// A site declared dead this many times within flap_window_cycles is
   /// quarantined: its rejoin is deferred until the quarantine expires, so a
@@ -39,7 +48,9 @@ struct FailureDetectorConfig {
 };
 
 /// Heartbeat-miss failure detector for the coordinator: one state machine
-/// per site.
+/// per site. A miss is a beat of H = HeartbeatIntervalCycles(N) silent
+/// cycles; a site silent for 2H cycles or more leaves a heartbeat_miss
+/// breadcrumb on its way to suspicion.
 ///
 ///   kAlive ──misses > suspect──▶ kSuspect ──misses > dead──▶ kDead
 ///     ▲                             │ heard from                │ heard
@@ -70,7 +81,8 @@ class FailureDetector {
   void set_telemetry(Telemetry* telemetry) { telemetry_ = telemetry; }
 
   /// Advances the cycle clock and escalates miss counts. Call once per
-  /// update cycle, before processing the cycle's messages.
+  /// update cycle, before processing the cycle's messages. Only sites whose
+  /// silence has reached a breadcrumb or a threshold are visited.
   void BeginCycle(long cycle);
 
   /// A message from `site` arrived (any kind — liveness is transport-level).
@@ -123,7 +135,10 @@ class FailureDetector {
   long staleness_cycles_total() const { return staleness_cycles_total_; }
   long staleness_cycles_max() const { return staleness_cycles_max_; }
 
-  /// Effective (post-jitter) thresholds for one site, exposed for tests.
+  /// H: the cycles in one missed beat.
+  int heartbeat_interval() const { return heartbeat_interval_; }
+  /// Effective (post-jitter) thresholds for one site, exposed for tests;
+  /// suspect_after and dead_after count missed beats.
   int suspect_after(int site) const { return sites_[site].suspect_after; }
   int dead_after(int site) const { return sites_[site].dead_after; }
   long quarantine_cycles(int site) const { return sites_[site].quarantine; }
@@ -176,9 +191,21 @@ class FailureDetector {
   void Recount();
   void Escalate(int site);
   void RecordDeath(int site);
+  /// Recomputes `site`'s entry of due_ from its state and last_heard_cycle.
+  void Schedule(int site);
 
   FailureDetectorConfig config_;
+  int heartbeat_interval_;
   std::vector<SiteState> sites_;
+  /// Per site, the first cycle at which Escalate can act: last_heard_cycle
+  /// plus the silence of the heartbeat_miss breadcrumb or of suspicion,
+  /// whichever is shorter; kNever for a site outside the sample pool,
+  /// which Escalate leaves alone. BeginCycle scans this flat array instead
+  /// of every SiteState, and only once next_due_ has come.
+  std::vector<long> due_;
+  /// A lower bound on every entry of due_: exact after a scan, lowered by
+  /// Schedule.
+  long next_due_ = 0;
   Telemetry* telemetry_ = nullptr;
   long cycle_ = 0;
   int live_count_ = 0;

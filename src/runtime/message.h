@@ -34,8 +34,11 @@ inline constexpr int kBroadcastId = -2;
 ///   either direction     kAck               (transport-level cumulative ack
 ///                                            of `seq`; never itself acked)
 ///   site → coordinator   kHeartbeat         (liveness beacon from an
-///                                            otherwise-quiet site; carries
-///                                            the site's current epoch)
+///                                            otherwise-quiet site, every
+///                                            ⌈√N⌉ cycles; carries the
+///                                            site's current epoch, and in
+///                                            `scalar` the epoch of the
+///                                            anchor it holds)
 ///   site → coordinator   kRejoinRequest     (site detected an epoch gap —
 ///                                            it missed at least one whole
 ///                                            sync round — and asks to be
@@ -104,7 +107,8 @@ struct RuntimeMessage {
   /// Vector payload (drift, state, estimate); empty when not applicable.
   Vector payload;
   /// Scalar payload: inclusion probability g_i on kDriftReport, mute length
-  /// on kResolved, ε_T on kNewEstimate/kRejoinGrant.
+  /// on kResolved, ε_T on kNewEstimate/kRejoinGrant, the held anchor's
+  /// epoch on kHeartbeat.
   double scalar = 0.0;
 
   /// Payload size in doubles for communication accounting.
@@ -181,7 +185,8 @@ struct RuntimeMessage {
 };
 
 /// Reads a wire scalar that carries a count — the kResolved mute length,
-/// the kBarrier/kBarrierAck token, the kCycleBegin cycle number — as a
+/// the kBarrier/kBarrierAck token, the kCycleBegin cycle number, the
+/// kHeartbeat anchor epoch — as a
 /// nonnegative integer, truncated toward zero. A frame can pass its CRC and
 /// still carry NaN, a negative value or one beyond `long`, whose direct
 /// conversion is undefined behaviour; such a scalar reads as no valid count.

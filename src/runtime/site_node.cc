@@ -16,12 +16,12 @@ SiteNode::SiteNode(int id, int num_sites, const MonitoredFunction& function,
       config_(config),
       transport_(transport),
       telemetry_(config.telemetry),
-      rng_(config.seed + 0x9e37u * static_cast<std::uint64_t>(id + 1)) {
+      rng_(config.seed + 0x9e37u * static_cast<std::uint64_t>(id + 1)),
+      heartbeat_interval_(HeartbeatIntervalCycles(num_sites)) {
   SGM_CHECK(id >= 0 && id < num_sites);
   SGM_CHECK(transport != nullptr);
   SGM_CHECK(config.num_trials >= 1);
   SGM_CHECK(config.max_step_norm > 0.0);
-  SGM_CHECK(config.heartbeat_interval_cycles >= 1);
   if (telemetry_ != nullptr) {
     ball_test_ns_ = telemetry_->registry.GetHistogram("site.ball_test_ns",
                                                       LatencyBucketsNs());
@@ -34,14 +34,17 @@ void SiteNode::SendToCoordinator(RuntimeMessage message) {
   message.from = id_;
   message.to = kCoordinatorId;
   message.epoch = epoch_;
-  cycles_since_sent_ = 0;
   transport_->Send(message);
 }
 
 void SiteNode::SendHeartbeatIfDue() {
-  if (cycles_since_sent_ < config_.heartbeat_interval_cycles) return;
+  // Slots fixed by site id keep at most ⌈N/H⌉ beats in any one cycle. A
+  // countdown reset by every send would not: the initialization sync resets
+  // every site at once, lining the whole fleet up on the same cycles.
+  if ((observes_ + id_) % heartbeat_interval_ != 0) return;
   RuntimeMessage heartbeat;
   heartbeat.type = RuntimeMessage::Type::kHeartbeat;
+  heartbeat.scalar = static_cast<double>(anchor_epoch_);
   ++audit_.heartbeats_sent;
   if (telemetry_ != nullptr) {
     telemetry_->trace.Emit(TraceEventId::kHeartbeat, id_);
@@ -74,7 +77,7 @@ void SiteNode::OnTransportReconnect() {
 void SiteNode::Observe(const Vector& local_vector) {
   local_ = local_vector;
   in_first_trial_ = false;
-  ++cycles_since_sent_;
+  ++observes_;
   if (!initialized_ || !anchored_) {
     // No current anchor: monitoring against a stale (or absent) estimate
     // would be meaningless. If a sync round demonstrably exists (epoch_ >
@@ -145,6 +148,7 @@ void SiteNode::ApplyAnchor(const RuntimeMessage& message, const char* source) {
   }
   e_ = message.payload;
   epsilon_t_ = message.scalar;
+  anchor_epoch_ = message.epoch;
   synced_local_ = local_;
   function_->OnSync(e_);
   cycles_since_sync_ = 0;

@@ -48,10 +48,6 @@ struct RuntimeConfig {
   /// stragglers (unicast, same epoch) at most this many times before
   /// completing the sync degraded.
   int max_sync_retries = 2;
-  /// A quiet site transmits a standalone heartbeat after this many cycles
-  /// without sending anything; liveness piggybacks on ordinary protocol
-  /// traffic otherwise.
-  int heartbeat_interval_cycles = 1;
   /// A rejoined site's fresh state re-enters the estimate via a scheduled
   /// full resync this many cycles after its rejoin handshake completes.
   int rejoin_resync_cycles = 2;
@@ -126,7 +122,9 @@ class SiteNode {
 
   /// Feeds this cycle's local measurements vector and runs the monitoring
   /// phase (sampling + local ball test); may emit kLocalViolation, or a
-  /// kHeartbeat when the site has been quiet past the heartbeat interval.
+  /// kHeartbeat when this is the site's heartbeat slot and it sent nothing
+  /// else: site i beats on its c-th call when (c + i) mod H = 0, with
+  /// H = HeartbeatIntervalCycles(N).
   void Observe(const Vector& local_vector);
 
   /// Handles a coordinator message (probe/state requests, new estimates,
@@ -201,9 +199,15 @@ class SiteNode {
   bool initialized_ = false;
 
   std::int64_t epoch_ = 0;
+  /// Epoch of the anchor (kNewEstimate or kRejoinGrant) last applied; each
+  /// heartbeat names it so the coordinator can tell whether an anchor it
+  /// gave up on arrived after all.
+  std::int64_t anchor_epoch_ = 0;
   bool anchored_ = false;
-  long cycles_since_sent_ = 0;
   bool rejoin_requested_ = false;  ///< one outstanding request at a time
+  /// Heartbeat cadence H and the Observe calls so far (the slot clock).
+  int heartbeat_interval_;
+  long observes_ = 0;
 
   AuditStats audit_;
 };

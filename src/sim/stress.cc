@@ -711,6 +711,12 @@ StressReport RunRuntimeStress(const StressConfig& config) {
     recovery_recovered_at = t;
     recovery_deadline = t + kRecoveryHorizon;
     full_at_recovery = coord.full_syncs();
+    // Re-base the sync counters on the restored ones. The hook runs before
+    // this cycle's tick, so a sync completed inside the recovery itself ran
+    // on the previous cycle's vectors (like the initialization sync) and
+    // has no exact truth to meet; any sync of the tick still counts.
+    prev_full = coord.full_syncs();
+    prev_degraded = coord.degraded_syncs();
     prev_degraded_cycles = coord.degraded_cycles();  // fresh incarnation: 0
   };
 

@@ -4,10 +4,14 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "core/rng.h"
+#include "obs/telemetry.h"
 #include "runtime/failure_detector.h"
 
 namespace sgm {
@@ -36,21 +40,25 @@ TEST(FailureDetectorTest, StartsAllAlive) {
 
 TEST(FailureDetectorTest, MissesEscalateSuspectThenDead) {
   FailureDetector fd(2, SmallConfig());
+  // Misses are beats of H = ⌈√2⌉ = 2 cycles.
+  const long h = fd.heartbeat_interval();
+  ASSERT_EQ(h, 2);
   long cycle = 0;
   // Site 1 keeps talking; site 0 goes silent.
-  for (int i = 0; i < 2; ++i) {
+  for (long i = 0; i < 2 * h; ++i) {
     fd.BeginCycle(++cycle);
     fd.RecordAlive(1);
   }
   EXPECT_EQ(fd.state(0), FailureDetector::State::kAlive);
-  fd.BeginCycle(++cycle);  // miss 3 > suspect_after_misses
+  fd.BeginCycle(++cycle);  // silent 2H + 1 cycles: past suspect_after_misses
   fd.RecordAlive(1);
   EXPECT_EQ(fd.state(0), FailureDetector::State::kSuspect);
   EXPECT_TRUE(fd.IsLive(0));  // suspects stay in the sample pool
   EXPECT_EQ(fd.live_count(), 2);
 
-  fd.BeginCycle(++cycle);
-  fd.BeginCycle(++cycle);  // miss 5 > dead_after_misses
+  for (long i = 0; i < 2 * h - 1; ++i) fd.BeginCycle(++cycle);
+  EXPECT_EQ(fd.state(0), FailureDetector::State::kSuspect);  // silent 4H
+  fd.BeginCycle(++cycle);  // silent 4H + 1 cycles: past dead_after_misses
   EXPECT_EQ(fd.state(0), FailureDetector::State::kDead);
   EXPECT_FALSE(fd.IsLive(0));
   EXPECT_EQ(fd.live_count(), 1);
@@ -346,78 +354,288 @@ TEST(FailureDetectorTest, SnapshotRestorePreservesLaggingVerdict) {
   EXPECT_EQ(recovered.staleness_cycles_total(), 2);
 }
 
+TEST(FailureDetectorTest, HeartbeatIntervalIsTheCeilingOfTheSquareRoot) {
+  const std::pair<int, int> cases[] = {
+      {1, 1},     {2, 2},     {4, 2},     {5, 3},     {24, 5},
+      {128, 12},  {2025, 45}, {2026, 46}, {2048, 46}, {46340 * 46340, 46340},
+      {46340 * 46340 + 1, 46341},         {2147483647, 46341},
+  };
+  for (const auto& [n, h] : cases) {
+    EXPECT_EQ(HeartbeatIntervalCycles(n), h) << n;
+  }
+}
+
+/// Brute-force reference for the detector: the same state machine, with
+/// every site evaluated on every cycle. Per-site thresholds are read from
+/// the detector (jitter is tested above); H is derived here on its own.
+class SweepModel {
+ public:
+  using State = FailureDetector::State;
+
+  SweepModel(const FailureDetector& fd, int num_sites,
+             const FailureDetectorConfig& config)
+      : config_(config), sites_(num_sites) {
+    while (h_ * h_ < num_sites) ++h_;
+    for (int i = 0; i < num_sites; ++i) {
+      sites_[i].suspect_after = fd.suspect_after(i);
+      sites_[i].dead_after = fd.dead_after(i);
+      sites_[i].quarantine = fd.quarantine_cycles(i);
+      sites_[i].lagging_after = fd.lagging_after(i);
+    }
+  }
+
+  long h() const { return h_; }
+
+  void BeginCycle(long cycle) {
+    cycle_ = cycle;
+    for (int i = 0; i < static_cast<int>(sites_.size()); ++i) {
+      Site& s = sites_[i];
+      if (!Live(s.state)) continue;
+      const long misses = cycle_ - s.last_heard;
+      if (misses > s.dead_after * h_) {
+        Death(i);
+      } else if (misses > s.suspect_after * h_) {
+        if (s.state != State::kSuspect) Event("suspect", i, misses);
+        s.state = State::kSuspect;
+      } else if (misses >= 2 * h_) {
+        Event("heartbeat_miss", i, misses);
+      }
+    }
+  }
+  void RecordAlive(int i) {
+    sites_[i].last_heard = cycle_;
+    if (sites_[i].state == State::kSuspect) sites_[i].state = State::kAlive;
+  }
+  void ReportUnreachable(int i) {
+    if (sites_[i].state == State::kDead ||
+        sites_[i].state == State::kRejoining) {
+      return;
+    }
+    Event("unreachable", i);
+    Death(i);
+  }
+  bool RecordMissedDeadline(int i) {
+    Site& s = sites_[i];
+    if (!Live(s.state)) return false;
+    ++s.deadline_misses;
+    Event("deadline_miss", i, s.deadline_misses);
+    if (s.deadline_misses < s.lagging_after) return false;
+    s.state = State::kLagging;
+    s.lagging_since = cycle_;
+    s.deadline_misses = 0;
+    ++lagging_verdicts_;
+    Event("lagging", i, s.lagging_since);
+    return true;
+  }
+  void RecordDeadlineMet(int i) { sites_[i].deadline_misses = 0; }
+  void BeginRejoin(int i) {
+    if (sites_[i].state == State::kDead ||
+        sites_[i].state == State::kLagging) {
+      sites_[i].state = State::kRejoining;
+      Event("rejoin_begin", i);
+    }
+  }
+  void CompleteRejoin(int i) {
+    Site& s = sites_[i];
+    if (s.state != State::kRejoining && s.state != State::kDead &&
+        s.state != State::kLagging) {
+      return;
+    }
+    if (s.lagging_since >= 0) {
+      const long staleness = cycle_ - s.lagging_since;
+      staleness_total_ += staleness;
+      staleness_max_ = std::max(staleness_max_, staleness);
+      s.lagging_since = -1;
+      Event("lag_recovered", i, staleness);
+    }
+    s.state = State::kAlive;
+    s.last_heard = cycle_;
+    s.deadline_misses = 0;
+    Event("rejoin_complete", i);
+  }
+  void Restore(const std::vector<FailureDetector::SiteSnapshot>& snapshot,
+               long cycle) {
+    cycle_ = cycle;
+    for (std::size_t i = 0; i < sites_.size(); ++i) {
+      Site& s = sites_[i];
+      s.state = snapshot[i].state;
+      s.last_heard = snapshot[i].last_heard_cycle;
+      s.deaths = snapshot[i].deaths;
+      s.death_cycles = snapshot[i].death_cycles;
+      s.quarantine_until = snapshot[i].quarantine_until;
+      s.deadline_misses = 0;
+      s.lagging_since = s.state == State::kLagging ? cycle : -1;
+    }
+  }
+
+  /// Every observable the detector exposes, for one site or in total.
+  void ExpectMatches(const FailureDetector& fd) const {
+    int live = 0;
+    int lagging = 0;
+    long deaths = 0;
+    for (int i = 0; i < static_cast<int>(sites_.size()); ++i) {
+      const Site& s = sites_[i];
+      ASSERT_EQ(fd.state(i), s.state) << "site " << i;
+      ASSERT_EQ(fd.deaths(i), s.deaths) << "site " << i;
+      ASSERT_EQ(fd.lagging_since(i), s.lagging_since) << "site " << i;
+      ASSERT_EQ(fd.IsQuarantined(i), s.quarantine_until >= cycle_)
+          << "site " << i;
+      live += Live(s.state) ? 1 : 0;
+      lagging += s.state == State::kLagging ? 1 : 0;
+      deaths += s.deaths;
+    }
+    ASSERT_EQ(fd.live_count(), live);
+    ASSERT_EQ(fd.lagging_count(), lagging);
+    ASSERT_EQ(fd.total_deaths(), deaths);
+    ASSERT_EQ(fd.total_lagging_verdicts(), lagging_verdicts_);
+    ASSERT_EQ(fd.staleness_cycles_total(), staleness_total_);
+    ASSERT_EQ(fd.staleness_cycles_max(), staleness_max_);
+  }
+
+  /// The `failure` events emitted so far, as "name actor [value]".
+  const std::vector<std::string>& events() const { return events_; }
+
+ private:
+  struct Site {
+    State state = State::kAlive;
+    long last_heard = 0;
+    long deaths = 0;
+    std::vector<long> death_cycles;
+    long quarantine_until = -1;
+    int deadline_misses = 0;
+    long lagging_since = -1;
+    int suspect_after = 0;
+    int dead_after = 0;
+    long quarantine = 0;
+    int lagging_after = 0;
+  };
+
+  static bool Live(State state) {
+    return state == State::kAlive || state == State::kSuspect;
+  }
+  void Event(const char* name, int site) {
+    events_.push_back(std::string(name) + " " + std::to_string(site));
+  }
+  void Event(const char* name, int site, long value) {
+    events_.push_back(std::string(name) + " " + std::to_string(site) + " " +
+                      std::to_string(value));
+  }
+  void Death(int i) {
+    Site& s = sites_[i];
+    s.state = State::kDead;
+    ++s.deaths;
+    s.death_cycles.push_back(cycle_);
+    const long horizon = cycle_ - config_.flap_window_cycles;
+    std::erase_if(s.death_cycles, [horizon](long c) { return c < horizon; });
+    Event("dead", i, s.deaths);
+    if (static_cast<int>(s.death_cycles.size()) >=
+        config_.flap_death_threshold) {
+      s.quarantine_until = cycle_ + s.quarantine;
+      Event("quarantined", i, s.quarantine_until);
+    }
+  }
+
+  FailureDetectorConfig config_;
+  std::vector<Site> sites_;
+  long h_ = 1;
+  long cycle_ = 0;
+  long lagging_verdicts_ = 0;
+  long staleness_total_ = 0;
+  long staleness_max_ = 0;
+  std::vector<std::string> events_;
+};
+
+/// A logged `failure` event in SweepModel's notation.
+std::string Describe(const TraceEvent& event) {
+  std::string out = event.name + " " + std::to_string(event.actor);
+  for (const TraceArg& arg : event.args) {
+    out += " " + std::to_string(arg.int_value);
+  }
+  return out;
+}
+
 // The live, lagging and death totals are kept current on every state change
-// rather than recounted on each read. After every step of seeded random
-// walks over every transition, Restore included, they must equal a recount.
+// rather than recounted on each read, and BeginCycle visits only the sites
+// whose silence is due for a transition or a breadcrumb. After every step of
+// seeded random walks over every transition, Restore included, states and
+// totals must equal those of SweepModel, which evaluates every site every
+// cycle, and so must the emitted `failure` events, at H = 1, 2, 5, 8 and 12.
 TEST(FailureDetectorTest, RunningTotalsMatchARecountAfterEveryTransition) {
-  constexpr int kSites = 64;
   FailureDetectorConfig config = SmallConfig();
   config.threshold_jitter = 0.3;
-  using State = FailureDetector::State;
   struct Checkpoint {
     std::vector<FailureDetector::SiteSnapshot> sites;
     long cycle;
   };
-  for (std::uint64_t seed = 1; seed <= 8; ++seed) {
-    FailureDetector fd(kSites, config);
-    Rng rng(seed);
-    long cycle = 0;
-    std::vector<Checkpoint> checkpoints;
-    long restores = 0;
-    for (int step = 0; step < 4000; ++step) {
-      const int site = static_cast<int>(rng.NextBounded(kSites));
-      switch (rng.NextBounded(12)) {
-        case 0:
-          fd.BeginCycle(++cycle);
-          break;
-        case 1:
-        case 2:
-        case 3:
-        case 4:
-          fd.RecordAlive(site);
-          break;
-        case 5:
-          fd.ReportUnreachable(site);
-          break;
-        case 6:
-          fd.RecordMissedDeadline(site);
-          break;
-        case 7:
-          fd.RecordDeadlineMet(site);
-          break;
-        case 8:
-          fd.BeginRejoin(site);
-          break;
-        case 9:
-          fd.CompleteRejoin(site);
-          break;
-        default:
-          if (checkpoints.empty() || rng.NextBernoulli(0.5)) {
-            checkpoints.push_back({fd.Snapshot(), cycle});
-          } else {
-            const Checkpoint& back =
-                checkpoints[rng.NextBounded(checkpoints.size())];
-            fd.Restore(back.sites, back.cycle);
-            cycle = back.cycle;
-            ++restores;
-          }
+  for (const int num_sites : {1, 3, 21, 64, 133}) {
+    for (std::uint64_t seed = 1; seed <= 8; ++seed) {
+      SCOPED_TRACE(::testing::Message()
+                   << "sites " << num_sites << " seed " << seed);
+      Telemetry telemetry;
+      FailureDetector fd(num_sites, config);
+      fd.set_telemetry(&telemetry);
+      SweepModel model(fd, num_sites, config);
+      ASSERT_EQ(fd.heartbeat_interval(), model.h());
+      Rng rng(seed);
+      long cycle = 0;
+      std::vector<Checkpoint> checkpoints;
+      long restores = 0;
+      for (int step = 0; step < 4000; ++step) {
+        const int site = static_cast<int>(rng.NextBounded(num_sites));
+        switch (rng.NextBounded(12)) {
+          case 0:
+            fd.BeginCycle(++cycle);
+            model.BeginCycle(cycle);
+            break;
+          case 1:
+          case 2:
+          case 3:
+          case 4:
+            fd.RecordAlive(site);
+            model.RecordAlive(site);
+            break;
+          case 5:
+            fd.ReportUnreachable(site);
+            model.ReportUnreachable(site);
+            break;
+          case 6:
+            ASSERT_EQ(fd.RecordMissedDeadline(site),
+                      model.RecordMissedDeadline(site));
+            break;
+          case 7:
+            fd.RecordDeadlineMet(site);
+            model.RecordDeadlineMet(site);
+            break;
+          case 8:
+            fd.BeginRejoin(site);
+            model.BeginRejoin(site);
+            break;
+          case 9:
+            fd.CompleteRejoin(site);
+            model.CompleteRejoin(site);
+            break;
+          default:
+            if (checkpoints.empty() || rng.NextBernoulli(0.5)) {
+              checkpoints.push_back({fd.Snapshot(), cycle});
+            } else {
+              const Checkpoint& back =
+                  checkpoints[rng.NextBounded(checkpoints.size())];
+              fd.Restore(back.sites, back.cycle);
+              model.Restore(back.sites, back.cycle);
+              cycle = back.cycle;
+              ++restores;
+            }
+        }
+        ASSERT_NO_FATAL_FAILURE(model.ExpectMatches(fd)) << "step " << step;
       }
-      int live = 0;
-      int lagging = 0;
-      long deaths = 0;
-      for (int s = 0; s < kSites; ++s) {
-        if (fd.IsLive(s)) ++live;
-        if (fd.state(s) == State::kLagging) ++lagging;
-        deaths += fd.deaths(s);
+      EXPECT_GT(restores, 0);
+      EXPECT_GT(fd.total_deaths(), 0);
+      const std::vector<TraceEvent> logged = telemetry.trace.events();
+      ASSERT_EQ(logged.size(), model.events().size());
+      for (std::size_t i = 0; i < logged.size(); ++i) {
+        ASSERT_EQ(Describe(logged[i]), model.events()[i]) << "event " << i;
       }
-      ASSERT_EQ(fd.live_count(), live) << "seed " << seed << " step " << step;
-      ASSERT_EQ(fd.lagging_count(), lagging)
-          << "seed " << seed << " step " << step;
-      ASSERT_EQ(fd.total_deaths(), deaths)
-          << "seed " << seed << " step " << step;
     }
-    EXPECT_GT(restores, 0);
-    EXPECT_GT(fd.total_deaths(), 0);
   }
 }
 

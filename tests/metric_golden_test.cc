@@ -82,10 +82,10 @@ counter degraded.lag_quarantines 0
 counter degraded.staleness_cycles_total 0
 counter failure.total_deaths 0
 counter obs.trace.bytes_written 0
-counter obs.trace.events 2076
-counter obs.trace.recorded 181
-counter obs.trace.sampled_out 1895
-counter site.heartbeats_sent 1927
+counter obs.trace.events 630
+counter obs.trace.recorded 53
+counter obs.trace.sampled_out 577
+counter site.heartbeats_sent 481
 counter site.rejoin_requests_sent 0
 counter site.stale_epoch_applied 0
 counter site.stale_epoch_drops 0
@@ -97,68 +97,68 @@ counter transport.paper_messages 146
 counter transport.paper_site_messages 125
 counter transport.queue_evictions 0
 counter transport.retransmissions 0
-counter transport.total_messages 2534
+counter transport.total_messages 1088
 counter transport.tracked_sends 146
 gauge degraded.lagging_sites 0
 gauge degraded.staleness_cycles_max 0
 gauge failure.live_count 16
 gauge transport.paper_bytes 6416
-gauge transport.total_bytes 44624
+gauge transport.total_bytes 21488
 )";
 
 constexpr char kFaultyRows[] = R"(counter coordinator.degraded_syncs 1
-counter coordinator.epoch 14
-counter coordinator.full_syncs 8
-counter coordinator.late_reports 17
+counter coordinator.epoch 13
+counter coordinator.full_syncs 7
+counter coordinator.late_reports 16
 counter coordinator.malformed_reports 0
 counter coordinator.partial_resolutions 1
-counter coordinator.rejoins_granted 17
+counter coordinator.rejoins_granted 16
 counter coordinator.stale_epoch_applied 0
 counter coordinator.stale_epoch_drops 0
 counter coordinator.sync_rerequests 0
 counter degraded.cycles 10
-counter degraded.lag_quarantines 5
-counter degraded.staleness_cycles_total 5
-counter failure.total_deaths 2
+counter degraded.lag_quarantines 3
+counter degraded.staleness_cycles_total 13
+counter failure.total_deaths 1
 counter obs.ring.dropped 0
-counter obs.ring.overwrites 7487
-counter obs.ring.recorded 7551
+counter obs.ring.overwrites 3974
+counter obs.ring.recorded 4038
 counter obs.trace.bytes_written 0
-counter obs.trace.events 7551
-counter obs.trace.recorded 7551
+counter obs.trace.events 4038
+counter obs.trace.recorded 4038
 counter obs.trace.sampled_out 0
 counter recovery.coordinator_crashes 1
-counter recovery.down_drops 102
+counter recovery.down_drops 28
 counter recovery.reconcile_grants 16
 counter recovery.restores 1
 counter recovery.snapshots_discarded 0
 counter recovery.snapshots_written 7
 counter recovery.torn_wal_bytes 0
-counter recovery.wal_records 40
+counter recovery.wal_records 37
 counter recovery.wal_records_replayed 0
-counter site.heartbeats_sent 2386
+counter site.heartbeats_sent 596
 counter site.rejoin_requests_sent 0
 counter site.stale_epoch_applied 0
 counter site.stale_epoch_drops 0
-counter transport.acks_sent 1029
+counter transport.acks_sent 936
 counter transport.dedup_evictions 0
-counter transport.duplicates_suppressed 497
+counter transport.duplicates_suppressed 454
 counter transport.faults_corrupted 0
-counter transport.faults_delayed 2860
-counter transport.faults_dropped 475
-counter transport.faults_duplicated 198
-counter transport.give_ups 1
-counter transport.paper_messages 187
-counter transport.paper_site_messages 165
+counter transport.faults_delayed 1653
+counter transport.faults_dropped 278
+counter transport.faults_duplicated 119
+counter transport.give_ups 2
+counter transport.paper_messages 168
+counter transport.paper_site_messages 148
 counter transport.queue_evictions 0
-counter transport.retransmissions 563
-counter transport.total_messages 4381
-counter transport.tracked_sends 205
+counter transport.retransmissions 535
+counter transport.total_messages 2371
+counter transport.tracked_sends 185
 gauge degraded.lagging_sites 0
-gauge degraded.staleness_cycles_max 1
+gauge degraded.staleness_cycles_max 7
 gauge failure.live_count 16
-gauge transport.paper_bytes 8496
-gauge transport.total_bytes 88488
+gauge transport.paper_bytes 7616
+gauge transport.total_bytes 54344
 )";
 
 constexpr char kServerNames[] = R"(counter coordinator.degraded_syncs

@@ -11,6 +11,7 @@
 #include <gtest/gtest.h>
 
 #include "functions/l2_norm.h"
+#include "runtime/checkpoint.h"
 #include "runtime/driver.h"
 
 namespace sgm {
@@ -212,6 +213,58 @@ TEST_F(HostileReportTest, FirstStateReportSetsTheDimensionBeforeAnySync) {
   EXPECT_EQ(coordinator_.full_syncs(), 1);
   EXPECT_EQ(coordinator_.degraded_syncs(), 0);
   EXPECT_EQ(coordinator_.estimate(), (Vector{2.0, 3.0, 4.0}));
+}
+
+// A collection the previous cycle left open (a straggler's re-request found
+// no route, so the transport went quiet with the round unfinished) closes at
+// the next BeginCycle over the reports it has: a degraded sync, committed as
+// one, with its follow-up resync. The straggler's report, arriving in the
+// new cycle, only refreshes its last-known vector instead of completing the
+// round as a clean sync over vectors from two cycles.
+TEST(RuntimeFaultTest, CollectionLeftOpenAtCycleEndCompletesDegraded) {
+  const L2Norm norm;
+  InMemoryCheckpointStore store;
+  RuntimeConfig config = Config(3.0);
+  config.checkpoint_store = &store;
+  InMemoryBus bus;
+  CoordinatorNode coordinator(3, norm, config, &bus);
+  const auto report = [&coordinator](int site) {
+    RuntimeMessage m;
+    m.type = RuntimeMessage::Type::kStateReport;
+    m.from = site;
+    m.to = kCoordinatorId;
+    m.epoch = coordinator.epoch();
+    m.payload = Vector{1.0, 0.0};
+    coordinator.OnMessage(m);
+  };
+  coordinator.Start();
+  report(0);
+  report(1);
+  ASSERT_EQ(coordinator.full_syncs(), 0);
+
+  coordinator.BeginCycle();
+  EXPECT_EQ(coordinator.full_syncs(), 1);
+  EXPECT_EQ(coordinator.degraded_syncs(), 1);
+  report(2);
+  EXPECT_EQ(coordinator.full_syncs(), 1);
+  EXPECT_EQ(coordinator.degraded_syncs(), 1);
+  EXPECT_EQ(coordinator.audit().late_reports, 1);
+
+  // The WAL commit carries the degraded count.
+  const Result<Reconstruction> rebuilt = ReconstructCoordinatorState(store);
+  ASSERT_TRUE(rebuilt.ok());
+  EXPECT_EQ(rebuilt.ValueOrDie().state.full_syncs, 1);
+  EXPECT_EQ(rebuilt.ValueOrDie().state.degraded_syncs, 1);
+
+  // The follow-up resync opens degraded_resync_cycles cycles after the
+  // round's own cycle, the first BeginCycle above included.
+  const std::int64_t epoch = coordinator.epoch();
+  for (int c = 2; c < config.degraded_resync_cycles; ++c) {
+    coordinator.BeginCycle();
+    EXPECT_EQ(coordinator.epoch(), epoch) << "cycle " << c;
+  }
+  coordinator.BeginCycle();
+  EXPECT_EQ(coordinator.epoch(), epoch + 1);
 }
 
 TEST(RuntimeFaultTest, InvalidMuteLengthLeavesTheSiteMonitoring) {

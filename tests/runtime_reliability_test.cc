@@ -1,8 +1,12 @@
 // Runtime-level tests of the reliability layer: epoch fencing at both node
-// types, heartbeat liveness, the named resync/retry configuration knobs,
-// and the crash → rejoin → reconverge path (see docs/DESIGN.md).
+// types, heartbeat liveness (staggered slots, detection latency in missed
+// beats, proof of anchor), the named resync/retry configuration knobs, and
+// the crash → rejoin → reconverge path (see docs/DESIGN.md).
 
-#include <algorithm>
+#include <cstdint>
+#include <limits>
+#include <memory>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -27,7 +31,6 @@ TEST(RuntimeReliabilityTest, NamedConfigDefaultsAreDocumentedValues) {
   EXPECT_EQ(config.empty_collection_retry_cycles, 1);
   EXPECT_EQ(config.degraded_resync_cycles, 5);
   EXPECT_EQ(config.max_sync_retries, 2);
-  EXPECT_EQ(config.heartbeat_interval_cycles, 1);
   EXPECT_EQ(config.rejoin_resync_cycles, 2);
   EXPECT_EQ(config.failure_detector.suspect_after_misses, 3);
   EXPECT_EQ(config.failure_detector.dead_after_misses, 6);
@@ -150,63 +153,6 @@ TEST(RuntimeReliabilityTest, HeartbeatsKeepQuietSitesAlive) {
   }
 }
 
-// A heartbeat cadence equal to the suspect threshold is the slowest one the
-// coordinator accepts: a quiet fleet heartbeating every 3 cycles against
-// suspect_after_misses = 3 ends every cycle alive.
-TEST(RuntimeReliabilityTest,
-     HeartbeatCadenceAtSuspectThresholdKeepsSitesAlive) {
-  const L2Norm norm;
-  RuntimeConfig config = Config(1000.0);
-  config.heartbeat_interval_cycles = 3;
-  ASSERT_EQ(config.failure_detector.suspect_after_misses, 3);
-  RuntimeDriver driver(6, norm, config);
-  std::vector<Vector> locals(6, Vector{1.0, 0.0});
-  driver.Initialize(locals);
-  for (int t = 0; t < 30; ++t) {
-    driver.Tick(locals);
-    for (int i = 0; i < 6; ++i) {
-      ASSERT_EQ(driver.coordinator().failure_detector().state(i),
-                FailureDetector::State::kAlive)
-          << "site " << i << " at cycle " << t;
-    }
-  }
-  EXPECT_EQ(driver.coordinator().failure_detector().total_deaths(), 0);
-}
-
-TEST(RuntimeReliabilityDeathTest, HeartbeatCadenceBeyondSuspectThresholdDies) {
-  const L2Norm norm;
-  RuntimeConfig config = Config(1000.0);
-  config.heartbeat_interval_cycles = 4;
-  config.failure_detector.suspect_after_misses = 3;
-  EXPECT_DEATH(RuntimeDriver(6, norm, config),
-               "heartbeat_interval_cycles 4 exceeds site 0's failure "
-               "detector suspect threshold 3");
-}
-
-// The check reads the per-site thresholds after jitter: a cadence within
-// the configured suspect_after_misses still dies when one site's jittered
-// threshold falls below it, and constructs at the smallest one.
-TEST(RuntimeReliabilityDeathTest, JitteredSuspectThresholdBelowCadenceDies) {
-  const L2Norm norm;
-  RuntimeConfig config = Config(1000.0);
-  config.failure_detector.suspect_after_misses = 6;
-  config.failure_detector.dead_after_misses = 12;
-  config.failure_detector.threshold_jitter = 0.5;
-  const FailureDetector fd(16, config.failure_detector);
-  int smallest = fd.suspect_after(0);
-  for (int site = 1; site < 16; ++site) {
-    smallest = std::min(smallest, fd.suspect_after(site));
-  }
-  ASSERT_LT(smallest, config.failure_detector.suspect_after_misses);
-
-  config.heartbeat_interval_cycles = smallest + 1;
-  EXPECT_DEATH(RuntimeDriver(16, norm, config), "heartbeat_interval_cycles");
-
-  config.heartbeat_interval_cycles = smallest;
-  const RuntimeDriver driver(16, norm, config);
-  EXPECT_EQ(driver.coordinator().failure_detector().live_count(), 16);
-}
-
 TEST(RuntimeReliabilityTest, DefaultHeartbeatCadenceConstructs) {
   const L2Norm norm;
   const RuntimeDriver driver(6, norm, Config(1000.0));
@@ -221,15 +167,18 @@ TEST(RuntimeReliabilityTest, QuietRecoveryRevivesWithoutAGrant) {
   RuntimeDriver driver(4, norm, config, SimTransportConfig{});
   std::vector<Vector> locals(4, Vector{1.0, 0.0});
   driver.Initialize(locals);
+  // Misses are beats of H = 2 cycles at four sites.
+  const int h = driver.coordinator().failure_detector().heartbeat_interval();
+  ASSERT_EQ(h, 2);
 
   driver.sim_transport()->CrashSite(2);
-  for (int t = 0; t < 6; ++t) driver.Tick(locals);
+  for (int t = 0; t < 6 * h; ++t) driver.Tick(locals);
   EXPECT_EQ(driver.coordinator().failure_detector().state(2),
             FailureDetector::State::kDead);
   EXPECT_EQ(driver.coordinator().failure_detector().live_count(), 3);
 
   driver.sim_transport()->RecoverSite(2);
-  for (int t = 0; t < 6; ++t) driver.Tick(locals);
+  for (int t = 0; t < 6 * h; ++t) driver.Tick(locals);
   // No epoch advanced while the site was down: its first heartbeat carries
   // the *current* epoch, so it missed nothing and is revived directly —
   // no rejoin handshake, no resync churn.
@@ -238,6 +187,279 @@ TEST(RuntimeReliabilityTest, QuietRecoveryRevivesWithoutAGrant) {
             FailureDetector::State::kAlive);
   EXPECT_EQ(driver.coordinator().failure_detector().live_count(), 4);
   EXPECT_TRUE(driver.site(2).anchored());
+}
+
+// Staggered slots: site i beats when (c + i) mod H = 0 on its c-th cycle,
+// so a quiet, faultless fleet carries at most ⌈N/H⌉ standalone heartbeats a
+// cycle, every site beats within every H cycles, and the detector never
+// reads the cadence as a failure.
+TEST(RuntimeReliabilityTest, StaggeredHeartbeatsSpreadEvenlyAcrossCycles) {
+  const L2Norm norm;
+  for (const int n : {16, 128, 2048}) {
+    SCOPED_TRACE(::testing::Message() << n << " sites");
+    RuntimeDriver driver(n, norm, Config(1000.0));
+    std::vector<Vector> locals(n, Vector{1.0, 0.0});
+    driver.Initialize(locals);
+    const FailureDetector& fd = driver.coordinator().failure_detector();
+    const long h = HeartbeatIntervalCycles(n);
+    ASSERT_EQ(fd.heartbeat_interval(), h);
+    const long cap = (n + h - 1) / h;
+    std::vector<long> sent(n);
+    std::vector<long> last_beat(n, 0);
+    for (int i = 0; i < n; ++i) sent[i] = driver.site(i).audit().heartbeats_sent;
+    for (long t = 1; t <= 4 * h; ++t) {
+      driver.Tick(locals);
+      long beats = 0;
+      for (int i = 0; i < n; ++i) {
+        const long now = driver.site(i).audit().heartbeats_sent;
+        if (now > sent[i]) {
+          beats += now - sent[i];
+          sent[i] = now;
+          last_beat[i] = t;
+        }
+        if (t >= h) {
+          ASSERT_LT(t - last_beat[i], h) << "site " << i << " cycle " << t;
+        }
+        ASSERT_EQ(fd.state(i), FailureDetector::State::kAlive)
+            << "site " << i << " cycle " << t;
+      }
+      ASSERT_LE(beats, cap) << "cycle " << t;
+    }
+  }
+}
+
+// Detection latency in a fully quiet period: a crashed site is suspected
+// exactly when its silence exceeds suspect_after_misses beats of H cycles,
+// and declared dead exactly when it exceeds dead_after_misses beats.
+TEST(RuntimeReliabilityTest, CrashedQuietSiteIsDetectedAfterItsMissedBeats) {
+  const L2Norm norm;
+  const RuntimeConfig config = Config(1000.0);  // no threshold jitter
+  ASSERT_EQ(config.failure_detector.threshold_jitter, 0.0);
+  for (const int n : {4, 128}) {
+    SCOPED_TRACE(::testing::Message() << n << " sites");
+    RuntimeDriver driver(n, norm, config, SimTransportConfig{});
+    std::vector<Vector> locals(n, Vector{1.0, 0.0});
+    driver.Initialize(locals);
+    const FailureDetector& fd = driver.coordinator().failure_detector();
+    const long h = fd.heartbeat_interval();
+    const long suspect = config.failure_detector.suspect_after_misses * h;
+    const long dead = config.failure_detector.dead_after_misses * h;
+    // Crash the victim right after a beat: the coordinator last heard from
+    // it in that cycle.
+    const int victim = n / 2;
+    const long beats = driver.site(victim).audit().heartbeats_sent;
+    while (driver.site(victim).audit().heartbeats_sent == beats) {
+      driver.Tick(locals);
+    }
+    driver.sim_transport()->CrashSite(victim);
+    for (long silent = 1; silent <= dead + 1; ++silent) {
+      driver.Tick(locals);
+      const FailureDetector::State expected =
+          silent <= suspect ? FailureDetector::State::kAlive
+          : silent <= dead  ? FailureDetector::State::kSuspect
+                            : FailureDetector::State::kDead;
+      ASSERT_EQ(fd.state(victim), expected) << "silent " << silent;
+    }
+    EXPECT_EQ(fd.total_deaths(), 1);
+  }
+}
+
+/// Three sites and a coordinator over one reliability layer, routed by hand
+/// like RuntimeDriver so a test can lose the frames it names: here, site 2's
+/// ack of the initialization sync's estimate broadcast. The coordinator
+/// gives that anchor up, declares site 2 dead and records the anchor as
+/// undelivered, although site 2 holds it.
+class LostAnchorAck {
+ public:
+  static constexpr int kSites = 3;
+
+  LostAnchorAck()
+      : reliable_(&bus_, kSites, ReliableTransportConfig{}, nullptr),
+        coordinator_(kSites, norm_, Config(1000.0), &reliable_) {
+    coordinator_.AttachReliability(&reliable_);
+    for (int i = 0; i < kSites; ++i) {
+      sites_.push_back(std::make_unique<SiteNode>(i, kSites, norm_,
+                                                  Config(1000.0), &reliable_));
+      sites_[i]->Observe(Vector{1.0, 0.0});
+    }
+    coordinator_.Start();
+    Route();
+  }
+
+  void Route() {
+    for (;;) {
+      while (!bus_.empty()) {
+        const RuntimeMessage m = bus_.Pop();
+        if (m.type == RuntimeMessage::Type::kNewEstimate) anchor_seq_ = m.seq;
+        if (m.type == RuntimeMessage::Type::kAck && m.from == 2 &&
+            m.seq == anchor_seq_) {
+          continue;  // lost on the wire, every retransmission's ack too
+        }
+        if (m.to == kBroadcastId) {
+          for (int i = 0; i < kSites; ++i) Deliver(i, m);
+        } else {
+          Deliver(m.to, m);
+        }
+      }
+      if (reliable_.HasUnacked()) {
+        reliable_.AdvanceRound();
+        continue;
+      }
+      coordinator_.OnQuiescent();
+      if (bus_.empty() && !reliable_.HasUnacked()) return;
+    }
+  }
+
+  void Deliver(int receiver, const RuntimeMessage& message) {
+    std::vector<RuntimeMessage> fresh;
+    reliable_.OnDeliver(receiver, message, &fresh);
+    for (const RuntimeMessage& m : fresh) {
+      if (receiver == kCoordinatorId) {
+        coordinator_.OnMessage(m);
+      } else {
+        sites_[receiver]->OnMessage(m);
+      }
+    }
+  }
+
+  void Tick() {
+    coordinator_.BeginCycle();
+    for (auto& site : sites_) site->Observe(Vector{1.0, 0.0});
+    Route();
+  }
+
+  FailureDetector::State state(int site) const {
+    return coordinator_.failure_detector().state(site);
+  }
+
+  L2Norm norm_;
+  InMemoryBus bus_;
+  ReliableTransport reliable_;
+  CoordinatorNode coordinator_;
+  std::vector<std::unique_ptr<SiteNode>> sites_;
+  std::int64_t anchor_seq_ = -1;
+};
+
+// Proof of anchor: site 2's heartbeat names the epoch of the estimate it
+// holds, the one the coordinator gave up on, so it revives without a grant
+// and without the resync a completed grant schedules.
+TEST(RuntimeReliabilityTest, HeartbeatNamingTheLostAnchorRevivesWithoutAGrant) {
+  LostAnchorAck deployment;
+  const CoordinatorNode& coordinator = deployment.coordinator_;
+  ASSERT_EQ(coordinator.full_syncs(), 1);
+  ASSERT_EQ(deployment.state(2), FailureDetector::State::kDead);
+  ASSERT_TRUE(deployment.sites_[2]->anchored());
+  ASSERT_EQ(deployment.sites_[2]->epoch(), coordinator.epoch());
+  for (int t = 0; t < 8; ++t) deployment.Tick();
+  EXPECT_EQ(deployment.state(2), FailureDetector::State::kAlive);
+  EXPECT_EQ(coordinator.audit().rejoins_granted, 0);
+  EXPECT_EQ(coordinator.full_syncs(), 1);
+  EXPECT_EQ(coordinator.epoch(), 1);
+}
+
+// A heartbeat that proves nothing (an older anchor, or a scalar that reads
+// as no count) leaves the conservative path in place: the site is granted.
+TEST(RuntimeReliabilityTest, HeartbeatNotNamingTheLostAnchorStillDrawsAGrant) {
+  for (const double scalar :
+       {0.0, std::numeric_limits<double>::quiet_NaN(), -1.0, 1e300}) {
+    SCOPED_TRACE(scalar);
+    LostAnchorAck deployment;
+    CoordinatorNode& coordinator = deployment.coordinator_;
+    ASSERT_EQ(deployment.state(2), FailureDetector::State::kDead);
+    coordinator.BeginCycle();
+    RuntimeMessage heartbeat;
+    heartbeat.type = RuntimeMessage::Type::kHeartbeat;
+    heartbeat.from = 2;
+    heartbeat.to = kCoordinatorId;
+    heartbeat.epoch = coordinator.epoch();
+    heartbeat.scalar = scalar;
+    coordinator.OnMessage(heartbeat);
+    EXPECT_EQ(coordinator.audit().rejoins_granted, 1);
+    EXPECT_EQ(deployment.state(2), FailureDetector::State::kRejoining);
+  }
+}
+
+// The proof is refused to a site granted in the epoch of the last estimate
+// broadcast: a grant issued during that collection carries the estimate
+// from before the sync under the sync's own epoch, so the epoch cannot tell
+// the two anchors apart. The coordinator is fed by hand over a reliability
+// layer whose acks the test sends.
+TEST(RuntimeReliabilityTest, HeartbeatFromASiteGrantedInTheAnchorEpochDrawsAGrant) {
+  const L2Norm norm;
+  InMemoryBus bus;
+  ReliableTransport reliable(&bus, 3, ReliableTransportConfig{}, nullptr);
+  CoordinatorNode coordinator(3, norm, Config(3.0), &reliable);
+  coordinator.AttachReliability(&reliable);
+  // Acks every coordinator message, except site 2's copies of the estimate
+  // broadcast when `lose_anchor_ack` is set, until nothing is in flight.
+  const auto drain = [&](bool lose_anchor_ack) {
+    for (;;) {
+      while (!bus.empty()) {
+        const RuntimeMessage m = bus.Pop();
+        for (int site = 0; site < 3; ++site) {
+          if (m.to != kBroadcastId && m.to != site) continue;
+          if (lose_anchor_ack && site == 2 &&
+              m.type == RuntimeMessage::Type::kNewEstimate) {
+            continue;
+          }
+          RuntimeMessage ack;
+          ack.type = RuntimeMessage::Type::kAck;
+          ack.from = site;
+          ack.to = kCoordinatorId;
+          ack.epoch = m.epoch;
+          ack.seq = m.seq;
+          std::vector<RuntimeMessage> fresh;
+          reliable.OnDeliver(kCoordinatorId, ack, &fresh);
+        }
+      }
+      if (!reliable.HasUnacked()) return;
+      reliable.AdvanceRound();
+    }
+  };
+  const auto send = [&](RuntimeMessage::Type type, int site, Vector payload,
+                        double scalar) {
+    RuntimeMessage m;
+    m.type = type;
+    m.from = site;
+    m.to = kCoordinatorId;
+    m.epoch = coordinator.epoch();
+    m.payload = std::move(payload);
+    m.scalar = scalar;
+    coordinator.OnMessage(m);
+  };
+  const auto report_all = [&](double x) {
+    for (int site = 0; site < 3; ++site) {
+      send(RuntimeMessage::Type::kStateReport, site, Vector{x, 0.0}, 0.0);
+    }
+  };
+
+  coordinator.Start();
+  drain(false);
+  report_all(1.0);  // e = (1, 0) under T = 3
+  drain(false);
+  // A drift that crosses T escalates the probe (epoch 2) to a collection
+  // (epoch 3), during which site 2 asks for and gets a grant.
+  coordinator.BeginCycle();
+  send(RuntimeMessage::Type::kLocalViolation, 0, Vector(), 0.0);
+  drain(false);
+  send(RuntimeMessage::Type::kDriftReport, 0, Vector{10.0, 0.0}, 1.0);
+  coordinator.OnQuiescent();
+  drain(false);
+  ASSERT_EQ(coordinator.epoch(), 3);
+  send(RuntimeMessage::Type::kRejoinRequest, 2, Vector(), 0.0);
+  ASSERT_EQ(coordinator.audit().rejoins_granted, 1);
+  drain(false);
+  report_all(4.0);
+  ASSERT_EQ(coordinator.full_syncs(), 2);
+  drain(true);  // site 2's ack of the epoch-3 estimate is lost: give-up
+  ASSERT_EQ(coordinator.failure_detector().state(2),
+            FailureDetector::State::kDead);
+
+  coordinator.BeginCycle();
+  send(RuntimeMessage::Type::kHeartbeat, 2, Vector(), 3.0);
+  EXPECT_EQ(coordinator.audit().rejoins_granted, 2);
+  EXPECT_EQ(coordinator.failure_detector().state(2),
+            FailureDetector::State::kRejoining);
 }
 
 TEST(RuntimeReliabilityTest, CrashedSiteThatMissedASyncRejoinsViaGrant) {

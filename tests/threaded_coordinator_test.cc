@@ -285,10 +285,11 @@ TEST(ThreadedCoordinatorTest, StalledSiteDegradesBarrierThenRejoins) {
 }
 
 TEST(ThreadedCoordinatorTest, OutOfRangeSenderFramesAreCountedNotFatal) {
-  // A CRC-valid frame can still name a sender outside the deployment. The
-  // coordinator must drop it as garbage on the wire (counted, stream kept)
-  // instead of handing it to the node, whose per-site state it would index
-  // out of range.
+  // A CRC-valid frame can still name a sender outside the deployment, or an
+  // epoch the coordinator has not issued. The coordinator must drop it as
+  // garbage on the wire (counted, stream kept) instead of handing it to the
+  // node, whose per-site state it would index out of range or whose epoch
+  // invariant it would break.
   const L2Norm norm;
   Telemetry telemetry;
   CoordinatorServerConfig server_config;
@@ -317,9 +318,14 @@ TEST(ThreadedCoordinatorTest, OutOfRangeSenderFramesAreCountedNotFatal) {
   negative.epoch = 1;
   negative.seq = 1;
   negative.payload = Vector(4, 0.5);
+  RuntimeMessage future;  // a real site, an epoch not issued yet
+  future.type = RuntimeMessage::Type::kHeartbeat;
+  future.from = 0;
+  future.to = kCoordinatorId;
+  future.epoch = server.Epoch() + 1;
   const int raw = ConnectTcpLoopback(server.port(), 2000);
   ASSERT_GE(raw, 0);
-  for (const RuntimeMessage& message : {beyond, negative}) {
+  for (const RuntimeMessage& message : {beyond, negative, future}) {
     const std::vector<std::uint8_t> frame = EncodeMessage(message);
     const std::uint32_t n = static_cast<std::uint32_t>(frame.size());
     std::vector<std::uint8_t> bytes = {
@@ -334,11 +340,11 @@ TEST(ThreadedCoordinatorTest, OutOfRangeSenderFramesAreCountedNotFatal) {
       telemetry.registry.GetCounter("socket.corrupt_frames");
   const auto give_up =
       std::chrono::steady_clock::now() + std::chrono::seconds(10);
-  while (corrupt->value() < 2 && std::chrono::steady_clock::now() < give_up) {
+  while (corrupt->value() < 3 && std::chrono::steady_clock::now() < give_up) {
     std::this_thread::sleep_for(std::chrono::milliseconds(5));
     server.PublishMetrics();
   }
-  EXPECT_EQ(corrupt->value(), 2);
+  EXPECT_EQ(corrupt->value(), 3);
 
   // The coordinator keeps serving the deployment.
   for (int cycle = 1; cycle <= kCycles; ++cycle) {
@@ -349,7 +355,7 @@ TEST(ThreadedCoordinatorTest, OutOfRangeSenderFramesAreCountedNotFatal) {
   ::close(raw);
   for (std::thread& site : sites) site.join();
   EXPECT_TRUE(sites_ok.load());
-  EXPECT_EQ(corrupt->value(), 2);
+  EXPECT_EQ(corrupt->value(), 3);
 }
 
 TEST(ThreadedCoordinatorTest, ShutdownWithoutCyclesIsClean) {
