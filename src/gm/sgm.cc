@@ -42,12 +42,6 @@ double SamplingGeometricMonitor::InclusionProbability(double drift_norm,
   return SamplingProbability(options_.delta, U, num_sites_, drift_norm);
 }
 
-double SamplingGeometricMonitor::AverageSampleSize() const {
-  if (sample_cycles_ == 0) return 0.0;
-  return static_cast<double>(sample_size_accum_) /
-         static_cast<double>(sample_cycles_);
-}
-
 CycleOutcome SamplingGeometricMonitor::MonitorCycle(
     const std::vector<Vector>& local_vectors, Metrics* metrics) {
   CycleOutcome outcome;
@@ -76,8 +70,6 @@ CycleOutcome SamplingGeometricMonitor::MonitorCycle(
       }
     }
   }
-  sample_size_accum_ += static_cast<long>(first_trial.size());
-  ++sample_cycles_;
   if (!alarm) return outcome;
   outcome.local_alarm = true;
 

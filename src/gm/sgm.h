@@ -79,9 +79,6 @@ class SamplingGeometricMonitor : public ProtocolBase {
   /// (resolved after Initialize() when options.num_trials == 0).
   int effective_trials() const { return effective_trials_; }
 
-  /// Mean per-cycle first-trial sample size observed so far (diagnostics).
-  double AverageSampleSize() const;
-
  protected:
   CycleOutcome MonitorCycle(const std::vector<Vector>& local_vectors,
                             Metrics* metrics) override;
@@ -94,8 +91,6 @@ class SamplingGeometricMonitor : public ProtocolBase {
   SgmOptions options_;
   std::vector<Rng> site_rngs_;
   int effective_trials_ = 1;
-  long sample_size_accum_ = 0;
-  long sample_cycles_ = 0;
 };
 
 }  // namespace sgm

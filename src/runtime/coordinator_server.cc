@@ -1,5 +1,6 @@
 #include "runtime/coordinator_server.h"
 
+#include <fcntl.h>
 #include <netinet/in.h>
 #include <netinet/tcp.h>
 #include <poll.h>
@@ -17,6 +18,17 @@
 #include "obs/telemetry.h"
 
 namespace sgm {
+
+namespace {
+
+/// Longest single wait of the event loop: the barrier loop re-checks its
+/// deadlines and advances the retransmission clock at least this often.
+constexpr int kPollSliceMs = 10;
+/// Cap on the shutdown flush: a stalled site's full buffer cannot hold
+/// process exit hostage.
+constexpr long kShutdownFlushMs = 500;
+
+}  // namespace
 
 CoordinatorServer::CoordinatorServer(const MonitoredFunction& function,
                                      const CoordinatorServerConfig& config)
@@ -49,19 +61,18 @@ CoordinatorServer::~CoordinatorServer() { Shutdown(); }
 bool CoordinatorServer::Listen() {
   SGM_CHECK(listen_fd_ < 0);
   listen_fd_ = ListenTcpLoopback(config_.port, &bound_port_);
-  if (listen_fd_ >= 0 && config_.send_queue_frames > 0) {
-    // Non-blocking outbound path: one stalled site must never wedge the
-    // threads that serve the rest of the deployment.
-    transport_.EnableAsyncWriter(config_.send_queue_frames);
-  }
-  return listen_fd_ >= 0;
+  if (listen_fd_ < 0) return false;
+  // Non-blocking, so one poll step accepts every pending connection and
+  // stops at EAGAIN.
+  ::fcntl(listen_fd_, F_SETFL, ::fcntl(listen_fd_, F_GETFL) | O_NONBLOCK);
+  return true;
 }
 
 bool CoordinatorServer::Recover() {
-  // The accept thread must not be running yet: CoordinatorNode::OnMessage
-  // checks message.epoch <= epoch_, so the fence has to be in place before
-  // the first site frame can reach the node.
-  SGM_CHECK(!accept_thread_.joinable());
+  // No session may be open yet: CoordinatorNode::OnMessage checks
+  // message.epoch <= epoch_, so the fence has to be in place before the
+  // first site frame can reach the node.
+  SGM_CHECK(sessions_.empty());
   std::lock_guard<std::mutex> lock(mu_);
   if (!coordinator_->Recover()) return false;
   // Resume cycle numbering where the restored node left off: the next
@@ -75,62 +86,78 @@ bool CoordinatorServer::Recover() {
 
 bool CoordinatorServer::WaitForSites() {
   SGM_CHECK(listen_fd_ >= 0);
-  accept_thread_ = std::thread(&CoordinatorServer::AcceptLoop, this);
-  std::unique_lock<std::mutex> lock(mu_);
-  return cv_.wait_for(
-      lock, std::chrono::milliseconds(config_.hello_timeout_ms),
-      [this] { return hellos_ == config_.num_sites; });
-}
-
-void CoordinatorServer::AcceptLoop() {
-  while (!stop_.load()) {
-    pollfd pfd{listen_fd_, POLLIN, 0};
-    const int ready = ::poll(&pfd, 1, 100);
-    if (ready < 0 && errno != EINTR) break;
-    if (ready <= 0) continue;
-    const int fd = ::accept(listen_fd_, nullptr, nullptr);
-    if (fd < 0) continue;
-    int one = 1;
-    ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
-    std::lock_guard<std::mutex> lock(mu_);
-    session_fds_.push_back(fd);
-    readers_.emplace_back(&CoordinatorServer::ReaderLoop, this, fd);
-  }
-}
-
-void CoordinatorServer::ReaderLoop(int fd) {
-  FrameReader reader;
-  std::array<std::uint8_t, 65536> buffer;
+  const auto deadline = std::chrono::steady_clock::now() +
+                        std::chrono::milliseconds(config_.hello_timeout_ms);
   for (;;) {
-    const ssize_t n = ::recv(fd, buffer.data(), buffer.size(), 0);
-    if (n == 0) break;  // peer closed (or Shutdown's SHUT_RD)
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      break;
-    }
-    reader.Append(buffer.data(), static_cast<std::size_t>(n));
-    std::vector<RuntimeMessage> frames;
-    FrameStats stats;
-    const bool stream_ok = DrainDecodedFrames(&reader, &frames, &stats);
-    bool keep = true;
     {
       std::lock_guard<std::mutex> lock(mu_);
-      corrupt_frames_ += stats.corrupt;
-      for (const RuntimeMessage& message : frames) {
-        keep = HandleFrame(fd, message) && keep;
-      }
+      if (hellos_ == config_.num_sites) return true;
     }
-    cv_.notify_all();
-    if (!stream_ok || !keep) {
-      // Poisoned stream or rejected registration: cut the connection.
-      ::shutdown(fd, SHUT_RDWR);
-      break;
+    if (std::chrono::steady_clock::now() >= deadline) return false;
+    PollOnce(kPollSliceMs);
+  }
+}
+
+void CoordinatorServer::PollOnce(int timeout_ms) {
+  std::vector<pollfd> fds;
+  std::vector<int> sites;  // fds[i + 1]'s site, or -1 before its hello
+  fds.reserve(sessions_.size() + 1);
+  sites.reserve(sessions_.size());
+  fds.push_back(pollfd{listen_fd_, POLLIN, 0});
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    for (const auto& [fd, reader] : sessions_) {
+      const auto it = fd_site_.find(fd);
+      const int site = it == fd_site_.end() ? -1 : it->second;
+      fds.push_back(pollfd{fd, POLLIN, 0});
+      if (site >= 0 && transport_.HasBacklog(site)) {
+        fds.back().events |= POLLOUT;
+      }
+      sites.push_back(site);
     }
   }
-  // Connection over. If this fd still maps to a site (it was not displaced
-  // by a re-hello on a fresh connection), deregister the site: the link is
-  // down until it dials back in.
+  if (::poll(fds.data(), fds.size(), timeout_ms) <= 0) return;
+  if ((fds[0].revents & POLLIN) != 0) {
+    for (;;) {
+      const int fd = ::accept(listen_fd_, nullptr, nullptr);
+      if (fd < 0) break;  // EAGAIN: every pending connection is accepted
+      int one = 1;
+      ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
+      sessions_.emplace(fd, FrameReader());
+    }
+  }
+  for (std::size_t i = 1; i < fds.size(); ++i) {
+    const short revents = fds[i].revents;
+    if ((revents & POLLOUT) != 0) transport_.FlushBacklog(sites[i - 1]);
+    if ((revents & (POLLIN | POLLHUP | POLLERR)) == 0) continue;
+    const int fd = fds[i].fd;
+    if (!ReadSession(fd, &sessions_.at(fd))) CloseSession(fd);
+  }
+}
+
+bool CoordinatorServer::ReadSession(int fd, FrameReader* reader) {
+  std::array<std::uint8_t, 65536> buffer;
+  const ssize_t n = ::recv(fd, buffer.data(), buffer.size(), MSG_DONTWAIT);
+  if (n == 0) return false;  // the peer closed
+  if (n < 0) return errno == EINTR || errno == EAGAIN || errno == EWOULDBLOCK;
+  reader->Append(buffer.data(), static_cast<std::size_t>(n));
+  std::vector<RuntimeMessage> frames;
+  FrameStats stats;
+  const bool stream_ok = DrainDecodedFrames(reader, &frames, &stats);
+  bool keep = true;
+  std::lock_guard<std::mutex> lock(mu_);
+  corrupt_frames_ += stats.corrupt;
+  for (const RuntimeMessage& message : frames) {
+    keep = HandleFrame(fd, message) && keep;
+  }
+  // A poisoned stream or a rejected registration cuts the connection.
+  return stream_ok && keep;
+}
+
+void CoordinatorServer::CloseSession(int fd) {
   {
+    // If this fd still maps to a site (a re-hello on a fresh connection
+    // did not displace it), the link is down until the site dials back in.
     std::lock_guard<std::mutex> lock(mu_);
     const auto it = fd_site_.find(fd);
     if (it != fd_site_.end()) {
@@ -142,7 +169,8 @@ void CoordinatorServer::ReaderLoop(int fd) {
       reliable_->MarkLinkDown(site);
     }
   }
-  cv_.notify_all();
+  sessions_.erase(fd);
+  ::close(fd);
 }
 
 void CoordinatorServer::EndSessionLocked(int site) {
@@ -162,8 +190,8 @@ bool CoordinatorServer::HandleFrame(int fd, const RuntimeMessage& message) {
       if (connected_[site]) {
         // The site dialed a new connection before we noticed the old one
         // die (or a half-open partition left it readable on our side).
-        // The fresh hello wins: displace the stale session — its reader
-        // finds its fd unmapped on exit and leaves the site alone, so the
+        // The fresh hello wins: displace the stale session — it finds its
+        // fd unmapped when it closes and leaves the site alone, so the
         // session's end is booked here.
         const int stale_fd = site_fds_[site];
         fd_site_.erase(stale_fd);
@@ -251,6 +279,9 @@ void CoordinatorServer::BroadcastControl(RuntimeMessage::Type type,
 }
 
 bool CoordinatorServer::RunCycle() {
+  // Serve what arrived since the last cycle (late acks, redialed sites)
+  // before the new cycle's hook runs.
+  PollOnce(0);
   {
     std::lock_guard<std::mutex> lock(mu_);
     ++cycle_;
@@ -328,6 +359,13 @@ bool CoordinatorServer::AwaitQuiescence() {
   bool slow_warned = false;
   bool expired = false;  // this cycle's soft deadline has passed
   std::unique_lock<std::mutex> lock(mu_);
+  // One event-loop step with mu_ released, then a retransmission round.
+  const auto serve = [&] {
+    lock.unlock();
+    PollOnce(kPollSliceMs);
+    lock.lock();
+    reliable_->AdvanceRound();
+  };
   for (;;) {
     if (std::chrono::steady_clock::now() >= deadline) return false;
     const long snapshot = transport_.data_frames_sent();
@@ -364,10 +402,9 @@ bool CoordinatorServer::AwaitQuiescence() {
         continue;  // quarantines may have emptied the pending population
       }
       if (expired) break;  // proceed over the responsive quorum
-      cv_.wait_for(lock, std::chrono::milliseconds(10));
       // The retransmission clock keeps running while we wait: a site that
       // lost its connection mid-cycle must still hit the give-up horizon.
-      reliable_->AdvanceRound();
+      serve();
     }
     if (topology_version_ != topology) continue;
     if (expired) {
@@ -390,8 +427,7 @@ bool CoordinatorServer::AwaitQuiescence() {
         // Acks still inbound — or a disconnected site holds tracked
         // traffic. Keep the round clock moving so those entries reach the
         // give-up horizon instead of spinning here forever.
-        cv_.wait_for(lock, std::chrono::milliseconds(10));
-        reliable_->AdvanceRound();
+        serve();
         continue;
       }
       if (soft_deadline) {
@@ -421,7 +457,7 @@ void CoordinatorServer::Shutdown() {
     shut_down_ = true;
     BroadcastControl(RuntimeMessage::Type::kShutdown, 0.0);
   }
-  StopThreads();
+  CloseSessions();
 }
 
 void CoordinatorServer::Halt() {
@@ -432,24 +468,15 @@ void CoordinatorServer::Halt() {
     // No kShutdown broadcast: sites see a raw connection loss, as after a
     // process kill, and reconnect to the next incarnation.
   }
-  StopThreads();
+  CloseSessions();
 }
 
-void CoordinatorServer::StopThreads() {
-  stop_.store(true);
-  if (accept_thread_.joinable()) accept_thread_.join();
-  // The accept thread is gone: session_fds_/readers_ are frozen now.
-  for (const int fd : session_fds_) ::shutdown(fd, SHUT_RD);
-  for (std::thread& reader : readers_) {
-    if (reader.joinable()) reader.join();
-  }
-  readers_.clear();
-  // Flush the async writer (bounded: a wedged peer's EAGAIN cannot hold
-  // shutdown hostage) while the session fds are still open, so a queued
-  // kShutdown broadcast reaches every responsive site.
-  transport_.StopAsyncWriter(500);
-  for (const int fd : session_fds_) ::close(fd);
-  session_fds_.clear();
+void CoordinatorServer::CloseSessions() {
+  // Flush while the session fds are still open, so a backlogged kShutdown
+  // broadcast still reaches every responsive site.
+  transport_.FlushBacklogs(kShutdownFlushMs);
+  for (const auto& [fd, reader] : sessions_) ::close(fd);
+  sessions_.clear();
   if (listen_fd_ >= 0) {
     ::close(listen_fd_);
     listen_fd_ = -1;

@@ -1,14 +1,11 @@
 #ifndef SGM_RUNTIME_COORDINATOR_SERVER_H_
 #define SGM_RUNTIME_COORDINATOR_SERVER_H_
 
-#include <atomic>
 #include <chrono>
-#include <condition_variable>
 #include <cstdint>
 #include <map>
 #include <memory>
 #include <mutex>
-#include <thread>
 #include <vector>
 
 #include "obs/metric_registry.h"
@@ -49,16 +46,14 @@ struct CoordinatorServerConfig {
   /// cycle is recorded degraded, and the cycle completes over the
   /// responsive quorum. barrier_timeout_ms stays the hard-fail backstop.
   long barrier_deadline_ms = 0;
-  /// Bounded per-peer outbound queue, in frames, drained by a dedicated
-  /// writer thread (see SocketTransport::EnableAsyncWriter): a stalled
-  /// site's full TCP buffer backs up only its own queue, never the accept,
-  /// reader or cycle threads. 0 keeps the synchronous write path.
-  std::size_t send_queue_frames = 0;
 };
 
-/// The coordinator tier as a real threaded network service: an accept
-/// thread plus one reader thread per site connection, all dispatching into
-/// a single CoordinatorNode guarded by one mutex.
+/// The coordinator tier as a network service that runs on its caller's
+/// thread alone: one poll() loop accepts site connections, reads and
+/// dispatches their frames into a single CoordinatorNode, and flushes the
+/// SocketTransport backlogs, the same way SiteClient's loop serves a site.
+/// WaitForSites(), RunCycle() and Shutdown() drive that loop; between those
+/// calls nothing reads the sockets, so site frames wait in the kernel.
 ///
 /// ── Lockstep cycles over TCP ───────────────────────────────────────────
 /// RunCycle() reproduces RuntimeDriver::Initialize/Tick semantics over
@@ -76,13 +71,13 @@ struct CoordinatorServerConfig {
 /// the loop terminates.
 ///
 /// ── Threading model ────────────────────────────────────────────────────
-/// One mutex (mu_) guards the CoordinatorNode, the ReliableTransport, the
-/// barrier bookkeeping and the registration table; reader threads take it
-/// per decoded frame, the cycle thread takes it per barrier step. The
-/// SocketTransport has its own internal mutex (lock order: mu_ before the
-/// transport's — reader threads and the cycle thread both follow it by
-/// construction, since every Send happens under mu_). Telemetry is
-/// internally thread-safe.
+/// The coordinator starts no thread. One mutex (mu_) guards the
+/// CoordinatorNode, the ReliableTransport, the barrier bookkeeping and the
+/// registration table, so that another thread (the /healthz ops endpoint)
+/// may call the getters mid-run. The loop takes it around dispatch and
+/// never holds it across poll(). No send blocks: SocketTransport writes
+/// with MSG_DONTWAIT and parks what the kernel does not take in a bounded
+/// per-peer backlog, so a stalled site backs up only its own backlog.
 ///
 /// Session-control frames (hello, barrier acks) are consumed here and
 /// never dispatched into the protocol node; everything else goes through
@@ -90,9 +85,9 @@ struct CoordinatorServerConfig {
 /// Deliver() does.
 ///
 /// ── Membership churn ───────────────────────────────────────────────────
-/// Connections may come and go mid-run. A reader hitting EOF/error
-/// deregisters its site (link marked down, disconnect counted); a fresh
-/// kSiteHello for an already-seen site is a *re-hello* — the stale
+/// Connections may come and go mid-run. A session that reads EOF or an
+/// error deregisters its site (link marked down, disconnect counted); a
+/// fresh kSiteHello for an already-seen site is a *re-hello* — the stale
 /// connection (if any) is displaced, the link marked up again, and the
 /// site unicast the current kCycleBegin so it catches up its observation.
 /// The barrier loop targets the *currently connected* population and
@@ -116,8 +111,7 @@ class CoordinatorServer {
   CoordinatorServer(const CoordinatorServer&) = delete;
   CoordinatorServer& operator=(const CoordinatorServer&) = delete;
 
-  /// Binds and listens on loopback. Starts no threads — safe to call
-  /// before fork()ing site processes. Returns false on bind failure.
+  /// Binds and listens on loopback. Returns false on bind failure.
   bool Listen();
   int port() const { return bound_port_; }
 
@@ -129,8 +123,8 @@ class CoordinatorServer {
   /// holds no decodable snapshot.
   bool Recover();
 
-  /// Starts the accept thread and blocks until all num_sites hellos have
-  /// registered (or hello_timeout_ms elapsed — returns false).
+  /// Serves the event loop until all num_sites hellos have registered (or
+  /// hello_timeout_ms elapsed — returns false).
   bool WaitForSites();
 
   /// Runs one lockstep update cycle to global quiescence. The first call
@@ -139,8 +133,9 @@ class CoordinatorServer {
   /// Returns false on barrier timeout (a site died or wedged).
   bool RunCycle();
 
-  /// Broadcasts kShutdown, stops the accept loop, closes every session and
-  /// joins all threads. Idempotent; the destructor calls it.
+  /// Broadcasts kShutdown, flushes the backlogs for at most 500 ms, and
+  /// closes every session and the listening socket. Idempotent; the
+  /// destructor calls it.
   void Shutdown();
 
   /// Crash-stop for restart tests: Shutdown() minus the kShutdown
@@ -219,8 +214,18 @@ class CoordinatorServer {
   void PublishMetrics();
 
  private:
-  void AcceptLoop();
-  void ReaderLoop(int fd);
+  /// One step of the event loop: waits up to `timeout_ms` for the
+  /// listening socket, every session and every backlogged site, then
+  /// accepts, reads and dispatches, and flushes. Takes mu_ only around
+  /// dispatch.
+  void PollOnce(int timeout_ms);
+  /// Reads what `fd` has and dispatches every complete frame. Returns false
+  /// when the session must end: EOF, a read error, a poisoned stream or a
+  /// rejected registration.
+  bool ReadSession(int fd, FrameReader* reader);
+  /// Ends the session on `fd`: deregisters its site unless a re-hello
+  /// displaced it, then closes the fd.
+  void CloseSession(int fd);
   /// Books the end of `site`'s current session, exactly once per session
   /// whichever path sees it end first (its reader's EOF, or a re-hello
   /// displacing it): drops the peer mapping, counts the disconnect, bumps
@@ -243,9 +248,9 @@ class CoordinatorServer {
   /// cycle is recorded degraded. Returns the missed-site count. Caller
   /// holds mu_.
   int HandleBarrierDeadlineLocked();
-  /// Shared teardown of Shutdown()/Halt(): stop accept, sever sessions,
-  /// join every thread, close every fd.
-  void StopThreads();
+  /// Shared teardown of Shutdown()/Halt(): a bounded backlog flush, then
+  /// every session and the listening socket closed.
+  void CloseSessions();
   /// The socket tier's own metric rows (its transport accounting and
   /// `socket.*`), read under mu_.
   static MetricRows<CoordinatorServer> SocketRows();
@@ -261,23 +266,19 @@ class CoordinatorServer {
 
   int listen_fd_ = -1;
   int bound_port_ = 0;
-  std::atomic<bool> stop_{false};
-  std::thread accept_thread_;
-  /// Reader threads and their fds; appended only by the accept thread,
-  /// iterated only after it is joined.
-  std::vector<std::thread> readers_;
-  std::vector<int> session_fds_;
+  /// Open connections, hello'd or not, and their partial-frame state.
+  /// Touched only by the thread that runs the event loop.
+  std::map<int, FrameReader> sessions_;
 
   mutable std::mutex mu_;
-  std::condition_variable cv_;
   /// Sites that have *ever* registered (first hellos count toward
   /// WaitForSites; later hellos from the same site are re-hellos).
   std::vector<bool> registered_;
   /// Sites with a live connection right now.
   std::vector<bool> connected_;
   /// Current session fd per site (-1 while disconnected) and its inverse;
-  /// a reader whose fd is no longer mapped was displaced by a re-hello and
-  /// must not deregister the site on exit.
+  /// a session whose fd is no longer mapped was displaced by a re-hello and
+  /// must not deregister the site when it ends.
   std::vector<int> site_fds_;
   std::map<int, int> fd_site_;
   /// Bumped on every connect/disconnect/displacement; the barrier loop

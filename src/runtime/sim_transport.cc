@@ -189,21 +189,34 @@ void SimTransport::Send(const RuntimeMessage& message) {
   Admit(message, link);
 }
 
-void SimTransport::PublishMetrics(MetricRegistry* registry) const {
-  if (registry == nullptr) return;
-  registry->GetCounter("transport.paper_messages")->Set(messages_sent_);
-  registry->GetCounter("transport.paper_site_messages")
-      ->Set(site_messages_sent_);
-  registry->GetGauge("transport.paper_bytes")->Set(bytes_sent_);
-  registry->GetCounter("transport.total_messages")
-      ->Set(transport_messages_sent_);
-  registry->GetGauge("transport.total_bytes")->Set(transport_bytes_sent_);
-  registry->GetCounter("transport.faults_dropped")->Set(dropped_messages_);
-  registry->GetCounter("transport.faults_duplicated")
-      ->Set(duplicated_messages_);
-  registry->GetCounter("transport.faults_delayed")->Set(delayed_messages_);
-  registry->GetCounter("transport.faults_corrupted")
-      ->Set(corrupted_messages_);
+MetricRows<SimTransport> SimTransport::Rows() {
+  using T = SimTransport;
+  static constexpr MetricRows<T>::CounterRow kCounters[] = {
+      {"transport.paper_messages",
+       [](const T& t) { return t.messages_sent_; }},
+      {"transport.paper_site_messages",
+       [](const T& t) { return t.site_messages_sent_; }},
+      {"transport.total_messages",
+       [](const T& t) { return t.transport_messages_sent_; }},
+      {"transport.faults_dropped",
+       [](const T& t) { return t.dropped_messages_; }},
+      {"transport.faults_duplicated",
+       [](const T& t) { return t.duplicated_messages_; }},
+      {"transport.faults_delayed",
+       [](const T& t) { return t.delayed_messages_; }},
+      {"transport.faults_corrupted",
+       [](const T& t) { return t.corrupted_messages_; }},
+  };
+  static constexpr MetricRows<T>::GaugeRow kGauges[] = {
+      {"transport.paper_bytes", [](const T& t) { return t.bytes_sent_; }},
+      {"transport.total_bytes",
+       [](const T& t) { return t.transport_bytes_sent_; }},
+  };
+  return MetricRows<T>(kCounters, kGauges);
+}
+
+void SimTransport::PublishMetrics(MetricRegistry* registry) {
+  if (registry != nullptr) rows_.Publish(registry, *this);
 }
 
 void SimTransport::AdvanceRound() {

@@ -6,12 +6,12 @@
 #include <vector>
 
 #include "core/rng.h"
+#include "obs/metric_registry.h"
 #include "runtime/transport.h"
 
 namespace sgm {
 
 struct Telemetry;
-class MetricRegistry;
 
 /// Fault model of a SimTransport. All probabilities are per message per
 /// link; every stochastic decision draws from a per-link stream derived from
@@ -125,7 +125,7 @@ class SimTransport final : public Transport {
   /// Mirrors both accounting families and the fault statistics into
   /// `registry`: paper-comparable under `transport.paper_*`, wire totals
   /// under `transport.total_*`, faults under `transport.faults_*`.
-  void PublishMetrics(MetricRegistry* registry) const;
+  void PublishMetrics(MetricRegistry* registry);
 
  private:
   struct Pending {
@@ -133,6 +133,8 @@ class SimTransport final : public Transport {
     RuntimeMessage message;
   };
 
+  /// PublishMetrics' rows, read from the counters below.
+  static MetricRows<SimTransport> Rows();
   bool FaultsApplyTo(const RuntimeMessage& message) const;
   Rng& LinkRng(int site);
   /// Runs the drop/duplicate/delay lottery for one message on one link and
@@ -158,6 +160,7 @@ class SimTransport final : public Transport {
   long duplicated_messages_ = 0;
   long delayed_messages_ = 0;
   long corrupted_messages_ = 0;
+  MetricRows<SimTransport> rows_ = Rows();
 };
 
 }  // namespace sgm

@@ -188,7 +188,10 @@ SiteExitReason SiteClient::RunSession(
     if (!transport_.HasPeer(kCoordinatorId)) {
       return SiteExitReason::kSendFailed;
     }
+    // Wait for writability too while frames the kernel refused wait in
+    // the backlog.
     pollfd pfd{fd_, POLLIN, 0};
+    if (transport_.HasBacklog(kCoordinatorId)) pfd.events |= POLLOUT;
     const int ready =
         ::poll(&pfd, 1, static_cast<int>(config_.poll_interval_ms));
     if (ready < 0) {
@@ -199,6 +202,8 @@ SiteExitReason SiteClient::RunSession(
       reliable_->AdvanceRound();
       continue;
     }
+    if ((pfd.revents & POLLOUT) != 0) transport_.FlushBacklog(kCoordinatorId);
+    if ((pfd.revents & (POLLIN | POLLHUP | POLLERR)) == 0) continue;
     const ssize_t n = ::recv(fd_, buffer.data(), buffer.size(), 0);
     if (n == 0) return SiteExitReason::kCoordinatorEof;  // no kShutdown seen
     if (n < 0) {
@@ -225,8 +230,8 @@ SiteExitReason SiteClient::RunSession(
         }
         case RuntimeMessage::Type::kBarrier: {
           // Everything this node emitted in response to earlier frames is
-          // already on the wire (sends are synchronous), so the FIFO
-          // stream orders this ack after all of it.
+          // already on the wire or ahead of this ack in the same FIFO
+          // backlog, so the stream orders the ack after all of it.
           RuntimeMessage ack;
           ack.type = RuntimeMessage::Type::kBarrierAck;
           ack.from = config_.site_id;

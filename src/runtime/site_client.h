@@ -67,9 +67,10 @@ const char* SiteExitReasonName(SiteExitReason reason);
 ///    locally (each process reconstructs its deterministic stream), only
 ///    protocol messages cross the wire, as in the real deployment shape.
 ///  * kBarrier → echo kBarrierAck. The node's responses to everything that
-///    preceded the barrier were written synchronously during dispatch, so
-///    the FIFO stream orders them before the ack — the flush guarantee the
-///    coordinator's quiescence detection builds on.
+///    preceded the barrier were sent during dispatch, written through or
+///    queued ahead of the ack in the same FIFO backlog, so the stream orders
+///    them before the ack — the flush guarantee the coordinator's
+///    quiescence detection builds on.
 ///  * kShutdown → clean exit.
 /// Everything else goes through the receive-side reliability layer into
 /// SiteNode::OnMessage, exactly as the sim driver delivers it.

@@ -125,18 +125,6 @@ int ListenTcpLoopback(int port, int* bound_port) {
   return fd;
 }
 
-int ConnectTcpLoopback(int port, long timeout_ms) {
-  const auto deadline = std::chrono::steady_clock::now() +
-                        std::chrono::milliseconds(timeout_ms);
-  for (;;) {
-    const int fd = TryConnectOnce(port);
-    if (fd >= 0) return fd;
-    if (std::chrono::steady_clock::now() >= deadline) return -1;
-    // The server may still be between bind() and accept(); back off briefly.
-    std::this_thread::sleep_for(std::chrono::milliseconds(5));
-  }
-}
-
 int ConnectTcpLoopbackWithRetry(int port, const SocketRetryConfig& retry,
                                 std::uint64_t* jitter_state) {
   for (int attempt = 1; attempt <= retry.max_attempts; ++attempt) {
@@ -149,192 +137,113 @@ int ConnectTcpLoopbackWithRetry(int port, const SocketRetryConfig& retry,
   return -1;
 }
 
-bool WriteAll(int fd, const std::uint8_t* data, std::size_t size,
-              long* short_writes) {
-  std::size_t written = 0;
-  int send_calls = 0;
-  while (written < size) {
-    const ssize_t n =
-        ::send(fd, data + written, size - written, MSG_NOSIGNAL);
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      return false;
-    }
-    ++send_calls;
-    written += static_cast<std::size_t>(n);
-  }
-  if (short_writes != nullptr && send_calls > 1) ++*short_writes;
-  return true;
-}
-
-SocketTransport::~SocketTransport() { StopAsyncWriter(0); }
-
 void SocketTransport::RegisterPeer(int peer, int fd) {
   std::lock_guard<std::mutex> lock(mu_);
-  peer_fds_[peer] = fd;
   // A re-registered peer (reconnect) must not inherit the dead session's
   // backlog: those bytes belong to a stream the receiver has abandoned.
-  queues_.erase(peer);
+  peers_[peer] = Peer{fd, {}, 0};
 }
 
 void SocketTransport::UnregisterPeer(int peer) {
   std::lock_guard<std::mutex> lock(mu_);
-  peer_fds_.erase(peer);
-  queues_.erase(peer);
+  peers_.erase(peer);
 }
 
 bool SocketTransport::HasPeer(int peer) const {
   std::lock_guard<std::mutex> lock(mu_);
-  return peer_fds_.count(peer) > 0;
+  return peers_.count(peer) > 0;
 }
 
-void SocketTransport::WriteFrame(int peer, int fd,
-                                 const std::vector<std::uint8_t>& frame) {
-  if (WriteAll(fd, frame.data(), frame.size(), &short_writes_)) {
-    ++transport_messages_sent_;
-    transport_bytes_sent_ += static_cast<double>(frame.size());
-  } else {
-    // A write error on loopback TCP means the peer is gone, not that bytes
-    // were lost in transit. Drop the mapping; the reliability layer's
-    // give-up machinery turns the silence into a dead-link verdict.
-    ++send_failures_;
-    peer_fds_.erase(peer);
+bool SocketTransport::HasBacklog(int peer) const {
+  std::lock_guard<std::mutex> lock(mu_);
+  const auto it = peers_.find(peer);
+  return it != peers_.end() && !it->second.backlog.empty();
+}
+
+void SocketTransport::FlushBacklog(int peer) {
+  std::lock_guard<std::mutex> lock(mu_);
+  const auto it = peers_.find(peer);
+  if (it != peers_.end()) FlushLocked(it);
+}
+
+bool SocketTransport::FlushBacklogs(long timeout_ms) {
+  const auto deadline = std::chrono::steady_clock::now() +
+                        std::chrono::milliseconds(timeout_ms);
+  std::vector<pollfd> fds;
+  std::vector<int> peers;
+  for (;;) {
+    fds.clear();
+    peers.clear();
+    {
+      std::lock_guard<std::mutex> lock(mu_);
+      for (const auto& [peer, state] : peers_) {
+        if (state.backlog.empty()) continue;
+        fds.push_back(pollfd{state.fd, POLLOUT, 0});
+        peers.push_back(peer);
+      }
+    }
+    if (fds.empty()) return true;
+    const auto left = std::chrono::duration_cast<std::chrono::milliseconds>(
+        deadline - std::chrono::steady_clock::now());
+    if (left.count() <= 0) return false;
+    if (::poll(fds.data(), fds.size(), static_cast<int>(left.count())) < 0 &&
+        errno != EINTR) {
+      return false;
+    }
+    for (std::size_t i = 0; i < fds.size(); ++i) {
+      if (fds[i].revents != 0) FlushBacklog(peers[i]);
+    }
   }
 }
 
-void SocketTransport::DropPeerLocked(int peer) {
-  peer_fds_.erase(peer);
-  queues_.erase(peer);
-}
-
-void SocketTransport::EnqueueFrame(int peer,
-                                   const std::vector<std::uint8_t>& frame) {
-  PeerQueue& queue = queues_[peer];
-  if (queue.frames.size() >= max_queue_frames_) {
-    // The peer has not drained a full queue's worth of frames: it is
-    // stalled. Dropping it (not blocking) is the whole point of this path —
+void SocketTransport::EnqueueLocked(std::map<int, Peer>::iterator peer,
+                                    const std::vector<std::uint8_t>& frame) {
+  std::deque<std::vector<std::uint8_t>>& backlog = peer->second.backlog;
+  if (backlog.size() >= kMaxBacklogFrames) {
+    // The peer has not taken a full backlog's worth of frames: it is
+    // stalled. Dropping it (not blocking) keeps every other peer served;
     // the reliability layer's give-up horizon turns the silence into the
     // same dead-link verdict a write error yields.
     ++send_queue_drops_;
     ++send_failures_;
-    DropPeerLocked(peer);
+    peers_.erase(peer);
     return;
   }
-  queue.frames.push_back(frame);
-  writer_cv_.notify_one();
+  backlog.push_back(frame);
+  // A non-empty backlog already waits for POLLOUT; writing past it would
+  // break the per-peer FIFO order.
+  if (backlog.size() == 1) FlushLocked(peer);
 }
 
-long SocketTransport::QueueDepthLocked() const {
-  long depth = 0;
-  for (const auto& [peer, queue] : queues_) {
-    depth += static_cast<long>(queue.frames.size());
-  }
-  return depth;
-}
-
-void SocketTransport::EnableAsyncWriter(std::size_t max_queue_frames) {
-  std::lock_guard<std::mutex> lock(mu_);
-  if (async_) return;
-  async_ = true;
-  writer_stop_ = false;
-  max_queue_frames_ = max_queue_frames > 0 ? max_queue_frames : 1;
-  writer_ = std::thread([this] { WriterLoop(); });
-}
-
-void SocketTransport::StopAsyncWriter(long flush_deadline_ms) {
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    if (!async_) return;
-  }
-  // Bounded flush: give the writer a window to put the tail (kShutdown
-  // broadcasts, final acks) on the wire, but never let one stalled peer's
-  // EAGAIN hold process exit hostage.
-  const auto deadline = std::chrono::steady_clock::now() +
-                        std::chrono::milliseconds(flush_deadline_ms);
-  for (;;) {
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      if (QueueDepthLocked() == 0) break;
+void SocketTransport::FlushLocked(std::map<int, Peer>::iterator peer) {
+  Peer& state = peer->second;
+  while (!state.backlog.empty()) {
+    const std::vector<std::uint8_t>& head = state.backlog.front();
+    const ssize_t n = ::send(state.fd, head.data() + state.head_offset,
+                             head.size() - state.head_offset,
+                             MSG_NOSIGNAL | MSG_DONTWAIT);
+    if (n < 0) {
+      if (errno == EINTR) continue;
+      if (errno == EAGAIN || errno == EWOULDBLOCK) return;  // kernel full
+      // A write error on loopback TCP means the peer is gone, not that
+      // bytes were lost in transit. Drop the mapping; the reliability
+      // layer's give-up machinery turns the silence into a dead-link
+      // verdict.
+      ++send_failures_;
+      peers_.erase(peer);
+      return;
     }
-    if (std::chrono::steady_clock::now() >= deadline) break;
-    std::this_thread::sleep_for(std::chrono::milliseconds(1));
-  }
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    writer_stop_ = true;
-    async_ = false;
-    writer_cv_.notify_one();
-  }
-  if (writer_.joinable()) writer_.join();
-  std::lock_guard<std::mutex> lock(mu_);
-  queues_.clear();
-}
-
-void SocketTransport::WriterLoop() {
-  std::unique_lock<std::mutex> lock(mu_);
-  for (;;) {
-    if (writer_stop_) return;
-    bool progressed = false;
-    bool backlog = false;
-    for (auto it = queues_.begin(); it != queues_.end();) {
-      PeerQueue& queue = it->second;
-      if (queue.frames.empty()) {
-        ++it;
-        continue;
-      }
-      const auto fd_it = peer_fds_.find(it->first);
-      if (fd_it == peer_fds_.end()) {
-        // The peer was dropped elsewhere (reader EOF); its backlog is dead.
-        it = queues_.erase(it);
-        continue;
-      }
-      const int peer = it->first;
-      const int fd = fd_it->second;
-      bool drop = false;
-      // Drain this peer until its queue empties or its buffer fills.
-      // MSG_DONTWAIT never blocks, so holding mu_ through the send is safe.
-      while (!queue.frames.empty()) {
-        const std::vector<std::uint8_t>& head = queue.frames.front();
-        const ssize_t n = ::send(fd, head.data() + queue.head_offset,
-                                 head.size() - queue.head_offset,
-                                 MSG_NOSIGNAL | MSG_DONTWAIT);
-        if (n < 0) {
-          if (errno == EINTR) continue;
-          if (errno == EAGAIN || errno == EWOULDBLOCK) break;  // peer full
-          drop = true;
-          break;
-        }
-        queue.head_offset += static_cast<std::size_t>(n);
-        progressed = true;
-        if (queue.head_offset < head.size()) {
-          // Partial write: the kernel buffer filled mid-frame. Resume at
-          // the offset on the next pass and count the completion as short.
-          ++short_writes_;
-          break;
-        }
-        ++transport_messages_sent_;
-        transport_bytes_sent_ += static_cast<double>(head.size());
-        queue.frames.pop_front();
-        queue.head_offset = 0;
-      }
-      if (drop) {
-        ++send_failures_;
-        DropPeerLocked(peer);
-        it = queues_.begin();  // DropPeerLocked invalidated the iterator
-        continue;
-      }
-      if (!queue.frames.empty()) backlog = true;
-      ++it;
+    state.head_offset += static_cast<std::size_t>(n);
+    if (state.head_offset < head.size()) {
+      // The kernel buffer filled mid-frame: resume at the offset once the
+      // fd polls writable.
+      ++short_writes_;
+      return;
     }
-    if (backlog && !progressed) {
-      // Every pending peer is EAGAIN-blocked: yield briefly instead of
-      // spinning, re-checking soon in case a buffer drained.
-      writer_cv_.wait_for(lock, std::chrono::milliseconds(1));
-    } else if (!backlog) {
-      writer_cv_.wait(lock, [this] {
-        return writer_stop_ || QueueDepthLocked() > 0;
-      });
-    }
+    ++transport_messages_sent_;
+    transport_bytes_sent_ += static_cast<double>(head.size());
+    state.backlog.pop_front();
+    state.head_offset = 0;
   }
 }
 
@@ -360,29 +269,20 @@ void SocketTransport::Send(const RuntimeMessage& message) {
     ++data_frames_sent_;
   }
   if (message.to == kBroadcastId) {
-    for (auto it = peer_fds_.begin(); it != peer_fds_.end();) {
-      // WriteFrame/EnqueueFrame may erase the peer on failure; advance
-      // first.
+    for (auto it = peers_.begin(); it != peers_.end();) {
+      // EnqueueLocked may erase the peer on failure; advance first.
       const auto current = it++;
       if (current->first == kCoordinatorId) continue;  // sites only
-      if (async_) {
-        EnqueueFrame(current->first, frame);
-      } else {
-        WriteFrame(current->first, current->second, frame);
-      }
+      EnqueueLocked(current, frame);
     }
     return;
   }
-  const auto it = peer_fds_.find(message.to);
-  if (it == peer_fds_.end()) {
+  const auto it = peers_.find(message.to);
+  if (it == peers_.end()) {
     ++send_failures_;
     return;
   }
-  if (async_) {
-    EnqueueFrame(it->first, frame);
-  } else {
-    WriteFrame(it->first, it->second, frame);
-  }
+  EnqueueLocked(it, frame);
 }
 
 long SocketTransport::messages_sent() const {
@@ -427,7 +327,11 @@ long SocketTransport::short_writes() const {
 
 long SocketTransport::send_queue_depth() const {
   std::lock_guard<std::mutex> lock(mu_);
-  return QueueDepthLocked();
+  long depth = 0;
+  for (const auto& [peer, state] : peers_) {
+    depth += static_cast<long>(state.backlog.size());
+  }
+  return depth;
 }
 
 long SocketTransport::send_queue_drops() const {

@@ -1,12 +1,10 @@
 #ifndef SGM_RUNTIME_SOCKET_TRANSPORT_H_
 #define SGM_RUNTIME_SOCKET_TRANSPORT_H_
 
-#include <condition_variable>
 #include <cstdint>
 #include <deque>
 #include <map>
 #include <mutex>
-#include <thread>
 #include <vector>
 
 #include "runtime/serialization.h"
@@ -81,11 +79,6 @@ bool DrainDecodedFrames(FrameReader* reader, std::vector<RuntimeMessage>* out,
 /// the actual port.
 int ListenTcpLoopback(int port, int* bound_port);
 
-/// Connects to 127.0.0.1:`port`, retrying with short sleeps until
-/// `timeout_ms` elapses (the server may not have reached accept() yet).
-/// Returns the connected fd with TCP_NODELAY set, or -1.
-int ConnectTcpLoopback(int port, long timeout_ms);
-
 /// Connects to 127.0.0.1:`port` under a bounded-retry policy: up to
 /// `retry.max_attempts` attempts separated by seeded-jitter exponential
 /// backoff (see SocketRetryConfig). The same policy serves the first
@@ -97,76 +90,69 @@ int ConnectTcpLoopback(int port, long timeout_ms);
 int ConnectTcpLoopbackWithRetry(int port, const SocketRetryConfig& retry,
                                 std::uint64_t* jitter_state);
 
-/// Writes the whole buffer, looping over short writes and EINTR. Uses
-/// send(MSG_NOSIGNAL) so a vanished peer yields EPIPE instead of SIGPIPE.
-/// Returns false on any terminal error. When `short_writes` is non-null it
-/// is incremented once per call that needed more than one send() to
-/// complete (a short-write completion — the kernel buffer was momentarily
-/// full but the peer kept draining).
-bool WriteAll(int fd, const std::uint8_t* data, std::size_t size,
-              long* short_writes = nullptr);
-
-/// Transport implementation over connected TCP sockets: Send() encodes the
-/// message (wire format v4), prepends the u32 length prefix, and writes it
-/// to the destination's fd — synchronously, on the caller's thread, so a
-/// node's responses are on the wire before it processes its next inbound
-/// frame (the FIFO ordering the coordinator's flush barrier relies on).
+/// Transport implementation over connected TCP sockets, with one write
+/// path. Send() encodes the message (wire format v4), prepends the u32
+/// length prefix and appends the frame to its peer's FIFO backlog. When that
+/// backlog was empty, Send() writes the frame through at once with
+/// MSG_DONTWAIT, so a healthy peer has a node's responses on the wire before
+/// the node handles its next inbound frame. Whatever the kernel does not
+/// take (EAGAIN, or a short write) waits in the backlog until the owner's
+/// poll loop finds the fd writable and calls FlushBacklog(). Send() never
+/// blocks: a stalled peer backs up only its own backlog, and a backlog that
+/// reaches kMaxBacklogFrames drops the peer exactly as a write error does.
+/// TCP cannot lose bytes on a healthy connection, so either means the peer
+/// is gone or wedged; the reliability layer above owns retries and the
+/// failure verdict.
 ///
-/// EnableAsyncWriter() switches the instance into the coordinator's
-/// non-blocking outbound mode: Send() enqueues the framed bytes onto a
-/// bounded per-peer queue and a single writer thread drains the queues with
-/// MSG_DONTWAIT, so one stalled peer (full TCP buffer) backs up only its
-/// own queue — never the accept, reader or cycle threads. Per-fd FIFO is
-/// preserved (one writer, one deque per peer); a queue overflow drops the
-/// peer exactly like a write error would, handing the silence to the
-/// reliability layer's give-up machinery. The site tier stays synchronous:
-/// its barrier-ack FIFO contract depends on inline sends.
+/// Per-peer FIFO order holds across the backlog, so a site's barrier ack
+/// still follows every frame it sent before it — the flush guarantee of the
+/// coordinator's quiescence barrier (DESIGN.md §11.3).
 ///
 /// Topology is a peer map filled by the session layer: the coordinator
 /// registers every site's accepted connection under its hello'd site id;
 /// a site registers its single connection under kCoordinatorId. Broadcast
-/// writes the same frame to every registered site fd but is accounted once,
-/// matching the paper's broadcast cost model and InMemoryBus.
+/// appends the same frame to every registered site's backlog but is
+/// accounted once, matching the paper's broadcast cost model and
+/// InMemoryBus.
 ///
-/// Thread-safe: one internal mutex guards the peer map, the counters and
-/// the write path (frames from concurrent senders never interleave
-/// mid-frame on one fd). A failed write counts in send_failures and drops
-/// the peer — TCP cannot lose bytes on a healthy connection, so a write
-/// error means the peer is gone; the reliability layer above owns retries
-/// and the failure verdict.
+/// Thread-safe: one internal mutex guards the peer map, the backlogs and
+/// the counters, so an ops thread may read the counters while the owner's
+/// loop sends.
 ///
 /// Accounting families mirror InMemoryBus:
 ///  * paper-comparable (messages_sent / site_messages_sent / bytes_sent):
-///    original protocol data only, WireBytes() cost model, broadcast = 1.
+///    original protocol data only, WireBytes() cost model, broadcast = 1,
+///    counted at Send() (the logical send).
 ///  * transport totals (transport_messages_sent / transport_bytes_sent):
-///    frames actually written per fd, actual encoded bytes + 4-byte prefix.
+///    frames fully written per fd, actual encoded bytes + 4-byte prefix,
+///    counted when the last byte reaches the kernel.
 ///  * data_frames_sent: logical sends that can make the *receiver* talk
 ///    back — everything except transport acks and session control. The
 ///    coordinator's barrier loop snapshots this to detect induced traffic.
 class SocketTransport final : public Transport {
  public:
-  ~SocketTransport() override;
+  /// Frames one peer's backlog holds; a Send() beyond it drops the peer.
+  static constexpr std::size_t kMaxBacklogFrames = 1024;
 
-  /// Maps `peer` (site id, or kCoordinatorId) to a connected fd. The fd is
-  /// not owned — the session layer closes it.
+  /// Maps `peer` (site id, or kCoordinatorId) to a connected fd with an
+  /// empty backlog. The fd is not owned — the session layer closes it.
   void RegisterPeer(int peer, int fd);
   void UnregisterPeer(int peer);
   bool HasPeer(int peer) const;
 
   void Send(const RuntimeMessage& message) override;
 
-  /// Switches to the non-blocking outbound path: spawns the writer thread
-  /// and bounds every peer's queue at `max_queue_frames` frames (≥ 1). Call
-  /// once, before any concurrent Send(). Paper/data-frame accounting moves
-  /// to enqueue time (the logical send); transport totals stay at write
-  /// time (bytes actually on the wire).
-  void EnableAsyncWriter(std::size_t max_queue_frames);
-
-  /// Drains the queues for up to `flush_deadline_ms` (a stalled peer's
-  /// EAGAIN cannot hold shutdown hostage), then stops and joins the writer
-  /// thread. Undrained frames are discarded. No-op when the writer was
-  /// never enabled; called by the destructor as a backstop.
-  void StopAsyncWriter(long flush_deadline_ms);
+  /// True while `peer` has bytes waiting for its fd to become writable.
+  bool HasBacklog(int peer) const;
+  /// Writes as much of `peer`'s backlog as its socket takes now. Call when
+  /// the owner's poll loop finds the peer's fd writable. A write error
+  /// drops the peer.
+  void FlushBacklog(int peer);
+  /// Polls every backlogged peer for writability and flushes, until every
+  /// backlog is empty (returns true) or `timeout_ms` has passed (false).
+  /// The bounded drain of a shutdown: a stalled peer cannot hold it
+  /// hostage.
+  bool FlushBacklogs(long timeout_ms);
 
   long messages_sent() const;
   long site_messages_sent() const;
@@ -175,36 +161,33 @@ class SocketTransport final : public Transport {
   double transport_bytes_sent() const;
   long data_frames_sent() const;
   long send_failures() const;
-  /// Frames whose write needed more than one send() call (short-write
-  /// completions; counted on both the sync and async paths).
+  /// Writes that stopped mid-frame on a full kernel buffer; the rest of
+  /// the frame waited in the backlog.
   long short_writes() const;
-  /// Frames currently queued across all peers (0 on the sync path).
+  /// Frames waiting across all backlogs.
   long send_queue_depth() const;
-  /// Peers dropped because their bounded queue overflowed.
+  /// Peers dropped because their backlog overflowed.
   long send_queue_drops() const;
 
  private:
-  /// One peer's outbound backlog. `head_offset` is the already-written
-  /// prefix of the head frame (a partial MSG_DONTWAIT write resumes there).
-  struct PeerQueue {
-    std::deque<std::vector<std::uint8_t>> frames;
+  /// One peer's connection and outbound backlog. `head_offset` is the
+  /// already-written prefix of the head frame.
+  struct Peer {
+    int fd = -1;
+    std::deque<std::vector<std::uint8_t>> backlog;
     std::size_t head_offset = 0;
   };
 
-  /// Writes one framed message to `fd`; on failure drops `peer`. Caller
-  /// holds mu_.
-  void WriteFrame(int peer, int fd, const std::vector<std::uint8_t>& frame);
-  /// Enqueues onto `peer`'s bounded queue; overflow drops the peer. Caller
-  /// holds mu_.
-  void EnqueueFrame(int peer, const std::vector<std::uint8_t>& frame);
-  /// Drops `peer` and purges its queue. Caller holds mu_.
-  void DropPeerLocked(int peer);
-  /// The writer thread: drains queues with MSG_DONTWAIT until stopped.
-  void WriterLoop();
-  long QueueDepthLocked() const;
+  /// Appends `frame` to `peer`'s backlog, writing it through when the
+  /// backlog was empty; overflow drops the peer. Caller holds mu_.
+  void EnqueueLocked(std::map<int, Peer>::iterator peer,
+                     const std::vector<std::uint8_t>& frame);
+  /// Writes the backlog head first until it empties or the socket would
+  /// block; a write error drops the peer. Caller holds mu_.
+  void FlushLocked(std::map<int, Peer>::iterator peer);
 
   mutable std::mutex mu_;
-  std::map<int, int> peer_fds_;
+  std::map<int, Peer> peers_;
   long messages_sent_ = 0;
   long site_messages_sent_ = 0;
   double bytes_sent_ = 0.0;
@@ -214,14 +197,6 @@ class SocketTransport final : public Transport {
   long send_failures_ = 0;
   long short_writes_ = 0;
   long send_queue_drops_ = 0;
-
-  // Async-writer state (inert until EnableAsyncWriter).
-  bool async_ = false;
-  std::size_t max_queue_frames_ = 0;
-  std::map<int, PeerQueue> queues_;
-  std::condition_variable writer_cv_;
-  bool writer_stop_ = false;
-  std::thread writer_;
 };
 
 }  // namespace sgm

@@ -69,6 +69,9 @@ constexpr long kCrashCycle = 50;    // coordinator SIGKILLs itself after this
 constexpr long kSiteKillCycle = 30; // victim site SIGKILLs itself here
 constexpr int kVictimSite = 2;
 constexpr long kCheckpointInterval = 5;
+// Cycles the recovered coordinator may run past kCycles, 2 ms apart, for a
+// site still redialing at the end of the schedule to reconnect.
+constexpr int kMaxSettleCycles = 500;
 
 std::uint64_t SeedFromEnv() {
   const char* value = std::getenv("SGM_CHAOS_SEED");
@@ -222,7 +225,8 @@ void AppendBeliefLine(FILE* file, long cycle, const CoordinatorServer& server,
 /// 15 estimate mismatch, 16 full-sync counter mismatch, 17 belief mismatch;
 /// rest of the run: 18 hello timeout, 19 belief log unwritable, 26 barrier
 /// timeout; reconvergence: 30 no fresh full sync after recovery, 31 not all
-/// sites connected at the end, 32 unacked reliability entries at quiescence;
+/// sites connected after the settle cycles, 32 unacked reliability entries
+/// at quiescence;
 /// observability: 33 the anomaly detector never attributed an alert to
 /// recovery.restores, 34 alerts sink unwritable.
 [[noreturn]] void RecoveryProcessMain(int port, const std::string& dir,
@@ -274,6 +278,15 @@ void AppendBeliefLine(FILE* file, long cycle, const CoordinatorServer& server,
     if (!server.RunCycle()) _exit(26);
     AppendBeliefLine(beliefs, cycle, server, norm);
   }
+  // Settle: a site the chaos schedule reset in the last cycles may still
+  // be redialing, and only a running cycle accepts its connection. These
+  // cycles are outside the audited schedule, so they log no beliefs.
+  for (int settle = 0;
+       settle < kMaxSettleCycles && server.ConnectedCount() != kSites;
+       ++settle) {
+    if (!server.RunCycle()) _exit(26);
+    std::this_thread::sleep_for(std::chrono::milliseconds(2));
+  }
 
   FILE* summary = std::fopen(summary_path.c_str(), "w");
   if (summary != nullptr) {
@@ -313,8 +326,8 @@ constexpr long kStragglerPaceMs = 40;    // coordinator pacing per cycle
 constexpr long kStragglerDeadlineMs = 300;  // soft barrier deadline
 
 /// Deadline-driven coordinator for the SIGSTOP leg: paced cycles (so the
-/// parent can stop/continue a site mid-run), a soft barrier deadline with
-/// the per-peer bounded send queue, and end-of-run straggler invariants.
+/// parent can stop/continue a site mid-run), a soft barrier deadline, and
+/// end-of-run straggler invariants.
 /// Exit codes: 60 bind failed, 61 port pipe failed, 62 hello timeout,
 /// 63 belief log unwritable, 64 a cycle hit the HARD barrier timeout (the
 /// stalled site blocked progress — the liveness property under test),
@@ -331,7 +344,6 @@ constexpr long kStragglerDeadlineMs = 300;  // soft barrier deadline
   CoordinatorServerConfig config;
   config.num_sites = kSites;
   config.barrier_deadline_ms = kStragglerDeadlineMs;
-  config.send_queue_frames = 1024;
   config.runtime = ProtocolConfig();
   config.runtime.telemetry = &telemetry;
   CoordinatorServer server(norm, config);

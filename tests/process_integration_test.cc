@@ -6,15 +6,17 @@
 // belief sequence, final estimate, epoch and sync counters must match
 // exactly — the paper's protocol, bit-for-bit, across process boundaries.
 //
-// fork() discipline: the server binds with Listen() (no threads) before the
-// forks; WaitForSites() starts the accept thread only afterwards, so no
-// thread ever exists in a forking process. Children _exit() — no gtest
-// teardown, no destructors of the inherited server object.
+// fork() discipline: the server binds with Listen() before the forks, and
+// the coordinator never starts a thread (checked below), so no thread ever
+// exists in a forking process. Children _exit() — no gtest teardown, no
+// destructors of the inherited server object.
 
 #include <gtest/gtest.h>
 #include <sys/wait.h>
 #include <unistd.h>
 
+#include <filesystem>
+#include <iterator>
 #include <fstream>
 #include <string>
 #include <vector>
@@ -87,6 +89,12 @@ RunOutcome RunSimOracle() {
   return outcome;
 }
 
+/// Threads of this process: the entries of /proc/self/task.
+long ThreadCount() {
+  return std::distance(std::filesystem::directory_iterator("/proc/self/task"),
+                       std::filesystem::directory_iterator());
+}
+
 std::string TracePath(const std::string& proc) {
   return ::testing::TempDir() + "/procint." + proc + ".trace.jsonl";
 }
@@ -138,7 +146,8 @@ TEST(ProcessIntegrationTest, FourSiteProcessesMatchSimDriverExactly) {
   server_config.runtime = ProtocolConfig();
   server_config.runtime.telemetry = &telemetry;
   CoordinatorServer server(norm, server_config);
-  ASSERT_TRUE(server.Listen());  // bind only — still single-threaded
+  ASSERT_TRUE(server.Listen());
+  const long threads_after_listen = ThreadCount();
 
   std::vector<pid_t> children;
   for (int id = 0; id < kSites; ++id) {
@@ -154,6 +163,9 @@ TEST(ProcessIntegrationTest, FourSiteProcessesMatchSimDriverExactly) {
     ASSERT_TRUE(server.RunCycle()) << "barrier timed out at cycle " << cycle;
     socket.beliefs.push_back(server.BelievesAbove());
   }
+  // The coordinator serves its sites from the thread that runs the cycles:
+  // no accept, reader or writer thread.
+  EXPECT_EQ(ThreadCount(), threads_after_listen);
   socket.estimate = server.Estimate();
   socket.epoch = server.Epoch();
   socket.full_syncs = server.FullSyncs();

@@ -1,13 +1,15 @@
 // Tests of the socket runtime's byte layer (src/runtime/socket_transport):
 // length-prefixed framing over arbitrary TCP re-segmentation, CRC rejection
 // of garbage frames before any parse reaches the protocol, oversized-prefix
-// poisoning, short-write handling, real loopback delivery, and peer loss /
+// poisoning, the one write path (write-through, per-peer backlog, short
+// writes, overflow, bounded flush), real loopback delivery, and peer loss /
 // reconnect accounting.
 
 #include <gtest/gtest.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <array>
 #include <atomic>
 #include <chrono>
@@ -177,7 +179,8 @@ struct LoopbackPair {
     int port = 0;
     listen_fd = ListenTcpLoopback(0, &port);
     if (listen_fd < 0) return false;
-    client = ConnectTcpLoopback(port, 2000);
+    std::uint64_t jitter = 1;
+    client = ConnectTcpLoopbackWithRetry(port, SocketRetryConfig{}, &jitter);
     if (client < 0) return false;
     server = ::accept(listen_fd, nullptr, nullptr);
     return server >= 0;
@@ -270,12 +273,53 @@ TEST(SocketTransportTest, SessionControlAndAcksStayOutOfPaperCounters) {
   EXPECT_EQ(transport.data_frames_sent(), 0);
 }
 
+// Shrinks both kernel buffers of `pair` and fills the client's until a
+// write would block, with nobody reading the server end: a frozen peer.
+// Returns the junk bytes written, which the server end must consume before
+// any frame.
+std::size_t FillUntilFull(const LoopbackPair& pair) {
+  int small = 4096;
+  EXPECT_EQ(::setsockopt(pair.client, SOL_SOCKET, SO_SNDBUF, &small,
+                         sizeof(small)),
+            0);
+  EXPECT_EQ(::setsockopt(pair.server, SOL_SOCKET, SO_RCVBUF, &small,
+                         sizeof(small)),
+            0);
+  std::vector<std::uint8_t> junk(65536, 0xAB);
+  std::size_t written = 0;
+  // Full means a write still finds no room after in-flight acks settle.
+  for (bool took = true; took;) {
+    took = false;
+    for (;;) {
+      const ssize_t n = ::send(pair.client, junk.data(), junk.size(),
+                               MSG_DONTWAIT | MSG_NOSIGNAL);
+      if (n <= 0) break;
+      written += static_cast<std::size_t>(n);
+      took = true;
+    }
+    if (took) std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  }
+  return written;
+}
+
+// Reads and discards exactly `bytes` bytes from `fd`.
+void Discard(int fd, std::size_t bytes) {
+  std::vector<std::uint8_t> buffer(65536);
+  while (bytes > 0) {
+    const ssize_t n =
+        ::recv(fd, buffer.data(), std::min(bytes, buffer.size()), 0);
+    if (n <= 0) return;
+    bytes -= static_cast<std::size_t>(n);
+  }
+}
+
 TEST(SocketTransportTest, WriteAllSurvivesShortWrites) {
   LoopbackPair pair;
   ASSERT_TRUE(pair.Open());
-  // Shrink the send buffer so one big payload cannot fit in a single
-  // write() — WriteAll must loop over the partial writes while a reader
-  // drains the other end.
+  // Two big frames back to back through a small send buffer: the second
+  // queues behind the unwritten tail of the first, so the flush must
+  // finish one frame at its offset and go on into the next. Every byte of
+  // both must arrive, whole and in order.
   int small = 4096;
   ASSERT_EQ(::setsockopt(pair.client, SOL_SOCKET, SO_SNDBUF, &small,
                          sizeof(small)),
@@ -283,31 +327,39 @@ TEST(SocketTransportTest, WriteAllSurvivesShortWrites) {
 
   SocketTransport transport;
   transport.RegisterPeer(kCoordinatorId, pair.client);
-  const RuntimeMessage big = MakeReport(0, 1.0, /*dim=*/100000);  // ~800 KiB
+  const RuntimeMessage first = MakeReport(0, 1.0, /*dim=*/100000);  // ~800 KiB
+  const RuntimeMessage second = MakeReport(0, 2.0, /*dim=*/100000);
 
   std::vector<RuntimeMessage> got;
-  std::thread reader([&] { got = ReadMessages(pair.server, 1); });
-  transport.Send(big);
+  std::thread reader([&] { got = ReadMessages(pair.server, 2); });
+  transport.Send(first);
+  transport.Send(second);
+  EXPECT_TRUE(transport.FlushBacklogs(/*timeout_ms=*/10000));
   reader.join();
 
-  ASSERT_EQ(got.size(), 1u);
-  EXPECT_EQ(got[0].payload, big.payload);
+  ASSERT_EQ(got.size(), 2u);
+  EXPECT_EQ(got[0].scalar, 1.0);
+  EXPECT_EQ(got[0].payload, first.payload);
+  EXPECT_EQ(got[1].scalar, 2.0);
+  EXPECT_EQ(got[1].payload, second.payload);
+  EXPECT_EQ(transport.transport_messages_sent(), 2);
   EXPECT_EQ(transport.send_failures(), 0);
 }
 
 TEST(SocketTransportTest, AsyncWriterCountsShortWritesOnBigFrames) {
   LoopbackPair pair;
   ASSERT_TRUE(pair.Open());
-  // A small send buffer forces the writer thread's MSG_DONTWAIT sends to
-  // stop mid-frame while a reader drains the far end — each such pause is
-  // a short-write completion the counter must record.
+  // The one write path is asynchronous without a thread of its own. A
+  // small send buffer cannot take an ~800 KiB frame in one write: the
+  // write-through stops mid-frame, the rest waits in the backlog, and the
+  // flush resumes at the offset each time the fd turns writable while a
+  // reader drains the far end. Each pause is a counted short write.
   int small = 4096;
   ASSERT_EQ(::setsockopt(pair.client, SOL_SOCKET, SO_SNDBUF, &small,
                          sizeof(small)),
             0);
 
   SocketTransport transport;
-  transport.EnableAsyncWriter(/*max_queue_frames=*/8);
   transport.RegisterPeer(0, pair.client);
   RuntimeMessage big = MakeEstimate(0, 1.0);
   big.payload = Vector(100000, 0.5);  // ~800 KiB frame
@@ -315,13 +367,53 @@ TEST(SocketTransportTest, AsyncWriterCountsShortWritesOnBigFrames) {
   std::vector<RuntimeMessage> got;
   std::thread reader([&] { got = ReadMessages(pair.server, 1); });
   transport.Send(big);
+  EXPECT_TRUE(transport.FlushBacklogs(/*timeout_ms=*/10000));
   reader.join();
 
   ASSERT_EQ(got.size(), 1u);
   EXPECT_EQ(got[0].payload, big.payload);
   EXPECT_GE(transport.short_writes(), 1);
+  EXPECT_EQ(transport.transport_messages_sent(), 1);
   EXPECT_EQ(transport.send_failures(), 0);
   EXPECT_EQ(transport.send_queue_drops(), 0);
+  EXPECT_EQ(transport.send_queue_depth(), 0);
+}
+
+TEST(SocketTransportTest, SendToFullPeerReturnsAtOnceAndDeliversInOrder) {
+  LoopbackPair pair;
+  ASSERT_TRUE(pair.Open());
+  const std::size_t junk = FillUntilFull(pair);
+  ASSERT_GT(junk, 0u);
+
+  SocketTransport transport;
+  transport.RegisterPeer(0, pair.client);
+  // The kernel takes nothing more, and nobody reads the far end: a
+  // blocking write would never return. Send() parks both frames in the
+  // peer's backlog and returns.
+  const auto start = std::chrono::steady_clock::now();
+  transport.Send(MakeEstimate(0, 1.0));
+  transport.Send(MakeEstimate(0, 2.0));
+  EXPECT_LT(std::chrono::steady_clock::now() - start, std::chrono::seconds(1));
+  EXPECT_TRUE(transport.HasBacklog(0));
+  EXPECT_EQ(transport.send_queue_depth(), 2);
+  EXPECT_EQ(transport.messages_sent(), 2);  // the logical sends happened
+  EXPECT_EQ(transport.transport_messages_sent(), 0);  // the wire has none
+
+  // Once the far end reads, the flush puts both frames on the wire, in
+  // send order, behind the bytes that were already queued in the kernel.
+  std::vector<RuntimeMessage> got;
+  std::thread reader([&] {
+    Discard(pair.server, junk);
+    got = ReadMessages(pair.server, 2);
+  });
+  EXPECT_TRUE(transport.FlushBacklogs(/*timeout_ms=*/10000));
+  reader.join();
+  ASSERT_EQ(got.size(), 2u);
+  EXPECT_EQ(got[0].scalar, 1.0);
+  EXPECT_EQ(got[1].scalar, 2.0);
+  EXPECT_FALSE(transport.HasBacklog(0));
+  EXPECT_EQ(transport.transport_messages_sent(), 2);
+  EXPECT_EQ(transport.send_failures(), 0);
 }
 
 TEST(SocketTransportTest, PeerLossCountsFailureAndReconnectRecovers) {
@@ -548,57 +640,9 @@ TEST(SocketRetryTest, ConnectRetriesUntilListenerAppearsAndGivesUp) {
   EXPECT_LT(ConnectTcpLoopbackWithRetry(port, hopeless, &hopeless_state), 0);
 }
 
-TEST(SocketTransportTest, AsyncWriterPreservesPerPeerFifoOrder) {
+TEST(SocketTransportTest, BacklogPreservesPerPeerFifoOrder) {
   LoopbackPair pair;
   ASSERT_TRUE(pair.Open());
-
-  SocketTransport transport;
-  transport.EnableAsyncWriter(/*max_queue_frames=*/64);
-  transport.RegisterPeer(0, pair.client);
-
-  constexpr int kFrames = 20;
-  for (int i = 0; i < kFrames; ++i) {
-    transport.Send(MakeEstimate(0, static_cast<double>(i)));
-  }
-  // Paper accounting moves to enqueue time: all 20 logical sends are
-  // visible immediately, whatever the writer thread has drained so far.
-  EXPECT_EQ(transport.messages_sent(), kFrames);
-  EXPECT_EQ(transport.data_frames_sent(), kFrames);
-
-  const std::vector<RuntimeMessage> got = ReadMessages(pair.server, kFrames);
-  ASSERT_EQ(got.size(), static_cast<std::size_t>(kFrames));
-  for (int i = 0; i < kFrames; ++i) {
-    EXPECT_EQ(got[i].scalar, static_cast<double>(i)) << "frame " << i;
-  }
-  EXPECT_EQ(transport.send_queue_drops(), 0);
-  EXPECT_EQ(transport.send_failures(), 0);
-}
-
-TEST(SocketTransportTest, AsyncWriterStopFlushesQueuedFrames) {
-  LoopbackPair pair;
-  ASSERT_TRUE(pair.Open());
-
-  SocketTransport transport;
-  transport.EnableAsyncWriter(/*max_queue_frames=*/64);
-  transport.RegisterPeer(0, pair.client);
-  constexpr int kFrames = 10;
-  for (int i = 0; i < kFrames; ++i) {
-    transport.Send(MakeEstimate(0, static_cast<double>(i)));
-  }
-  // StopAsyncWriter's flush deadline must get every queued frame onto the
-  // wire before the writer thread is joined.
-  transport.StopAsyncWriter(/*flush_deadline_ms=*/2000);
-  EXPECT_EQ(transport.send_queue_depth(), 0);
-  const std::vector<RuntimeMessage> got = ReadMessages(pair.server, kFrames);
-  ASSERT_EQ(got.size(), static_cast<std::size_t>(kFrames));
-  EXPECT_EQ(got.back().scalar, static_cast<double>(kFrames - 1));
-}
-
-TEST(SocketTransportTest, AsyncWriterOverflowDropsStalledPeer) {
-  LoopbackPair pair;
-  ASSERT_TRUE(pair.Open());
-  // Simulate a frozen peer: shrink the kernel buffers and pre-fill the
-  // client socket until it EAGAINs, with nobody reading the server end.
   int small = 4096;
   ASSERT_EQ(::setsockopt(pair.client, SOL_SOCKET, SO_SNDBUF, &small,
                          sizeof(small)),
@@ -606,23 +650,93 @@ TEST(SocketTransportTest, AsyncWriterOverflowDropsStalledPeer) {
   ASSERT_EQ(::setsockopt(pair.server, SOL_SOCKET, SO_RCVBUF, &small,
                          sizeof(small)),
             0);
-  std::vector<std::uint8_t> junk(65536, 0xAB);
-  while (::send(pair.client, junk.data(), junk.size(),
-                MSG_DONTWAIT | MSG_NOSIGNAL) > 0) {
-  }
 
   SocketTransport transport;
-  transport.EnableAsyncWriter(/*max_queue_frames=*/2);
+  transport.RegisterPeer(0, pair.client);
+  // ~8 KiB frames with nobody reading: the first goes through (at least
+  // partly), the kernel fills, and the rest queue behind it.
+  constexpr int kFrames = 20;
+  for (int i = 0; i < kFrames; ++i) {
+    RuntimeMessage message = MakeEstimate(0, static_cast<double>(i));
+    message.payload = Vector(1000, 0.5);
+    transport.Send(message);
+  }
+  // Paper accounting is at Send() time: all 20 logical sends are visible
+  // immediately, however much of them has reached the wire.
+  EXPECT_EQ(transport.messages_sent(), kFrames);
+  EXPECT_EQ(transport.data_frames_sent(), kFrames);
+  EXPECT_GT(transport.send_queue_depth(), 0);
+
+  std::vector<RuntimeMessage> got;
+  std::thread reader([&] { got = ReadMessages(pair.server, kFrames); });
+  EXPECT_TRUE(transport.FlushBacklogs(/*timeout_ms=*/10000));
+  reader.join();
+  ASSERT_EQ(got.size(), static_cast<std::size_t>(kFrames));
+  for (int i = 0; i < kFrames; ++i) {
+    EXPECT_EQ(got[i].scalar, static_cast<double>(i)) << "frame " << i;
+  }
+  EXPECT_EQ(transport.transport_messages_sent(), kFrames);
+  EXPECT_EQ(transport.send_queue_drops(), 0);
+  EXPECT_EQ(transport.send_failures(), 0);
+}
+
+TEST(SocketTransportTest, ShutdownFlushGivesUpAtItsCapThenDrains) {
+  LoopbackPair pair;
+  ASSERT_TRUE(pair.Open());
+  const std::size_t junk = FillUntilFull(pair);
+
+  SocketTransport transport;
+  transport.RegisterPeer(0, pair.client);
+  constexpr int kFrames = 10;
+  for (int i = 0; i < kFrames; ++i) {
+    transport.Send(MakeEstimate(0, static_cast<double>(i)));
+  }
+  ASSERT_EQ(transport.send_queue_depth(), kFrames);
+
+  // A frozen peer cannot hold the flush past its cap.
+  const auto start = std::chrono::steady_clock::now();
+  EXPECT_FALSE(transport.FlushBacklogs(/*timeout_ms=*/50));
+  const auto waited = std::chrono::steady_clock::now() - start;
+  EXPECT_GE(waited, std::chrono::milliseconds(40));
+  EXPECT_LT(waited, std::chrono::seconds(5));
+  EXPECT_EQ(transport.send_queue_depth(), kFrames);
+  EXPECT_TRUE(transport.HasPeer(0));  // slow is not dead
+
+  // A peer that reads again gets every frame within the cap.
+  std::vector<RuntimeMessage> got;
+  std::thread reader([&] {
+    Discard(pair.server, junk);
+    got = ReadMessages(pair.server, kFrames);
+  });
+  EXPECT_TRUE(transport.FlushBacklogs(/*timeout_ms=*/10000));
+  reader.join();
+  EXPECT_EQ(transport.send_queue_depth(), 0);
+  ASSERT_EQ(got.size(), static_cast<std::size_t>(kFrames));
+  EXPECT_EQ(got.back().scalar, static_cast<double>(kFrames - 1));
+}
+
+TEST(SocketTransportTest, BacklogOverflowDropsStalledPeer) {
+  LoopbackPair pair;
+  ASSERT_TRUE(pair.Open());
+  FillUntilFull(pair);
+
+  SocketTransport transport;
   transport.RegisterPeer(0, pair.client);
   ASSERT_TRUE(transport.HasPeer(0));
 
-  // Two frames park in the bounded queue (the writer's MSG_DONTWAIT sees
-  // EAGAIN forever); the third overflows, which must drop the peer rather
-  // than block the sender or grow the queue without bound.
-  transport.Send(MakeEstimate(0, 1.0));
-  transport.Send(MakeEstimate(0, 2.0));
-  transport.Send(MakeEstimate(0, 3.0));
+  // The bound's worth of frames park in the backlog (the kernel takes
+  // none); one more overflows, which must drop the peer rather than block
+  // the sender or grow the backlog without bound.
+  const auto bound = static_cast<long>(SocketTransport::kMaxBacklogFrames);
+  for (long i = 0; i < bound; ++i) {
+    transport.Send(MakeEstimate(0, static_cast<double>(i)));
+  }
+  EXPECT_EQ(transport.send_queue_depth(), bound);
+  EXPECT_TRUE(transport.HasPeer(0));
+  EXPECT_EQ(transport.send_queue_drops(), 0);
+  transport.Send(MakeEstimate(0, -1.0));
   EXPECT_EQ(transport.send_queue_drops(), 1);
+  EXPECT_EQ(transport.send_failures(), 1);
   EXPECT_FALSE(transport.HasPeer(0));
   EXPECT_EQ(transport.send_queue_depth(), 0);  // purged with the peer
 }

@@ -1,12 +1,13 @@
-// Tests of the threaded coordinator service (src/runtime/coordinator_server)
-// against in-process SiteClient threads over real loopback sockets. Runs
-// under TSan in CI (unit label), so the accept thread, the per-connection
-// reader threads and the cycle thread exercise the locking discipline for
-// real — and the behavioural oracle is exact: the same seeded workload
-// through the single-process RuntimeDriver must produce the identical
-// per-cycle belief sequence, final estimate, epoch and sync counts.
+// Tests of the coordinator service (src/runtime/coordinator_server) against
+// in-process SiteClient threads over real loopback sockets. Runs under TSan
+// in CI (unit label), so the site threads and the coordinator's event loop
+// on the test thread exercise the socket tier concurrently for real — and
+// the behavioural oracle is exact: the same seeded workload through the
+// single-process RuntimeDriver must produce the identical per-cycle belief
+// sequence, final estimate, epoch and sync counts.
 
 #include <gtest/gtest.h>
+#include <sys/socket.h>
 #include <unistd.h>
 
 #include <atomic>
@@ -167,9 +168,9 @@ TEST(ThreadedCoordinatorTest, LoopbackRunMatchesSimDriverExactly) {
 }
 
 TEST(ThreadedCoordinatorTest, DeadlineBarrierIsInertOnHealthyDeployment) {
-  // A generous barrier deadline plus the async outbound path must not
-  // change a single verdict on a healthy loopback deployment: the sim
-  // oracle parity bar applies unchanged.
+  // A generous barrier deadline must not change a single verdict on a
+  // healthy loopback deployment: the sim oracle parity bar applies
+  // unchanged.
   const RunOutcome oracle = RunSimOracle();
 
   const L2Norm norm;
@@ -177,7 +178,6 @@ TEST(ThreadedCoordinatorTest, DeadlineBarrierIsInertOnHealthyDeployment) {
   server_config.num_sites = kSites;
   server_config.runtime = ProtocolConfig();
   server_config.barrier_deadline_ms = 5000;
-  server_config.send_queue_frames = 256;
   CoordinatorServer server(norm, server_config);
   ASSERT_TRUE(server.Listen());
 
@@ -220,11 +220,10 @@ TEST(ThreadedCoordinatorTest, StalledSiteDegradesBarrierThenRejoins) {
   CoordinatorServerConfig server_config;
   server_config.num_sites = kSites;
   server_config.runtime = ProtocolConfig();
-  // Tight deadline, bounded async queue: a 200 ms stall spans several
-  // barrier deadlines, so the coordinator must degrade, quarantine the
-  // straggler, and keep every cycle moving.
+  // Tight deadline: a 200 ms stall spans several barrier deadlines, so the
+  // coordinator must degrade, quarantine the straggler, and keep every
+  // cycle moving.
   server_config.barrier_deadline_ms = 50;
-  server_config.send_queue_frames = 256;
   CoordinatorServer server(norm, server_config);
   ASSERT_TRUE(server.Listen());
 
@@ -323,44 +322,42 @@ TEST(ThreadedCoordinatorTest, OutOfRangeSenderFramesAreCountedNotFatal) {
   future.from = 0;
   future.to = kCoordinatorId;
   future.epoch = server.Epoch() + 1;
-  const int raw = ConnectTcpLoopback(server.port(), 2000);
+  std::uint64_t jitter = 1;
+  const int raw =
+      ConnectTcpLoopbackWithRetry(server.port(), SocketRetryConfig{}, &jitter);
   ASSERT_GE(raw, 0);
+  std::vector<std::uint8_t> bytes;
   for (const RuntimeMessage& message : {beyond, negative, future}) {
     const std::vector<std::uint8_t> frame = EncodeMessage(message);
     const std::uint32_t n = static_cast<std::uint32_t>(frame.size());
-    std::vector<std::uint8_t> bytes = {
-        static_cast<std::uint8_t>(n), static_cast<std::uint8_t>(n >> 8),
-        static_cast<std::uint8_t>(n >> 16), static_cast<std::uint8_t>(n >> 24)};
+    bytes.insert(bytes.end(), {static_cast<std::uint8_t>(n),
+                               static_cast<std::uint8_t>(n >> 8),
+                               static_cast<std::uint8_t>(n >> 16),
+                               static_cast<std::uint8_t>(n >> 24)});
     bytes.insert(bytes.end(), frame.begin(), frame.end());
-    ASSERT_TRUE(WriteAll(raw, bytes.data(), bytes.size()));
   }
+  ASSERT_EQ(::send(raw, bytes.data(), bytes.size(), MSG_NOSIGNAL),
+            static_cast<ssize_t>(bytes.size()));
 
-  // The raw connection's reader thread handles the frames asynchronously.
-  const Counter* corrupt =
-      telemetry.registry.GetCounter("socket.corrupt_frames");
-  const auto give_up =
-      std::chrono::steady_clock::now() + std::chrono::seconds(10);
-  while (corrupt->value() < 3 && std::chrono::steady_clock::now() < give_up) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(5));
-    server.PublishMetrics();
-  }
-  EXPECT_EQ(corrupt->value(), 3);
-
-  // The coordinator keeps serving the deployment.
+  // The coordinator's own event loop accepts the raw connection and reads
+  // its frames while it serves the next cycles, and keeps serving the
+  // deployment.
   for (int cycle = 1; cycle <= kCycles; ++cycle) {
     ASSERT_TRUE(server.RunCycle()) << "barrier timed out at cycle " << cycle;
   }
+  const Counter* corrupt =
+      telemetry.registry.GetCounter("socket.corrupt_frames");
+  EXPECT_EQ(corrupt->value(), 3);
   EXPECT_EQ(server.ConnectedCount(), kSites);
   server.Shutdown();
   ::close(raw);
   for (std::thread& site : sites) site.join();
   EXPECT_TRUE(sites_ok.load());
-  EXPECT_EQ(corrupt->value(), 3);
 }
 
 TEST(ThreadedCoordinatorTest, ShutdownWithoutCyclesIsClean) {
   // Degenerate lifecycle: sites register, the server shuts down before any
-  // cycle. Every thread must unwind without a cycle ever running.
+  // cycle. Every site thread must unwind without a cycle ever running.
   const L2Norm norm;
   CoordinatorServerConfig server_config;
   server_config.num_sites = kSites;

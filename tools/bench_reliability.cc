@@ -179,7 +179,6 @@ constexpr int kChaosResets = 8;
 constexpr int kChaosStalls = 3;
 constexpr long kChaosStallMs = 120;
 constexpr long kChaosBarrierDeadlineMs = 25;
-constexpr std::size_t kChaosSendQueueFrames = 1024;
 // Pace cycles so a stalled site's recovery lands inside the run (an
 // unpaced loopback retires all 200 cycles before a 120 ms stall ends).
 constexpr long kChaosPaceMs = 2;
@@ -240,7 +239,6 @@ ChaosRun RunChaosDeployment(std::uint64_t seed, bool inject) {
   // Straggler tolerance on for both twins: the fault-free baseline proves
   // the deadline path is inert without stalls (0 degraded cycles).
   server_config.barrier_deadline_ms = kChaosBarrierDeadlineMs;
-  server_config.send_queue_frames = kChaosSendQueueFrames;
   sgm::CoordinatorServer server(norm, server_config);
   if (!server.Listen()) return run;
 

@@ -30,8 +30,10 @@
 //                     through the real-socket loopback runtime (one
 //                     CoordinatorServer + N SiteClient threads); rows get
 //                     "mode": "loopback" and their own seed stream
-//   --loopback-max=N  largest loopback deployment (thread-per-site makes
-//                     thousands of sites meaningless on one box)    [128]
+//   --loopback-max=N  largest loopback deployment: every site is a
+//                     SiteClient thread of this process (the coordinator
+//                     runs on the main thread), which makes thousands of
+//                     sites meaningless on one box                  [128]
 
 #include <algorithm>
 #include <atomic>
@@ -167,9 +169,10 @@ RowResult RunSimRow(int sites, long cycles, std::uint64_t seed,
   return row;
 }
 
-/// One loopback row: a real-socket deployment (CoordinatorServer + one
-/// SiteClient thread per site), measuring the same columns through the
-/// kernel. Thread-per-site bounds the useful N — the caller caps it.
+/// One loopback row: a real-socket deployment (CoordinatorServer on this
+/// thread + one SiteClient thread per site), measuring the same columns
+/// through the kernel. The site threads bound the useful N — the caller
+/// caps it.
 RowResult RunLoopbackRow(int sites, long cycles, std::uint64_t seed,
                          double trace_sample, bool attach) {
   RowResult row;
@@ -386,7 +389,7 @@ int main(int argc, char** argv) {
       if (sites > loopback_max) {
         std::fprintf(stderr,
                      "note: loopback row for %d sites skipped"
-                     " (--loopback-max=%d; thread-per-site)\n",
+                     " (--loopback-max=%d; one thread per site)\n",
                      sites, loopback_max);
         continue;
       }

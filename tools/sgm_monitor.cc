@@ -44,10 +44,6 @@
 //                is then identical to pre-deadline builds          [0]
 //   --lagging-misses  coordinator: consecutive deadline misses before a
 //                site is quarantined (jittered per site)           [2]
-//   --send-queue-frames  coordinator: per-peer bounded outbound queue
-//                drained by a writer thread, so one stalled receiver can
-//                never block the accept/cycle threads; overflow drops the
-//                peer (dead-link path). 0 keeps synchronous writes [0]
 //   --checkpoint-dir  coordinator: durable snapshot+WAL directory
 //   --recover    coordinator: restore from --checkpoint-dir before serving
 //                (restart-from-checkpoint; see docs/RUNTIME.md runbook)
@@ -154,11 +150,10 @@ struct Flags {
   std::string prom_out;
   std::string series_out;
   /// Coordinator straggler policy (see docs/RUNTIME.md): soft barrier
-  /// deadline per cycle (0 = disabled), quarantine threshold in consecutive
-  /// misses, and the per-peer bounded send queue (0 = synchronous writes).
+  /// deadline per cycle (0 = disabled) and quarantine threshold in
+  /// consecutive misses.
   long barrier_deadline_ms = 0;
   int lagging_misses = 2;
-  std::size_t send_queue_frames = 0;
   std::string checkpoint_dir;  ///< coordinator durability directory
   bool recover = false;        ///< restore from checkpoint_dir on start
   SocketRetryConfig socket_retry;  ///< site dial policy (first + re-connect)
@@ -228,9 +223,6 @@ bool ParseFlags(int argc, char** argv, Flags* flags) {
       flags->barrier_deadline_ms = std::atol(value.c_str());
     } else if (key == "lagging-misses") {
       flags->lagging_misses = std::atoi(value.c_str());
-    } else if (key == "send-queue-frames") {
-      flags->send_queue_frames =
-          static_cast<std::size_t>(std::atol(value.c_str()));
     } else if (key == "checkpoint-dir") {
       flags->checkpoint_dir = value;
     } else if (key == "recover") {
@@ -498,7 +490,6 @@ int RunCoordinatorDaemon(const Flags& flags) {
   config.port = flags.listen_port;
   config.num_sites = source->num_sites();
   config.barrier_deadline_ms = flags.barrier_deadline_ms;
-  config.send_queue_frames = flags.send_queue_frames;
   config.runtime = MakeRuntimeConfig(flags, *source);
   config.runtime.telemetry = &telemetry;
   config.runtime.failure_detector.lagging_after_deadline_misses =
