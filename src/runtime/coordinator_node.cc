@@ -249,6 +249,10 @@ void CoordinatorNode::ScheduleResync(long cycles) {
 }
 
 void CoordinatorNode::BeginCycle() {
+  // Taken before a collection left open closes below: its estimate reaches
+  // the sites only after they observe, so a heartbeat stamped this cycle
+  // naming the anchor before it is not stale.
+  anchor_epoch_cycle_start_ = anchor_epoch_;
   // A collection the last cycle left open (a straggler re-request found no
   // route) closes now, over last cycle's reports: finishing it on a report
   // from this cycle would average vectors from two cycles as a clean sync.
@@ -564,10 +568,16 @@ void CoordinatorNode::OnMessage(const RuntimeMessage& message) {
   // holds. Naming the last estimate broadcast proves that a give-up on it
   // lost only acks, unless a grant in that same epoch (which may predate
   // the broadcast and carry the estimate before it) is what the site holds.
-  if (message.type == RuntimeMessage::Type::kHeartbeat &&
-      WireCount(message.scalar) == anchor_epoch_ &&
-      grant_epoch_[site] != anchor_epoch_) {
-    anchor_undelivered_[site] = false;
+  // Naming an anchor older than the last estimate broadcast before this
+  // cycle began proves the site missed it, acked or not: ObserveSite then
+  // re-grants.
+  if (message.type == RuntimeMessage::Type::kHeartbeat) {
+    const std::optional<long> held = WireCount(message.scalar);
+    if (held == anchor_epoch_ && grant_epoch_[site] != anchor_epoch_) {
+      anchor_undelivered_[site] = false;
+    } else if (held.has_value() && *held < anchor_epoch_cycle_start_) {
+      anchor_undelivered_[site] = true;
+    }
   }
   ObserveSite(site, message.epoch);
 
@@ -613,6 +623,11 @@ void CoordinatorNode::OnMessage(const RuntimeMessage& message) {
       }
       RuntimeMessage probe;
       probe.type = RuntimeMessage::Type::kProbeRequest;
+      // Names the last estimate broadcast, so a site that missed it — an ack
+      // does not prove it applied one — un-anchors instead of reporting
+      // drift against a stale estimate. −1 (none since Start or Recover)
+      // reads as no count and claims nothing.
+      probe.scalar = static_cast<double>(anchor_epoch_);
       probe.span = phase_span_;
       probe.parent_span = cycle_span_;
       SendBroadcast(std::move(probe));

@@ -300,14 +300,21 @@ class CoordinatorNode {
   /// Sites whose pending rejoin came from a grant (as opposed to a
   /// current-epoch revival): completing it schedules a resync.
   std::vector<bool> grant_pending_;
-  /// Sites for which an anchor-carrying message (kNewEstimate /
-  /// kRejoinGrant) exhausted its retransmissions: re-grant on next contact
-  /// even if the site looks alive and epoch-current, unless a heartbeat
-  /// proves the site holds the last estimate broadcast (see OnMessage).
+  /// Sites that may hold a stale anchor although they look alive and
+  /// epoch-current: an anchor-carrying message (kNewEstimate /
+  /// kRejoinGrant) exhausted its retransmissions, or a heartbeat named an
+  /// anchor older than anchor_epoch_cycle_start_. Re-grant on next contact,
+  /// unless a heartbeat proves the site holds the last estimate broadcast
+  /// (see OnMessage).
   std::vector<bool> anchor_undelivered_;
   /// Epoch of the last kNewEstimate broadcast, −1 before the first. Not
   /// checkpointed: a recovered node re-grants every reachable site anyway.
+  /// Every probe names it (see SiteNode::OnMessage).
   std::int64_t anchor_epoch_ = -1;
+  /// anchor_epoch_ at the top of the current cycle, before BeginCycle closes
+  /// a collection left open: a heartbeat naming an older anchor comes from
+  /// a site that missed an estimate broadcast it had a whole cycle to get.
+  std::int64_t anchor_epoch_cycle_start_ = -1;
   /// Epoch of each site's last rejoin grant from this incarnation (−1:
   /// none).
   std::vector<std::int64_t> grant_epoch_;

@@ -231,41 +231,48 @@ bool CoordinatorServer::HandleFrame(int fd, const RuntimeMessage& message) {
       }
       return true;
     }
-    case RuntimeMessage::Type::kBarrierAck:
-      if (WireCount(message.scalar) == barrier_token_) {
-        ++barrier_acks_;
-        if (message.from >= 0 && message.from < config_.num_sites) {
-          barrier_acked_[message.from] = true;
-        }
-      }
-      return true;
     case RuntimeMessage::Type::kCycleBegin:
     case RuntimeMessage::Type::kBarrier:
     case RuntimeMessage::Type::kShutdown:
       return true;  // coordinator-originated control echoed back: ignore
-    default: {
-      // Every other frame must come from a site: a sender id outside the
-      // deployment is garbage that happens to pass the CRC, and must not
-      // reach the node or the reliability layer's per-site state. So is an
-      // epoch the coordinator has not issued yet, which the node treats as
-      // a broken invariant.
-      if (message.from < 0 || message.from >= config_.num_sites ||
-          message.epoch > coordinator_->epoch()) {
-        ++corrupt_frames_;
-        return true;
-      }
-      // Ordinary protocol traffic: through the receive-side reliability
-      // layer (ack/dedup), then into the node — the sim driver's Deliver().
-      if (message.counts_as_protocol_traffic()) {
-        ++site_messages_received_;
-        site_bytes_received_ += WireBytes(message);
-      }
-      std::vector<RuntimeMessage> fresh;
-      reliable_->OnDeliver(kCoordinatorId, message, &fresh);
-      for (const RuntimeMessage& m : fresh) coordinator_->OnMessage(m);
-      return true;
-    }
+    default:
+      break;
   }
+  // Every other frame must come from a site: a sender id outside the
+  // deployment is garbage that happens to pass the CRC, and must not reach
+  // the node or the reliability layer's per-site state. So is an epoch the
+  // coordinator has not issued yet, which the node treats as a broken
+  // invariant.
+  if (message.from < 0 || message.from >= config_.num_sites ||
+      message.epoch > coordinator_->epoch()) {
+    ++corrupt_frames_;
+    return true;
+  }
+  // A frame speaks only for the site its connection said hello as. Without
+  // this, a stray ack on another connection would cancel a unicast's
+  // retransmission, or a stray barrier ack mark another site flushed.
+  const auto session = fd_site_.find(fd);
+  if (session == fd_site_.end() || session->second != message.from) {
+    ++unbound_frames_;
+    return true;
+  }
+  if (message.type == RuntimeMessage::Type::kBarrierAck) {
+    if (WireCount(message.scalar) == barrier_token_) {
+      ++barrier_acks_;
+      barrier_acked_[message.from] = true;
+    }
+    return true;
+  }
+  // Ordinary protocol traffic: through the receive-side reliability layer
+  // (ack/dedup), then into the node — the sim driver's Deliver().
+  if (message.counts_as_protocol_traffic()) {
+    ++site_messages_received_;
+    site_bytes_received_ += WireBytes(message);
+  }
+  std::vector<RuntimeMessage> fresh;
+  reliable_->OnDeliver(kCoordinatorId, message, &fresh);
+  for (const RuntimeMessage& m : fresh) coordinator_->OnMessage(m);
+  return true;
 }
 
 void CoordinatorServer::BroadcastControl(RuntimeMessage::Type type,
@@ -648,6 +655,8 @@ MetricRows<CoordinatorServer> CoordinatorServer::SocketRows() {
        [](const Server& s) { return s.transport_.send_queue_drops(); }},
       {"socket.corrupt_frames",
        [](const Server& s) { return s.corrupt_frames_; }},
+      {"socket.unbound_frames",
+       [](const Server& s) { return s.unbound_frames_; }},
       {"socket.site_disconnects",
        [](const Server& s) { return s.site_disconnects_; }},
       {"socket.site_rehellos",

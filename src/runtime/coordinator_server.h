@@ -299,6 +299,9 @@ class CoordinatorServer {
   /// Garbage on the wire: frames the decoder rejected (CRC, bounds) plus
   /// decoded frames naming a sender outside the deployment.
   long corrupt_frames_ = 0;
+  /// Well-formed site frames dropped because their connection has not said
+  /// hello, or said it as another site than their `from`.
+  long unbound_frames_ = 0;
   /// Inbound site-originated protocol data (paper accounting family).
   long site_messages_received_ = 0;
   double site_bytes_received_ = 0.0;

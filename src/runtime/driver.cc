@@ -214,7 +214,7 @@ void RuntimeDriver::RouteToQuiescence() {
           Deliver(kCoordinatorId, message);
         } else if (message.to == kBroadcastId) {
           // A broadcast is one wire message but N receiver-side stacks:
-          // each live site dedups and acks independently.
+          // each live site dedups it independently, and none acks it.
           for (auto& site : sites_) {
             if (sim_ && sim_->IsCrashed(site->id())) continue;
             Deliver(site->id(), message);

@@ -24,9 +24,11 @@ namespace sgm {
 ///   nodes → ReliableTransport → [SimTransport] → InMemoryBus
 ///
 /// The ReliableTransport is always present: it stamps sequence numbers,
-/// acks every delivery, retransmits unacked messages with bounded backoff
-/// and dedups the receive side. On the faultless wiring it is pure
-/// pass-through overhead-wise — every ack arrives in the same drain, so no
+/// acks every unicast (and each broadcast copy a faulted SimTransport
+/// readdresses per site), retransmits unacked messages with bounded backoff
+/// and dedups the receive side. The bus delivers broadcasts whole, so they
+/// draw no acks. On the faultless wiring the layer is pure pass-through
+/// overhead-wise — every ack arrives in the same drain, so no
 /// retransmission ever fires and paper-comparable accounting is unchanged.
 ///
 /// The four-argument constructor layers a seeded SimTransport between the

@@ -21,7 +21,9 @@ inline constexpr int kBroadcastId = -2;
 /// explicit):
 ///   site → coordinator   kLocalViolation    (a sampled ball crossed)
 ///   coord → broadcast    kProbeRequest      (partial sync: first-trial
-///                                            members, report your drift)
+///                                            members, report your drift;
+///                                            `scalar` names the last
+///                                            estimate's epoch)
 ///   site → coordinator   kDriftReport       (Δv_i and its g_i)
 ///   coord → broadcast    kResolved          (FP dismissed; optional
 ///                                            certified-mute length rides in
@@ -108,7 +110,8 @@ struct RuntimeMessage {
   Vector payload;
   /// Scalar payload: inclusion probability g_i on kDriftReport, mute length
   /// on kResolved, ε_T on kNewEstimate/kRejoinGrant, the held anchor's
-  /// epoch on kHeartbeat.
+  /// epoch on kHeartbeat, the epoch of the coordinator's last estimate
+  /// broadcast on kProbeRequest.
   double scalar = 0.0;
 
   /// Payload size in doubles for communication accounting.
@@ -186,7 +189,7 @@ struct RuntimeMessage {
 
 /// Reads a wire scalar that carries a count — the kResolved mute length,
 /// the kBarrier/kBarrierAck token, the kCycleBegin cycle number, the
-/// kHeartbeat anchor epoch — as a
+/// kHeartbeat and kProbeRequest anchor epochs — as a
 /// nonnegative integer, truncated toward zero. A frame can pass its CRC and
 /// still carry NaN, a negative value or one beyond `long`, whose direct
 /// conversion is undefined behaviour; such a scalar reads as no valid count.

@@ -206,8 +206,13 @@ void ReliableTransport::Send(const RuntimeMessage& message) {
     ++entry.awaiting_count;
   };
   if (stamped.to == kBroadcastId) {
-    for (int site = 0; site < num_sites_; ++site) {
-      if (link_up_[site]) await(site);
+    // A whole-delivered broadcast is lost only together with its receiver,
+    // which an ack cannot repair: it stays sequenced, for dedup, but
+    // untracked. Per-destination links track each site's copy.
+    if (!lower_->DeliversWhole(stamped)) {
+      for (int site = 0; site < num_sites_; ++site) {
+        if (link_up_[site]) await(site);
+      }
     }
   } else if (stamped.to >= 0 && !link_up_[stamped.to]) {
     // Administratively-down destination: best-effort, no tracking (the
@@ -248,6 +253,9 @@ void ReliableTransport::Send(const RuntimeMessage& message) {
 }
 
 void ReliableTransport::Ack(int receiver, const RuntimeMessage& message) {
+  // Still addressed to kBroadcastId, the message came over a link that
+  // delivers broadcasts whole, and its sender expects no ack.
+  if (message.to == kBroadcastId) return;
   RuntimeMessage ack;
   ack.type = RuntimeMessage::Type::kAck;
   ack.from = receiver;

@@ -65,6 +65,16 @@ struct ReliableTransportConfig {
 /// kRejoinRequest are fire-and-forget — the protocol re-emits them
 /// periodically, so transport-level retries would only add traffic.
 ///
+/// Who acks what: every unicast is acked by its one receiver. A coordinator
+/// broadcast is acked per site only over a link that decides each
+/// destination's fate on its own readdressed copy (a faulted SimTransport).
+/// A link that delivers broadcasts whole (Transport::DeliversWhole: the
+/// in-memory bus, TCP) loses a copy only together with its receiver — a
+/// crashed node or a dead session — which no ack can repair, so such a
+/// broadcast is sequenced (receivers still dedup) but neither tracked nor
+/// acked: it costs one message. The epoch fence and the rejoin path, not
+/// acks, resynchronize a receiver that lost one.
+///
 /// Accounting: original sends pass through with `retransmit == false` and
 /// count toward the paper-comparable figures in the layer below;
 /// retransmitted copies are flagged `retransmit = true` and acks are
@@ -83,7 +93,9 @@ class ReliableTransport final : public Transport {
     long tracked_sends = 0;
     /// Ack-timeout retransmission copies placed on the wire.
     long retransmissions = 0;
-    /// Transport-level acks emitted (one per fresh or re-seen delivery).
+    /// Transport-level acks emitted: one per fresh or re-seen delivery of a
+    /// unicast or of a readdressed broadcast copy; a whole-delivered
+    /// broadcast draws none.
     long acks_sent = 0;
     /// Receive-side duplicates dropped (fault-injected or retransmit
     /// overlap), each re-acked in case the first ack was lost.
@@ -106,15 +118,17 @@ class ReliableTransport final : public Transport {
                     Telemetry* telemetry = nullptr);
 
   /// Sender side: stamps a sequence number on trackable messages, records
-  /// them for retransmission, and forwards to the lower transport.
+  /// the ones an ack can confirm for retransmission (all but a broadcast
+  /// the lower transport delivers whole), and forwards to it.
   void Send(const RuntimeMessage& message) override;
 
   /// Receive side, called by the driver for each message popped off the
   /// network, once per destination (`receiver` is a site id or
   /// kCoordinatorId; broadcast fan-out calls this once per site). Consumes
   /// acks, drops duplicates (re-acking them, in case the first ack was
-  /// lost), acks fresh sequenced data, and appends to `deliver` the
-  /// messages the node should actually process.
+  /// lost), acks fresh sequenced data — except a message still addressed to
+  /// kBroadcastId, which came whole and is awaited by no one — and appends
+  /// to `deliver` the messages the node should actually process.
   void OnDeliver(int receiver, const RuntimeMessage& message,
                  std::vector<RuntimeMessage>* deliver);
 
@@ -131,8 +145,8 @@ class ReliableTransport final : public Transport {
 
   /// Marks a site link administratively down (failure detector verdict):
   /// pending expectations on it are released, and it is excluded from
-  /// broadcast ack-expectation until marked up again. Unicasts to a down
-  /// link are forwarded best-effort without tracking.
+  /// per-destination broadcast ack-expectation until marked up again.
+  /// Unicasts to a down link are forwarded best-effort without tracking.
   void MarkLinkDown(int site);
   void MarkLinkUp(int site);
   bool IsLinkUp(int site) const;
@@ -168,7 +182,8 @@ class ReliableTransport final : public Transport {
   struct InFlight {
     RuntimeMessage message;  ///< original, retransmit flag unset
     /// Destinations yet to ack: a bitset over endpoint slots (see Slot)
-    /// plus its population count. A site's message can only await the
+    /// plus its population count. Only a broadcast over a per-destination
+    /// link awaits more than one; a site's message can only await the
     /// coordinator, so its set is a single word.
     std::vector<std::uint64_t> awaiting;
     int awaiting_count = 0;

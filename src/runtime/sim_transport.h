@@ -84,6 +84,11 @@ class SimTransport final : public Transport {
   void set_telemetry(Telemetry* telemetry) { telemetry_ = telemetry; }
 
   void Send(const RuntimeMessage& message) override;
+  /// False exactly when faults apply to `message`: a faulted broadcast is
+  /// readdressed into one copy per site, each with its own fate.
+  bool DeliversWhole(const RuntimeMessage& message) const override {
+    return !FaultsApplyTo(message);
+  }
 
   /// Advances the delivery clock one round and forwards every held message
   /// whose delay has expired (in send order within a round).

@@ -64,6 +64,12 @@ void SiteNode::RequestRejoin() {
   SendToCoordinator(std::move(request));
 }
 
+void SiteNode::Unanchor() {
+  anchored_ = false;
+  rejoin_requested_ = false;
+  RequestRejoin();
+}
+
 void SiteNode::OnTransportReconnect() {
   if (epoch_ == 0 && !initialized_) return;  // never heard from the
                                              // coordinator: hello suffices
@@ -182,15 +188,21 @@ void SiteNode::OnMessage(const RuntimeMessage& message) {
     const bool self_anchoring =
         message.type == RuntimeMessage::Type::kNewEstimate ||
         message.type == RuntimeMessage::Type::kRejoinGrant;
-    if (gap && initialized_ && !self_anchoring) {
-      anchored_ = false;
-      rejoin_requested_ = false;
-      RequestRejoin();
-    }
+    if (gap && initialized_ && !self_anchoring) Unanchor();
   }
 
   switch (message.type) {
     case RuntimeMessage::Type::kProbeRequest: {
+      // The probe names the coordinator's last estimate broadcast. Holding
+      // an older anchor, this site missed it (it may even have acked it,
+      // then dropped it behind a probe that overtook it): stop monitoring
+      // against the stale estimate and ask to be re-anchored.
+      const std::optional<long> coordinator_anchor = WireCount(message.scalar);
+      if (anchored_ && coordinator_anchor.has_value() &&
+          anchor_epoch_ < *coordinator_anchor) {
+        Unanchor();
+        return;
+      }
       // The coordinator probes trial 1 only; an un-anchored site's drift is
       // relative to a stale estimate and must not enter the HT sample.
       if (!in_first_trial_ || !anchored_) return;

@@ -108,7 +108,9 @@ struct RuntimeConfig {
 /// sync round — it un-anchors (suppresses monitoring, which would test
 /// balls against a stale estimate), keeps answering full-state requests
 /// (its raw v_i is always valid), and requests a rejoin; a kNewEstimate or
-/// kRejoinGrant re-anchors it.
+/// kRejoinGrant re-anchors it. A probe naming an estimate newer than the
+/// site's anchor has the same effect: the site missed that broadcast even
+/// if no epoch gap shows it.
 ///
 /// Usage per update cycle:
 ///   site.Observe(new_local_vector);   // after the local window slid
@@ -172,6 +174,9 @@ class SiteNode {
   void SendToCoordinator(RuntimeMessage message);
   void SendHeartbeatIfDue();
   void RequestRejoin();
+  /// Stops monitoring against an anchor the site knows is stale and asks
+  /// for a fresh one.
+  void Unanchor();
   /// Applies a full anchor (estimate + ε_T + epoch): kNewEstimate and
   /// kRejoinGrant share this path; `source` labels the anchor_applied
   /// trace event with which one it was.
@@ -200,8 +205,9 @@ class SiteNode {
 
   std::int64_t epoch_ = 0;
   /// Epoch of the anchor (kNewEstimate or kRejoinGrant) last applied; each
-  /// heartbeat names it so the coordinator can tell whether an anchor it
-  /// gave up on arrived after all.
+  /// heartbeat names it so the coordinator can tell whether the site holds
+  /// its last estimate broadcast, and a probe naming a newer one un-anchors
+  /// the site.
   std::int64_t anchor_epoch_ = 0;
   bool anchored_ = false;
   bool rejoin_requested_ = false;  ///< one outstanding request at a time

@@ -19,6 +19,16 @@ class Transport {
   /// sites but is accounted as a single transmission (the broadcast cost
   /// model of the paper).
   virtual void Send(const RuntimeMessage& message) = 0;
+
+  /// True when this link delivers `message`, a broadcast, whole: every
+  /// receiver gets it, addressed to kBroadcastId, unless the receiver itself
+  /// is gone (a crashed node, a dead session). An ack cannot repair that
+  /// loss, so the reliability layer expects none. A link that decides each
+  /// destination's fate on its own copy (readdressed to the site) answers
+  /// false, and each copy is then acked and retransmitted.
+  virtual bool DeliversWhole(const RuntimeMessage& /*message*/) const {
+    return true;
+  }
 };
 
 /// Wire cost of one message: 16-byte header + 8 bytes per payload double

@@ -321,9 +321,25 @@ void AppendBeliefLine(FILE* file, long cycle, const CoordinatorServer& server,
 // ─── Straggler (SIGSTOP) leg ───────────────────────────────────────────────
 
 constexpr long kStragglerCycles = 80;    // last cycle index of the leg
-constexpr int kStragglerVictim = 1;      // the site the parent SIGSTOPs
 constexpr long kStragglerPaceMs = 40;    // coordinator pacing per cycle
 constexpr long kStragglerDeadlineMs = 300;  // soft barrier deadline
+constexpr long kStragglerFrozenCycles = 40;  // cycles run while it is frozen
+
+/// Which site the parent SIGSTOPs, and after how many completed cycles:
+/// both drawn from the chaos seed, so a seed sweep freezes different sites
+/// at different points of the run. Freezing after 10–20 cycles leaves at
+/// least 20 cycles after the SIGCONT for the quarantine to lift.
+struct StragglerSchedule {
+  int victim;
+  long freeze_after;
+};
+StragglerSchedule StragglerScheduleFor(std::uint64_t chaos_seed) {
+  Rng rng(DeriveSeed(chaos_seed, 61));
+  StragglerSchedule schedule;
+  schedule.victim = static_cast<int>(rng.NextBounded(kSites));
+  schedule.freeze_after = 10 + static_cast<long>(rng.NextBounded(11));
+  return schedule;
+}
 
 /// Deadline-driven coordinator for the SIGSTOP leg: paced cycles (so the
 /// parent can stop/continue a site mid-run), a soft barrier deadline, and
@@ -692,13 +708,17 @@ TEST(ChaosIntegrationTest, KilledCoordinatorAndSiteRecoverUnderSeededChaos) {
 
 TEST(ChaosIntegrationTest, SigstoppedSiteIsQuarantinedNotBlocking) {
   const std::uint64_t chaos_seed = SeedFromEnv();
+  const StragglerSchedule schedule = StragglerScheduleFor(chaos_seed);
   const std::string artifacts = ArtifactsDir();
   const std::string beliefs_path = artifacts + "/straggler-beliefs.txt";
   const std::string coord_trace = artifacts + "/straggler-coordinator.jsonl";
   const std::string victim_trace = artifacts + "/straggler-victim.jsonl";
   std::remove(beliefs_path.c_str());
-  std::printf("straggler leg: chaos seed %llu, artifacts in %s\n",
-              static_cast<unsigned long long>(chaos_seed), artifacts.c_str());
+  std::printf(
+      "straggler leg: chaos seed %llu, site %d frozen after cycle %ld for "
+      "%ld cycles, artifacts in %s\n",
+      static_cast<unsigned long long>(chaos_seed), schedule.victim,
+      schedule.freeze_after - 1, kStragglerFrozenCycles, artifacts.c_str());
 
   int port_pipe[2];
   ASSERT_EQ(::pipe(port_pipe), 0);
@@ -721,7 +741,7 @@ TEST(ChaosIntegrationTest, SigstoppedSiteIsQuarantinedNotBlocking) {
     ASSERT_GE(pid, 0);
     if (pid == 0) {
       StragglerSiteMain(id, port,
-                        id == kStragglerVictim ? victim_trace : std::string());
+                        id == schedule.victim ? victim_trace : std::string());
     }
     sites[id] = pid;
   }
@@ -729,18 +749,19 @@ TEST(ChaosIntegrationTest, SigstoppedSiteIsQuarantinedNotBlocking) {
   // Let the deployment settle into steady cycles, then freeze the victim
   // process outright — the purest straggler: the TCP session stays up, the
   // process just stops scheduling.
-  ASSERT_TRUE(AwaitBeliefLines(beliefs_path, 15))
-      << "coordinator never reached cycle 15";
-  ASSERT_EQ(::kill(sites[kStragglerVictim], SIGSTOP), 0);
+  ASSERT_TRUE(AwaitBeliefLines(beliefs_path, schedule.freeze_after))
+      << "coordinator never reached cycle " << schedule.freeze_after;
+  ASSERT_EQ(::kill(sites[schedule.victim], SIGSTOP), 0);
 
   // Liveness under a stopped site: the deadline-driven barrier must keep
   // closing cycles over the responsive quorum. 40 further cycles against a
   // frozen peer complete only if no send and no barrier wait ever blocks on
   // it (the 60 s polling budget is far below 40 × the 30 s hard timeout).
-  ASSERT_TRUE(AwaitBeliefLines(beliefs_path, 55))
+  ASSERT_TRUE(AwaitBeliefLines(beliefs_path,
+                               schedule.freeze_after + kStragglerFrozenCycles))
       << "cycle progress stalled while a site was SIGSTOPed — the stalled "
          "peer blocked the coordinator";
-  ASSERT_EQ(::kill(sites[kStragglerVictim], SIGCONT), 0);
+  ASSERT_EQ(::kill(sites[schedule.victim], SIGCONT), 0);
 
   // The coordinator's end-of-run _exit codes assert the rest: degraded
   // cycles recorded (65), a lag quarantine issued (66), the quarantine
@@ -803,7 +824,8 @@ TEST(ChaosIntegrationTest, SigstoppedSiteIsQuarantinedNotBlocking) {
   std::vector<std::vector<TraceEvent>> timelines;
   for (const auto& entry :
        {std::make_pair(coord_trace, std::string("coordinator")),
-        std::make_pair(victim_trace, std::string("site-1"))}) {
+        std::make_pair(victim_trace,
+                       "site-" + std::to_string(schedule.victim))}) {
     std::vector<TraceEvent> events;
     std::string warning;
     const Status loaded = LoadTraceJsonlTolerant(

@@ -89,7 +89,7 @@ counter site.heartbeats_sent 481
 counter site.rejoin_requests_sent 0
 counter site.stale_epoch_applied 0
 counter site.stale_epoch_drops 0
-counter transport.acks_sent 461
+counter transport.acks_sent 125
 counter transport.dedup_evictions 0
 counter transport.duplicates_suppressed 0
 counter transport.give_ups 0
@@ -97,13 +97,13 @@ counter transport.paper_messages 146
 counter transport.paper_site_messages 125
 counter transport.queue_evictions 0
 counter transport.retransmissions 0
-counter transport.total_messages 1088
-counter transport.tracked_sends 146
+counter transport.total_messages 752
+counter transport.tracked_sends 125
 gauge degraded.lagging_sites 0
 gauge degraded.staleness_cycles_max 0
 gauge failure.live_count 16
 gauge transport.paper_bytes 6416
-gauge transport.total_bytes 21488
+gauge transport.total_bytes 16112
 )";
 
 constexpr char kFaultyRows[] = R"(counter coordinator.degraded_syncs 1
@@ -193,6 +193,7 @@ counter socket.send_queue_drops
 counter socket.short_writes
 counter socket.site_disconnects
 counter socket.site_rehellos
+counter socket.unbound_frames
 counter transport.acks_sent
 counter transport.dedup_evictions
 counter transport.duplicates_suppressed

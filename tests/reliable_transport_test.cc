@@ -15,6 +15,7 @@
 #include "core/rng.h"
 #include "runtime/reliable_transport.h"
 #include "runtime/transport.h"
+#include "test_util.h"
 
 namespace sgm {
 namespace {
@@ -106,43 +107,80 @@ TEST(ReliableTransportTest, DuplicateSuppressedAndReAcked) {
 }
 
 TEST(ReliableTransportTest, BroadcastRetransmitsUnicastToSilentSitesOnly) {
-  InMemoryBus bus;
-  ReliableTransport rt(&bus, 3, ReliableTransportConfig{});
+  PerSiteWire wire(3);
+  ReliableTransport rt(&wire, 3, ReliableTransportConfig{});
   rt.Send(EstimateBroadcast());
-  const RuntimeMessage broadcast = bus.Pop();
-  ASSERT_EQ(broadcast.to, kBroadcastId);
+  const std::vector<RuntimeMessage> copies = wire.PopAll();
+  ASSERT_EQ(copies.size(), 3u);  // one readdressed copy per site
 
-  // Sites 0 and 1 receive and ack; site 2 never sees it.
+  // Sites 0 and 1 receive and ack; site 2's copy is lost.
   for (int site : {0, 1}) {
-    ASSERT_EQ(DeliverTo(&rt, site, broadcast).size(), 1u);
-    const RuntimeMessage ack = bus.Pop();
+    ASSERT_EQ(copies[site].to, site);
+    ASSERT_EQ(DeliverTo(&rt, site, copies[site]).size(), 1u);
+    const RuntimeMessage ack = wire.Pop();
     ASSERT_EQ(ack.type, RuntimeMessage::Type::kAck);
     EXPECT_TRUE(DeliverTo(&rt, kCoordinatorId, ack).empty());
   }
   EXPECT_TRUE(rt.HasUnacked());
 
   rt.AdvanceRound();
-  if (bus.empty()) rt.AdvanceRound();
-  ASSERT_FALSE(bus.empty());
-  const RuntimeMessage copy = bus.Pop();
-  EXPECT_TRUE(bus.empty());  // exactly one copy, for the one silent site
+  if (wire.empty()) rt.AdvanceRound();
+  ASSERT_FALSE(wire.empty());
+  const RuntimeMessage copy = wire.Pop();
+  EXPECT_TRUE(wire.empty());  // exactly one copy, for the one silent site
   EXPECT_TRUE(copy.retransmit);
   EXPECT_EQ(copy.to, 2);
-  EXPECT_EQ(copy.seq, broadcast.seq);
+  EXPECT_EQ(copy.seq, copies[2].seq);
 
   // Site 2's dedup still keys by (sender, seq): the late original would be
-  // suppressed once the unicast copy has been delivered.
+  // suppressed once the retransmitted copy has been delivered.
   ASSERT_EQ(DeliverTo(&rt, 2, copy).size(), 1u);
-  bus.Pop();  // site 2's ack
-  EXPECT_TRUE(DeliverTo(&rt, 2, broadcast).empty());
+  wire.Pop();  // site 2's ack
+  EXPECT_TRUE(DeliverTo(&rt, 2, copies[2]).empty());
   EXPECT_EQ(rt.stats().duplicates_suppressed, 1);
 }
 
-TEST(ReliableTransportTest, GiveUpReportsDeadLinksWithTheLostMessage) {
-  InMemoryBus bus;
+TEST(ReliableTransportTest, WholeDeliveredBroadcastIsSequencedButNotAcked) {
+  InMemoryBus bus;  // delivers a broadcast whole, addressed to every site
   ReliableTransportConfig config;
   config.max_retransmits = 1;
-  ReliableTransport rt(&bus, 2, config);
+  ReliableTransport rt(&bus, 3, config);
+  int dead_links = 0;
+  rt.SetDeadLinkHandler([&](int, const RuntimeMessage&) { ++dead_links; });
+  rt.Send(EstimateBroadcast());
+  const RuntimeMessage broadcast = bus.Pop();
+  EXPECT_TRUE(bus.empty());  // one message on the wire
+  ASSERT_EQ(broadcast.to, kBroadcastId);
+  EXPECT_GT(broadcast.seq, 0);  // still sequenced, so receivers dedup
+  EXPECT_FALSE(rt.HasUnacked());
+  EXPECT_EQ(rt.stats().tracked_sends, 0);
+
+  // Sites 0 and 1 take it fresh and ack nothing; site 2 crashed with its
+  // copy, a loss no ack could have repaired.
+  for (int site : {0, 1}) {
+    EXPECT_EQ(DeliverTo(&rt, site, broadcast).size(), 1u);
+  }
+  EXPECT_TRUE(bus.empty());
+  EXPECT_EQ(rt.stats().acks_sent, 0);
+  // A second delivery is a duplicate, suppressed and not re-acked.
+  EXPECT_TRUE(DeliverTo(&rt, 1, broadcast).empty());
+  EXPECT_EQ(rt.stats().duplicates_suppressed, 1);
+  EXPECT_TRUE(bus.empty());
+  EXPECT_EQ(rt.stats().acks_sent, 0);
+  // Nothing awaited, so nothing retransmits or gives up: the missed beats
+  // of site 2, not this broadcast, are what declare it dead.
+  for (int i = 0; i < 32; ++i) rt.AdvanceRound();
+  EXPECT_TRUE(bus.empty());
+  EXPECT_EQ(rt.stats().retransmissions, 0);
+  EXPECT_EQ(rt.stats().give_ups, 0);
+  EXPECT_EQ(dead_links, 0);
+}
+
+TEST(ReliableTransportTest, GiveUpReportsDeadLinksWithTheLostMessage) {
+  PerSiteWire wire(2);
+  ReliableTransportConfig config;
+  config.max_retransmits = 1;
+  ReliableTransport rt(&wire, 2, config);
   std::vector<std::pair<int, RuntimeMessage::Type>> dead;
   rt.SetDeadLinkHandler([&](int site, const RuntimeMessage& m) {
     dead.emplace_back(site, m.type);
@@ -150,10 +188,10 @@ TEST(ReliableTransportTest, GiveUpReportsDeadLinksWithTheLostMessage) {
 
   rt.Send(EstimateBroadcast());
   // Drop everything the transport ever puts on the wire.
-  while (!bus.empty()) bus.Pop();
+  wire.PopAll();
   for (int i = 0; i < 32 && rt.HasUnacked(); ++i) {
     rt.AdvanceRound();
-    while (!bus.empty()) bus.Pop();
+    wire.PopAll();
   }
   EXPECT_FALSE(rt.HasUnacked());
   EXPECT_EQ(rt.stats().give_ups, 1);
@@ -186,14 +224,14 @@ TEST(ReliableTransportTest, ControlMessagesAreNeverTracked) {
 }
 
 TEST(ReliableTransportTest, LinkDownReleasesAndExcludesFromTracking) {
-  InMemoryBus bus;
-  ReliableTransport rt(&bus, 3, ReliableTransportConfig{});
+  PerSiteWire wire(3);
+  ReliableTransport rt(&wire, 3, ReliableTransportConfig{});
 
   // Pending expectations on a link are released when it goes down.
   RuntimeMessage unicast = EstimateBroadcast();
   unicast.to = 0;
   rt.Send(unicast);
-  bus.Pop();
+  wire.Pop();
   ASSERT_TRUE(rt.HasUnacked());
   rt.MarkLinkDown(0);
   EXPECT_FALSE(rt.HasUnacked());
@@ -202,11 +240,11 @@ TEST(ReliableTransportTest, LinkDownReleasesAndExcludesFromTracking) {
   // A fresh unicast to the down link is forwarded best-effort, untracked;
   // a broadcast only awaits the up links.
   rt.Send(unicast);
-  EXPECT_FALSE(bus.empty());
-  bus.Pop();
+  EXPECT_FALSE(wire.empty());
+  wire.Pop();
   EXPECT_FALSE(rt.HasUnacked());
   rt.Send(EstimateBroadcast());
-  bus.Pop();
+  EXPECT_EQ(wire.PopAll().size(), 3u);  // the down link's copy still goes out
   ASSERT_TRUE(rt.HasUnacked());
   for (int site : {1, 2}) {
     RuntimeMessage ack;
@@ -281,13 +319,13 @@ TEST(ReliableTransportTest, DedupWindowCompactsIntoFloorWithoutMisjudging) {
 }
 
 TEST(ReliableTransportTest, AbandonSenderVoidsInFlightWithoutDeadVerdicts) {
-  InMemoryBus bus;
-  ReliableTransport rt(&bus, 3, ReliableTransportConfig{});
+  PerSiteWire wire(3);
+  ReliableTransport rt(&wire, 3, ReliableTransportConfig{});
   int dead_links = 0;
   rt.SetDeadLinkHandler([&](int, const RuntimeMessage&) { ++dead_links; });
 
   rt.Send(EstimateBroadcast());
-  const std::int64_t first_seq = bus.Pop().seq;
+  const std::int64_t first_seq = wire.PopAll().front().seq;
   ASSERT_TRUE(rt.HasUnacked());
 
   // The coordinator process died: its unacked traffic is void — the
@@ -297,12 +335,12 @@ TEST(ReliableTransportTest, AbandonSenderVoidsInFlightWithoutDeadVerdicts) {
   EXPECT_EQ(dead_links, 0);
   EXPECT_EQ(rt.stats().give_ups, 0);
   for (int i = 0; i < 16; ++i) rt.AdvanceRound();
-  EXPECT_TRUE(bus.empty());  // nothing left to retransmit
+  EXPECT_TRUE(wire.empty());  // nothing left to retransmit
 
   // A recovered coordinator keeps numbering where it left off, so the
   // receivers' dedup windows stay coherent across the crash.
   rt.Send(EstimateBroadcast());
-  EXPECT_EQ(bus.Pop().seq, first_seq + 1);
+  EXPECT_EQ(wire.Pop().seq, first_seq + 1);
 }
 
 TEST(ReliableTransportTest, RetransmissionScheduleIsSeedDeterministic) {
@@ -353,6 +391,31 @@ TEST(ReliableTransportTest, OutOfOrderSeqAboveTheFloorIsFreshExactlyOnce) {
 TEST(ReliableTransportTest, CoordinatorSeqGapsAtASiteAreNotDuplicates) {
   // The coordinator numbers all of its tracked sends in one sequence, so a
   // site sees gaps wherever the coordinator unicast to someone else.
+  PerSiteWire wire(2);
+  ReliableTransport rt(&wire, 2, ReliableTransportConfig{});
+  RuntimeMessage to_site1 = EstimateBroadcast();
+  to_site1.to = 1;
+  std::vector<std::int64_t> site0_seqs;
+  for (int i = 0; i < 6; ++i) {
+    rt.Send(to_site1);
+    EXPECT_EQ(DeliverTo(&rt, 1, wire.Pop()).size(), 1u);
+    wire.Pop();  // site 1's ack
+    rt.Send(EstimateBroadcast());
+    const std::vector<RuntimeMessage> copies = wire.PopAll();
+    ASSERT_EQ(copies.size(), 2u);
+    site0_seqs.push_back(copies[0].seq);
+    EXPECT_EQ(DeliverTo(&rt, 0, copies[0]).size(), 1u);
+    EXPECT_EQ(DeliverTo(&rt, 1, copies[1]).size(), 1u);
+    wire.PopAll();
+  }
+  EXPECT_EQ(site0_seqs, (std::vector<std::int64_t>{2, 4, 6, 8, 10, 12}));
+  EXPECT_EQ(rt.stats().duplicates_suppressed, 0);
+  EXPECT_EQ(rt.stats().acks_sent, 18);
+}
+
+TEST(ReliableTransportTest, WholeBroadcastsShareTheSeqStreamWithUnicasts) {
+  // Untracked whole-delivered broadcasts draw from the same sequence as the
+  // tracked unicasts: sites see the same gaps, and only unicasts are acked.
   InMemoryBus bus;
   ReliableTransport rt(&bus, 2, ReliableTransportConfig{});
   RuntimeMessage to_site1 = EstimateBroadcast();
@@ -361,17 +424,19 @@ TEST(ReliableTransportTest, CoordinatorSeqGapsAtASiteAreNotDuplicates) {
   for (int i = 0; i < 6; ++i) {
     rt.Send(to_site1);
     EXPECT_EQ(DeliverTo(&rt, 1, bus.Pop()).size(), 1u);
-    bus.Pop();  // site 1's ack
+    EXPECT_TRUE(DeliverTo(&rt, kCoordinatorId, bus.Pop()).empty());  // ack
     rt.Send(EstimateBroadcast());
     const RuntimeMessage broadcast = bus.Pop();
     site0_seqs.push_back(broadcast.seq);
     EXPECT_EQ(DeliverTo(&rt, 0, broadcast).size(), 1u);
     EXPECT_EQ(DeliverTo(&rt, 1, broadcast).size(), 1u);
-    while (!bus.empty()) bus.Pop();
+    EXPECT_TRUE(bus.empty());
   }
   EXPECT_EQ(site0_seqs, (std::vector<std::int64_t>{2, 4, 6, 8, 10, 12}));
   EXPECT_EQ(rt.stats().duplicates_suppressed, 0);
-  EXPECT_EQ(rt.stats().acks_sent, 18);
+  EXPECT_EQ(rt.stats().acks_sent, 6);
+  EXPECT_EQ(rt.stats().tracked_sends, 6);
+  EXPECT_FALSE(rt.HasUnacked());
 }
 
 TEST(ReliableTransportTest, CompactionAcrossSeqGapsPromotesOnlySeenSeqs) {
@@ -438,11 +503,11 @@ TEST(ReliableTransportTest, QueueCapEvictsInSenderThenSeqOrder) {
 }
 
 TEST(ReliableTransportTest, AckNamingAnOutOfRangeEndpointIsIgnored) {
-  InMemoryBus bus;
-  ReliableTransport rt(&bus, 2, ReliableTransportConfig{});
+  PerSiteWire wire(2);
+  ReliableTransport rt(&wire, 2, ReliableTransportConfig{});
   rt.Send(EstimateBroadcast());  // (coordinator, 1), awaiting sites 0 and 1
   rt.Send(Report(0));            // (0, 1), awaiting the coordinator
-  while (!bus.empty()) bus.Pop();
+  wire.PopAll();
 
   // (from = the acking endpoint, to = the sender whose seq is acked).
   const std::pair<int, int> bogus[] = {{2, kCoordinatorId},
@@ -461,15 +526,14 @@ TEST(ReliableTransportTest, AckNamingAnOutOfRangeEndpointIsIgnored) {
     ack.seq = 1;
     EXPECT_TRUE(DeliverTo(&rt, kCoordinatorId, ack).empty());
   }
-  EXPECT_TRUE(bus.empty());
+  EXPECT_TRUE(wire.empty());
   ASSERT_TRUE(rt.HasUnacked());
 
   // Nothing was released: every awaited destination still gets its copy.
   rt.AdvanceRound();
   rt.AdvanceRound();
   std::set<std::pair<int, int>> copies;  // (from, to)
-  while (!bus.empty()) {
-    const RuntimeMessage copy = bus.Pop();
+  for (const RuntimeMessage& copy : wire.PopAll()) {
     copies.emplace(copy.from, copy.to);
   }
   EXPECT_EQ(copies, (std::set<std::pair<int, int>>{{kCoordinatorId, 0},
@@ -480,9 +544,10 @@ TEST(ReliableTransportTest, AckNamingAnOutOfRangeEndpointIsIgnored) {
 // ── Behaviour transcript ─────────────────────────────────────────────────
 //
 // A seeded script drives every entry point over a recording lower
-// transport: unicasts both ways, broadcasts, untracked heartbeats, drops,
-// duplicates and reordering of popped messages (acks included), rounds,
-// link administration and abandoned senders. Every lower Send, every
+// transport, once per-site and once delivering broadcasts whole: unicasts
+// both ways, broadcasts, untracked heartbeats, drops, duplicates and
+// reordering of popped messages (acks included), rounds, link
+// administration and abandoned senders. Every lower Send, every
 // dead-link report and every delivered (receiver, sender, seq) is folded
 // into one digest, in the order it happened. The goldens pin the layer's
 // whole schedule — seq stamping, the jitter draws, retransmission, give-up
@@ -504,9 +569,16 @@ class Digest {
 };
 
 /// Lower transport that digests each Send and queues it for the script.
+/// With `per_site` it decides each broadcast destination's fate on its own
+/// readdressed copy (see RunTranscript's route), as a faulted SimTransport
+/// does; without, it delivers broadcasts whole.
 class RecordingTransport final : public Transport {
  public:
-  explicit RecordingTransport(Digest* digest) : digest_(digest) {}
+  RecordingTransport(Digest* digest, bool per_site)
+      : digest_(digest), per_site_(per_site) {}
+  bool DeliversWhole(const RuntimeMessage& /*message*/) const override {
+    return !per_site_;
+  }
   void Send(const RuntimeMessage& message) override {
     ++sends;
     digest_->Add(static_cast<int>(message.type));
@@ -521,6 +593,7 @@ class RecordingTransport final : public Transport {
 
  private:
   Digest* digest_;
+  bool per_site_;
 };
 
 struct Transcript {
@@ -530,10 +603,10 @@ struct Transcript {
   ReliableTransport::Stats stats;
 };
 
-Transcript RunTranscript(std::uint64_t seed) {
+Transcript RunTranscript(std::uint64_t seed, bool per_site) {
   constexpr int kSites = 4;
   Digest digest;
-  RecordingTransport wire(&digest);
+  RecordingTransport wire(&digest, per_site);
   ReliableTransportConfig config;
   config.seed = seed;
   config.max_in_flight_per_peer = 2;
@@ -563,14 +636,17 @@ Transcript RunTranscript(std::uint64_t seed) {
   Rng rng(DeriveSeed(seed, 1));
   const auto site = [&] { return static_cast<int>(rng.NextBounded(kSites)); };
   // One popped message reaches its receivers; a broadcast loses each
-  // site's copy independently.
+  // site's copy independently, and a per-site wire readdresses each copy.
   const auto route = [&](const RuntimeMessage& m, double site_loss) {
     if (m.to != kBroadcastId) {
       deliver(m.to, m);
       return;
     }
     for (int s = 0; s < kSites; ++s) {
-      if (!rng.NextBernoulli(site_loss)) deliver(s, m);
+      if (rng.NextBernoulli(site_loss)) continue;
+      RuntimeMessage copy = m;
+      if (per_site) copy.to = s;
+      deliver(s, copy);
     }
   };
 
@@ -643,6 +719,7 @@ Transcript RunTranscript(std::uint64_t seed) {
 
 TEST(ReliableTransportTest, TranscriptMatchesGoldens) {
   struct Golden {
+    bool per_site;
     std::uint64_t seed;
     std::uint64_t digest;
     long sends;
@@ -651,14 +728,26 @@ TEST(ReliableTransportTest, TranscriptMatchesGoldens) {
   };
   // Stats order: tracked_sends, retransmissions, acks_sent,
   // duplicates_suppressed, give_ups, queue_evictions, dedup_evictions.
+  // Over the per-site wire every broadcast copy is tracked and acked; over
+  // the whole-delivering one broadcasts are sequenced only.
   const Golden goldens[] = {
-      {1, 0x9b82079fb4cdd61eULL, 1022, 13, {160, 220, 587, 256, 15, 150, 267}},
-      {2, 0xb92f40d51182a1f0ULL, 987, 10, {157, 202, 557, 222, 13, 139, 271}},
-      {3, 0x6803a19ef01b113aULL, 1015, 7, {177, 222, 561, 247, 11, 152, 250}},
+      {true, 1, 0x9b82079fb4cdd61eULL, 1022, 13,
+       {160, 220, 587, 256, 15, 150, 267}},
+      {true, 2, 0xb92f40d51182a1f0ULL, 987, 10,
+       {157, 202, 557, 222, 13, 139, 271}},
+      {true, 3, 0x6803a19ef01b113aULL, 1015, 7,
+       {177, 222, 561, 247, 11, 152, 250}},
+      {false, 1, 0x97b87d6d1ede632eULL, 610, 5,
+       {114, 118, 274, 151, 9, 78, 261}},
+      {false, 2, 0x2e4b0ba5770e4d53ULL, 619, 8,
+       {119, 118, 279, 148, 14, 79, 254}},
+      {false, 3, 0x84b0c42b913099a4ULL, 669, 6,
+       {133, 126, 305, 147, 9, 84, 260}},
   };
   for (const Golden& golden : goldens) {
-    SCOPED_TRACE(testing::Message() << "seed " << golden.seed);
-    const Transcript t = RunTranscript(golden.seed);
+    SCOPED_TRACE(testing::Message() << "seed " << golden.seed << " per_site "
+                                    << golden.per_site);
+    const Transcript t = RunTranscript(golden.seed, golden.per_site);
     EXPECT_EQ(t.digest, golden.digest);
     EXPECT_EQ(t.sends, golden.sends);
     EXPECT_EQ(t.dead_links, golden.dead_links);

@@ -6,6 +6,7 @@
 #include <cstdint>
 #include <limits>
 #include <memory>
+#include <optional>
 #include <utility>
 #include <vector>
 
@@ -13,6 +14,7 @@
 
 #include "functions/l2_norm.h"
 #include "runtime/driver.h"
+#include "test_util.h"
 
 namespace sgm {
 namespace {
@@ -264,17 +266,19 @@ TEST(RuntimeReliabilityTest, CrashedQuietSiteIsDetectedAfterItsMissedBeats) {
   }
 }
 
-/// Three sites and a coordinator over one reliability layer, routed by hand
-/// like RuntimeDriver so a test can lose the frames it names: here, site 2's
-/// ack of the initialization sync's estimate broadcast. The coordinator
-/// gives that anchor up, declares site 2 dead and records the anchor as
-/// undelivered, although site 2 holds it.
+/// Three sites and a coordinator over one reliability layer and a wire that
+/// gives each broadcast copy its own fate (so each copy is acked), routed
+/// by hand like RuntimeDriver so a test can lose the frames it names: here,
+/// site 2's ack of the initialization sync's estimate broadcast. The
+/// coordinator gives that anchor up, declares site 2 dead and records the
+/// anchor as undelivered, although site 2 holds it.
 class LostAnchorAck {
  public:
   static constexpr int kSites = 3;
 
   LostAnchorAck()
-      : reliable_(&bus_, kSites, ReliableTransportConfig{}, nullptr),
+      : wire_(kSites),
+        reliable_(&wire_, kSites, ReliableTransportConfig{}, nullptr),
         coordinator_(kSites, norm_, Config(1000.0), &reliable_) {
     coordinator_.AttachReliability(&reliable_);
     for (int i = 0; i < kSites; ++i) {
@@ -288,25 +292,21 @@ class LostAnchorAck {
 
   void Route() {
     for (;;) {
-      while (!bus_.empty()) {
-        const RuntimeMessage m = bus_.Pop();
+      while (!wire_.empty()) {
+        const RuntimeMessage m = wire_.Pop();
         if (m.type == RuntimeMessage::Type::kNewEstimate) anchor_seq_ = m.seq;
         if (m.type == RuntimeMessage::Type::kAck && m.from == 2 &&
             m.seq == anchor_seq_) {
           continue;  // lost on the wire, every retransmission's ack too
         }
-        if (m.to == kBroadcastId) {
-          for (int i = 0; i < kSites; ++i) Deliver(i, m);
-        } else {
-          Deliver(m.to, m);
-        }
+        Deliver(m.to, m);  // the wire readdressed every broadcast copy
       }
       if (reliable_.HasUnacked()) {
         reliable_.AdvanceRound();
         continue;
       }
       coordinator_.OnQuiescent();
-      if (bus_.empty() && !reliable_.HasUnacked()) return;
+      if (wire_.empty() && !reliable_.HasUnacked()) return;
     }
   }
 
@@ -333,7 +333,7 @@ class LostAnchorAck {
   }
 
   L2Norm norm_;
-  InMemoryBus bus_;
+  PerSiteWire wire_;
   ReliableTransport reliable_;
   CoordinatorNode coordinator_;
   std::vector<std::unique_ptr<SiteNode>> sites_;
@@ -383,21 +383,22 @@ TEST(RuntimeReliabilityTest, HeartbeatNotNamingTheLostAnchorStillDrawsAGrant) {
 // broadcast: a grant issued during that collection carries the estimate
 // from before the sync under the sync's own epoch, so the epoch cannot tell
 // the two anchors apart. The coordinator is fed by hand over a reliability
-// layer whose acks the test sends.
+// layer, on a wire that gives each broadcast copy its own fate, whose acks
+// the test sends.
 TEST(RuntimeReliabilityTest, HeartbeatFromASiteGrantedInTheAnchorEpochDrawsAGrant) {
   const L2Norm norm;
-  InMemoryBus bus;
-  ReliableTransport reliable(&bus, 3, ReliableTransportConfig{}, nullptr);
+  PerSiteWire wire(3);
+  ReliableTransport reliable(&wire, 3, ReliableTransportConfig{}, nullptr);
   CoordinatorNode coordinator(3, norm, Config(3.0), &reliable);
   coordinator.AttachReliability(&reliable);
   // Acks every coordinator message, except site 2's copies of the estimate
   // broadcast when `lose_anchor_ack` is set, until nothing is in flight.
   const auto drain = [&](bool lose_anchor_ack) {
     for (;;) {
-      while (!bus.empty()) {
-        const RuntimeMessage m = bus.Pop();
+      while (!wire.empty()) {
+        const RuntimeMessage m = wire.Pop();
         for (int site = 0; site < 3; ++site) {
-          if (m.to != kBroadcastId && m.to != site) continue;
+          if (m.to != site) continue;
           if (lose_anchor_ack && site == 2 &&
               m.type == RuntimeMessage::Type::kNewEstimate) {
             continue;
@@ -460,6 +461,186 @@ TEST(RuntimeReliabilityTest, HeartbeatFromASiteGrantedInTheAnchorEpochDrawsAGran
   EXPECT_EQ(coordinator.audit().rejoins_granted, 2);
   EXPECT_EQ(coordinator.failure_detector().state(2),
             FailureDetector::State::kRejoining);
+}
+
+// ── Anchor freshness end to end ──────────────────────────────────────────
+//
+// An ack proves that a site's reliability layer received an estimate, not
+// that the site applied it: on a reordering link a probe of epoch E+1 can
+// overtake the estimate of epoch E, which the site then drops as stale
+// after acking it. Probes and heartbeats name anchors, so the staleness is
+// caught by the protocol itself.
+
+RuntimeMessage FromCoordinator(RuntimeMessage::Type type, std::int64_t epoch,
+                               double scalar) {
+  RuntimeMessage m;
+  m.type = type;
+  m.from = kCoordinatorId;
+  m.to = kBroadcastId;
+  m.epoch = epoch;
+  m.scalar = scalar;
+  if (type == RuntimeMessage::Type::kNewEstimate) m.payload = Vector{1.0, 0.0};
+  return m;
+}
+
+// The probe path: a site whose estimate of epoch 2 was overtaken by the
+// probe of epoch 3 still holds the epoch-1 anchor. The probe names anchor
+// epoch 2, so the site un-anchors and asks for a rejoin instead of
+// reporting drift against the stale estimate.
+TEST(RuntimeReliabilityTest, ProbeNamingANewerAnchorUnanchorsTheSite) {
+  const L2Norm norm;
+  InMemoryBus bus;
+  SiteNode site(0, 2, norm, Config(3.0), &bus);
+  site.Observe(Vector{1.0, 0.0});
+  site.OnMessage(FromCoordinator(RuntimeMessage::Type::kNewEstimate, 1, 0.5));
+  ASSERT_TRUE(site.anchored());
+  // The epoch-2 collection reaches the site; its estimate does not, yet.
+  site.OnMessage(
+      FromCoordinator(RuntimeMessage::Type::kFullStateRequest, 2, 0.0));
+  while (!bus.empty()) bus.Pop();
+  site.Observe(Vector{1.0, 0.0});
+  while (!bus.empty()) bus.Pop();
+
+  site.OnMessage(FromCoordinator(RuntimeMessage::Type::kProbeRequest, 3, 2.0));
+  EXPECT_FALSE(site.anchored());
+  EXPECT_EQ(site.epoch(), 3);
+  ASSERT_FALSE(bus.empty());
+  EXPECT_EQ(bus.Pop().type, RuntimeMessage::Type::kRejoinRequest);
+  EXPECT_TRUE(bus.empty());  // and no drift report
+  // The overtaken estimate arrives late and is dropped as stale.
+  site.OnMessage(FromCoordinator(RuntimeMessage::Type::kNewEstimate, 2, 0.5));
+  EXPECT_FALSE(site.anchored());
+  EXPECT_EQ(site.audit().stale_epoch_drops, 1);
+}
+
+// A probe naming the site's own anchor, an older one, or no count at all
+// (−1 from a coordinator that has broadcast no estimate since Recover)
+// leaves an anchored site anchored.
+TEST(RuntimeReliabilityTest, ProbeNamingNoNewerAnchorClaimsNothing) {
+  for (const double scalar :
+       {2.0, 1.0, -1.0, std::numeric_limits<double>::quiet_NaN()}) {
+    SCOPED_TRACE(scalar);
+    const L2Norm norm;
+    InMemoryBus bus;
+    SiteNode site(0, 2, norm, Config(3.0), &bus);
+    site.Observe(Vector{1.0, 0.0});
+    site.OnMessage(
+        FromCoordinator(RuntimeMessage::Type::kNewEstimate, 2, 0.5));
+    site.Observe(Vector{1.0, 0.0});
+    while (!bus.empty()) bus.Pop();
+    site.OnMessage(
+        FromCoordinator(RuntimeMessage::Type::kProbeRequest, 3, scalar));
+    EXPECT_TRUE(site.anchored());
+    EXPECT_EQ(site.audit().rejoin_requests_sent, 0);
+  }
+}
+
+/// A coordinator fed by hand over the whole-delivering bus, which draws no
+/// acks for its broadcasts: it learns what its sites hold only from them.
+class HandFedCoordinator {
+ public:
+  HandFedCoordinator()
+      : reliable_(&bus_, 3, ReliableTransportConfig{}, nullptr),
+        coordinator_(3, norm_, Config(3.0), &reliable_) {
+    coordinator_.AttachReliability(&reliable_);
+    coordinator_.Start();
+    ReportAll(1.0);  // epoch 1: e = (1, 0) under T = 3
+  }
+
+  void Send(RuntimeMessage::Type type, int site, Vector payload,
+            double scalar) {
+    RuntimeMessage m;
+    m.type = type;
+    m.from = site;
+    m.to = kCoordinatorId;
+    m.epoch = coordinator_.epoch();
+    m.payload = std::move(payload);
+    m.scalar = scalar;
+    coordinator_.OnMessage(m);
+  }
+  void ReportAll(double x, int sites = 3) {
+    for (int site = 0; site < sites; ++site) {
+      Send(RuntimeMessage::Type::kStateReport, site, Vector{x, 0.0}, 0.0);
+    }
+  }
+  /// A crossing drift escalates a probe (epoch + 1) to a collection
+  /// (epoch + 2), whose reports the caller sends.
+  void EscalateToCollection() {
+    Send(RuntimeMessage::Type::kLocalViolation, 0, Vector(), 0.0);
+    Send(RuntimeMessage::Type::kDriftReport, 0, Vector{10.0, 0.0}, 1.0);
+    coordinator_.OnQuiescent();
+  }
+  /// The last probe on the wire, or none.
+  std::optional<RuntimeMessage> LastProbe() {
+    std::optional<RuntimeMessage> probe;
+    while (!bus_.empty()) {
+      const RuntimeMessage m = bus_.Pop();
+      if (m.type == RuntimeMessage::Type::kProbeRequest) probe = m;
+    }
+    return probe;
+  }
+  long grants() const { return coordinator_.audit().rejoins_granted; }
+
+  L2Norm norm_;
+  InMemoryBus bus_;
+  ReliableTransport reliable_;
+  CoordinatorNode coordinator_;
+};
+
+TEST(RuntimeReliabilityTest, ProbesNameTheLastEstimateBroadcast) {
+  HandFedCoordinator deployment;
+  deployment.coordinator_.BeginCycle();
+  deployment.Send(RuntimeMessage::Type::kLocalViolation, 0, Vector(), 0.0);
+  const std::optional<RuntimeMessage> probe = deployment.LastProbe();
+  ASSERT_TRUE(probe.has_value());
+  EXPECT_EQ(probe->epoch, 2);
+  EXPECT_EQ(WireCount(probe->scalar), 1);  // the initialization sync's anchor
+}
+
+// The heartbeat path: a live, epoch-current site whose heartbeat names an
+// anchor older than the last estimate broadcast before this cycle began
+// missed that estimate (over a whole-delivering link no give-up will ever
+// say so), and is re-granted.
+TEST(RuntimeReliabilityTest, HeartbeatNamingAnOlderAnchorDrawsAGrant) {
+  HandFedCoordinator deployment;
+  CoordinatorNode& coordinator = deployment.coordinator_;
+  coordinator.BeginCycle();
+  deployment.EscalateToCollection();
+  ASSERT_EQ(coordinator.epoch(), 3);
+  deployment.ReportAll(4.0);  // the epoch-3 estimate goes out
+  ASSERT_EQ(coordinator.full_syncs(), 2);
+
+  coordinator.BeginCycle();
+  deployment.Send(RuntimeMessage::Type::kHeartbeat, 1, Vector(), 3.0);
+  EXPECT_EQ(deployment.grants(), 0);  // site 1 holds the estimate
+  deployment.Send(RuntimeMessage::Type::kHeartbeat, 2, Vector(), 1.0);
+  EXPECT_EQ(deployment.grants(), 1);  // site 2 still holds epoch 1's
+  EXPECT_EQ(coordinator.failure_detector().state(2),
+            FailureDetector::State::kAlive);
+}
+
+// The same-cycle case: a collection left open closes in BeginCycle and
+// broadcasts its estimate there, after which the sites observe. A
+// heartbeat stamped in that Observe names the previous anchor because the
+// estimate has not reached its site yet, which is no evidence of loss. In
+// the next cycle the same heartbeat is.
+TEST(RuntimeReliabilityTest, HeartbeatStampedBeforeASameCycleEstimateDrawsNoGrant) {
+  HandFedCoordinator deployment;
+  CoordinatorNode& coordinator = deployment.coordinator_;
+  coordinator.BeginCycle();
+  deployment.EscalateToCollection();
+  deployment.ReportAll(4.0, /*sites=*/2);  // site 2 never reports
+  ASSERT_EQ(coordinator.full_syncs(), 1);
+
+  coordinator.BeginCycle();  // closes the collection: the epoch-3 estimate
+  ASSERT_EQ(coordinator.full_syncs(), 2);
+  ASSERT_EQ(coordinator.epoch(), 3);
+  deployment.Send(RuntimeMessage::Type::kHeartbeat, 1, Vector(), 1.0);
+  EXPECT_EQ(deployment.grants(), 0);
+
+  coordinator.BeginCycle();
+  deployment.Send(RuntimeMessage::Type::kHeartbeat, 1, Vector(), 1.0);
+  EXPECT_EQ(deployment.grants(), 1);
 }
 
 TEST(RuntimeReliabilityTest, CrashedSiteThatMissedASyncRejoinsViaGrant) {

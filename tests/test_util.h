@@ -6,6 +6,7 @@
 
 #include "core/check.h"
 #include "data/stream.h"
+#include "runtime/transport.h"
 
 namespace sgm {
 
@@ -39,6 +40,43 @@ class ScriptedSource final : public StreamSource {
   std::vector<std::vector<Vector>> frames_;
   double step_norm_;
   std::size_t next_ = 0;
+};
+
+/// A wire that decides each destination's fate on its own copy, as a
+/// faulted SimTransport does: a broadcast is readdressed into one queued
+/// copy per site, so the reliability layer above tracks, acks and
+/// retransmits each. Over a plain InMemoryBus a broadcast is delivered
+/// whole and draws no acks; tests of the tracked-broadcast path run over
+/// this wire instead.
+class PerSiteWire final : public Transport {
+ public:
+  explicit PerSiteWire(int num_sites) : num_sites_(num_sites) {}
+  void Send(const RuntimeMessage& message) override {
+    if (message.to != kBroadcastId) {
+      bus_.Send(message);
+      return;
+    }
+    for (int site = 0; site < num_sites_; ++site) {
+      RuntimeMessage copy = message;
+      copy.to = site;
+      bus_.Send(copy);
+    }
+  }
+  bool DeliversWhole(const RuntimeMessage& /*message*/) const override {
+    return false;
+  }
+  bool empty() const { return bus_.empty(); }
+  RuntimeMessage Pop() { return bus_.Pop(); }
+  /// Pops everything queued, oldest first.
+  std::vector<RuntimeMessage> PopAll() {
+    std::vector<RuntimeMessage> popped;
+    while (!bus_.empty()) popped.push_back(bus_.Pop());
+    return popped;
+  }
+
+ private:
+  InMemoryBus bus_;
+  int num_sites_;
 };
 
 }  // namespace sgm

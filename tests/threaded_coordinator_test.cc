@@ -7,6 +7,7 @@
 // sequence, final estimate, epoch and sync counts.
 
 #include <gtest/gtest.h>
+#include <poll.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
@@ -24,6 +25,7 @@
 #include "runtime/driver.h"
 #include "runtime/serialization.h"
 #include "runtime/site_client.h"
+#include "runtime/socket_transport.h"
 
 namespace sgm {
 namespace {
@@ -353,6 +355,123 @@ TEST(ThreadedCoordinatorTest, OutOfRangeSenderFramesAreCountedNotFatal) {
   ::close(raw);
   for (std::thread& site : sites) site.join();
   EXPECT_TRUE(sites_ok.load());
+}
+
+/// A test-driven site connection: dials the server, says hello as `site`,
+/// and reads and writes raw frames.
+class RawSite {
+ public:
+  RawSite(int port, int site) {
+    std::uint64_t jitter = 1;
+    fd_ = ConnectTcpLoopbackWithRetry(port, SocketRetryConfig{}, &jitter);
+    RuntimeMessage hello;
+    hello.type = RuntimeMessage::Type::kSiteHello;
+    hello.from = site;
+    hello.to = kCoordinatorId;
+    Write(hello);
+  }
+  ~RawSite() {
+    if (fd_ >= 0) ::close(fd_);
+  }
+  bool ok() const { return fd_ >= 0; }
+  void Write(const RuntimeMessage& message) {
+    const std::vector<std::uint8_t> frame = EncodeMessage(message);
+    const std::uint32_t n = static_cast<std::uint32_t>(frame.size());
+    std::vector<std::uint8_t> bytes = {static_cast<std::uint8_t>(n),
+                                       static_cast<std::uint8_t>(n >> 8),
+                                       static_cast<std::uint8_t>(n >> 16),
+                                       static_cast<std::uint8_t>(n >> 24)};
+    bytes.insert(bytes.end(), frame.begin(), frame.end());
+    ASSERT_EQ(::send(fd_, bytes.data(), bytes.size(), MSG_NOSIGNAL),
+              static_cast<ssize_t>(bytes.size()));
+  }
+  /// The frames that arrived within `timeout_ms`.
+  std::vector<RuntimeMessage> Read(int timeout_ms) {
+    pollfd pfd{fd_, POLLIN, 0};
+    std::vector<RuntimeMessage> frames;
+    if (::poll(&pfd, 1, timeout_ms) <= 0) return frames;
+    std::uint8_t buffer[4096];
+    const ssize_t n = ::recv(fd_, buffer, sizeof(buffer), MSG_DONTWAIT);
+    if (n <= 0) return frames;
+    reader_.Append(buffer, static_cast<std::size_t>(n));
+    FrameStats stats;
+    DrainDecodedFrames(&reader_, &frames, &stats);
+    return frames;
+  }
+
+ private:
+  int fd_ = -1;
+  FrameReader reader_;
+};
+
+TEST(ThreadedCoordinatorTest, FramesSpeakOnlyForTheSiteTheirSessionHelloedAs) {
+  // Site 1 says hello and then stays silent. Site 0 answers for itself and
+  // also forges one ack and one barrier ack as site 1. Taken at their word,
+  // the two would resolve site 1's tracked traffic and close the barrier
+  // without it; bound to their session, both are dropped and counted, and
+  // the deadline-free barrier waits on site 1 until its hard timeout.
+  const L2Norm norm;
+  Telemetry telemetry;
+  CoordinatorServerConfig server_config;
+  server_config.num_sites = 2;
+  server_config.runtime = ProtocolConfig();
+  server_config.runtime.telemetry = &telemetry;
+  server_config.barrier_timeout_ms = 1000;
+  CoordinatorServer server(norm, server_config);
+  ASSERT_TRUE(server.Listen());
+  RawSite site0(server.port(), 0);
+  RawSite site1(server.port(), 1);
+  ASSERT_TRUE(site0.ok() && site1.ok());
+  ASSERT_TRUE(server.WaitForSites());
+
+  std::atomic<bool> done{false};
+  bool cycle_completed = true;
+  std::thread loop([&] {
+    cycle_completed = server.RunCycle();
+    done = true;
+  });
+  bool forged_ack = false;
+  bool forged_barrier_ack = false;
+  while (!done) {
+    for (const RuntimeMessage& m : site0.Read(10)) {
+      if (m.type == RuntimeMessage::Type::kBarrier) {
+        RuntimeMessage ack;
+        ack.type = RuntimeMessage::Type::kBarrierAck;
+        ack.to = kCoordinatorId;
+        ack.scalar = m.scalar;
+        ack.from = 0;
+        site0.Write(ack);
+        if (!forged_barrier_ack) {
+          forged_barrier_ack = true;
+          ack.from = 1;
+          site0.Write(ack);
+        }
+      } else if (m.seq > 0) {
+        RuntimeMessage ack;
+        ack.type = RuntimeMessage::Type::kAck;
+        ack.to = m.from;
+        ack.epoch = m.epoch;
+        ack.seq = m.seq;
+        ack.from = 0;
+        site0.Write(ack);
+        if (!forged_ack) {
+          forged_ack = true;
+          ack.from = 1;
+          site0.Write(ack);
+        }
+      }
+    }
+  }
+  loop.join();
+  EXPECT_TRUE(forged_ack);
+  EXPECT_TRUE(forged_barrier_ack);
+  EXPECT_FALSE(cycle_completed) << "a forged barrier ack closed the barrier";
+  server.PublishMetrics();
+  EXPECT_EQ(telemetry.registry.GetCounter("socket.unbound_frames")->value(),
+            2);
+  EXPECT_EQ(telemetry.registry.GetCounter("socket.corrupt_frames")->value(),
+            0);
+  server.Shutdown();
 }
 
 TEST(ThreadedCoordinatorTest, ShutdownWithoutCyclesIsClean) {
