@@ -1,9 +1,10 @@
 // google-benchmark microbenchmarks of the library's hot kernels: the
 // per-site per-cycle operations every protocol executes (drift norms, ball
 // construction and threshold tests, sampling-probability evaluation,
-// Horvitz–Thompson estimation, signed distances) plus the heavier geometric
-// utilities (χ² certified enclosures and surface distances, hull
-// projection), and the telemetry plane's per-cycle costs at fleet scale.
+// Horvitz–Thompson estimation, signed distances, receive-side dedup) plus
+// the heavier geometric utilities (χ² certified enclosures and surface
+// distances, hull projection), and the telemetry plane's per-cycle costs at
+// fleet scale.
 
 #include <cmath>
 #include <memory>
@@ -27,6 +28,7 @@
 #include "obs/telemetry.h"
 #include "obs/trace.h"
 #include "runtime/driver.h"
+#include "runtime/reliable_transport.h"
 
 namespace sgm {
 namespace {
@@ -151,6 +153,42 @@ void BM_SamplingProbability(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_SamplingProbability);
+
+// The same g_i from a deployment's precomputed ln(1/δ) and √N, as every
+// site evaluates it each monitored cycle.
+void BM_SamplingScaleProbability(benchmark::State& state) {
+  const SamplingScale scale(0.1, 500);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(scale.Probability(30.0, 7.5));
+  }
+}
+BENCHMARK(BM_SamplingScaleProbability);
+
+// A fleet's broadcast fan-out on the receive side: 2,048 sites each take
+// the coordinator's seqs in order, except that every 16th seq is a unicast
+// to another site and leaves a gap. One iteration is one delivery.
+void BM_InOrderDedup(benchmark::State& state) {
+  constexpr int kSites = 2048;
+  InMemoryBus bus;
+  ReliableTransport transport(&bus, kSites, ReliableTransportConfig{});
+  RuntimeMessage broadcast;
+  broadcast.type = RuntimeMessage::Type::kResolved;
+  broadcast.from = kCoordinatorId;
+  broadcast.to = kBroadcastId;
+  broadcast.seq = 1;
+  std::vector<RuntimeMessage> fresh;
+  int site = 0;
+  for (auto _ : state) {
+    transport.OnDeliver(site, broadcast, &fresh);
+    benchmark::DoNotOptimize(fresh.size());
+    fresh.clear();
+    if (++site == kSites) {
+      site = 0;
+      if (++broadcast.seq % 16 == 0) ++broadcast.seq;
+    }
+  }
+}
+BENCHMARK(BM_InOrderDedup);
 
 void BM_HtEstimate(benchmark::State& state) {
   Rng rng(7);

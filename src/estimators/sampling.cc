@@ -21,25 +21,40 @@ double CheckedSqrtN(int num_sites) {
 
 }  // namespace
 
-double SamplingProbability(double delta, double U, int num_sites,
-                           double drift_norm) {
+SamplingScale::SamplingScale(double delta, int num_sites)
+    : log_inverse_delta_(LogInverse(delta)),
+      sqrt_num_sites_(CheckedSqrtN(num_sites)) {}
+
+double SamplingScale::Probability(double U, double drift_norm) const {
   SGM_CHECK(U > 0.0);
   SGM_CHECK(drift_norm >= 0.0);
-  const double g =
-      drift_norm * LogInverse(delta) / (U * CheckedSqrtN(num_sites));
+  const double g = drift_norm * log_inverse_delta_ / (U * sqrt_num_sites_);
   return std::clamp(g, 0.0, 1.0);
+}
+
+double SamplingScale::ProbabilityCV(double U, double signed_distance) const {
+  SGM_CHECK(U > 0.0);
+  const double g = std::abs(signed_distance) * log_inverse_delta_ /
+                   (U * sqrt_num_sites_);
+  return std::clamp(g, 0.0, 1.0);
+}
+
+double SamplingScale::Uniform() const {
+  return std::clamp(log_inverse_delta_ / sqrt_num_sites_, 0.0, 1.0);
+}
+
+double SamplingProbability(double delta, double U, int num_sites,
+                           double drift_norm) {
+  return SamplingScale(delta, num_sites).Probability(U, drift_norm);
 }
 
 double SamplingProbabilityCV(double delta, double U, int num_sites,
                              double signed_distance) {
-  SGM_CHECK(U > 0.0);
-  const double g = std::abs(signed_distance) * LogInverse(delta) /
-                   (U * CheckedSqrtN(num_sites));
-  return std::clamp(g, 0.0, 1.0);
+  return SamplingScale(delta, num_sites).ProbabilityCV(U, signed_distance);
 }
 
 double BernoulliSamplingProbability(double delta, int num_sites) {
-  return std::clamp(LogInverse(delta) / CheckedSqrtN(num_sites), 0.0, 1.0);
+  return SamplingScale(delta, num_sites).Uniform();
 }
 
 double ExpectedSampleBound(double delta, int num_sites) {

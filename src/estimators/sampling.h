@@ -5,21 +5,47 @@ namespace sgm {
 
 /// The sampling functions and trial-count formulas of Sections 2.2, 3 & 4.2.
 
-/// g_i = ‖Δv_i‖·ln(1/δ) / (U·√N), clamped to [0, 1] (Equation 4).
-///
-/// The drift-norm weighting is the design heart of the scheme: sites whose
-/// local vectors have drifted far since the last synchronization — exactly
-/// the ones able to pull the global average across the threshold — are
-/// proportionally more likely to include themselves in the sample.
+/// The sampling functions of one deployment, whose δ and N are fixed:
+/// ln(1/δ) and √N are computed once, at construction, so a site's
+/// per-cycle g_i costs a multiply, a divide and a clamp. Every protocol
+/// that samples calls these; the free functions below are their one-shot
+/// forms and give the same doubles.
+class SamplingScale {
+ public:
+  /// SGM_CHECKs δ ∈ (0, 1) and N > 0.
+  SamplingScale(double delta, int num_sites);
+
+  /// g_i = ‖Δv_i‖·ln(1/δ) / (U·√N), clamped to [0, 1] (Equation 4).
+  ///
+  /// The drift-norm weighting is the design heart of the scheme: sites
+  /// whose local vectors have drifted far since the last synchronization —
+  /// exactly the ones able to pull the global average across the threshold
+  /// — are proportionally more likely to include themselves in the sample.
+  double Probability(double U, double drift_norm) const;
+
+  /// g_i^C = |d_C(e+Δv_i)|·ln(1/δ) / (U·√N), clamped to [0, 1]
+  /// (Equation 9).
+  double ProbabilityCV(double U, double signed_distance) const;
+
+  /// g = ln(1/δ)/√N, clamped to [0, 1]: the Bernoulli baseline.
+  double Uniform() const;
+
+ private:
+  double log_inverse_delta_;
+  double sqrt_num_sites_;
+};
+
+/// SamplingScale(delta, num_sites).Probability(U, drift_norm).
 double SamplingProbability(double delta, double U, int num_sites,
                            double drift_norm);
 
-/// g_i^C = |d_C(e+Δv_i)|·ln(1/δ) / (U·√N), clamped to [0, 1] (Equation 9).
+/// SamplingScale(delta, num_sites).ProbabilityCV(U, signed_distance).
 double SamplingProbabilityCV(double delta, double U, int num_sites,
                              double signed_distance);
 
 /// Uniform Bernoulli baseline of Section 6.5: g = ln(1/δ)/√N, same expected
-/// sample size as the drift-weighted scheme, no drift information.
+/// sample size as the drift-weighted scheme, no drift information
+/// (SamplingScale(delta, num_sites).Uniform()).
 double BernoulliSamplingProbability(double delta, int num_sites);
 
 /// Per-trial expected-sample-size bound ln(1/δ)·√N (Lemma 2(c) premise).

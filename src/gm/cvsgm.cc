@@ -30,6 +30,7 @@ void CvSamplingMonitor::AfterSync(const std::vector<Vector>& local_vectors,
   effective_trials_ = options_.num_trials > 0
                           ? options_.num_trials
                           : NumTrialsCV(options_.delta, num_sites_);
+  sampling_.emplace(options_.delta, num_sites_);
 }
 
 CycleOutcome CvSamplingMonitor::MonitorCycle(
@@ -46,8 +47,7 @@ CycleOutcome CvSamplingMonitor::MonitorCycle(
   for (int i = 0; i < num_sites_; ++i) {
     const Vector position = e_ + Drift(i, local_vectors);
     distances[i] = zone_->SignedDistance(position);
-    const double g =
-        SamplingProbabilityCV(options_.delta, U, num_sites_, distances[i]);
+    const double g = sampling_->ProbabilityCV(U, distances[i]);
     const TrialDraw draw = DrawTrials(&site_rngs_[i], g, effective_trials_);
     if (draw.first_trial) {
       first_trial.push_back(i);

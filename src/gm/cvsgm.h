@@ -1,10 +1,12 @@
 #ifndef SGM_GM_CVSGM_H_
 #define SGM_GM_CVSGM_H_
 
+#include <optional>
 #include <string>
 #include <vector>
 
 #include "core/rng.h"
+#include "estimators/sampling.h"
 #include "gm/cvgm.h"
 
 namespace sgm {
@@ -63,6 +65,8 @@ class CvSamplingMonitor : public ConvexSafeZoneMonitor {
   CvsgmOptions options_;
   std::vector<Rng> site_rngs_;
   int effective_trials_ = 1;
+  /// ln(1/δ) and √N, set with site_rngs_ once N is known.
+  std::optional<SamplingScale> sampling_;
   bool last_alarm_reached_stage2_ = false;
 };
 

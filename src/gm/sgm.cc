@@ -32,14 +32,13 @@ void SamplingGeometricMonitor::AfterSync(
   effective_trials_ = options_.num_trials > 0
                           ? options_.num_trials
                           : NumTrials(options_.delta, num_sites_);
+  sampling_.emplace(options_.delta, num_sites_);
 }
 
 double SamplingGeometricMonitor::InclusionProbability(double drift_norm,
                                                       double U) const {
-  if (options_.mode == SamplingMode::kUniform) {
-    return BernoulliSamplingProbability(options_.delta, num_sites_);
-  }
-  return SamplingProbability(options_.delta, U, num_sites_, drift_norm);
+  if (options_.mode == SamplingMode::kUniform) return sampling_->Uniform();
+  return sampling_->Probability(U, drift_norm);
 }
 
 CycleOutcome SamplingGeometricMonitor::MonitorCycle(
@@ -52,19 +51,19 @@ CycleOutcome SamplingGeometricMonitor::MonitorCycle(
   // Monitoring phase: every site decides its own sample membership; sampled
   // sites (any trial) run the un-scaled GM ball test. The first-trial sample
   // K1 is remembered for the partial synchronization probe.
-  std::vector<int> first_trial;
-  std::vector<double> first_trial_g;
+  first_trial_.clear();
+  first_trial_g_.clear();
   bool alarm = false;
   for (int i = 0; i < num_sites_; ++i) {
-    const Vector drift = Drift(i, local_vectors);
-    const double g = InclusionProbability(drift.Norm(), U);
+    Drift(i, local_vectors, &drift_);
+    const double g = InclusionProbability(drift_.Norm(), U);
     const TrialDraw draw = DrawTrials(&site_rngs_[i], g, effective_trials_);
     if (draw.first_trial) {
-      first_trial.push_back(i);
-      first_trial_g.push_back(g);
+      first_trial_.push_back(i);
+      first_trial_g_.push_back(g);
     }
     if (draw.any_trial && !alarm) {
-      const Ball constraint = Ball::LocalConstraint(e_, drift);
+      const Ball constraint = Ball::LocalConstraint(e_, drift_);
       if (function_->BallCrossesThreshold(constraint, threshold_)) {
         alarm = true;  // keep drawing samples so RNG use stays uniform
       }
@@ -78,7 +77,7 @@ CycleOutcome SamplingGeometricMonitor::MonitorCycle(
   if (options_.always_full_sync ||
       ReanchorInsteadOfProbe(alarm_streak_ + 1,
                              options_.escalate_after_consecutive_alarms,
-                             first_trial.size(),
+                             first_trial_.size(),
                              options_.escalate_probe_fraction, num_sites_)) {
     FullSync(local_vectors, metrics, /*already_collected=*/0);
     outcome.full_sync = true;
@@ -88,11 +87,11 @@ CycleOutcome SamplingGeometricMonitor::MonitorCycle(
   // Partial synchronization: probe only K1, form the HT estimate, check the
   // ε-ball. Cost: 1 broadcast request + |K1| drift vectors.
   metrics->AddBroadcast(0);
-  metrics->AddSiteMessages(static_cast<long>(first_trial.size()), dim_);
+  metrics->AddSiteMessages(static_cast<long>(first_trial_.size()), dim_);
   HtVectorEstimator estimator(num_sites_, dim_);
-  for (std::size_t k = 0; k < first_trial.size(); ++k) {
-    estimator.AddSample(Drift(first_trial[k], local_vectors),
-                        first_trial_g[k]);
+  for (std::size_t k = 0; k < first_trial_.size(); ++k) {
+    Drift(first_trial_[k], local_vectors, &drift_);
+    estimator.AddSample(drift_, first_trial_g_[k]);
   }
   const Vector v_hat = estimator.Estimate(e_);
   const double epsilon =
@@ -111,7 +110,7 @@ CycleOutcome SamplingGeometricMonitor::MonitorCycle(
   }
 
   FullSync(local_vectors, metrics,
-           /*already_collected=*/static_cast<int>(first_trial.size()));
+           /*already_collected=*/static_cast<int>(first_trial_.size()));
   outcome.full_sync = true;
   return outcome;
 }

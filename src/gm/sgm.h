@@ -1,10 +1,12 @@
 #ifndef SGM_GM_SGM_H_
 #define SGM_GM_SGM_H_
 
+#include <optional>
 #include <string>
 #include <vector>
 
 #include "core/rng.h"
+#include "estimators/sampling.h"
 #include "sim/protocol.h"
 
 namespace sgm {
@@ -91,6 +93,14 @@ class SamplingGeometricMonitor : public ProtocolBase {
   SgmOptions options_;
   std::vector<Rng> site_rngs_;
   int effective_trials_ = 1;
+  /// ln(1/δ) and √N, set with site_rngs_ once N is known.
+  std::optional<SamplingScale> sampling_;
+  // MonitorCycle's per-cycle buffers, reused so that a cycle allocates
+  // nothing per site: the drift of the site at hand, and the first-trial
+  // sample K1 with each member's g_i.
+  Vector drift_;
+  std::vector<int> first_trial_;
+  std::vector<double> first_trial_g_;
 };
 
 }  // namespace sgm

@@ -613,8 +613,11 @@ void CoordinatorNode::OnMessage(const RuntimeMessage& message) {
       EnsureCycleSpan("local_violation");
       phase_span_ = TagSpan(MintSpan());
       phase_ = Phase::kProbing;
-      probe_drift_.assign(num_sites_, Vector());
-      probe_g_.assign(num_sites_, 0.0);
+      // Only the last probe's reporters hold a report to clear: O(|K1|).
+      probe_g_.resize(num_sites_, 0.0);
+      probe_drift_.resize(num_sites_);
+      for (const int reporter : probe_sites_) probe_g_[reporter] = 0.0;
+      probe_sites_.clear();
       if (telemetry_ != nullptr) {
         telemetry_->trace.Emit(TraceEventId::kProbeBegin, kCoordinatorId,
                                {{"epoch", epoch_},
@@ -646,6 +649,7 @@ void CoordinatorNode::OnMessage(const RuntimeMessage& message) {
       if (probe_g_[site] > 0.0) return;  // first first-trial report wins
       probe_g_[site] = message.scalar;
       probe_drift_[site] = message.payload;
+      probe_sites_.push_back(site);
       return;
     }
     case RuntimeMessage::Type::kStateReport: {
@@ -760,8 +764,8 @@ void CoordinatorNode::OnQuiescent() {
     // Fold the buffered reports in site-id order — the sum is then a pure
     // function of the report set, not of the order the network delivered it.
     HtVectorEstimator estimator(std::max(1, fd_.live_count()), e_.dim());
-    for (int site = 0; site < num_sites_; ++site) {
-      if (probe_g_[site] <= 0.0) continue;
+    std::sort(probe_sites_.begin(), probe_sites_.end());
+    for (const int site : probe_sites_) {
       estimator.AddSample(probe_drift_[site], probe_g_[site]);
     }
     v_hat = estimator.Estimate(e_);

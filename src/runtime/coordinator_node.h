@@ -328,9 +328,12 @@ class CoordinatorNode {
   // (first report wins) and folded in site-id order at quiescence, so the
   // HT estimate is independent of network arrival order — the socket
   // runtime, where interleaving is scheduler-dependent, produces the same
-  // floating-point result as the deterministic simulation.
+  // floating-point result as the deterministic simulation. probe_sites_
+  // lists the sites whose report was accepted, so neither the fold nor the
+  // next probe's reset visits the other N − |K1| sites.
   std::vector<Vector> probe_drift_;
   std::vector<double> probe_g_;
+  std::vector<int> probe_sites_;
 
   // Full-sync collection state.
   std::vector<Vector> collected_;

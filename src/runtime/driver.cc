@@ -89,6 +89,7 @@ void RuntimeDriver::BuildNodes(int num_sites,
   for (int i = 0; i < num_sites; ++i) {
     sites_.push_back(std::make_unique<SiteNode>(i, num_sites, function,
                                                 config, reliable_.get()));
+    sites_.back()->ShareAuditTotals(&site_totals_);
   }
 }
 
@@ -280,15 +281,7 @@ void RuntimeDriver::PublishMetrics() {
     // Faultless wiring: the bus carries the sender-side accounting.
     bus_rows_.Publish(registry, bus_);
   }
-  SiteNode::AuditStats sites_total;
-  for (const auto& site : sites_) {
-    const SiteNode::AuditStats audit = site->audit();
-    sites_total.stale_epoch_drops += audit.stale_epoch_drops;
-    sites_total.stale_epoch_applied += audit.stale_epoch_applied;
-    sites_total.heartbeats_sent += audit.heartbeats_sent;
-    sites_total.rejoin_requests_sent += audit.rejoin_requests_sent;
-  }
-  site_rows_.Publish(registry, sites_total);
+  site_rows_.Publish(registry, site_totals_);
 
   CoordinatorNode::RecoveryStats recovery;
   if (config_.checkpoint_store != nullptr) {

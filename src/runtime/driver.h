@@ -137,6 +137,8 @@ class RuntimeDriver {
   std::unique_ptr<ReliableTransport> reliable_;
   std::unique_ptr<CoordinatorNode> coordinator_;
   std::vector<std::unique_ptr<SiteNode>> sites_;
+  /// Every site's audit counters, totalled as the sites bump them.
+  SiteNode::AuditStats site_totals_;
   /// Deliver()'s output buffer, reused across deliveries.
   std::vector<RuntimeMessage> fresh_;
   Telemetry* telemetry_ = nullptr;

@@ -307,45 +307,67 @@ void ReliableTransport::OnDeliver(int receiver, const RuntimeMessage& message,
   }
 
   SeenWindow& window = WindowFor(receiver, message.from);
-  const std::int64_t seq = message.seq;
-  // In-order arrival, the common case, lands above every retained seq.
-  const bool above_all =
-      window.head == window.seqs.size() || seq > window.seqs.back();
-  const bool duplicate =
-      seq <= window.floor ||
-      (!above_all && std::binary_search(window.seqs.begin() + window.head,
-                                        window.seqs.end(), seq));
-  if (duplicate) {
+  if (!window.Admit(message.seq)) {
     ++stats_.duplicates_suppressed;
     if (telemetry_ != nullptr) {
       telemetry_->trace.Emit(TraceEventId::kDuplicateSuppressed, receiver,
-                             {{"sender", message.from}, {"seq", seq}});
+                             {{"sender", message.from}, {"seq", message.seq}});
     }
     Ack(receiver, message);  // the previous ack may have been lost
     return;
   }
-  if (above_all) {
-    window.seqs.push_back(seq);
-  } else {
-    window.seqs.insert(std::lower_bound(window.seqs.begin() + window.head,
-                                        window.seqs.end(), seq),
-                       seq);
-  }
-  const std::size_t limit = static_cast<std::size_t>(config_.dedup_window);
-  while (window.seqs.size() - window.head > limit) {
-    // Compact: promote the lowest retained seq into the floor. Anything
-    // older than the window is long past its retransmission horizon.
-    window.floor = window.seqs[window.head++];
-    ++stats_.dedup_evictions;
-  }
-  if (2 * window.head > window.seqs.size()) {
-    window.seqs.erase(window.seqs.begin(),
-                      window.seqs.begin() +
-                          static_cast<std::ptrdiff_t>(window.head));
-    window.head = 0;
-  }
+  stats_.dedup_evictions += window.Trim(config_.dedup_window);
   Ack(receiver, message);
   deliver->push_back(message);
+}
+
+bool ReliableTransport::SeenWindow::Admit(std::int64_t seq) {
+  if (seq > top) {
+    // In order, the common case, or past a gap that becomes one hole.
+    if (seq > top + 1) holes.push_back({top + 1, seq - 1});
+    top = seq;
+    ++seen;
+    return true;
+  }
+  if (seq <= floor) return false;
+  // A seq at or below the top is fresh only inside a hole.
+  const auto hole = std::lower_bound(
+      holes.begin() + static_cast<std::ptrdiff_t>(head), holes.end(), seq,
+      [](const Hole& h, std::int64_t s) { return h.last < s; });
+  if (hole == holes.end() || hole->first > seq) return false;
+  if (hole->first == hole->last) {
+    holes.erase(hole);
+  } else if (seq == hole->first) {
+    ++hole->first;
+  } else if (seq == hole->last) {
+    --hole->last;
+  } else {
+    const Hole upper{seq + 1, hole->last};
+    hole->last = seq - 1;
+    holes.insert(hole + 1, upper);
+  }
+  ++seen;
+  return true;
+}
+
+long ReliableTransport::SeenWindow::Trim(long limit) {
+  long promoted = 0;
+  for (; seen > limit; --seen, ++promoted) {
+    // The lowest seen seq above the floor is floor + 1, or the seq just
+    // past a hole that starts there. Anything older than the window is
+    // long past its retransmission horizon.
+    if (head < holes.size() && holes[head].first == floor + 1) {
+      floor = holes[head++].last + 1;
+    } else {
+      ++floor;
+    }
+  }
+  if (2 * head > holes.size()) {
+    holes.erase(holes.begin(),
+                holes.begin() + static_cast<std::ptrdiff_t>(head));
+    head = 0;
+  }
+  return promoted;
 }
 
 void ReliableTransport::AdvanceRound() {

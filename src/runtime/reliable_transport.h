@@ -36,11 +36,13 @@ struct ReliableTransportConfig {
   /// a dead link the failure detector has not yet condemned, or a crashed
   /// coordinator — cannot grow the retransmit queue without bound.
   int max_in_flight_per_peer = 256;
-  /// Receive-side dedup window per (receiver, sender) pair: seqs retained
-  /// above the compaction floor. Duplicates arrive within
+  /// Receive-side dedup window per (receiver, sender) pair: the number of
+  /// seen seqs retained above the floor; past it the lowest is promoted
+  /// into the floor. Duplicates arrive within
   /// max_delay + max_backoff * max_retransmits rounds of the original — a
   /// handful of messages — so the default is orders of magnitude above the
-  /// correctness requirement while keeping memory bounded.
+  /// correctness requirement. A window stores the unseen gaps among those
+  /// seqs, not the seqs, so in-order traffic costs it no memory.
   int dedup_window = 1024;
   /// Time source for the retransmission round counter (not owned, nullable).
   /// Null keeps the built-in logical counter — one round per AdvanceRound()
@@ -105,8 +107,8 @@ class ReliableTransport final : public Transport {
     /// Per-peer queue-cap evictions: tracked expectations released because
     /// max_in_flight_per_peer was reached for their destination.
     long queue_evictions = 0;
-    /// Dedup-window compactions: seen-seqs promoted into the floor once the
-    /// window exceeded dedup_window entries.
+    /// Dedup-window compactions: seen seqs promoted into the floor once
+    /// more than dedup_window were retained above it.
     long dedup_evictions = 0;
   };
 
@@ -192,14 +194,30 @@ class ReliableTransport final : public Transport {
   };
 
   /// Receive-side dedup state of one (receiver, sender) pair: every seq at
-  /// or below `floor` counts as seen, and `seqs[head..]` holds the seen seqs
-  /// above it in ascending order. Compacted to at most dedup_window seqs
-  /// (duplicates arrive within a bounded number of rounds, so the window
-  /// never misjudges); the compacted prefix `seqs[..head)` is reclaimed
-  /// once it outgrows the live part.
+  /// or below `floor` counts as seen, and so does every seq up to `top`
+  /// outside `holes[head..]`, the unseen ranges in ascending order. `seen`
+  /// counts the seen seqs above the floor. In-order arrival moves only
+  /// `top` and `seen`; a gap adds one hole and a late fill shrinks or
+  /// splits one, so memory follows the gaps, not the history: a seen seq
+  /// closes every hole, so there are at most `seen` of them.
   struct SeenWindow {
+    struct Hole {
+      std::int64_t first;
+      std::int64_t last;
+    };
+    /// Records `seq` as seen; false if it already was (a duplicate).
+    bool Admit(std::int64_t seq);
+    /// Promotes the lowest seen seqs into the floor until at most `limit`
+    /// remain above it (duplicates arrive within a bounded number of
+    /// rounds, so the window never misjudges), and returns how many were
+    /// promoted. The consumed prefix `holes[..head)` is reclaimed once it
+    /// outgrows the live part.
+    long Trim(long limit);
+
     std::int64_t floor = 0;
-    std::vector<std::int64_t> seqs;
+    std::int64_t top = 0;
+    long seen = 0;
+    std::vector<Hole> holes;
     std::size_t head = 0;
   };
 

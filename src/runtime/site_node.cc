@@ -17,6 +17,7 @@ SiteNode::SiteNode(int id, int num_sites, const MonitoredFunction& function,
       transport_(transport),
       telemetry_(config.telemetry),
       rng_(config.seed + 0x9e37u * static_cast<std::uint64_t>(id + 1)),
+      sampling_(config.delta, num_sites),
       heartbeat_interval_(HeartbeatIntervalCycles(num_sites)) {
   SGM_CHECK(id >= 0 && id < num_sites);
   SGM_CHECK(transport != nullptr);
@@ -29,6 +30,11 @@ SiteNode::SiteNode(int id, int num_sites, const MonitoredFunction& function,
 }
 
 Vector SiteNode::Drift() const { return local_ - synced_local_; }
+
+void SiteNode::Count(long AuditStats::*counter) {
+  ++(audit_.*counter);
+  if (audit_totals_ != nullptr) ++(audit_totals_->*counter);
+}
 
 void SiteNode::SendToCoordinator(RuntimeMessage message) {
   message.from = id_;
@@ -45,7 +51,7 @@ void SiteNode::SendHeartbeatIfDue() {
   RuntimeMessage heartbeat;
   heartbeat.type = RuntimeMessage::Type::kHeartbeat;
   heartbeat.scalar = static_cast<double>(anchor_epoch_);
-  ++audit_.heartbeats_sent;
+  Count(&AuditStats::heartbeats_sent);
   if (telemetry_ != nullptr) {
     telemetry_->trace.Emit(TraceEventId::kHeartbeat, id_);
   }
@@ -57,7 +63,7 @@ void SiteNode::RequestRejoin() {
   rejoin_requested_ = true;
   RuntimeMessage request;
   request.type = RuntimeMessage::Type::kRejoinRequest;
-  ++audit_.rejoin_requests_sent;
+  Count(&AuditStats::rejoin_requests_sent);
   if (telemetry_ != nullptr) {
     telemetry_->trace.Emit(TraceEventId::kRejoinRequest, id_);
   }
@@ -107,13 +113,13 @@ void SiteNode::Observe(const Vector& local_vector) {
 
   // Monitoring phase: M independent self-sampling trials; any hit arms the
   // un-scaled GM ball test (Lemma 2).
-  const Vector drift = Drift();
+  drift_ = local_;
+  drift_ -= synced_local_;
   const double U =
       DriftBoundU(config_.max_step_norm, cycles_since_sync_,
                   config_.drift_norm_cap, config_.u_threshold_factor,
                   epsilon_t_);
-  inclusion_probability_ =
-      SamplingProbability(config_.delta, U, num_sites_, drift.Norm());
+  inclusion_probability_ = sampling_.Probability(U, drift_.Norm());
   const TrialDraw draw =
       DrawTrials(&rng_, inclusion_probability_, config_.num_trials);
   in_first_trial_ = draw.first_trial;
@@ -121,7 +127,7 @@ void SiteNode::Observe(const Vector& local_vector) {
     bool crossed = false;
     {
       ScopedTimer timer(ball_test_ns_);
-      const Ball constraint = Ball::LocalConstraint(e_, drift);
+      const Ball constraint = Ball::LocalConstraint(e_, drift_);
       crossed = function_->BallCrossesThreshold(constraint, config_.threshold);
     }
     if (crossed) {
@@ -139,7 +145,7 @@ void SiteNode::Observe(const Vector& local_vector) {
 
 void SiteNode::ApplyAnchor(const RuntimeMessage& message, const char* source) {
   if (message.epoch != epoch_) {  // fencing audit: must be unreachable
-    ++audit_.stale_epoch_applied;
+    Count(&AuditStats::stale_epoch_applied);
   }
   if (telemetry_ != nullptr) {
     // Sites stamp the coordinator-issued epoch they anchor to; in a
@@ -170,7 +176,7 @@ void SiteNode::OnMessage(const RuntimeMessage& message) {
   // means this site missed a sync and must not monitor against its stale
   // anchor until resynchronized.
   if (message.epoch < epoch_) {
-    ++audit_.stale_epoch_drops;
+    Count(&AuditStats::stale_epoch_drops);
     if (telemetry_ != nullptr) {
       telemetry_->trace.Emit(TraceEventId::kStaleEpochDrop, id_,
                              {{"msg_epoch", message.epoch}});
@@ -245,7 +251,9 @@ void SiteNode::OnMessage(const RuntimeMessage& message) {
     }
     case RuntimeMessage::Type::kResolved: {
       if (!anchored_) return;
-      if (message.epoch != epoch_) ++audit_.stale_epoch_applied;  // audit
+      if (message.epoch != epoch_) {  // fencing audit: must be unreachable
+        Count(&AuditStats::stale_epoch_applied);
+      }
       mute_remaining_ = WireCount(message.scalar).value_or(0);  // else no mute
       return;
     }

@@ -5,6 +5,7 @@
 #include <memory>
 
 #include "core/rng.h"
+#include "estimators/sampling.h"
 #include "functions/monitored_function.h"
 #include "runtime/failure_detector.h"
 #include "runtime/message.h"
@@ -168,9 +169,15 @@ class SiteNode {
     long rejoin_requests_sent = 0;
   };
   AuditStats audit() const { return audit_; }
+  /// Adds every later increment of this site's audit counters to `*totals`
+  /// as well (not owned; null stops it), so a deployment keeps its site.*
+  /// totals current instead of summing N sites per publish.
+  void ShareAuditTotals(AuditStats* totals) { audit_totals_ = totals; }
 
  private:
   Vector Drift() const;
+  /// Increments one audit counter, here and in the shared totals.
+  void Count(long AuditStats::*counter);
   void SendToCoordinator(RuntimeMessage message);
   void SendHeartbeatIfDue();
   void RequestRejoin();
@@ -192,9 +199,12 @@ class SiteNode {
   /// which disables the profiling scope entirely (no clock reads).
   Histogram* ball_test_ns_ = nullptr;
   Rng rng_;
+  SamplingScale sampling_;
 
   Vector local_;         ///< v_i(t)
   Vector synced_local_;  ///< v_i(t_s)
+  /// Δv_i of the last monitored Observe; its buffer is reused every cycle.
+  Vector drift_;
   Vector e_;             ///< coordinator's last broadcast estimate
   double epsilon_t_ = 0.0;
   double inclusion_probability_ = 0.0;
@@ -216,6 +226,7 @@ class SiteNode {
   long observes_ = 0;
 
   AuditStats audit_;
+  AuditStats* audit_totals_ = nullptr;
 };
 
 }  // namespace sgm

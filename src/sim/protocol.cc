@@ -85,7 +85,15 @@ void ProtocolBase::AfterSync(const std::vector<Vector>& /*local_vectors*/,
 
 Vector ProtocolBase::Drift(int site,
                            const std::vector<Vector>& local_vectors) const {
-  return local_vectors[site] - synced_locals_[site];
+  Vector drift;
+  Drift(site, local_vectors, &drift);
+  return drift;
+}
+
+void ProtocolBase::Drift(int site, const std::vector<Vector>& local_vectors,
+                         Vector* out) const {
+  *out = local_vectors[site];
+  *out -= synced_locals_[site];
 }
 
 void ProtocolBase::Mute(long cycles, Metrics* metrics) {

@@ -112,6 +112,10 @@ class ProtocolBase : public Protocol {
 
   /// Δv_i(t) = v_i(t) − v_i(t_s).
   Vector Drift(int site, const std::vector<Vector>& local_vectors) const;
+  /// The same Δv_i(t) written into `*out`, whose buffer a per-site loop
+  /// reuses instead of allocating one vector per site.
+  void Drift(int site, const std::vector<Vector>& local_vectors,
+             Vector* out) const;
 
   /// U(t) for this cycle (estimators/sgm_rules.h's DriftBoundU).
   double CurrentU() const {

@@ -717,6 +717,122 @@ Transcript RunTranscript(std::uint64_t seed, bool per_site) {
   return out;
 }
 
+/// Reference dedup window: a floor plus the sorted seen seqs above it,
+/// compacted to `limit` seqs by promoting the lowest into the floor — the
+/// layout the transport's gap-based window replaced, and the definition of
+/// the verdicts and evictions that window must reproduce.
+class SortedSeqWindow {
+ public:
+  explicit SortedSeqWindow(std::size_t limit) : limit_(limit) {}
+
+  /// True if `seq` is fresh; adds each promotion to `*evictions`.
+  bool Deliver(std::int64_t seq, long* evictions) {
+    if (seq <= floor_ || std::binary_search(seqs_.begin(), seqs_.end(), seq)) {
+      return false;
+    }
+    seqs_.insert(std::lower_bound(seqs_.begin(), seqs_.end(), seq), seq);
+    while (seqs_.size() > limit_) {
+      floor_ = seqs_.front();
+      seqs_.pop_front();
+      ++*evictions;
+    }
+    return true;
+  }
+  std::int64_t floor() const { return floor_; }
+
+ private:
+  std::size_t limit_;
+  std::int64_t floor_ = 0;
+  std::deque<std::int64_t> seqs_;
+};
+
+TEST(ReliableTransportTest, DedupWindowMatchesTheSortedSeqReference) {
+  constexpr int kSites = 3;
+  for (const int limit : {8, 16, 1024}) {
+    for (const std::uint64_t seed : {1u, 2u, 3u}) {
+      SCOPED_TRACE(testing::Message() << "window " << limit << " seed " << seed);
+      InMemoryBus bus;
+      ReliableTransportConfig config;
+      config.dedup_window = limit;
+      ReliableTransport rt(&bus, kSites, config);
+      Rng rng(seed);
+
+      // One stream per site and direction: the coordinator's traffic at
+      // site s (pair s) and site s's traffic at the coordinator (pair
+      // kSites + s). Each keeps the sender's last seq, the seqs it skipped
+      // (late fills to come) and the seqs it delivered (duplicates).
+      struct Stream {
+        std::int64_t next = 0;
+        std::vector<std::int64_t> skipped;
+        std::vector<std::int64_t> delivered;
+      };
+      std::vector<Stream> streams(2 * kSites);
+      std::vector<SortedSeqWindow> reference(2 * kSites,
+                                             SortedSeqWindow(limit));
+      long duplicates = 0;
+      long evictions = 0;
+      long acks = 0;
+      const auto pick = [&](const std::vector<std::int64_t>& seqs) {
+        return seqs[rng.NextBounded(seqs.size())];
+      };
+      const auto deliver = [&](int pair, std::int64_t seq) {
+        const int site = pair % kSites;
+        const bool downlink = pair < kSites;
+        RuntimeMessage m = downlink ? EstimateBroadcast() : Report(site);
+        // Some downlink traffic comes as a whole-delivered broadcast, which
+        // is deduped like a unicast but never acked.
+        if (downlink && rng.NextBounded(4) != 0) m.to = site;
+        m.seq = seq;
+        const bool fresh = reference[pair].Deliver(seq, &evictions);
+        if (!fresh) ++duplicates;
+        if (m.to != kBroadcastId) ++acks;
+        const std::size_t got =
+            DeliverTo(&rt, downlink ? site : kCoordinatorId, m).size();
+        while (!bus.empty()) bus.Pop();  // the acks
+        ASSERT_EQ(got, fresh ? 1u : 0u) << "pair " << pair << " seq " << seq;
+        ASSERT_EQ(rt.stats().duplicates_suppressed, duplicates);
+        ASSERT_EQ(rt.stats().dedup_evictions, evictions);
+        ASSERT_EQ(rt.stats().acks_sent, acks);
+        if (fresh) streams[pair].delivered.push_back(seq);
+      };
+
+      for (int step = 0; step < 6000; ++step) {
+        const int pair = static_cast<int>(rng.NextBounded(2 * kSites));
+        Stream& s = streams[pair];
+        const std::uint64_t op = rng.NextBounded(100);
+        if (op < 50 || s.delivered.empty()) {  // an in-order run
+          const int run = 1 + static_cast<int>(rng.NextBounded(12));
+          for (int k = 0; k < run; ++k) deliver(pair, ++s.next);
+        } else if (op < 65) {  // a gap, then the seq past it
+          const int gap = 1 + static_cast<int>(rng.NextBounded(6));
+          for (int k = 0; k < gap; ++k) s.skipped.push_back(++s.next);
+          deliver(pair, ++s.next);
+        } else if (op < 80 && !s.skipped.empty()) {  // a late fill
+          deliver(pair, pick(s.skipped));
+        } else if (op < 90) {  // an exact duplicate
+          deliver(pair, pick(s.delivered));
+        } else if (op < 97) {  // at or below the floor (or just above it)
+          const std::int64_t below =
+              static_cast<std::int64_t>(rng.NextBounded(3)) - 1;
+          // Seq 0 is unsequenced control traffic, which skips dedup.
+          deliver(pair, std::max<std::int64_t>(
+                            1, reference[pair].floor() - below));
+        } else {  // a seq far ahead; its gap's ends may be filled later
+          const std::int64_t jump = 1000000;
+          s.skipped.push_back(s.next + 1);
+          s.skipped.push_back(s.next + jump / 2);
+          s.skipped.push_back(s.next + jump - 1);
+          s.next += jump;
+          deliver(pair, s.next);
+        }
+        if (HasFatalFailure()) return;
+      }
+      EXPECT_GT(rt.stats().dedup_evictions, 0);
+      EXPECT_GT(rt.stats().duplicates_suppressed, 0);
+    }
+  }
+}
+
 TEST(ReliableTransportTest, TranscriptMatchesGoldens) {
   struct Golden {
     bool per_site;

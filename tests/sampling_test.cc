@@ -1,6 +1,9 @@
 #include "estimators/sampling.h"
 
+#include <algorithm>
 #include <cmath>
+#include <cstring>
+#include <limits>
 
 #include <gtest/gtest.h>
 
@@ -43,6 +46,43 @@ TEST(SamplingTest, CvVariantUsesAbsoluteDistance) {
             SamplingProbabilityCV(0.1, 10.0, 100, 2.0));
   EXPECT_EQ(SamplingProbabilityCV(0.1, 10.0, 100, -2.0),
             SamplingProbability(0.1, 10.0, 100, 2.0));
+}
+
+TEST(SamplingTest, PrecomputedScaleGivesTheFormulasDoubles) {
+  // A deployment computes ln(1/δ) and √N once; every g_i it then gives
+  // must be, bit for bit, the double the formula gives from scratch.
+  const auto same_bits = [](double a, double b) {
+    return std::memcmp(&a, &b, sizeof a) == 0;
+  };
+  const double huge = std::numeric_limits<double>::max();
+  const double inf = std::numeric_limits<double>::infinity();
+  const double norms[] = {0.0, 1e-300, 1e-6, 0.25, 1.0, 2.0, 17.3, 1e3,
+                          1e300, huge, inf};
+  const double bounds[] = {1e-9, 0.1, 1.0, 17.3, 1e6};
+  for (const double delta : {1e-6, 0.01, 0.1, 0.5, 0.999}) {
+    for (const int n : {1, 2, 3, 500, 2048, 8192}) {
+      const SamplingScale scale(delta, n);
+      const double uniform =
+          std::clamp(std::log(1.0 / delta) / std::sqrt(n), 0.0, 1.0);
+      EXPECT_TRUE(same_bits(scale.Uniform(), uniform));
+      EXPECT_TRUE(same_bits(BernoulliSamplingProbability(delta, n), uniform));
+      for (const double U : bounds) {
+        for (const double norm : norms) {
+          SCOPED_TRACE(testing::Message() << "delta " << delta << " N " << n
+                                          << " U " << U << " norm " << norm);
+          const double g = std::clamp(
+              norm * std::log(1.0 / delta) / (U * std::sqrt(n)), 0.0, 1.0);
+          EXPECT_TRUE(same_bits(scale.Probability(U, norm), g));
+          EXPECT_TRUE(same_bits(SamplingProbability(delta, U, n, norm), g));
+          EXPECT_TRUE(same_bits(scale.ProbabilityCV(U, -norm), g));
+          EXPECT_TRUE(same_bits(SamplingProbabilityCV(delta, U, n, norm), g));
+        }
+      }
+    }
+  }
+  // The grid reaches both ends of [0, 1].
+  EXPECT_EQ(SamplingScale(0.1, 500).Probability(1e-9, huge), 1.0);
+  EXPECT_EQ(SamplingScale(0.999, 8192).Probability(1e6, 0.0), 0.0);
 }
 
 TEST(SamplingTest, BernoulliMatchesExpectedSampleSize) {
