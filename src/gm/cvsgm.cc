@@ -40,20 +40,23 @@ CycleOutcome CvSamplingMonitor::MonitorCycle(
   const double U = CurrentU();
 
   // Monitoring phase in 1-d: sampled sites check the sign of d_C.
-  std::vector<double> distances(num_sites_);
-  std::vector<int> first_trial;
-  std::vector<double> first_trial_g;
+  distances_.resize(num_sites_);
+  first_trial_.clear();
+  first_trial_g_.clear();
   bool alarm = false;
   for (int i = 0; i < num_sites_; ++i) {
-    const Vector position = e_ + Drift(i, local_vectors);
-    distances[i] = zone_->SignedDistance(position);
-    const double g = sampling_->ProbabilityCV(U, distances[i]);
+    // e + Δv_i, summed in the same order as `e_ + Drift(i, ...)`.
+    Drift(i, local_vectors, &drift_);
+    position_ = e_;
+    position_ += drift_;
+    distances_[i] = zone_->SignedDistance(position_);
+    const double g = sampling_->ProbabilityCV(U, distances_[i]);
     const TrialDraw draw = DrawTrials(&site_rngs_[i], g, effective_trials_);
     if (draw.first_trial) {
-      first_trial.push_back(i);
-      first_trial_g.push_back(g);
+      first_trial_.push_back(i);
+      first_trial_g_.push_back(g);
     }
-    if (draw.any_trial && distances[i] >= 0.0) alarm = true;
+    if (draw.any_trial && distances_[i] >= 0.0) alarm = true;
   }
   if (!alarm) return outcome;
   outcome.local_alarm = true;
@@ -61,7 +64,7 @@ CycleOutcome CvSamplingMonitor::MonitorCycle(
   // Adaptive re-anchoring (see CvsgmOptions).
   if (ReanchorInsteadOfProbe(alarm_streak_ + 1,
                              options_.escalate_after_consecutive_alarms,
-                             first_trial.size(),
+                             first_trial_.size(),
                              options_.escalate_probe_fraction, num_sites_)) {
     FullSync(local_vectors, metrics, /*already_collected=*/0);
     outcome.full_sync = true;
@@ -70,11 +73,11 @@ CycleOutcome CvSamplingMonitor::MonitorCycle(
 
   // 1. Partial probe: first-trial scalars + HT estimate D̂_C.
   metrics->AddBroadcast(0);
-  metrics->AddSiteMessages(static_cast<long>(first_trial.size()),
+  metrics->AddSiteMessages(static_cast<long>(first_trial_.size()),
                            /*doubles_each=*/1);
   HtScalarEstimator estimator(num_sites_);
-  for (std::size_t k = 0; k < first_trial.size(); ++k) {
-    estimator.AddSample(distances[first_trial[k]], first_trial_g[k]);
+  for (std::size_t k = 0; k < first_trial_.size(); ++k) {
+    estimator.AddSample(distances_[first_trial_[k]], first_trial_g_[k]);
   }
   const double d_hat = estimator.Estimate();
   // ε_C from McDiarmid, capped as in SGM's partial check; ε_C ≤ ε keeps
@@ -105,10 +108,10 @@ CycleOutcome CvSamplingMonitor::MonitorCycle(
 
   // 2. Preliminary full check, still 1-d: everyone else ships one scalar.
   metrics->AddSiteMessages(
-      static_cast<long>(num_sites_) - static_cast<long>(first_trial.size()),
+      static_cast<long>(num_sites_) - static_cast<long>(first_trial_.size()),
       /*doubles_each=*/1);
   double exact_sum = 0.0;
-  for (int i = 0; i < num_sites_; ++i) exact_sum += distances[i];
+  for (int i = 0; i < num_sites_; ++i) exact_sum += distances_[i];
   const double exact_dc = exact_sum / static_cast<double>(num_sites_);
   if (exact_dc < 0.0) {
     // Corollary 1: the global average is certainly inside C — an FP

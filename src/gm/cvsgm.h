@@ -68,6 +68,15 @@ class CvSamplingMonitor : public ConvexSafeZoneMonitor {
   /// ln(1/δ) and √N, set with site_rngs_ once N is known.
   std::optional<SamplingScale> sampling_;
   bool last_alarm_reached_stage2_ = false;
+  // MonitorCycle's per-cycle buffers, reused so that a cycle allocates
+  // nothing per site: the drift and position e + Δv_i of the site at hand,
+  // every site's signed distance d_C, and the first-trial sample K1 with
+  // each member's g_i.
+  Vector drift_;
+  Vector position_;
+  std::vector<double> distances_;
+  std::vector<int> first_trial_;
+  std::vector<double> first_trial_g_;
 };
 
 }  // namespace sgm

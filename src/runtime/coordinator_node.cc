@@ -295,7 +295,7 @@ void CoordinatorNode::SendBroadcast(RuntimeMessage message) {
   message.from = kCoordinatorId;
   message.to = kBroadcastId;
   message.epoch = epoch_;
-  transport_->Send(std::move(message));
+  SendTraced(transport_, telemetry_, message);
 }
 
 void CoordinatorNode::BumpEpoch() {
@@ -476,7 +476,7 @@ void CoordinatorNode::MaybeGrantRejoin(int site) {
   grant.payload = e_;
   grant.scalar = epsilon_t_;
   grant.span = grant_span;
-  transport_->Send(std::move(grant));
+  SendTraced(transport_, telemetry_, grant);
 }
 
 void CoordinatorNode::ObserveSite(int site, std::int64_t msg_epoch) {
@@ -694,10 +694,11 @@ void CoordinatorNode::OnMessage(const RuntimeMessage& message) {
 bool CoordinatorNode::OnBarrierDeadlineMissed(int site) {
   SGM_CHECK(site >= 0 && site < num_sites_);
   if (!fd_.RecordMissedDeadline(site)) return false;
-  // Quarantined: release its pending ack expectations so neither the
-  // barrier loop nor the retransmission machinery waits on it. The TCP
-  // session (if any) stays up — the laggard's eventual catch-up traffic
-  // drives the ordinary rejoin-grant handshake through ObserveSite.
+  // Quarantined: with a reliability layer attached, release its pending
+  // ack expectations so the retransmission machinery stops waiting on it
+  // (a socket barrier excludes lagging sites on its own). The TCP session
+  // (if any) stays up — the laggard's eventual catch-up traffic drives the
+  // ordinary rejoin-grant handshake through ObserveSite.
   if (reliable_ != nullptr && reliable_->IsLinkUp(site)) {
     reliable_->MarkLinkDown(site);
   }
@@ -744,7 +745,7 @@ void CoordinatorNode::OnQuiescent() {
         request.epoch = epoch_;
         request.span = phase_span_;  // same round, same span
         request.parent_span = cycle_span_;
-        transport_->Send(std::move(request));
+        SendTraced(transport_, telemetry_, request);
       }
       return;  // still collecting; the re-requests re-arm the transport
     }

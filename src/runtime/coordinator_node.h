@@ -33,9 +33,9 @@ namespace sgm {
 ///
 /// ── Failure handling ────────────────────────────────────────────────────
 /// A FailureDetector tracks per-site liveness from the messages flowing
-/// through OnMessage (plus standalone heartbeats from quiet sites) and
-/// from transport-level give-ups reported via the attached
-/// ReliableTransport. Dead sites leave the sample pool — the HT probe
+/// through OnMessage (plus standalone heartbeats from quiet sites) and,
+/// when a ReliableTransport is attached (the simulated runtime), from its
+/// transport-level give-ups. Dead sites leave the sample pool — the HT probe
 /// estimate reweights over the live count, and full-sync completion only
 /// waits on live sites. A dead site that reappears with a *current* epoch
 /// is revived directly (it missed nothing); one that reappears behind goes
@@ -55,7 +55,9 @@ namespace sgm {
 /// from the newest decodable snapshot plus its committed WAL suffix, bumps
 /// the epoch once more so every pre-crash in-flight frame is fenced by the
 /// ordinary epoch machinery, and re-anchors all reachable sites through the
-/// rejoin-grant handshake before monitoring resumes. In-flight probe or
+/// rejoin-grant handshake before monitoring resumes. (Over sockets those
+/// grants go out before any session exists and are lost; each site is
+/// re-granted from its first stale-epoch frame instead, DESIGN.md §10.3.) In-flight probe or
 /// collection rounds are deliberately not checkpointed: recovery restores
 /// to kIdle and the scheduled-resync machinery re-derives anything lost.
 class CoordinatorNode {
@@ -65,7 +67,8 @@ class CoordinatorNode {
 
   /// Wires the reliability layer in: transport give-ups feed the failure
   /// detector, and link up/down administration follows site liveness.
-  /// Optional — without it the coordinator runs over a bare transport.
+  /// Optional — without it the coordinator runs over a bare transport, as
+  /// the socket tier does over TCP.
   void AttachReliability(ReliableTransport* reliable);
 
   /// Kicks off the initialization synchronization (first full state

@@ -22,7 +22,7 @@ namespace sgm {
 namespace {
 
 /// Longest single wait of the event loop: the barrier loop re-checks its
-/// deadlines and advances the retransmission clock at least this often.
+/// deadlines at least this often.
 constexpr int kPollSliceMs = 10;
 /// Cap on the shutdown flush: a stalled site's full buffer cannot hold
 /// process exit hostage.
@@ -33,14 +33,12 @@ constexpr long kShutdownFlushMs = 500;
 CoordinatorServer::CoordinatorServer(const MonitoredFunction& function,
                                      const CoordinatorServerConfig& config)
     : config_(config),
-      clock_(config.round_micros),
       registered_(config.num_sites, false),
       connected_(config.num_sites, false),
       site_fds_(config.num_sites, -1),
       barrier_acked_(config.num_sites, false) {
   SGM_CHECK(config.num_sites > 0);
   SGM_CHECK(config.barrier_deadline_ms >= 0);
-  config_.runtime.reliability.round_clock = &clock_;
   if (config_.runtime.telemetry != nullptr) {
     config_.runtime.telemetry->trace.ConfigureSampling(
         config_.runtime.trace_sample_rate, config_.runtime.seed);
@@ -48,12 +46,8 @@ CoordinatorServer::CoordinatorServer(const MonitoredFunction& function,
         "barrier.wait_ms",
         {1, 2, 5, 10, 25, 50, 100, 250, 500, 1000, 2500, 5000, 10000, 30000});
   }
-  reliable_ = std::make_unique<ReliableTransport>(
-      &transport_, config_.num_sites, config_.runtime.reliability,
-      config_.runtime.telemetry);
   coordinator_ = std::make_unique<CoordinatorNode>(
-      config_.num_sites, function, config_.runtime, reliable_.get());
-  coordinator_->AttachReliability(reliable_.get());
+      config_.num_sites, function, config_.runtime, &transport_);
 }
 
 CoordinatorServer::~CoordinatorServer() { Shutdown(); }
@@ -157,7 +151,7 @@ bool CoordinatorServer::ReadSession(int fd, FrameReader* reader) {
 void CoordinatorServer::CloseSession(int fd) {
   {
     // If this fd still maps to a site (a re-hello on a fresh connection
-    // did not displace it), the link is down until the site dials back in.
+    // did not displace it), the site is disconnected until it dials back in.
     std::lock_guard<std::mutex> lock(mu_);
     const auto it = fd_site_.find(fd);
     if (it != fd_site_.end()) {
@@ -166,7 +160,6 @@ void CoordinatorServer::CloseSession(int fd) {
       connected_[site] = false;
       site_fds_[site] = -1;
       EndSessionLocked(site);
-      reliable_->MarkLinkDown(site);
     }
   }
   sessions_.erase(fd);
@@ -212,7 +205,6 @@ bool CoordinatorServer::HandleFrame(int fd, const RuntimeMessage& message) {
         }
       } else {
         ++site_rehellos_;
-        reliable_->MarkLinkUp(site);
         if (telemetry != nullptr) {
           telemetry->trace.Emit(TraceEventId::kSiteRehello, site,
                                 {{"fd", fd}});
@@ -240,17 +232,16 @@ bool CoordinatorServer::HandleFrame(int fd, const RuntimeMessage& message) {
   }
   // Every other frame must come from a site: a sender id outside the
   // deployment is garbage that happens to pass the CRC, and must not reach
-  // the node or the reliability layer's per-site state. So is an epoch the
-  // coordinator has not issued yet, which the node treats as a broken
-  // invariant.
+  // the node's per-site state. So is an epoch the coordinator has not
+  // issued yet, which the node treats as a broken invariant.
   if (message.from < 0 || message.from >= config_.num_sites ||
       message.epoch > coordinator_->epoch()) {
     ++corrupt_frames_;
     return true;
   }
   // A frame speaks only for the site its connection said hello as. Without
-  // this, a stray ack on another connection would cancel a unicast's
-  // retransmission, or a stray barrier ack mark another site flushed.
+  // this, a stray heartbeat on another connection would renew that site's
+  // lease, or a stray barrier ack mark it flushed.
   const auto session = fd_site_.find(fd);
   if (session == fd_site_.end() || session->second != message.from) {
     ++unbound_frames_;
@@ -263,15 +254,13 @@ bool CoordinatorServer::HandleFrame(int fd, const RuntimeMessage& message) {
     }
     return true;
   }
-  // Ordinary protocol traffic: through the receive-side reliability layer
-  // (ack/dedup), then into the node — the sim driver's Deliver().
+  // Ordinary protocol traffic goes straight into the node: the stream
+  // already delivered it once and in order.
   if (message.counts_as_protocol_traffic()) {
     ++site_messages_received_;
     site_bytes_received_ += WireBytes(message);
   }
-  std::vector<RuntimeMessage> fresh;
-  reliable_->OnDeliver(kCoordinatorId, message, &fresh);
-  for (const RuntimeMessage& m : fresh) coordinator_->OnMessage(m);
+  coordinator_->OnMessage(message);
   return true;
 }
 
@@ -366,13 +355,6 @@ bool CoordinatorServer::AwaitQuiescence() {
   bool slow_warned = false;
   bool expired = false;  // this cycle's soft deadline has passed
   std::unique_lock<std::mutex> lock(mu_);
-  // One event-loop step with mu_ released, then a retransmission round.
-  const auto serve = [&] {
-    lock.unlock();
-    PollOnce(kPollSliceMs);
-    lock.lock();
-    reliable_->AdvanceRound();
-  };
   for (;;) {
     if (std::chrono::steady_clock::now() >= deadline) return false;
     const long snapshot = transport_.data_frames_sent();
@@ -409,34 +391,26 @@ bool CoordinatorServer::AwaitQuiescence() {
         continue;  // quarantines may have emptied the pending population
       }
       if (expired) break;  // proceed over the responsive quorum
-      // The retransmission clock keeps running while we wait: a site that
-      // lost its connection mid-cycle must still hit the give-up horizon.
-      serve();
+      // One event-loop step with mu_ released.
+      lock.unlock();
+      PollOnce(kPollSliceMs);
+      lock.lock();
     }
     if (topology_version_ != topology) continue;
     if (expired) {
       // Degraded close: the responsive quorum has flushed; anything still
-      // in flight toward the laggards stays with the reliability layer
-      // (retransmission rounds keep advancing in later cycles). The
-      // protocol's quiescence hook still runs so probe folds and
-      // collection completions happen this cycle — over the live
-      // population, which now excludes the quarantined laggards.
+      // on its way to the laggards waits in their streams. The protocol's
+      // quiescence hook still runs so probe folds and collection
+      // completions happen this cycle — over the live population, which
+      // now excludes the quarantined laggards.
       coordinator_->OnQuiescent();
     } else {
       // Every connected site has flushed. If we put new data frames on the
-      // wire since the barrier went out (responses to late arrivals,
-      // retransmissions), their induced replies may still be in flight —
-      // flush again.
+      // wire since the barrier went out (responses to late arrivals), their
+      // induced replies may still be in flight — flush again.
       if (transport_.data_frames_sent() != snapshot) continue;
       coordinator_->OnQuiescent();
       if (transport_.data_frames_sent() != snapshot) continue;
-      if (reliable_->HasUnacked()) {
-        // Acks still inbound — or a disconnected site holds tracked
-        // traffic. Keep the round clock moving so those entries reach the
-        // give-up horizon instead of spinning here forever.
-        serve();
-        continue;
-      }
       if (soft_deadline) {
         // A clean close within the deadline resets every responsive
         // site's consecutive-miss count.
@@ -555,11 +529,6 @@ long CoordinatorServer::SiteRehellos() const {
   return site_rehellos_;
 }
 
-bool CoordinatorServer::HasUnacked() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return reliable_->HasUnacked();
-}
-
 void CoordinatorServer::FlushCheckpoint() {
   std::lock_guard<std::mutex> lock(mu_);
   coordinator_->FlushCheckpoint();
@@ -574,7 +543,6 @@ CoordinatorServer::Health CoordinatorServer::GetHealth() const {
   health.connected_sites = ConnectedCountLocked();
   health.site_disconnects = site_disconnects_;
   health.site_rehellos = site_rehellos_;
-  health.has_unacked = reliable_->HasUnacked();
   health.believes_above = coordinator_->BelievesAbove();
   health.full_syncs = coordinator_->full_syncs();
   health.partial_resolutions = coordinator_->partial_resolutions();
@@ -616,7 +584,6 @@ std::string CoordinatorServer::HealthJson() const {
       << ",\"connected_sites\":" << health.connected_sites
       << ",\"site_disconnects\":" << health.site_disconnects
       << ",\"site_rehellos\":" << health.site_rehellos
-      << ",\"has_unacked\":" << (health.has_unacked ? "true" : "false")
       << ",\"believes_above\":" << (health.believes_above ? "true" : "false")
       << ",\"full_syncs\":" << health.full_syncs
       << ",\"partial_resolutions\":" << health.partial_resolutions
@@ -684,7 +651,7 @@ void CoordinatorServer::PublishMetrics() {
   if (telemetry == nullptr) return;
   std::lock_guard<std::mutex> lock(mu_);
   socket_rows_.Publish(&telemetry->registry, *this);
-  node_metrics_.Publish(*telemetry, *reliable_, coordinator_.get(),
+  node_metrics_.Publish(*telemetry, coordinator_.get(),
                         &coordinator_->recovery_stats(), cycle_);
 }
 

@@ -11,8 +11,6 @@
 #include "obs/metric_registry.h"
 #include "runtime/coordinator_node.h"
 #include "runtime/node_metrics.h"
-#include "runtime/reliable_transport.h"
-#include "runtime/round_clock.h"
 #include "runtime/site_node.h"  // RuntimeConfig
 #include "runtime/socket_transport.h"
 
@@ -24,16 +22,8 @@ struct CoordinatorServerConfig {
   int port = 0;
   int num_sites = 0;
   /// Node configuration, shared verbatim with every site process (the
-  /// protocol requires both tiers to agree on thresholds and bounds). The
-  /// server injects its own MonotonicRoundClock into
-  /// runtime.reliability.round_clock.
+  /// protocol requires both tiers to agree on thresholds and bounds).
   RuntimeConfig runtime;
-  /// Microseconds per retransmission round of the reliability layer. Sized
-  /// so the full give-up horizon (≈ 15 rounds of backoff) comfortably
-  /// exceeds any scheduling hiccup of a loopback peer — spurious dead-link
-  /// verdicts against live-but-preempted sites would inject failures the
-  /// deployment does not have.
-  long round_micros = 20000;
   /// WaitForSites() gives up after this long without all hellos.
   long hello_timeout_ms = 30000;
   /// RunCycle() fails if its barrier rounds do not settle within this.
@@ -72,25 +62,28 @@ struct CoordinatorServerConfig {
 ///
 /// ── Threading model ────────────────────────────────────────────────────
 /// The coordinator starts no thread. One mutex (mu_) guards the
-/// CoordinatorNode, the ReliableTransport, the barrier bookkeeping and the
-/// registration table, so that another thread (the /healthz ops endpoint)
-/// may call the getters mid-run. The loop takes it around dispatch and
-/// never holds it across poll(). No send blocks: SocketTransport writes
+/// CoordinatorNode, the barrier bookkeeping and the registration table, so
+/// that another thread (the /healthz ops endpoint) may call the getters
+/// mid-run. The loop takes it around dispatch and never holds it across
+/// poll(). No send blocks: SocketTransport writes
 /// with MSG_DONTWAIT and parks what the kernel does not take in a bounded
 /// per-peer backlog, so a stalled site backs up only its own backlog.
 ///
 /// Session-control frames (hello, barrier acks) are consumed here and
-/// never dispatched into the protocol node; everything else goes through
-/// the receive side of the ReliableTransport exactly as the sim driver's
-/// Deliver() does.
+/// never dispatched into the protocol node; every other frame goes straight
+/// to CoordinatorNode::OnMessage. TCP is this tier's reliability: a stream
+/// delivers in order within its connection, so no sequence numbers, acks or
+/// retransmissions ride on it, and a frame from a restarted site process is
+/// heard from the first one (DESIGN.md §11). A session the transport gives
+/// up on (a write error, a backlog overflow) is shut down, so it ends here
+/// like any other lost connection.
 ///
 /// ── Membership churn ───────────────────────────────────────────────────
 /// Connections may come and go mid-run. A session that reads EOF or an
-/// error deregisters its site (link marked down, disconnect counted); a
-/// fresh kSiteHello for an already-seen site is a *re-hello* — the stale
-/// connection (if any) is displaced, the link marked up again, and the
-/// site unicast the current kCycleBegin so it catches up its observation.
-/// The barrier loop targets the *currently connected* population and
+/// error deregisters its site (disconnect counted); a fresh kSiteHello for
+/// an already-seen site is a *re-hello* — the stale connection (if any) is
+/// displaced and the site unicast the current kCycleBegin so it catches up
+/// its observation. The barrier loop targets the *currently connected* population and
 /// restarts whenever membership shifts under it (topology_version_), so
 /// quiescence is always judged against a stable, fully-acked membership.
 ///
@@ -99,9 +92,10 @@ struct CoordinatorServerConfig {
 /// checkpoint store attached) → Listen() → Recover() → WaitForSites() →
 /// RunCycle() loop. Recover() restores the protocol node from the
 /// snapshot+WAL, fences the epoch one past anything the dead incarnation
-/// committed, queues reconciliation grants (delivered once sites
-/// reconnect), and resumes the cycle counter so the remaining schedule
-/// continues where the WAL left off.
+/// committed, and resumes the cycle counter so the remaining schedule
+/// continues where the WAL left off. Its reconciliation grants go out
+/// before any site has a session, so they are lost; each site re-anchors
+/// through its own reconnect instead (DESIGN.md §10.3).
 class CoordinatorServer {
  public:
   CoordinatorServer(const MonitoredFunction& function,
@@ -117,9 +111,9 @@ class CoordinatorServer {
 
   /// Restores the protocol node from config.runtime.checkpoint_store (see
   /// CoordinatorNode::Recover): state restored, epoch fenced one past the
-  /// crashed incarnation, reconciliation grants queued for redelivery.
-  /// Must run after Listen() and before WaitForSites() — no site frame may
-  /// reach the node ahead of the restore. Returns false when the store
+  /// crashed incarnation, a recovery resync scheduled. Must run after
+  /// Listen() and before WaitForSites() — no site frame may reach the node
+  /// ahead of the restore. Returns false when the store
   /// holds no decodable snapshot.
   bool Recover();
 
@@ -161,11 +155,10 @@ class CoordinatorServer {
   long PaperSiteMessages() const;
   double PaperBytes() const;
 
-  // Membership and reliability snapshots (mutex-guarded).
+  // Membership snapshots (mutex-guarded).
   int ConnectedCount() const;
   long SiteDisconnects() const;
   long SiteRehellos() const;
-  bool HasUnacked() const;
 
   /// Everything the /healthz ops endpoint reports, snapshotted atomically
   /// under the server mutex: protocol position (epoch, cycle), membership,
@@ -177,7 +170,6 @@ class CoordinatorServer {
     int connected_sites = 0;
     long site_disconnects = 0;
     long site_rehellos = 0;
-    bool has_unacked = false;
     bool believes_above = false;
     long full_syncs = 0;
     long partial_resolutions = 0;
@@ -256,12 +248,10 @@ class CoordinatorServer {
   static MetricRows<CoordinatorServer> SocketRows();
 
   CoordinatorServerConfig config_;
-  MonotonicRoundClock clock_;
   /// Construction instant; /healthz reports uptime relative to this.
   const std::chrono::steady_clock::time_point start_time_ =
       std::chrono::steady_clock::now();
   SocketTransport transport_;
-  std::unique_ptr<ReliableTransport> reliable_;
   std::unique_ptr<CoordinatorNode> coordinator_;
 
   int listen_fd_ = -1;

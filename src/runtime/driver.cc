@@ -281,6 +281,7 @@ void RuntimeDriver::PublishMetrics() {
     // Faultless wiring: the bus carries the sender-side accounting.
     bus_rows_.Publish(registry, bus_);
   }
+  reliable_->PublishMetrics(registry);
   site_rows_.Publish(registry, site_totals_);
 
   CoordinatorNode::RecoveryStats recovery;
@@ -289,7 +290,7 @@ void RuntimeDriver::PublishMetrics() {
     crash_rows_.Publish(registry, *this);
   }
   node_metrics_.Publish(
-      *telemetry_, *reliable_, coordinator_.get(),
+      *telemetry_, coordinator_.get(),
       config_.checkpoint_store != nullptr ? &recovery : nullptr, cycle_);
 }
 

@@ -91,7 +91,8 @@ struct RuntimeMessage {
   /// epoch of the request they answer). 0 = pre-initialization.
   std::int64_t epoch = 0;
   /// Per-sender transport sequence number, assigned by ReliableTransport
-  /// (0 = unsequenced). On kAck, the acknowledged sender seq.
+  /// (0 = unsequenced, as every socket frame is). On kAck, the acknowledged
+  /// sender seq.
   std::int64_t seq = 0;
   /// True when this transmission is a reliability-layer retransmission of an
   /// already-counted message: excluded from the paper-comparable

@@ -104,11 +104,9 @@ NodeMetricsPublisher::NodeMetricsPublisher()
       ring_rows_(kRingCounters) {}
 
 void NodeMetricsPublisher::Publish(
-    Telemetry& telemetry, const ReliableTransport& reliable,
-    const CoordinatorNode* coordinator,
+    Telemetry& telemetry, const CoordinatorNode* coordinator,
     const CoordinatorNode::RecoveryStats* recovery, long cycle) {
   MetricRegistry* registry = &telemetry.registry;
-  reliable.PublishMetrics(registry);
   if (coordinator != nullptr) coordinator_rows_.Publish(registry, *coordinator);
   if (recovery != nullptr) recovery_rows_.Publish(registry, *recovery);
   self_cost_rows_.Publish(registry, telemetry.trace.self_cost());

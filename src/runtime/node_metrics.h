@@ -5,7 +5,6 @@
 #include "obs/metric_registry.h"
 #include "obs/trace.h"
 #include "runtime/coordinator_node.h"
-#include "runtime/reliable_transport.h"
 
 namespace sgm {
 
@@ -13,15 +12,14 @@ struct Telemetry;
 
 /// The node-level metric publisher RuntimeDriver and CoordinatorServer
 /// share. It writes every row both tiers publish; each tier adds only its
-/// own rows (its transport accounting, the driver's `site.*` totals, the
-/// server's `socket.*`). Handles are resolved on the first Publish
+/// own rows (its transport accounting, the driver's reliability layer and
+/// `site.*` totals, the server's `socket.*`). Handles are resolved on the first Publish
 /// (MetricRows), so a per-cycle publish does no name lookup.
 class NodeMetricsPublisher {
  public:
   NodeMetricsPublisher();
 
   /// Publishes into `telemetry`'s registry:
-  ///  * the reliability rows (ReliableTransport::PublishMetrics);
   ///  * `coordinator.*`, `failure.*` and `degraded.*` from `coordinator`,
   ///    unless it is null (a crashed coordinator keeps its last values);
   ///  * `recovery.*` from `recovery`, unless it is null;
@@ -29,8 +27,7 @@ class NodeMetricsPublisher {
   ///    recorder is attached);
   /// then samples the windowed time series, if enabled, at `cycle`. Call it
   /// after the tier has written its own rows.
-  void Publish(Telemetry& telemetry, const ReliableTransport& reliable,
-               const CoordinatorNode* coordinator,
+  void Publish(Telemetry& telemetry, const CoordinatorNode* coordinator,
                const CoordinatorNode::RecoveryStats* recovery, long cycle);
 
  private:

@@ -7,7 +7,6 @@
 
 #include "core/check.h"
 #include "obs/telemetry.h"
-#include "runtime/round_clock.h"
 
 namespace sgm {
 
@@ -89,11 +88,6 @@ ReliableTransport::ReliableTransport(Transport* lower, int num_sites,
 }
 
 bool ReliableTransport::Tracked(const RuntimeMessage& message) {
-  // Session-control traffic (hello, lockstep cycle/barrier frames,
-  // shutdown) is fire-and-forget: the socket runtime carries it over a
-  // stream that already guarantees delivery and order, and the sim never
-  // emits it. Tracking it would only add ack noise.
-  if (message.is_session_control()) return false;
   switch (message.type) {
     case RuntimeMessage::Type::kAck:
     case RuntimeMessage::Type::kHeartbeat:
@@ -235,20 +229,6 @@ void ReliableTransport::Send(const RuntimeMessage& message) {
     in_flight_[Slot(stamped.from)].push_back(std::move(entry));
     ++in_flight_count_;
   }
-  if (telemetry_ != nullptr && stamped.span != 0 &&
-      !SpanUnsampled(stamped.span)) {
-    // Per-span cost attribution: one msg_send per span-carrying original
-    // transmission, so trace_inspect --spans can charge message/byte cost
-    // to the cycle phase that caused it. Span-less traffic (heartbeats,
-    // acks, rejoin requests) stays out of the span trees, and an unsampled
-    // cascade skips the whole formatting call, not just the recording.
-    telemetry_->trace.Emit(
-        TraceEventId::kMsgSend, stamped.from,
-        {{"type", RuntimeMessage::TypeName(stamped.type)},
-         {"span", stamped.span},
-         {"parent", stamped.parent_span},
-         {"bytes", static_cast<std::int64_t>(WireBytes(stamped))}});
-  }
   lower_->Send(stamped);
 }
 
@@ -371,12 +351,7 @@ long ReliableTransport::SeenWindow::Trim(long limit) {
 }
 
 void ReliableTransport::AdvanceRound() {
-  // Built-in logical counter by default (byte-identical seed replay); an
-  // injected clock supplies the round instead, clamped so the counter never
-  // moves backwards even if the clock misbehaves.
-  round_ = config_.round_clock != nullptr
-               ? std::max(round_, config_.round_clock->AdvanceRound())
-               : round_ + 1;
+  ++round_;
   // Handlers can re-enter (MarkLinkDown mutates in_flight_), so collect the
   // exhausted links during the sweep and report them after it. The sweep
   // runs in (sender, seq) order, coordinator first, so retransmissions and

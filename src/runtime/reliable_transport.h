@@ -13,7 +13,6 @@
 namespace sgm {
 
 struct Telemetry;
-class RoundClock;
 
 /// Tuning knobs of the ack/retransmit layer. Every stochastic choice (the
 /// retransmission jitter) draws from the single `seed`, so dst_stress
@@ -44,12 +43,6 @@ struct ReliableTransportConfig {
   /// correctness requirement. A window stores the unseen gaps among those
   /// seqs, not the seqs, so in-order traffic costs it no memory.
   int dedup_window = 1024;
-  /// Time source for the retransmission round counter (not owned, nullable).
-  /// Null keeps the built-in logical counter — one round per AdvanceRound()
-  /// call, the deterministic-simulation behaviour. The socket runtime
-  /// injects a MonotonicRoundClock so backoff deadlines track real elapsed
-  /// time instead of driver drains (see runtime/round_clock.h).
-  RoundClock* round_clock = nullptr;
 };
 
 /// Reliability decorator over any Transport: per-sender sequence numbers,
@@ -62,6 +55,14 @@ struct ReliableTransportConfig {
 /// duplicates and emits acks for fresh data) and calls AdvanceRound()
 /// whenever the network drains, which is when due retransmissions fire.
 ///
+/// Only RuntimeDriver runs this layer: its SimTransport models a lossy
+/// datagram network. The socket tier does not. A TCP stream already
+/// delivers in order within its connection, and a sequence space that
+/// belongs to one process cannot be keyed by site id across a restart (a
+/// new process numbers from 1 again, and its peer's window would drop its
+/// frames as duplicates), so CoordinatorServer and SiteClient hand decoded
+/// frames straight to their node (DESIGN.md §11).
+///
 /// What is sequenced and tracked: the seven protocol data kinds plus
 /// kRejoinGrant. kAck is never tracked (no ack-of-ack), and kHeartbeat /
 /// kRejoinRequest are fire-and-forget — the protocol re-emits them
@@ -71,11 +72,11 @@ struct ReliableTransportConfig {
 /// broadcast is acked per site only over a link that decides each
 /// destination's fate on its own readdressed copy (a faulted SimTransport).
 /// A link that delivers broadcasts whole (Transport::DeliversWhole: the
-/// in-memory bus, TCP) loses a copy only together with its receiver — a
-/// crashed node or a dead session — which no ack can repair, so such a
-/// broadcast is sequenced (receivers still dedup) but neither tracked nor
-/// acked: it costs one message. The epoch fence and the rejoin path, not
-/// acks, resynchronize a receiver that lost one.
+/// in-memory bus, a SimTransport whose faults do not apply) loses a copy
+/// only together with its receiver — a crashed node — which no ack can
+/// repair, so such a broadcast is sequenced (receivers still dedup) but
+/// neither tracked nor acked: it costs one message. The epoch fence and the
+/// rejoin path, not acks, resynchronize a receiver that lost one.
 ///
 /// Accounting: original sends pass through with `retransmit == false` and
 /// count toward the paper-comparable figures in the layer below;
@@ -134,11 +135,10 @@ class ReliableTransport final : public Transport {
   void OnDeliver(int receiver, const RuntimeMessage& message,
                  std::vector<RuntimeMessage>* deliver);
 
-  /// Advances the retransmission clock — one round with the built-in
-  /// logical counter, or to the injected RoundClock's current round — and
-  /// resends every unacked tracked message whose backoff deadline has
-  /// expired. Messages that exhaust max_retransmits are abandoned and their
-  /// unreachable site destinations reported through the dead-link handler.
+  /// Advances the retransmission clock by one round and resends every
+  /// unacked tracked message whose backoff deadline has expired. Messages
+  /// that exhaust max_retransmits are abandoned and their unreachable site
+  /// destinations reported through the dead-link handler.
   void AdvanceRound();
 
   /// True while any tracked message still awaits an ack — the driver must

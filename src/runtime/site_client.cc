@@ -16,6 +16,14 @@
 
 namespace sgm {
 
+namespace {
+
+/// Longest single wait of the event loop: a stop request or an injected
+/// stall is seen at least this often.
+constexpr int kPollSliceMs = 10;
+
+}  // namespace
+
 const char* SiteExitReasonName(SiteExitReason reason) {
   switch (reason) {
     case SiteExitReason::kShutdown: return "shutdown";
@@ -31,11 +39,10 @@ const char* SiteExitReasonName(SiteExitReason reason) {
 
 SiteClient::SiteClient(const MonitoredFunction& function,
                        const SiteClientConfig& config)
-    : config_(config), clock_(config.round_micros) {
+    : config_(config) {
   SGM_CHECK(config.num_sites > 0);
   SGM_CHECK(config.site_id >= 0 && config.site_id < config.num_sites);
   SGM_CHECK(config.max_reconnects >= 0);
-  config_.runtime.reliability.round_clock = &clock_;
   if (config_.runtime.telemetry != nullptr) {
     config_.runtime.telemetry->trace.ConfigureSampling(
         config_.runtime.trace_sample_rate, config_.runtime.seed);
@@ -44,7 +51,7 @@ SiteClient::SiteClient(const MonitoredFunction& function,
   retry_jitter_state_ = config_.runtime.socket_retry.jitter_seed +
                         0x5bd1e995ULL *
                             static_cast<std::uint64_t>(config.site_id + 1);
-  Transport* below_reliability = &transport_;
+  Transport* node_transport = &transport_;
   if (config_.chaos.enabled()) {
     chaos_ = std::make_unique<ChaosSocketTransport>(
         &transport_, config_.chaos, config_.runtime.telemetry,
@@ -62,14 +69,11 @@ SiteClient::SiteClient(const MonitoredFunction& function,
           std::lock_guard<std::mutex> lock(fd_mu_);
           if (fd_ >= 0) ::shutdown(fd_, SHUT_WR);
         });
-    below_reliability = chaos_.get();
+    node_transport = chaos_.get();
   }
-  reliable_ = std::make_unique<ReliableTransport>(
-      below_reliability, config_.num_sites, config_.runtime.reliability,
-      config_.runtime.telemetry);
   node_ = std::make_unique<SiteNode>(config_.site_id, config_.num_sites,
                                      function, config_.runtime,
-                                     reliable_.get());
+                                     node_transport);
 }
 
 SiteClient::~SiteClient() { TearDownSession(); }
@@ -183,8 +187,8 @@ SiteExitReason SiteClient::RunSession(
     if (stall > 0) {
       std::this_thread::sleep_for(std::chrono::milliseconds(stall));
     }
-    // A write failure anywhere (dispatch responses, retransmissions,
-    // barrier acks) drops the peer mapping — that is this session's end.
+    // A write failure anywhere (dispatch responses, barrier acks) drops the
+    // peer mapping — that is this session's end.
     if (!transport_.HasPeer(kCoordinatorId)) {
       return SiteExitReason::kSendFailed;
     }
@@ -192,16 +196,12 @@ SiteExitReason SiteClient::RunSession(
     // the backlog.
     pollfd pfd{fd_, POLLIN, 0};
     if (transport_.HasBacklog(kCoordinatorId)) pfd.events |= POLLOUT;
-    const int ready =
-        ::poll(&pfd, 1, static_cast<int>(config_.poll_interval_ms));
+    const int ready = ::poll(&pfd, 1, kPollSliceMs);
     if (ready < 0) {
       if (errno == EINTR) continue;
       return SiteExitReason::kPollError;
     }
-    if (ready == 0) {
-      reliable_->AdvanceRound();
-      continue;
-    }
+    if (ready == 0) continue;
     if ((pfd.revents & POLLOUT) != 0) transport_.FlushBacklog(kCoordinatorId);
     if ((pfd.revents & (POLLIN | POLLHUP | POLLERR)) == 0) continue;
     const ssize_t n = ::recv(fd_, buffer.data(), buffer.size(), 0);
@@ -245,15 +245,11 @@ SiteExitReason SiteClient::RunSession(
         case RuntimeMessage::Type::kSiteHello:
         case RuntimeMessage::Type::kBarrierAck:
           break;  // site-originated control echoed back: ignore
-        default: {
+        default:
           // Protocol traffic comes only from the coordinator; anything
-          // else is garbage and must not reach the reliability layer.
-          if (message.from != kCoordinatorId) break;
-          std::vector<RuntimeMessage> fresh;
-          reliable_->OnDeliver(config_.site_id, message, &fresh);
-          for (const RuntimeMessage& m : fresh) node_->OnMessage(m);
+          // else is garbage and must not reach the node.
+          if (message.from == kCoordinatorId) node_->OnMessage(message);
           break;
-        }
       }
     }
   }

@@ -9,8 +9,6 @@
 #include <string>
 
 #include "runtime/chaos.h"
-#include "runtime/reliable_transport.h"
-#include "runtime/round_clock.h"
 #include "runtime/site_node.h"
 #include "runtime/socket_transport.h"
 
@@ -23,15 +21,9 @@ struct SiteClientConfig {
   int port = 0;
   /// Node configuration — must match the coordinator's RuntimeConfig
   /// field-for-field (thresholds, bounds, seeds), or the two tiers monitor
-  /// different queries. The client injects its own MonotonicRoundClock
-  /// into runtime.reliability.round_clock, and draws its connection retry
-  /// policy from runtime.socket_retry (jitter salted by site_id).
+  /// different queries. The client draws its connection retry policy from
+  /// runtime.socket_retry (jitter salted by site_id).
   RuntimeConfig runtime;
-  /// Microseconds per retransmission round (see CoordinatorServerConfig).
-  long round_micros = 20000;
-  /// Idle poll slice of the event loop; each timeout advances the
-  /// retransmission clock.
-  long poll_interval_ms = 10;
   /// Sessions the client may re-establish after losing the coordinator
   /// connection mid-run (each reconnect burns the full socket_retry
   /// budget). 0 disables reconnection — any peer loss ends the run.
@@ -72,8 +64,10 @@ const char* SiteExitReasonName(SiteExitReason reason);
 ///    them before the ack — the flush guarantee the coordinator's
 ///    quiescence detection builds on.
 ///  * kShutdown → clean exit.
-/// Everything else goes through the receive-side reliability layer into
-/// SiteNode::OnMessage, exactly as the sim driver delivers it.
+/// Every other frame from the coordinator goes straight to
+/// SiteNode::OnMessage: the stream delivers it once and in order, and the
+/// node sends its replies through the SocketTransport (or the chaos layer
+/// over it) with no sequence numbers or acks (DESIGN.md §11).
 ///
 /// ── Reconnect-with-rejoin ──────────────────────────────────────────────
 /// A lost connection (EOF, recv error, write failure, poisoned stream)
@@ -81,11 +75,10 @@ const char* SiteExitReasonName(SiteExitReason reason);
 /// redials under the seeded-backoff policy, re-registers with a fresh
 /// kSiteHello and lets SiteNode::OnTransportReconnect drive the rejoin
 /// handshake, so the coordinator re-anchors the site (e, ε_T) and resyncs
-/// its drift. In-flight reliable sends survive in the retransmission queue
-/// and drain over the new connection; the receive side dedups anything the
-/// coordinator retransmits. Bounded by max_reconnects and the per-attempt
-/// socket_retry budget — exhaustion ends the run with the underlying
-/// failure's reason.
+/// its drift. Frames lost with the old connection are not resent: the
+/// rejoin and the epoch fence resynchronize what they carried. Bounded by
+/// max_reconnects and the per-attempt socket_retry budget — exhaustion ends
+/// the run with the underlying failure's reason.
 class SiteClient {
  public:
   SiteClient(const MonitoredFunction& function,
@@ -148,13 +141,11 @@ class SiteClient {
                             FrameReader* reader);
 
   SiteClientConfig config_;
-  MonotonicRoundClock clock_;
   /// Construction instant; /healthz reports uptime relative to this.
   const std::chrono::steady_clock::time_point start_time_ =
       std::chrono::steady_clock::now();
   SocketTransport transport_;
   std::unique_ptr<ChaosSocketTransport> chaos_;
-  std::unique_ptr<ReliableTransport> reliable_;
   std::unique_ptr<SiteNode> node_;
   /// Guards fd_ swaps against InjectConnectionReset from other threads.
   mutable std::mutex fd_mu_;

@@ -40,7 +40,7 @@ void SiteNode::SendToCoordinator(RuntimeMessage message) {
   message.from = id_;
   message.to = kCoordinatorId;
   message.epoch = epoch_;
-  transport_->Send(message);
+  SendTraced(transport_, telemetry_, message);
 }
 
 void SiteNode::SendHeartbeatIfDue() {
@@ -258,8 +258,8 @@ void SiteNode::OnMessage(const RuntimeMessage& message) {
       return;
     }
     default:
-      // Site-originated types (and transport-level acks, which the
-      // reliability layer consumes before dispatch) are never applied here.
+      // Site-originated types and transport-level acks are never applied
+      // here.
       return;
   }
 }

@@ -55,7 +55,8 @@ struct RuntimeConfig {
 
   /// Failure-detector thresholds (suspicion, death, flap quarantine).
   FailureDetectorConfig failure_detector;
-  /// Ack/retransmit layer tuning (backoff, retry budget, jitter seed).
+  /// Ack/retransmit layer tuning (backoff, retry budget, jitter seed). Only
+  /// RuntimeDriver reads it: the socket tier runs no such layer over TCP.
   ReliableTransportConfig reliability;
   /// Socket-runtime connection policy: bounded retry with seeded-jitter
   /// exponential backoff, shared by a site's first connect and every

@@ -201,18 +201,25 @@ void SocketTransport::EnqueueLocked(std::map<int, Peer>::iterator peer,
   std::deque<std::vector<std::uint8_t>>& backlog = peer->second.backlog;
   if (backlog.size() >= kMaxBacklogFrames) {
     // The peer has not taken a full backlog's worth of frames: it is
-    // stalled. Dropping it (not blocking) keeps every other peer served;
-    // the reliability layer's give-up horizon turns the silence into the
-    // same dead-link verdict a write error yields.
+    // stalled. Dropping it (not blocking) keeps every other peer served.
     ++send_queue_drops_;
-    ++send_failures_;
-    peers_.erase(peer);
+    DropLocked(peer);
     return;
   }
   backlog.push_back(frame);
   // A non-empty backlog already waits for POLLOUT; writing past it would
   // break the per-peer FIFO order.
   if (backlog.size() == 1) FlushLocked(peer);
+}
+
+void SocketTransport::DropLocked(std::map<int, Peer>::iterator peer) {
+  // Shut the stream down in both directions, so the session layer's next
+  // read sees EOF and ends the session; a stream the transport gave up on
+  // must not stay open with frames missing from it. The fd stays open for
+  // its owner to close.
+  ++send_failures_;
+  ::shutdown(peer->second.fd, SHUT_RDWR);
+  peers_.erase(peer);
 }
 
 void SocketTransport::FlushLocked(std::map<int, Peer>::iterator peer) {
@@ -226,11 +233,8 @@ void SocketTransport::FlushLocked(std::map<int, Peer>::iterator peer) {
       if (errno == EINTR) continue;
       if (errno == EAGAIN || errno == EWOULDBLOCK) return;  // kernel full
       // A write error on loopback TCP means the peer is gone, not that
-      // bytes were lost in transit. Drop the mapping; the reliability
-      // layer's give-up machinery turns the silence into a dead-link
-      // verdict.
-      ++send_failures_;
-      peers_.erase(peer);
+      // bytes were lost in transit.
+      DropLocked(peer);
       return;
     }
     state.head_offset += static_cast<std::size_t>(n);

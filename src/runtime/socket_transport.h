@@ -101,8 +101,9 @@ int ConnectTcpLoopbackWithRetry(int port, const SocketRetryConfig& retry,
 /// blocks: a stalled peer backs up only its own backlog, and a backlog that
 /// reaches kMaxBacklogFrames drops the peer exactly as a write error does.
 /// TCP cannot lose bytes on a healthy connection, so either means the peer
-/// is gone or wedged; the reliability layer above owns retries and the
-/// failure verdict.
+/// is gone or wedged. Dropping a peer shuts its stream down, so the session
+/// layer reads EOF and ends the session (the site redials and rejoins):
+/// once a frame is lost, the stream must not go on as if it were whole.
 ///
 /// Per-peer FIFO order holds across the backlog, so a site's barrier ack
 /// still follows every frame it sent before it — the flush guarantee of the
@@ -127,8 +128,9 @@ int ConnectTcpLoopbackWithRetry(int port, const SocketRetryConfig& retry,
 ///    frames fully written per fd, actual encoded bytes + 4-byte prefix,
 ///    counted when the last byte reaches the kernel.
 ///  * data_frames_sent: logical sends that can make the *receiver* talk
-///    back — everything except transport acks and session control. The
-///    coordinator's barrier loop snapshots this to detect induced traffic.
+///    back — everything except session control (and transport acks, which
+///    no socket node sends). The coordinator's barrier loop snapshots this
+///    to detect induced traffic.
 class SocketTransport final : public Transport {
  public:
   /// Frames one peer's backlog holds; a Send() beyond it drops the peer.
@@ -146,7 +148,7 @@ class SocketTransport final : public Transport {
   bool HasBacklog(int peer) const;
   /// Writes as much of `peer`'s backlog as its socket takes now. Call when
   /// the owner's poll loop finds the peer's fd writable. A write error
-  /// drops the peer.
+  /// drops the peer (and shuts its stream down).
   void FlushBacklog(int peer);
   /// Polls every backlogged peer for writability and flushes, until every
   /// backlog is empty (returns true) or `timeout_ms` has passed (false).
@@ -185,6 +187,9 @@ class SocketTransport final : public Transport {
   /// Writes the backlog head first until it empties or the socket would
   /// block; a write error drops the peer. Caller holds mu_.
   void FlushLocked(std::map<int, Peer>::iterator peer);
+  /// Gives up on `peer`: counts a send failure, shuts its fd down in both
+  /// directions and forgets the peer with its backlog. Caller holds mu_.
+  void DropLocked(std::map<int, Peer>::iterator peer);
 
   mutable std::mutex mu_;
   std::map<int, Peer> peers_;

@@ -3,6 +3,7 @@
 #include <utility>
 
 #include "core/check.h"
+#include "obs/telemetry.h"
 
 namespace sgm {
 
@@ -42,6 +43,20 @@ const char* RuntimeMessage::TypeName(Type type) {
       return "Shutdown";
   }
   return "Unknown";
+}
+
+void SendTraced(Transport* transport, Telemetry* telemetry,
+                const RuntimeMessage& message) {
+  if (telemetry != nullptr && message.span != 0 &&
+      !SpanUnsampled(message.span)) {
+    telemetry->trace.Emit(
+        TraceEventId::kMsgSend, message.from,
+        {{"type", RuntimeMessage::TypeName(message.type)},
+         {"span", message.span},
+         {"parent", message.parent_span},
+         {"bytes", static_cast<std::int64_t>(WireBytes(message))}});
+  }
+  transport->Send(message);
 }
 
 void InMemoryBus::Send(const RuntimeMessage& message) {

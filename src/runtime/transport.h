@@ -8,6 +8,8 @@
 
 namespace sgm {
 
+struct Telemetry;
+
 /// Message-delivery abstraction of the runtime: implementations route
 /// RuntimeMessages between the coordinator and sites. The library ships an
 /// in-memory bus; deployments substitute sockets/RPC.
@@ -36,6 +38,15 @@ class Transport {
 inline double WireBytes(const RuntimeMessage& message) {
   return 16.0 + 8.0 * static_cast<double>(message.PayloadDoubles());
 }
+
+/// The nodes' send path: traces `message`'s `msg_send` event (telemetry is
+/// nullable), then hands the message to `transport`. One msg_send per
+/// span-carrying send, so trace_inspect --spans can charge message and byte
+/// cost to the cycle phase that caused it, on either tier. Span-less
+/// traffic (heartbeats, rejoin requests) stays out of the span trees, and
+/// an unsampled cascade skips the formatting call, not just the recording.
+void SendTraced(Transport* transport, Telemetry* telemetry,
+                const RuntimeMessage& message);
 
 /// Deterministic in-memory bus: FIFO queue drained by the runtime driver.
 ///

@@ -17,8 +17,7 @@
 //  * accuracy under chaos — the per-cycle belief stream (last incarnation
 //    wins for replayed cycles) audited against the generator-derived ground
 //    truth stays within the paper's failure allowance: out-of-zone FN rate
-//    ≤ δ + 0.01;
-//  * quiescence — no unacked reliability entry when the run ends.
+//    ≤ δ + 0.01.
 //
 // Children never run gtest assertions: each invariant failure maps to a
 // distinct _exit code (see the tables next to each *ProcessMain), surfaced
@@ -225,9 +224,7 @@ void AppendBeliefLine(FILE* file, long cycle, const CoordinatorServer& server,
 /// 15 estimate mismatch, 16 full-sync counter mismatch, 17 belief mismatch;
 /// rest of the run: 18 hello timeout, 19 belief log unwritable, 26 barrier
 /// timeout; reconvergence: 30 no fresh full sync after recovery, 31 not all
-/// sites connected after the settle cycles, 32 unacked reliability entries
-/// at quiescence;
-/// observability: 33 the anomaly detector never attributed an alert to
+/// sites connected after the settle cycles; observability: 33 the anomaly detector never attributed an alert to
 /// recovery.restores, 34 alerts sink unwritable.
 [[noreturn]] void RecoveryProcessMain(int port, const std::string& dir,
                                       const std::string& beliefs_path,
@@ -304,7 +301,6 @@ void AppendBeliefLine(FILE* file, long cycle, const CoordinatorServer& server,
 
   if (server.FullSyncs() <= state.full_syncs) _exit(30);
   if (server.ConnectedCount() != kSites) _exit(31);
-  if (server.HasUnacked()) _exit(32);
 
   // Detector verdict: at least one alert, correctly attributed to the
   // restore counter (not merely any metric that happened to move).
@@ -349,8 +345,7 @@ StragglerSchedule StragglerScheduleFor(std::uint64_t chaos_seed) {
 /// stalled site blocked progress — the liveness property under test),
 /// 65 no degraded cycle was recorded, 66 no lag quarantine was issued,
 /// 67 a site is still quarantined at the end (no re-anchor), 68 not every
-/// site connected at the end, 69 trace sink unwritable, 70 unacked
-/// reliability entries at quiescence.
+/// site connected at the end, 69 trace sink unwritable.
 [[noreturn]] void StragglerCoordinatorMain(int port_pipe,
                                            const std::string& beliefs_path,
                                            const std::string& trace_path) {
@@ -386,7 +381,6 @@ StragglerSchedule StragglerScheduleFor(std::uint64_t chaos_seed) {
   if (health.lag_quarantines <= 0) _exit(66);
   if (health.lagging_sites != 0) _exit(67);
   if (server.ConnectedCount() != kSites) _exit(68);
-  if (server.HasUnacked()) _exit(70);
   {
     std::ofstream out(trace_path);
     if (!out) _exit(69);
@@ -765,7 +759,7 @@ TEST(ChaosIntegrationTest, SigstoppedSiteIsQuarantinedNotBlocking) {
 
   // The coordinator's end-of-run _exit codes assert the rest: degraded
   // cycles recorded (65), a lag quarantine issued (66), the quarantine
-  // lifted again (67), all sites connected (68), reliability quiesced (70).
+  // lifted again (67), all sites connected (68).
   int status = 0;
   ASSERT_EQ(::waitpid(coordinator, &status, 0), coordinator);
   ASSERT_TRUE(WIFEXITED(status)) << "straggler coordinator died by signal";

@@ -194,16 +194,9 @@ counter socket.short_writes
 counter socket.site_disconnects
 counter socket.site_rehellos
 counter socket.unbound_frames
-counter transport.acks_sent
-counter transport.dedup_evictions
-counter transport.duplicates_suppressed
-counter transport.give_ups
 counter transport.paper_messages
 counter transport.paper_site_messages
-counter transport.queue_evictions
-counter transport.retransmissions
 counter transport.total_messages
-counter transport.tracked_sends
 gauge degraded.lagging_sites
 gauge degraded.staleness_cycles_max
 gauge failure.live_count

@@ -15,6 +15,7 @@
 #include <sys/wait.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <filesystem>
 #include <iterator>
 #include <fstream>
@@ -229,6 +230,15 @@ TEST(ProcessIntegrationTest, FourSiteProcessesMatchSimDriverExactly) {
   bool crossing_critical_path = false;
   for (const SpanForestSummary::Root& root : forest.root_details) {
     if (root.critical_path_procs.size() >= 2) crossing_critical_path = true;
+    // Sites never mint spans, so every tree grows from the coordinator's
+    // events. A root without them is a site event whose causing send left
+    // no msg_send in the coordinator's trace.
+    const bool from_coordinator =
+        std::find(root.procs.begin(), root.procs.end(), "coordinator") !=
+        root.procs.end();
+    EXPECT_TRUE(from_coordinator)
+        << "span " << root.span << " (" << root.label
+        << ") has no coordinator event";
   }
   EXPECT_TRUE(crossing_critical_path)
       << "no cascade's critical path crossed a process boundary";

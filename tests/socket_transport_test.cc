@@ -6,6 +6,7 @@
 // reconnect accounting.
 
 #include <gtest/gtest.h>
+#include <poll.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
@@ -310,6 +311,24 @@ void Discard(int fd, std::size_t bytes) {
         ::recv(fd, buffer.data(), std::min(bytes, buffer.size()), 0);
     if (n <= 0) return;
     bytes -= static_cast<std::size_t>(n);
+  }
+}
+
+// Reads and discards what `fd` delivers until EOF. True when EOF arrives
+// within `timeout_ms`; false when the stream stays open that long.
+bool DrainsToEof(int fd, long timeout_ms) {
+  const auto deadline = std::chrono::steady_clock::now() +
+                        std::chrono::milliseconds(timeout_ms);
+  std::vector<std::uint8_t> buffer(65536);
+  for (;;) {
+    const auto left = std::chrono::duration_cast<std::chrono::milliseconds>(
+        deadline - std::chrono::steady_clock::now());
+    if (left.count() <= 0) return false;
+    pollfd pfd{fd, POLLIN, 0};
+    if (::poll(&pfd, 1, static_cast<int>(left.count())) <= 0) continue;
+    const ssize_t n = ::recv(fd, buffer.data(), buffer.size(), 0);
+    if (n == 0) return true;
+    if (n < 0) return false;
   }
 }
 
@@ -739,6 +758,10 @@ TEST(SocketTransportTest, BacklogOverflowDropsStalledPeer) {
   EXPECT_EQ(transport.send_failures(), 1);
   EXPECT_FALSE(transport.HasPeer(0));
   EXPECT_EQ(transport.send_queue_depth(), 0);  // purged with the peer
+  // The stream the transport gave up on is shut down, so the far end reads
+  // EOF once it drains what the kernel held, and its session ends there,
+  // instead of staying open with frames missing from it.
+  EXPECT_TRUE(DrainsToEof(pair.server, 5000));
 }
 
 }  // namespace

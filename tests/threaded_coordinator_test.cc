@@ -406,10 +406,11 @@ class RawSite {
 
 TEST(ThreadedCoordinatorTest, FramesSpeakOnlyForTheSiteTheirSessionHelloedAs) {
   // Site 1 says hello and then stays silent. Site 0 answers for itself and
-  // also forges one ack and one barrier ack as site 1. Taken at their word,
-  // the two would resolve site 1's tracked traffic and close the barrier
-  // without it; bound to their session, both are dropped and counted, and
-  // the deadline-free barrier waits on site 1 until its hard timeout.
+  // also forges one heartbeat and one barrier ack as site 1. Taken at their
+  // word, the heartbeat would renew site 1's lease and the barrier ack would
+  // close the barrier without it; bound to their session, both are dropped
+  // and counted, and the deadline-free barrier waits on site 1 until its
+  // hard timeout.
   const L2Norm norm;
   Telemetry telemetry;
   CoordinatorServerConfig server_config;
@@ -430,40 +431,34 @@ TEST(ThreadedCoordinatorTest, FramesSpeakOnlyForTheSiteTheirSessionHelloedAs) {
     cycle_completed = server.RunCycle();
     done = true;
   });
-  bool forged_ack = false;
+  bool forged_heartbeat = false;
   bool forged_barrier_ack = false;
   while (!done) {
     for (const RuntimeMessage& m : site0.Read(10)) {
-      if (m.type == RuntimeMessage::Type::kBarrier) {
-        RuntimeMessage ack;
-        ack.type = RuntimeMessage::Type::kBarrierAck;
-        ack.to = kCoordinatorId;
-        ack.scalar = m.scalar;
-        ack.from = 0;
+      if (m.type != RuntimeMessage::Type::kBarrier) continue;
+      RuntimeMessage ack;
+      ack.type = RuntimeMessage::Type::kBarrierAck;
+      ack.to = kCoordinatorId;
+      ack.scalar = m.scalar;
+      ack.from = 0;
+      site0.Write(ack);
+      if (!forged_barrier_ack) {
+        forged_barrier_ack = true;
+        ack.from = 1;
         site0.Write(ack);
-        if (!forged_barrier_ack) {
-          forged_barrier_ack = true;
-          ack.from = 1;
-          site0.Write(ack);
-        }
-      } else if (m.seq > 0) {
-        RuntimeMessage ack;
-        ack.type = RuntimeMessage::Type::kAck;
-        ack.to = m.from;
-        ack.epoch = m.epoch;
-        ack.seq = m.seq;
-        ack.from = 0;
-        site0.Write(ack);
-        if (!forged_ack) {
-          forged_ack = true;
-          ack.from = 1;
-          site0.Write(ack);
-        }
+      }
+      if (!forged_heartbeat) {
+        forged_heartbeat = true;
+        RuntimeMessage heartbeat;
+        heartbeat.type = RuntimeMessage::Type::kHeartbeat;
+        heartbeat.from = 1;
+        heartbeat.to = kCoordinatorId;
+        site0.Write(heartbeat);
       }
     }
   }
   loop.join();
-  EXPECT_TRUE(forged_ack);
+  EXPECT_TRUE(forged_heartbeat);
   EXPECT_TRUE(forged_barrier_ack);
   EXPECT_FALSE(cycle_completed) << "a forged barrier ack closed the barrier";
   server.PublishMetrics();

@@ -209,7 +209,7 @@ double PromValue(const std::string& exposition, const std::string& family) {
 int RunWatch(int port, long interval_ms, long iterations) {
   std::printf("watching 127.0.0.1:%d every %ldms\n", port, interval_ms);
   std::printf("  %8s %6s %6s %10s %8s %8s %6s %6s\n", "cycle", "epoch",
-              "conn", "papermsgs", "fullsync", "retrans", "fn", "alerts");
+              "conn", "papermsgs", "fullsync", "disconn", "fn", "alerts");
   long polls_ok = 0;
   for (long i = 0; iterations == 0 || i < iterations; ++i) {
     if (i > 0) {
@@ -249,7 +249,7 @@ int RunWatch(int port, long interval_ms, long iterations) {
                 PromValue(metrics_body, "sgm_transport_paper_messages_total"),
                 PromValue(metrics_body, "sgm_coordinator_full_syncs_total"),
                 PromValue(metrics_body,
-                          "sgm_transport_retransmissions_total"),
+                          "sgm_socket_site_disconnects_total"),
                 PromValue(metrics_body, "sgm_audit_false_negatives_total"),
                 alerts);
     std::fflush(stdout);
