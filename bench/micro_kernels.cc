@@ -101,6 +101,8 @@ void BM_JdBallTest(benchmark::State& state) {
 }
 BENCHMARK(BM_JdBallTest);
 
+// A χ² ball whose enclosure, [-0.027, 0.086], does not reach T = 0.5: a
+// "no" verdict, which visits every probe.
 void BM_ChiSquareBallTest(benchmark::State& state) {
   const ChiSquare f(200.0);
   const Ball ball(Vector{6.0, 10.0, 40.0}, 3.0);
@@ -109,6 +111,17 @@ void BM_ChiSquareBallTest(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_ChiSquareBallTest);
+
+// The same center with a radius past its distance to the surface (11.8):
+// a "crosses" verdict, which stops at the first probe that settles it.
+void BM_ChiSquareBallTestCrossing(benchmark::State& state) {
+  const ChiSquare f(200.0);
+  const Ball ball(Vector{6.0, 10.0, 40.0}, 12.0);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(f.BallCrossesThreshold(ball, 0.5));
+  }
+}
+BENCHMARK(BM_ChiSquareBallTestCrossing);
 
 // The coordinator's ε_T kernel: a Reuters-like χ² average at the Fig. 10
 // threshold. The radius search bisects over one probe frame, so f(c), ∇f(c)

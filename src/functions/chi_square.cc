@@ -1,6 +1,7 @@
 #include "functions/chi_square.h"
 
 #include <algorithm>
+#include <array>
 #include <cmath>
 
 #include "core/check.h"
@@ -10,9 +11,7 @@ namespace sgm {
 namespace {
 
 // d = 3: axis probes plus extra random boundary probes cover the sphere
-// well; the 2x safety factor absorbs residual curvature. ChiSquare keeps the
-// base finite-difference Gradient(), so its probes evaluate central
-// differences in the frame's buffers.
+// well; the 2x safety factor absorbs residual curvature.
 constexpr int kRandomProbes = 16;
 constexpr double kSafetyFactor = 2.0;
 
@@ -25,8 +24,7 @@ ChiSquare::ChiSquare(double window, double smoothing, double scale)
   SGM_CHECK_MSG(scale > 0.0, "scale must be positive");
 }
 
-double ChiSquare::Value(const Vector& v) const {
-  SGM_CHECK_MSG(v.dim() == 3, "chi_square expects [a, b, c] count vectors");
+inline double ChiSquare::Score(const double* v) const {
   // Smooth and clamp the three observed cells; the fourth cell is the
   // remainder of the window.
   const double a = std::max(v[0], 0.0) + smoothing_;
@@ -42,26 +40,47 @@ double ChiSquare::Value(const Vector& v) const {
   return scale_ * numerator * numerator / denominator;
 }
 
+double ChiSquare::Value(const Vector& v) const {
+  SGM_CHECK_MSG(v.dim() == 3, "chi_square expects [a, b, c] count vectors");
+  return Score(v.data().data());
+}
+
 Interval ChiSquare::RangeOverBall(const Ball& ball) const {
   // φ² is smooth and nearly quadratic around independence (∇f ≈ 0 there):
   // the second-order probe enclosure is decisively tighter than the
   // Lipschitz one, which would otherwise place the threshold surface a
   // spurious factor ~4 too close.
-  return ProbeQuadraticRange(ball, kRandomProbes, kSafetyFactor,
-                             /*central_differences=*/true);
+  return ProbeQuadraticRange(ball, kRandomProbes, kSafetyFactor);
 }
 
 double ChiSquare::GradientNormBound(const Ball& ball) const {
-  return ProbeGradientNormBound(ball, kRandomProbes, kSafetyFactor,
-                                /*central_differences=*/true);
+  return ProbeGradientNormBound(ball, kRandomProbes, kSafetyFactor);
+}
+
+bool ChiSquare::BallCrossesThreshold(const Ball& ball,
+                                     double threshold) const {
+  // RangeOverBall()'s frame, asked only for its verdict.
+  return ProbeFrame(*this, ProbeFrame::Prober::kQuadraticRange, ball.center(),
+                    kRandomProbes, kSafetyFactor)
+      .Crosses(ball.radius(), threshold);
+}
+
+void ChiSquare::ProbeGradient(const Vector& x, Vector* gradient) const {
+  // The base Gradient()'s central differences, with Value()'s check made
+  // once for its six evaluations.
+  SGM_CHECK_MSG(x.dim() == 3, "chi_square expects [a, b, c] count vectors");
+  std::array<double, 3> probe{};
+  CentralDifferences(
+      [this](const std::array<double, 3>& v) { return Score(v.data()); }, x,
+      &probe, gradient);
 }
 
 std::unique_ptr<MonitoredFunction::RadiusSearch> ChiSquare::NewRadiusSearch(
     const Vector& center) const {
   // The frame RangeOverBall() builds for a single ball, kept for all radii.
-  return std::make_unique<ProbeFrame>(
-      *this, ProbeFrame::Prober::kQuadraticRange, center, kRandomProbes,
-      kSafetyFactor, /*central_differences=*/true);
+  return std::make_unique<ProbeFrame>(*this,
+                                      ProbeFrame::Prober::kQuadraticRange,
+                                      center, kRandomProbes, kSafetyFactor);
 }
 
 bool ChiSquare::HomogeneityDegree(double* degree) const {

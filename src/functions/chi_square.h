@@ -27,10 +27,12 @@ namespace sgm {
 ///
 /// No closed-form ball extrema exist; ball tests use the probed second-order
 /// enclosure (ProbeQuadraticRange) with an elevated safety factor (d = 3, so
-/// the probes cover the sphere densely). DistanceToSurface() bisects over one
-/// ProbeFrame per call, which derives f(c), ∇f(c) and the probe directions
-/// once for all radii; CertifiedCooldownCycles() stops that bisection once
-/// the count is decided.
+/// the probes cover the sphere densely), and ask only its crossing verdict
+/// (ProbeFrame::Crosses), which usually settles before most probes run.
+/// DistanceToSurface() bisects over the verdicts of one ProbeFrame per call,
+/// which derives f(c), ∇f(c) and the probe directions once for all radii;
+/// CertifiedCooldownCycles() stops that bisection once the count is decided.
+/// The probes' central differences evaluate f inline, without a virtual call.
 class ChiSquare final : public MonitoredFunction {
  public:
   /// `window` is the per-site sliding-window length w (fixes the derived
@@ -44,6 +46,7 @@ class ChiSquare final : public MonitoredFunction {
   double Value(const Vector& v) const override;
   Interval RangeOverBall(const Ball& ball) const override;
   double GradientNormBound(const Ball& ball) const override;
+  bool BallCrossesThreshold(const Ball& ball, double threshold) const override;
   bool HomogeneityDegree(double* degree) const override;
 
   /// The bisection stops once the cooldown count is decided.
@@ -57,10 +60,14 @@ class ChiSquare final : public MonitoredFunction {
   }
 
  protected:
+  void ProbeGradient(const Vector& x, Vector* gradient) const override;
   std::unique_ptr<RadiusSearch> NewRadiusSearch(
       const Vector& center) const override;
 
  private:
+  /// f at the count vector [v[0], v[1], v[2]].
+  double Score(const double* v) const;
+
   double window_;
   double smoothing_;
   double scale_;

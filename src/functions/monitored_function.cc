@@ -46,135 +46,168 @@ double CooldownCount(double distance, double margin, double max_step) {
 
 Vector MonitoredFunction::Gradient(const Vector& v) const {
   Vector grad(v.dim());
-  Vector probe;
-  CentralDifferenceGradient(v, &probe, &grad);
+  Vector probe(v.dim());
+  CentralDifferences([this](const Vector& x) { return Value(x); }, v, &probe,
+                     &grad);
   return grad;
 }
 
-void MonitoredFunction::CentralDifferenceGradient(const Vector& v,
-                                                  Vector* probe,
-                                                  Vector* gradient) const {
-  // Central differences with per-coordinate scaled step.
-  SGM_DCHECK(gradient->dim() == v.dim());
-  *probe = v;
-  for (std::size_t j = 0; j < v.dim(); ++j) {
-    const double h = 1e-6 * (1.0 + std::abs(v[j]));
-    const double saved = (*probe)[j];
-    (*probe)[j] = saved + h;
-    const double f_plus = Value(*probe);
-    (*probe)[j] = saved - h;
-    const double f_minus = Value(*probe);
-    (*probe)[j] = saved;
-    (*gradient)[j] = (f_plus - f_minus) / (2.0 * h);
-  }
+void MonitoredFunction::ProbeGradient(const Vector& x, Vector* gradient) const {
+  *gradient = Gradient(x);
 }
 
 MonitoredFunction::ProbeFrame::ProbeFrame(const MonitoredFunction& function,
                                           Prober prober, const Vector& center,
                                           int random_probes,
-                                          double safety_factor,
-                                          bool central_differences)
+                                          double safety_factor)
     : function_(function),
       prober_(prober),
       safety_factor_(safety_factor),
-      central_differences_(central_differences),
       center_(center),
+      center_gradient_(center.dim()),
+      rng_(ProbeSeed(
+          prober == Prober::kQuadraticRange ? 0x2545f491u : 0x5bd1e995u,
+          center)),
+      draws_left_(random_probes),
+      point_(center),
       gradient_(center.dim()) {
   if (prober == Prober::kQuadraticRange) center_value_ = function.Value(center);
-  center_gradient_ = GradientAt(center_);
+  function.ProbeGradient(center_, &center_gradient_);
   center_gradient_norm_ = center_gradient_.Norm();
-
-  Rng rng(ProbeSeed(
-      prober == Prober::kQuadraticRange ? 0x2545f491u : 0x5bd1e995u, center));
-  Vector direction(center.dim());
-  directions_.reserve(random_probes * center.dim());
-  direction_norms_.reserve(random_probes);
-  for (int p = 0; p < random_probes; ++p) {
-    for (std::size_t j = 0; j < center.dim(); ++j) {
-      direction[j] = rng.NextGaussian();
-    }
-    const double norm = direction.Norm();
-    if (norm == 0.0) continue;
-    directions_.insert(directions_.end(), direction.data().begin(),
-                       direction.data().end());
-    direction_norms_.push_back(norm);
-  }
 }
 
 const Vector& MonitoredFunction::ProbeFrame::GradientAt(const Vector& x) {
-  if (central_differences_) {
-    function_.CentralDifferenceGradient(x, &difference_probe_, &gradient_);
-  } else {
-    gradient_ = function_.Gradient(x);
-  }
+  function_.ProbeGradient(x, &gradient_);
   return gradient_;
 }
 
-// Calls visit(x) at the probe points of B(c, radius) in the probers' fixed
-// order: c ± radius·e_j for every axis j, then c + radius·u/‖u‖ for every
-// seeded direction u.
-template <typename Visit>
-void MonitoredFunction::ProbeFrame::ForEachProbePoint(double radius,
-                                                      Visit&& visit) {
+// The probes of B(c, radius), in the probers' fixed order: c ± radius·e_j
+// for every axis j (probes 2j and 2j + 1), then c + radius·u/‖u‖ for every
+// seeded direction u of nonzero norm. HasProbe(p) draws directions until
+// probe p exists or the draws run out.
+bool MonitoredFunction::ProbeFrame::HasProbe(std::size_t probe) {
   const std::size_t dim = center_.dim();
-  point_ = center_;
-  for (std::size_t j = 0; j < dim; ++j) {
-    const double saved = point_[j];
-    point_[j] = saved + radius;
-    visit(point_);
-    point_[j] = saved - radius;
-    visit(point_);
-    point_[j] = saved;
-  }
-  for (std::size_t p = 0; p < direction_norms_.size(); ++p) {
-    // point_ = c; point_.Axpy(radius / ‖u‖, u), on the stored row of u.
-    const double scale = radius / direction_norms_[p];
-    const double* direction = directions_.data() + p * dim;
-    for (std::size_t j = 0; j < dim; ++j) {
-      point_[j] = center_[j] + scale * direction[j];
+  while (probe >= 2 * dim + direction_norms_.size() && draws_left_ > 0) {
+    if (direction_norms_.empty()) {
+      directions_.reserve(draws_left_ * dim);
+      direction_norms_.reserve(draws_left_);
     }
-    visit(point_);
+    --draws_left_;
+    const std::size_t row = direction_norms_.size();
+    directions_.resize((row + 1) * dim);
+    double* direction = directions_.data() + row * dim;
+    double squared_norm = 0.0;  // Vector::Norm()'s sum, in its order
+    for (std::size_t j = 0; j < dim; ++j) {
+      direction[j] = rng_.NextGaussian();
+      squared_norm += direction[j] * direction[j];
+    }
+    const double norm = std::sqrt(squared_norm);
+    if (norm == 0.0) {
+      directions_.resize(row * dim);
+    } else {
+      direction_norms_.push_back(norm);
+    }
   }
+  return probe < 2 * dim + direction_norms_.size();
+}
+
+const Vector& MonitoredFunction::ProbeFrame::ProbePoint(std::size_t probe,
+                                                        double radius) {
+  const std::size_t dim = center_.dim();
+  if (probe < 2 * dim) {
+    const std::size_t j = probe / 2;
+    point_ = center_;
+    point_[j] = probe % 2 == 0 ? center_[j] + radius : center_[j] - radius;
+    return point_;
+  }
+  // point_ = c; point_.Axpy(radius / ‖u‖, u), on the stored row of u.
+  const std::size_t row = probe - 2 * dim;
+  const double scale = radius / direction_norms_[row];
+  const double* direction = directions_.data() + row * dim;
+  for (std::size_t j = 0; j < dim; ++j) {
+    point_[j] = center_[j] + scale * direction[j];
+  }
+  return point_;
+}
+
+// ‖∇f(x) − ∇f(c)‖ / ‖x − c‖ at the probe point x, computed as the distance
+// between the two gradients; 0 where x is c.
+double MonitoredFunction::ProbeFrame::Secant(std::size_t probe,
+                                             double radius) {
+  const Vector& x = ProbePoint(probe, radius);
+  const double distance = x.DistanceTo(center_);
+  if (distance <= 0.0) return 0.0;
+  return GradientAt(x).DistanceTo(center_gradient_) / distance;
+}
+
+Interval MonitoredFunction::ProbeFrame::Enclosure(double radius,
+                                                  double curvature) const {
+  const double spread = radius * center_gradient_norm_ +
+                        0.5 * radius * radius * curvature * safety_factor_;
+  return Interval{center_value_ - spread, center_value_ + spread};
 }
 
 Interval MonitoredFunction::ProbeFrame::At(double radius) {
   SGM_CHECK(prober_ == Prober::kQuadraticRange);
   if (radius == 0.0) return Interval{center_value_, center_value_};
   double curvature = 0.0;
-  ForEachProbePoint(radius, [&](const Vector& x) {
-    const double distance = x.DistanceTo(center_);
-    if (distance <= 0.0) return;
-    // ‖∇f(x) − ∇f(c)‖, computed as the distance between the two gradients.
-    const double secant = GradientAt(x).DistanceTo(center_gradient_) / distance;
-    curvature = std::max(curvature, secant);
-  });
-  const double spread = radius * center_gradient_norm_ +
-                        0.5 * radius * radius * curvature * safety_factor_;
-  return Interval{center_value_ - spread, center_value_ + spread};
+  for (std::size_t p = 0; HasProbe(p); ++p) {
+    curvature = std::max(curvature, Secant(p, radius));
+  }
+  return Enclosure(radius, curvature);
+}
+
+bool MonitoredFunction::ProbeFrame::Crosses(double radius, double threshold) {
+  SGM_CHECK(prober_ == Prober::kQuadraticRange);
+  if (radius == 0.0) return At(radius).Straddles(threshold);
+  // Where ½·r² and the safety factor are positive and f(c) is finite, each
+  // operation of Enclosure() is non-decreasing in the curvature and gives
+  // NaN at most at curvature 0, so a running maximum whose interval
+  // straddles T proves that the interval of the full maximum, At()'s,
+  // straddles it. Elsewhere only the full maximum decides.
+  const bool widens = 0.5 * radius * radius > 0.0 && safety_factor_ > 0.0 &&
+                      std::isfinite(center_value_);
+  double curvature = 0.0;
+  // Raises the running maximum as At()'s std::max does (a NaN secant is
+  // skipped) and reports whether that settles the verdict.
+  const auto settles = [&](std::size_t p) {
+    const double secant = Secant(p, radius);
+    if (!(curvature < secant)) return false;
+    curvature = secant;
+    hint_ = p;
+    return widens && Enclosure(radius, curvature).Straddles(threshold);
+  };
+  if (widens && Enclosure(radius, curvature).Straddles(threshold)) return true;
+  const std::size_t first = hint_;
+  if (HasProbe(first) && settles(first)) return true;
+  for (std::size_t p = 0; HasProbe(p); ++p) {
+    if (p != first && settles(p)) return true;
+  }
+  return Enclosure(radius, curvature).Straddles(threshold);
 }
 
 double MonitoredFunction::ProbeFrame::GradientNormBound(double radius) {
   SGM_CHECK(prober_ == Prober::kGradientNorm);
   double bound = center_gradient_norm_;
-  ForEachProbePoint(radius, [&](const Vector& x) {
-    bound = std::max(bound, GradientAt(x).Norm());
-  });
+  for (std::size_t p = 0; HasProbe(p); ++p) {
+    bound = std::max(bound, GradientAt(ProbePoint(p, radius)).Norm());
+  }
   return bound * safety_factor_;
 }
 
-double MonitoredFunction::ProbeGradientNormBound(
-    const Ball& ball, int random_probes, double safety_factor,
-    bool central_differences) const {
+double MonitoredFunction::ProbeGradientNormBound(const Ball& ball,
+                                                 int random_probes,
+                                                 double safety_factor) const {
   return ProbeFrame(*this, ProbeFrame::Prober::kGradientNorm, ball.center(),
-                    random_probes, safety_factor, central_differences)
+                    random_probes, safety_factor)
       .GradientNormBound(ball.radius());
 }
 
-Interval MonitoredFunction::ProbeQuadraticRange(
-    const Ball& ball, int random_probes, double safety_factor,
-    bool central_differences) const {
+Interval MonitoredFunction::ProbeQuadraticRange(const Ball& ball,
+                                                int random_probes,
+                                                double safety_factor) const {
   return ProbeFrame(*this, ProbeFrame::Prober::kQuadraticRange, ball.center(),
-                    random_probes, safety_factor, central_differences)
+                    random_probes, safety_factor)
       .At(ball.radius());
 }
 
@@ -211,7 +244,7 @@ double MonitoredFunction::BisectDistance(const Vector& point, double threshold,
 
   const std::unique_ptr<RadiusSearch> search = NewRadiusSearch(point);
   int expansions = 0;
-  while (!search->At(hi).Straddles(threshold)) {
+  while (!search->Crosses(hi, threshold)) {
     lo = hi;
     hi *= 2.0;
     if (hi >= cap || ++expansions > 200) return std::min(hi, cap);
@@ -222,7 +255,7 @@ double MonitoredFunction::BisectDistance(const Vector& point, double threshold,
     // Past the fixed point every step re-tests lo or hi, whose verdicts are
     // known, and moves nothing.
     if (mid == lo || mid == hi) break;
-    if (search->At(mid).Straddles(threshold)) {
+    if (search->Crosses(mid, threshold)) {
       hi = mid;
     } else {
       lo = mid;

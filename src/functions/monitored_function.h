@@ -1,10 +1,13 @@
 #ifndef SGM_FUNCTIONS_MONITORED_FUNCTION_H_
 #define SGM_FUNCTIONS_MONITORED_FUNCTION_H_
 
+#include <cmath>
+#include <cstddef>
 #include <memory>
 #include <string>
 #include <vector>
 
+#include "core/check.h"
 #include "core/rng.h"
 #include "core/vector.h"
 #include "geometry/ball.h"
@@ -74,8 +77,9 @@ class MonitoredFunction {
   /// Lower bound on the Euclidean distance from `point` to {f = T}
   /// (the ε_T of Figure 5, and the safe-zone radius of Section 6.6).
   /// The default binary-searches the largest ball around `point` whose
-  /// RangeOverBall() enclosure stays on one side of T, asking the enclosures
-  /// of one NewRadiusSearch() object; exact overrides exist for norms.
+  /// RangeOverBall() enclosure stays on one side of T, asking the crossing
+  /// verdicts of one NewRadiusSearch() object; exact overrides exist for
+  /// norms.
   /// `search_radius` caps the search.
   virtual double DistanceToSurface(const Vector& point, double threshold,
                                    double search_radius = 0.0) const;
@@ -127,13 +131,37 @@ class MonitoredFunction {
     /// Enclosure of f over B(c, radius); equal, bit for bit, to
     /// RangeOverBall(Ball(c, radius)).
     virtual Interval At(double radius) = 0;
+
+    /// The crossing verdict At(radius).Straddles(threshold), which is all
+    /// DistanceToSurface() asks of a radius. An override may settle it with
+    /// less work but must return the same answer for every radius and
+    /// threshold, in any order of calls.
+    virtual bool Crosses(double radius, double threshold) {
+      return At(radius).Straddles(threshold);
+    }
   };
+
+  /// ∇f(x) into `*gradient`: the gradient the probing enclosures below
+  /// evaluate at every probe point. The default assigns Gradient(x). A
+  /// function that keeps the base finite-difference Gradient() may override
+  /// it with CentralDifferences() over its own non-virtual evaluation of f
+  /// and a fixed-size probe buffer (see ChiSquare): the same doubles, with no
+  /// allocation and no virtual call per evaluation.
+  virtual void ProbeGradient(const Vector& x, Vector* gradient) const;
+
+  /// The base Gradient(): central differences of f = value(*probe) at `v`
+  /// into `*gradient`, with `*probe` (indexable like v, of v's dimension) as
+  /// a work buffer.
+  template <typename Evaluate, typename Point>
+  static void CentralDifferences(const Evaluate& value, const Vector& v,
+                                 Point* probe, Vector* gradient);
 
   /// The radius-search hook of DistanceToSurface(). The default runs
   /// RangeOverBall() afresh at every radius. A function whose enclosure
   /// spends most of its work on the center (see ChiSquare) returns an
   /// object that does that work once; it must keep the bit-identity
-  /// contract of RadiusSearch::At().
+  /// contract of RadiusSearch::At() and the verdict contract of
+  /// RadiusSearch::Crosses().
   virtual std::unique_ptr<RadiusSearch> NewRadiusSearch(
       const Vector& center) const;
 
@@ -147,58 +175,64 @@ class MonitoredFunction {
 
   /// The center-bound part of the probing enclosures below, computed once:
   /// f(c), ∇f(c), the prober's seeded random directions and their norms,
-  /// plus work buffers reused across probes and radii. Each radius then
-  /// costs only the probe gradients at that radius, and runs the same
-  /// floating-point operations in the same order as a fresh single-ball
-  /// probe, so every result is the same double. A frame is a local object of
-  /// one call (it holds no state shared between calls) and must not outlive
-  /// its function.
+  /// plus work buffers reused across probes and radii. The directions are
+  /// drawn in their seeded order when a probe first needs them, so a verdict
+  /// settled by the axis probes draws none. Each radius then costs only the
+  /// probe gradients at that radius, and runs the same floating-point
+  /// operations in the same order as a fresh single-ball probe, so every
+  /// result is the same double. A frame is a local object of one call (it
+  /// holds no state shared between calls) and must not outlive its function.
   class ProbeFrame final : public RadiusSearch {
    public:
     /// The two probers; each draws its own seeded directions.
     enum class Prober { kQuadraticRange, kGradientNorm };
 
-    /// `central_differences` declares that `function` keeps the base
-    /// finite-difference Gradient(): the frame then evaluates the same
-    /// central differences into its own buffers instead of calling the
-    /// allocating virtual Gradient().
+    /// Probe gradients come from `function`.ProbeGradient().
     ProbeFrame(const MonitoredFunction& function, Prober prober,
-               const Vector& center, int random_probes, double safety_factor,
-               bool central_differences);
+               const Vector& center, int random_probes, double safety_factor);
 
     /// kQuadraticRange: the ProbeQuadraticRange() enclosure of B(c, radius).
     Interval At(double radius) override;
+
+    /// kQuadraticRange: At(radius).Straddles(threshold), settled at the
+    /// first probe whose running curvature maximum already gives an interval
+    /// that straddles T. It asks r·‖∇f(c)‖ alone first, then the probe that
+    /// last set the maximum (at an earlier radius), then the rest; only a
+    /// "no" visits every probe. Exact because the interval only widens as
+    /// the curvature grows (DESIGN.md §7).
+    bool Crosses(double radius, double threshold) override;
 
     /// kGradientNorm: the ProbeGradientNormBound() bound over B(c, radius).
     double GradientNormBound(double radius);
 
    private:
+    bool HasProbe(std::size_t probe);
+    const Vector& ProbePoint(std::size_t probe, double radius);
+    double Secant(std::size_t probe, double radius);
+    Interval Enclosure(double radius, double curvature) const;
     const Vector& GradientAt(const Vector& x);
-    template <typename Visit>
-    void ForEachProbePoint(double radius, Visit&& visit);
 
     const MonitoredFunction& function_;
     Prober prober_;
     double safety_factor_;
-    bool central_differences_;
     Vector center_;
     double center_value_ = 0.0;
     Vector center_gradient_;
     double center_gradient_norm_ = 0.0;
+    Rng rng_;               // the seeded direction stream
+    int draws_left_;        // directions not yet drawn from rng_
     std::vector<double> directions_;  // one row of dim() draws per probe
     std::vector<double> direction_norms_;
-    Vector point_;             // the probe point being evaluated
-    Vector gradient_;          // ∇f at point_
-    Vector difference_probe_;  // central-difference work buffer
+    Vector point_;     // the probe point being evaluated
+    Vector gradient_;  // ∇f at point_
+    std::size_t hint_ = 0;  // the probe that last raised Crosses()' maximum
   };
 
   /// Shared helper for the default GradientNormBound() probing: the largest
   /// ‖∇f‖ over the center, the axis-extreme points and `random_probes`
-  /// seeded boundary points, times `safety_factor`. `central_differences`
-  /// as in ProbeFrame.
+  /// seeded boundary points, times `safety_factor`.
   double ProbeGradientNormBound(const Ball& ball, int random_probes,
-                                double safety_factor,
-                                bool central_differences = false) const;
+                                double safety_factor) const;
 
   /// Second-order enclosure for smooth functions:
   ///   f(c) ± (r·‖∇f(c)‖ + ½·r²·H)
@@ -206,17 +240,10 @@ class MonitoredFunction {
   /// axis and random ball points, padded by `safety_factor`. Far tighter
   /// than the Lipschitz enclosure where the gradient vanishes (e.g. χ² near
   /// independence), at the cost of extra gradient evaluations.
-  /// `central_differences` as in ProbeFrame.
   Interval ProbeQuadraticRange(const Ball& ball, int random_probes,
-                               double safety_factor,
-                               bool central_differences = false) const;
+                               double safety_factor) const;
 
  private:
-  /// The base Gradient(): central differences of `v` into `*gradient` (of
-  /// v's dimension), with `*probe` as a work buffer.
-  void CentralDifferenceGradient(const Vector& v, Vector* probe,
-                                 Vector* gradient) const;
-
   /// The default DistanceToSurface() search. Before each bisection step it
   /// asks `decided(lo, hi)` of the bracket [lo, hi] and returns lo early
   /// when that holds.
@@ -224,6 +251,25 @@ class MonitoredFunction {
   double BisectDistance(const Vector& point, double threshold,
                         double search_radius, Decided&& decided) const;
 };
+
+template <typename Evaluate, typename Point>
+void MonitoredFunction::CentralDifferences(const Evaluate& value,
+                                           const Vector& v, Point* probe,
+                                           Vector* gradient) {
+  // Central differences with per-coordinate scaled step.
+  SGM_DCHECK(gradient->dim() == v.dim());
+  for (std::size_t j = 0; j < v.dim(); ++j) (*probe)[j] = v[j];
+  for (std::size_t j = 0; j < v.dim(); ++j) {
+    const double h = 1e-6 * (1.0 + std::abs(v[j]));
+    const double saved = (*probe)[j];
+    (*probe)[j] = saved + h;
+    const double f_plus = value(*probe);
+    (*probe)[j] = saved - h;
+    const double f_minus = value(*probe);
+    (*probe)[j] = saved;
+    (*gradient)[j] = (f_plus - f_minus) / (2.0 * h);
+  }
+}
 
 }  // namespace sgm
 

@@ -285,6 +285,76 @@ TEST(ProbeFrameTest, ChiSquareRadiusSearchMatchesRangeOverBall) {
   }
 }
 
+// χ²'s crossing verdicts settle at the first probe whose running curvature
+// maximum straddles T; they must equal the full interval's Straddles(T).
+// The thresholds sit exactly on the interval's ends, one ulp on either side
+// of each, at f(c), at ±inf and at NaN; the radii are 0, 1e-9, the crossing
+// radius and one ulp either side of it, twice it and 50. The radius-search
+// object is asked in an order that revisits radii and alternates small and
+// large ones, so a verdict that leaked state from an earlier radius shows.
+TEST(ProbeFrameTest, ChiSquareVerdictsMatchTheirIntervals) {
+  const ChiSquare f(200.0);
+  const double inf = std::numeric_limits<double>::infinity();
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  Rng rng(20260417);
+  int crossings = 0;
+  int checks = 0;
+  for (int trial = 0; trial < 60; ++trial) {
+    Vector center{rng.NextDouble(-0.5, 30.0), rng.NextDouble(-0.5, 40.0),
+                  rng.NextDouble(-0.5, 80.0)};
+    if (trial % 4 == 0) center[trial % 3] = -rng.NextDouble(0.0, 0.2);
+    const double crossing =
+        f.DistanceToSurface(center, trial % 2 == 0 ? 0.5 : 1.0);
+    const std::vector<double> radii = {0.0,
+                                       1e-9,
+                                       std::nextafter(crossing, 0.0),
+                                       crossing,
+                                       std::nextafter(crossing, inf),
+                                       2.0 * crossing,
+                                       50.0};
+    const auto thresholds = [&](double radius) {
+      const Interval range = f.RangeOverBall(Ball(center, radius));
+      return std::vector<double>{range.lo,
+                                 std::nextafter(range.lo, -inf),
+                                 std::nextafter(range.lo, inf),
+                                 range.hi,
+                                 std::nextafter(range.hi, -inf),
+                                 std::nextafter(range.hi, inf),
+                                 f.Value(center),
+                                 inf,
+                                 -inf,
+                                 nan};
+    };
+    for (double r : radii) {
+      const Ball ball(center, r);
+      const Interval range = f.RangeOverBall(ball);
+      for (double t : thresholds(r)) {
+        const bool want = range.Straddles(t);
+        crossings += want ? 1 : 0;
+        ++checks;
+        EXPECT_EQ(f.BallCrossesThreshold(ball, t), want)
+            << "chi2 at " << ball.ToString() << " T=" << std::hexfloat << t;
+      }
+    }
+    // Revisits, with large radii before and after small ones.
+    const std::vector<std::size_t> order = {6, 1, 3, 5, 0, 2, 4,
+                                            3, 6, 2, 1, 4, 5, 3};
+    const auto search = RadiusSearchAccess::New(f, center);
+    for (std::size_t i : order) {
+      const double r = radii[i];
+      const Interval range = f.RangeOverBall(Ball(center, r));
+      for (double t : thresholds(r)) {
+        EXPECT_EQ(search->Crosses(r, t), range.Straddles(t))
+            << "chi2 search at " << center.ToString() << " r=" << std::hexfloat
+            << r << " T=" << t;
+      }
+    }
+  }
+  // Both verdicts occur often.
+  EXPECT_GT(crossings, checks / 4);
+  EXPECT_LT(crossings, 3 * checks / 4);
+}
+
 // A function without a radius-search override gets the default one: a
 // fresh RangeOverBall() per radius.
 TEST(ProbeFrameTest, DefaultRadiusSearchIsRangeOverBall) {

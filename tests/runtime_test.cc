@@ -10,6 +10,7 @@
 
 #include "core/rng.h"
 #include "data/jester_like.h"
+#include "functions/chi_square.h"
 #include "functions/l2_norm.h"
 #include "functions/linf_distance.h"
 #include "gm/sgm.h"
@@ -203,12 +204,22 @@ TEST(RuntimeTest, AgreesWithSimulatorOnWorkloadScale) {
 // N sites where the simulator collects N − |K1|, and (3) kResolved is
 // broadcast even when the mute is 0.
 
+/// The monitored function: the L2 norm, the L∞ distance to the last
+/// estimate, or χ² of [a, b, c] counts in a window of 200 (the storm-128
+/// and loopback-3 query), whose ball tests, ε_T and cooldowns run the
+/// probed crossing verdicts.
+enum class Query { kL2, kLInf, kChiSquare };
+
 struct DifferentialScenario {
   int sites;
   double delta;  ///< ln(1/δ)/√N > 1, so every g_i clamps to 0 or 1
-  bool linf;     ///< L∞ distance to the last estimate; else the L2 norm
+  Query query;
   double threshold;
   std::uint64_t seed;
+  /// Sites start at start ± spread·(unit Gaussian) per coordinate; empty
+  /// means (T/2, 0, 0) ± 1.
+  Vector start = {};
+  double spread = 1.0;
 };
 
 bool SameBits(double a, double b) {
@@ -237,15 +248,21 @@ void RunDifferential(const DifferentialScenario& s,
   constexpr int kDim = 3;
   constexpr double kStep = 1.0;
   constexpr long kCycles = 400;
-  SCOPED_TRACE(::testing::Message()
-               << "N=" << s.sites << (s.linf ? " linf" : " l2")
-               << " T=" << s.threshold << " seed=" << s.seed);
   std::unique_ptr<MonitoredFunction> f;
-  if (s.linf) {
-    f = std::make_unique<LInfDistance>(Vector(kDim));
-  } else {
-    f = std::make_unique<L2Norm>();
+  switch (s.query) {
+    case Query::kL2:
+      f = std::make_unique<L2Norm>();
+      break;
+    case Query::kLInf:
+      f = std::make_unique<LInfDistance>(Vector(kDim));
+      break;
+    case Query::kChiSquare:
+      f = std::make_unique<ChiSquare>(200.0);
+      break;
   }
+  SCOPED_TRACE(::testing::Message() << "N=" << s.sites << " " << f->name()
+                                    << " T=" << s.threshold
+                                    << " seed=" << s.seed);
 
   SgmOptions options;
   options.delta = s.delta;
@@ -261,14 +278,18 @@ void RunDifferential(const DifferentialScenario& s,
 
   // Sites start scattered around a point well inside the threshold. After
   // each full sync, site 0 and about half of the others move. While
-  // f(e) > T, movers head back toward the origin, so an L2 run keeps
+  // f(e) > T, movers head back toward the origin, so an L2 or χ² run keeps
   // re-crossing the surface.
   Rng rng(s.seed);
   std::vector<Vector> locals(s.sites, Vector(kDim));
   std::vector<Vector> velocity(s.sites, Vector(kDim));
   for (Vector& v : locals) {
     for (std::size_t k = 0; k < kDim; ++k) {
-      v[k] = (k == 0 ? 0.5 * s.threshold : 0.0) + rng.NextGaussian();
+      if (s.start.empty()) {
+        v[k] = (k == 0 ? 0.5 * s.threshold : 0.0) + rng.NextGaussian();
+      } else {
+        v[k] = s.start[k] + s.spread * rng.NextGaussian();
+      }
     }
   }
   const auto redraw = [&](bool above, const Vector& e) {
@@ -278,7 +299,7 @@ void RunDifferential(const DifferentialScenario& s,
       if (i > 0 && !rng.NextBernoulli(0.5)) continue;
       for (std::size_t k = 0; k < kDim; ++k) v[k] = rng.NextGaussian();
       v *= kStep / v.Norm();
-      if (above && !s.linf && v.Dot(e) > 0.0) v *= -1.0;
+      if (above && s.query != Query::kLInf && v.Dot(e) > 0.0) v *= -1.0;
     }
   };
 
@@ -316,11 +337,18 @@ void RunDifferential(const DifferentialScenario& s,
 
 TEST(RuntimeTest, MatchesSimulatorCycleForCycle) {
   // δ per N: ln(1/δ)/√N is 1.15 at N = 4, 16 and 64.
+  using enum Query;
   const DifferentialScenario scenarios[] = {
-      {4, 0.1, false, 6.0, 11},    {4, 0.1, true, 6.0, 12},
-      {16, 0.01, false, 8.0, 13},  {16, 0.01, true, 3.0, 14},
-      {64, 1e-4, false, 8.0, 15},  {64, 1e-4, true, 2.0, 16},
-      {16, 0.01, false, 12.0, 17}, {64, 1e-4, true, 3.0, 18},
+      {4, 0.1, kL2, 6.0, 11},
+      {4, 0.1, kLInf, 6.0, 12},
+      {16, 0.01, kL2, 8.0, 13},
+      {16, 0.01, kLInf, 3.0, 14},
+      {64, 1e-4, kL2, 8.0, 15},
+      {64, 1e-4, kLInf, 2.0, 16},
+      {16, 0.01, kL2, 12.0, 17},
+      {64, 1e-4, kLInf, 3.0, 18},
+      {16, 0.01, kChiSquare, 0.5, 22, {20.0, 10.0, 30.0}, 3.0},
+      {16, 0.01, kChiSquare, 0.3, 23, {10.0, 20.0, 40.0}, 3.0},
   };
   for (const DifferentialScenario& s : scenarios) {
     DifferentialCoverage seen;

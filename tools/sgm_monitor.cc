@@ -14,8 +14,8 @@
 //   --function   linf | jd | sj | l2 | chi2 | stdev | entropy  [linf]
 //   --protocol   gm | bgm | pgm | sgm | msgm | bernoulli | cvgm | cvsgm [sgm]
 //   --sites      number of sites N                        [500]
-//   --threshold  T (required)
-//   --delta      FN tolerance δ                           [0.1]
+//   --threshold  T, a finite number (required)
+//   --delta      FN tolerance δ, in (0, 1)                [0.1]
 //   --cycles     update cycles                            [2000]
 //   --seed       workload seed                            [11]
 //   --trace      write the structured protocol trace (JSONL)
@@ -89,6 +89,8 @@
 // and all site processes: sites regenerate their deterministic streams
 // locally, only protocol messages cross the wire.
 
+#include <cctype>
+#include <cmath>
 #include <csignal>
 #include <cstdio>
 #include <cstdlib>
@@ -167,6 +169,19 @@ struct Flags {
   std::string flight_dump;
 };
 
+// Parses all of `text` as a finite double. std::atof would read "4x" as 4
+// and "nan" as a threshold no value ever crosses.
+bool ParseFinite(const std::string& text, double* out) {
+  if (text.empty() || std::isspace(static_cast<unsigned char>(text[0]))) {
+    return false;
+  }
+  char* end = nullptr;
+  const double value = std::strtod(text.c_str(), &end);
+  if (end != text.c_str() + text.size() || !std::isfinite(value)) return false;
+  *out = value;
+  return true;
+}
+
 bool ParseFlags(int argc, char** argv, Flags* flags) {
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
@@ -197,10 +212,20 @@ bool ParseFlags(int argc, char** argv, Flags* flags) {
     } else if (key == "sites") {
       flags->sites = std::atoi(value.c_str());
     } else if (key == "threshold") {
-      flags->threshold = std::atof(value.c_str());
+      if (!ParseFinite(value, &flags->threshold)) {
+        std::fprintf(stderr, "invalid --threshold=%s: not a finite number\n",
+                     value.c_str());
+        return false;
+      }
       flags->threshold_set = true;
     } else if (key == "delta") {
-      flags->delta = std::atof(value.c_str());
+      // SGM samples with probabilities that need δ strictly inside (0, 1).
+      if (!ParseFinite(value, &flags->delta) || flags->delta <= 0.0 ||
+          flags->delta >= 1.0) {
+        std::fprintf(stderr, "invalid --delta=%s: not a number in (0, 1)\n",
+                     value.c_str());
+        return false;
+      }
     } else if (key == "cycles") {
       flags->cycles = std::atol(value.c_str());
     } else if (key == "seed") {
