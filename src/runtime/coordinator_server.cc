@@ -93,6 +93,9 @@ bool CoordinatorServer::WaitForSites() {
 }
 
 void CoordinatorServer::PollOnce(int timeout_ms) {
+  // The step's one write per site: whatever the last dispatch, cycle hook
+  // or barrier queued leaves before the loop blocks.
+  transport_.Flush();
   std::vector<pollfd> fds;
   std::vector<int> sites;  // fds[i + 1]'s site, or -1 before its hello
   fds.reserve(sessions_.size() + 1);
@@ -296,7 +299,11 @@ bool CoordinatorServer::RunCycle() {
       coordinator_->BeginCycle();
     }
   }
-  if (!AwaitQuiescence()) return false;
+  const bool quiescent = AwaitQuiescence();
+  // A degraded close's OnQuiescent traffic must not wait for the next
+  // cycle's first poll.
+  transport_.Flush();
+  if (!quiescent) return false;
   PublishMetrics();
   return true;
 }
@@ -612,14 +619,6 @@ MetricRows<CoordinatorServer> CoordinatorServer::SocketRows() {
        }},
       {"transport.paper_site_messages",
        [](const Server& s) { return s.site_messages_received_; }},
-      {"transport.total_messages",
-       [](const Server& s) { return s.transport_.transport_messages_sent(); }},
-      {"socket.send_failures",
-       [](const Server& s) { return s.transport_.send_failures(); }},
-      {"socket.short_writes",
-       [](const Server& s) { return s.transport_.short_writes(); }},
-      {"socket.send_queue_drops",
-       [](const Server& s) { return s.transport_.send_queue_drops(); }},
       {"socket.corrupt_frames",
        [](const Server& s) { return s.corrupt_frames_; }},
       {"socket.unbound_frames",
@@ -634,8 +633,6 @@ MetricRows<CoordinatorServer> CoordinatorServer::SocketRows() {
        [](const Server& s) {
          return s.transport_.bytes_sent() + s.site_bytes_received_;
        }},
-      {"transport.total_bytes",
-       [](const Server& s) { return s.transport_.transport_bytes_sent(); }},
       {"socket.send_queue_depth",
        [](const Server& s) -> double {
          return s.transport_.send_queue_depth();
@@ -651,6 +648,7 @@ void CoordinatorServer::PublishMetrics() {
   if (telemetry == nullptr) return;
   std::lock_guard<std::mutex> lock(mu_);
   socket_rows_.Publish(&telemetry->registry, *this);
+  transport_rows_.Publish(&telemetry->registry, transport_);
   node_metrics_.Publish(*telemetry, coordinator_.get(),
                         &coordinator_->recovery_stats(), cycle_);
 }

@@ -243,8 +243,8 @@ class CoordinatorServer {
   /// Shared teardown of Shutdown()/Halt(): a bounded backlog flush, then
   /// every session and the listening socket closed.
   void CloseSessions();
-  /// The socket tier's own metric rows (its transport accounting and
-  /// `socket.*`), read under mu_.
+  /// The server's own metric rows (paper accounting, sessions and the
+  /// send queue), read under mu_.
   static MetricRows<CoordinatorServer> SocketRows();
 
   CoordinatorServerConfig config_;
@@ -296,8 +296,10 @@ class CoordinatorServer {
   long site_messages_received_ = 0;
   double site_bytes_received_ = 0.0;
   bool shut_down_ = false;
-  /// PublishMetrics' rows: the socket tier's, then the shared publisher's.
+  /// PublishMetrics' rows: the server's, its transport's (the same rows a
+  /// SiteClient publishes), then the shared publisher's.
   MetricRows<CoordinatorServer> socket_rows_ = SocketRows();
+  MetricRows<SocketTransport> transport_rows_ = SocketTransportRows();
   NodeMetricsPublisher node_metrics_;
 };
 

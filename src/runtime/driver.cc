@@ -7,8 +7,6 @@ namespace sgm {
 
 namespace {
 
-using SiteAudit = SiteNode::AuditStats;
-
 constexpr MetricRows<InMemoryBus>::CounterRow kBusCounters[] = {
     {"transport.paper_messages",
      [](const InMemoryBus& b) { return b.messages_sent(); }},
@@ -24,18 +22,6 @@ constexpr MetricRows<InMemoryBus>::GaugeRow kBusGauges[] = {
      [](const InMemoryBus& b) { return b.transport_bytes_sent(); }},
 };
 
-/// Site audit counters, summed over sites.
-constexpr MetricRows<SiteAudit>::CounterRow kSiteCounters[] = {
-    {"site.stale_epoch_drops",
-     [](const SiteAudit& a) { return a.stale_epoch_drops; }},
-    {"site.stale_epoch_applied",
-     [](const SiteAudit& a) { return a.stale_epoch_applied; }},
-    {"site.heartbeats_sent",
-     [](const SiteAudit& a) { return a.heartbeats_sent; }},
-    {"site.rejoin_requests_sent",
-     [](const SiteAudit& a) { return a.rejoin_requests_sent; }},
-};
-
 /// The driver's own `recovery.*` rows: crash injection is a DST feature.
 constexpr MetricRows<RuntimeDriver>::CounterRow kCrashCounters[] = {
     {"recovery.coordinator_crashes",
@@ -49,7 +35,7 @@ constexpr MetricRows<RuntimeDriver>::CounterRow kCrashCounters[] = {
 RuntimeDriver::RuntimeDriver(int num_sites, const MonitoredFunction& function,
                              const RuntimeConfig& config)
     : bus_rows_(kBusCounters, kBusGauges),
-      site_rows_(kSiteCounters),
+      site_rows_(SiteAuditRows()),
       crash_rows_(kCrashCounters) {
   BuildNodes(num_sites, function, config, &bus_);
 }
@@ -58,7 +44,7 @@ RuntimeDriver::RuntimeDriver(int num_sites, const MonitoredFunction& function,
                              const RuntimeConfig& config,
                              const SimTransportConfig& sim_config)
     : bus_rows_(kBusCounters, kBusGauges),
-      site_rows_(kSiteCounters),
+      site_rows_(SiteAuditRows()),
       crash_rows_(kCrashCounters) {
   SimTransportConfig effective = sim_config;
   effective.num_sites = num_sites;

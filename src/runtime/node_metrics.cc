@@ -9,6 +9,35 @@ namespace {
 using Node = CoordinatorNode;
 using Recovery = CoordinatorNode::RecoveryStats;
 using SelfCost = TraceLog::SelfCost;
+using SiteAudit = SiteNode::AuditStats;
+
+constexpr MetricRows<SiteAudit>::CounterRow kSiteCounters[] = {
+    {"site.stale_epoch_drops",
+     [](const SiteAudit& a) { return a.stale_epoch_drops; }},
+    {"site.stale_epoch_applied",
+     [](const SiteAudit& a) { return a.stale_epoch_applied; }},
+    {"site.heartbeats_sent",
+     [](const SiteAudit& a) { return a.heartbeats_sent; }},
+    {"site.rejoin_requests_sent",
+     [](const SiteAudit& a) { return a.rejoin_requests_sent; }},
+};
+
+constexpr MetricRows<SocketTransport>::CounterRow kSocketCounters[] = {
+    {"transport.total_messages",
+     [](const SocketTransport& t) { return t.transport_messages_sent(); }},
+    {"socket.send_failures",
+     [](const SocketTransport& t) { return t.send_failures(); }},
+    {"socket.short_writes",
+     [](const SocketTransport& t) { return t.short_writes(); }},
+    {"socket.send_queue_drops",
+     [](const SocketTransport& t) { return t.send_queue_drops(); }},
+    {"socket.write_calls",
+     [](const SocketTransport& t) { return t.write_calls(); }},
+};
+constexpr MetricRows<SocketTransport>::GaugeRow kSocketGauges[] = {
+    {"transport.total_bytes",
+     [](const SocketTransport& t) { return t.transport_bytes_sent(); }},
+};
 
 constexpr MetricRows<Node>::CounterRow kNodeCounters[] = {
     {"coordinator.full_syncs", [](const Node& c) { return c.full_syncs(); }},
@@ -96,6 +125,14 @@ constexpr MetricRows<FlightRecorder>::CounterRow kRingCounters[] = {
 };
 
 }  // namespace
+
+MetricRows<SiteNode::AuditStats> SiteAuditRows() {
+  return MetricRows<SiteAudit>(kSiteCounters);
+}
+
+MetricRows<SocketTransport> SocketTransportRows() {
+  return MetricRows<SocketTransport>(kSocketCounters, kSocketGauges);
+}
 
 NodeMetricsPublisher::NodeMetricsPublisher()
     : coordinator_rows_(kNodeCounters, kNodeGauges),

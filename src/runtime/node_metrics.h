@@ -5,10 +5,21 @@
 #include "obs/metric_registry.h"
 #include "obs/trace.h"
 #include "runtime/coordinator_node.h"
+#include "runtime/site_node.h"
+#include "runtime/socket_transport.h"
 
 namespace sgm {
 
 struct Telemetry;
+
+/// The `site.*` audit rows, under one set of names whether they read one
+/// site's counters (a SiteClient) or a deployment's totals (RuntimeDriver).
+MetricRows<SiteNode::AuditStats> SiteAuditRows();
+
+/// A SocketTransport's write-side rows, the same in both daemon roles:
+/// `transport.total_messages`, `transport.total_bytes` and the `socket.*`
+/// send health (failures, short writes, queue drops, write calls).
+MetricRows<SocketTransport> SocketTransportRows();
 
 /// The node-level metric publisher RuntimeDriver and CoordinatorServer
 /// share. It writes every row both tiers publish; each tier adds only its

@@ -94,6 +94,8 @@ bool SiteClient::EstablishSession() {
   hello.from = config_.site_id;
   hello.to = kCoordinatorId;
   transport_.Send(hello);
+  // The hello leaves now: a caller may wait between Connect() and Run().
+  transport_.Flush();
   return true;
 }
 
@@ -148,22 +150,23 @@ bool SiteClient::Run(const std::function<Vector(long)>& next_vector) {
   Telemetry* telemetry = config_.runtime.telemetry;
   FrameReader reader;
   for (;;) {
-    const SiteExitReason reason = RunSession(next_vector, &reader);
-    exit_reason_ = reason;
-    if (reason == SiteExitReason::kShutdown) return true;
-    if (reason == SiteExitReason::kPollError) return false;
+    exit_reason_ = RunSession(next_vector, &reader);
+    if (exit_reason_ == SiteExitReason::kShutdown ||
+        exit_reason_ == SiteExitReason::kPollError) {
+      break;
+    }
     // Connection-level failure: discard the dead session — including any
     // partial frame the peer died in the middle of — and redial.
     TearDownSession();
     reader.Reset();
     if (telemetry != nullptr) {
       telemetry->trace.Emit(TraceEventId::kConnectionLost, config_.site_id,
-                            {{"reason", SiteExitReasonName(reason)}});
+                            {{"reason", SiteExitReasonName(exit_reason_)}});
     }
-    if (reconnects_ >= config_.max_reconnects) return false;
+    if (reconnects_ >= config_.max_reconnects) break;
     if (!EstablishSession()) {
       exit_reason_ = SiteExitReason::kConnectGiveUp;
-      return false;
+      break;
     }
     ++reconnects_;
     if (telemetry != nullptr) {
@@ -174,12 +177,18 @@ bool SiteClient::Run(const std::function<Vector(long)>& next_vector) {
     // handshake so the coordinator re-anchors us and resyncs our drift.
     node_->OnTransportReconnect();
   }
+  // The counters as the loop left them, for the daemon's exit dump.
+  PublishMetrics();
+  return exit_reason_ == SiteExitReason::kShutdown;
 }
 
 SiteExitReason SiteClient::RunSession(
     const std::function<Vector(long)>& next_vector, FrameReader* reader) {
   std::array<std::uint8_t, 65536> buffer;
   for (;;) {
+    // The step's one write: the replies and the barrier ack the last batch
+    // queued leave together, before the loop stalls or blocks.
+    transport_.Flush();
     if (stop_requested_.load()) return SiteExitReason::kShutdown;
     // Consume a pending injected stall (in-process SIGSTOP stand-in): the
     // session stays up while the loop goes unresponsive.
@@ -226,6 +235,7 @@ SiteExitReason SiteClient::RunSession(
           }
           node_->Observe(next_vector(*cycle));
           ++cycles_observed_;
+          PublishMetrics();
           break;
         }
         case RuntimeMessage::Type::kBarrier: {
@@ -253,6 +263,22 @@ SiteExitReason SiteClient::RunSession(
       }
     }
   }
+}
+
+MetricRows<SiteClient> SiteClient::SessionRows() {
+  static constexpr MetricRows<SiteClient>::CounterRow kCounters[] = {
+      {"site.reconnects", [](const SiteClient& c) { return c.reconnects(); }},
+  };
+  return MetricRows<SiteClient>(kCounters);
+}
+
+void SiteClient::PublishMetrics() {
+  Telemetry* telemetry = config_.runtime.telemetry;
+  if (telemetry == nullptr) return;
+  MetricRegistry* registry = &telemetry->registry;
+  session_rows_.Publish(registry, *this);
+  audit_rows_.Publish(registry, node_->audit());
+  transport_rows_.Publish(registry, transport_);
 }
 
 }  // namespace sgm

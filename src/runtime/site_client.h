@@ -8,7 +8,9 @@
 #include <mutex>
 #include <string>
 
+#include "obs/metric_registry.h"
 #include "runtime/chaos.h"
+#include "runtime/node_metrics.h"
 #include "runtime/site_node.h"
 #include "runtime/socket_transport.h"
 
@@ -128,6 +130,7 @@ class SiteClient {
   void InjectProcessingStall(long ms) { stall_ms_.store(ms); }
 
   const SiteNode& node() const { return *node_; }
+  const SocketTransport& transport() const { return transport_; }
   long cycles_observed() const { return cycles_observed_.load(); }
 
  private:
@@ -139,6 +142,13 @@ class SiteClient {
   /// Polls one session until shutdown or a connection failure.
   SiteExitReason RunSession(const std::function<Vector(long)>& next_vector,
                             FrameReader* reader);
+  /// Writes the site's rows into the attached telemetry registry: its
+  /// node's `site.*` audit counters (named as RuntimeDriver names their
+  /// totals), `site.reconnects` and its transport's rows. Called once per
+  /// observed cycle and when Run() returns; a no-op without telemetry.
+  void PublishMetrics();
+  /// The session layer's own rows (`site.reconnects`).
+  static MetricRows<SiteClient> SessionRows();
 
   SiteClientConfig config_;
   /// Construction instant; /healthz reports uptime relative to this.
@@ -160,6 +170,10 @@ class SiteClient {
   /// Pending one-shot processing stall in ms (see InjectProcessingStall).
   std::atomic<long> stall_ms_{0};
   SiteExitReason exit_reason_ = SiteExitReason::kShutdown;
+  /// PublishMetrics' rows.
+  MetricRows<SiteClient> session_rows_ = SessionRows();
+  MetricRows<SiteNode::AuditStats> audit_rows_ = SiteAuditRows();
+  MetricRows<SocketTransport> transport_rows_ = SocketTransportRows();
 };
 
 }  // namespace sgm

@@ -7,8 +7,10 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cerrno>
 #include <chrono>
+#include <climits>
 #include <cstring>
 #include <thread>
 
@@ -141,7 +143,7 @@ void SocketTransport::RegisterPeer(int peer, int fd) {
   std::lock_guard<std::mutex> lock(mu_);
   // A re-registered peer (reconnect) must not inherit the dead session's
   // backlog: those bytes belong to a stream the receiver has abandoned.
-  peers_[peer] = Peer{fd, {}, 0};
+  peers_[peer] = Peer{fd, {}, 0, false};
 }
 
 void SocketTransport::UnregisterPeer(int peer) {
@@ -158,6 +160,16 @@ bool SocketTransport::HasBacklog(int peer) const {
   std::lock_guard<std::mutex> lock(mu_);
   const auto it = peers_.find(peer);
   return it != peers_.end() && !it->second.backlog.empty();
+}
+
+void SocketTransport::Flush() {
+  std::lock_guard<std::mutex> lock(mu_);
+  for (auto it = peers_.begin(); it != peers_.end();) {
+    // FlushLocked may drop the peer; advance first.
+    const auto current = it++;
+    const Peer& state = current->second;
+    if (!state.backlog.empty() && !state.blocked) FlushLocked(current);
+  }
 }
 
 void SocketTransport::FlushBacklog(int peer) {
@@ -207,9 +219,6 @@ void SocketTransport::EnqueueLocked(std::map<int, Peer>::iterator peer,
     return;
   }
   backlog.push_back(frame);
-  // A non-empty backlog already waits for POLLOUT; writing past it would
-  // break the per-peer FIFO order.
-  if (backlog.size() == 1) FlushLocked(peer);
 }
 
 void SocketTransport::DropLocked(std::map<int, Peer>::iterator peer) {
@@ -224,30 +233,58 @@ void SocketTransport::DropLocked(std::map<int, Peer>::iterator peer) {
 
 void SocketTransport::FlushLocked(std::map<int, Peer>::iterator peer) {
   Peer& state = peer->second;
+  state.blocked = false;
   while (!state.backlog.empty()) {
-    const std::vector<std::uint8_t>& head = state.backlog.front();
-    const ssize_t n = ::send(state.fd, head.data() + state.head_offset,
-                             head.size() - state.head_offset,
-                             MSG_NOSIGNAL | MSG_DONTWAIT);
+    // One iovec per queued frame, the head from its unwritten offset.
+    const std::size_t count =
+        std::min<std::size_t>(state.backlog.size(), IOV_MAX);
+    iov_.resize(count);
+    std::size_t offered = 0;
+    for (std::size_t i = 0; i < count; ++i) {
+      std::vector<std::uint8_t>& frame = state.backlog[i];
+      const std::size_t skip = i == 0 ? state.head_offset : 0;
+      iov_[i] = iovec{frame.data() + skip, frame.size() - skip};
+      offered += frame.size() - skip;
+    }
+    msghdr header{};
+    header.msg_iov = iov_.data();
+    header.msg_iovlen = count;
+    ++write_calls_;
+    const ssize_t n =
+        ::sendmsg(state.fd, &header, MSG_NOSIGNAL | MSG_DONTWAIT);
     if (n < 0) {
       if (errno == EINTR) continue;
-      if (errno == EAGAIN || errno == EWOULDBLOCK) return;  // kernel full
+      if (errno == EAGAIN || errno == EWOULDBLOCK) {  // kernel full
+        state.blocked = true;
+        return;
+      }
       // A write error on loopback TCP means the peer is gone, not that
       // bytes were lost in transit.
       DropLocked(peer);
       return;
     }
-    state.head_offset += static_cast<std::size_t>(n);
-    if (state.head_offset < head.size()) {
-      // The kernel buffer filled mid-frame: resume at the offset once the
-      // fd polls writable.
-      ++short_writes_;
+    // Retire every frame the kernel took whole; a frame it cut keeps the
+    // written prefix as its offset.
+    std::size_t left = static_cast<std::size_t>(n);
+    while (left > 0) {
+      const std::vector<std::uint8_t>& head = state.backlog.front();
+      const std::size_t rest = head.size() - state.head_offset;
+      if (left < rest) {
+        state.head_offset += left;
+        ++short_writes_;
+        break;
+      }
+      left -= rest;
+      ++transport_messages_sent_;
+      transport_bytes_sent_ += static_cast<double>(head.size());
+      state.backlog.pop_front();
+      state.head_offset = 0;
+    }
+    if (static_cast<std::size_t>(n) < offered) {
+      // The kernel buffer filled: resume once the fd polls writable.
+      state.blocked = true;
       return;
     }
-    ++transport_messages_sent_;
-    transport_bytes_sent_ += static_cast<double>(head.size());
-    state.backlog.pop_front();
-    state.head_offset = 0;
   }
 }
 
@@ -327,6 +364,11 @@ long SocketTransport::send_failures() const {
 long SocketTransport::short_writes() const {
   std::lock_guard<std::mutex> lock(mu_);
   return short_writes_;
+}
+
+long SocketTransport::write_calls() const {
+  std::lock_guard<std::mutex> lock(mu_);
+  return write_calls_;
 }
 
 long SocketTransport::send_queue_depth() const {

@@ -1,6 +1,8 @@
 #ifndef SGM_RUNTIME_SOCKET_TRANSPORT_H_
 #define SGM_RUNTIME_SOCKET_TRANSPORT_H_
 
+#include <sys/uio.h>
+
 #include <cstdint>
 #include <deque>
 #include <map>
@@ -91,23 +93,28 @@ int ConnectTcpLoopbackWithRetry(int port, const SocketRetryConfig& retry,
                                 std::uint64_t* jitter_state);
 
 /// Transport implementation over connected TCP sockets, with one write
-/// path. Send() encodes the message (wire format v4), prepends the u32
-/// length prefix and appends the frame to its peer's FIFO backlog. When that
-/// backlog was empty, Send() writes the frame through at once with
-/// MSG_DONTWAIT, so a healthy peer has a node's responses on the wire before
-/// the node handles its next inbound frame. Whatever the kernel does not
-/// take (EAGAIN, or a short write) waits in the backlog until the owner's
-/// poll loop finds the fd writable and calls FlushBacklog(). Send() never
-/// blocks: a stalled peer backs up only its own backlog, and a backlog that
-/// reaches kMaxBacklogFrames drops the peer exactly as a write error does.
-/// TCP cannot lose bytes on a healthy connection, so either means the peer
-/// is gone or wedged. Dropping a peer shuts its stream down, so the session
+/// path. Send() only queues: it encodes the message (wire format v4),
+/// prepends the u32 length prefix and appends the frame to its peer's FIFO
+/// backlog. Flush() is the write: each backlogged peer's queued frames leave
+/// in one sendmsg() over an iovec of them, with MSG_DONTWAIT. The owner's
+/// poll loop calls Flush() once per loop step, before it blocks, so what a
+/// step's dispatch sent to a peer (a site's replies and its barrier ack; the
+/// coordinator's kCycleBegin, its hook's traffic and the barrier behind
+/// them) shares one write per peer. Whatever the kernel does not take
+/// (EAGAIN, or a write cut mid-frame) waits in the backlog, and that peer is
+/// skipped by Flush() until the owner's poll loop finds its fd writable and
+/// calls FlushBacklog(), which resumes at the exact byte. Nothing blocks: a
+/// stalled peer backs up only its own backlog, and a backlog that reaches
+/// kMaxBacklogFrames drops the peer exactly as a write error does. TCP
+/// cannot lose bytes on a healthy connection, so either means the peer is
+/// gone or wedged. Dropping a peer shuts its stream down, so the session
 /// layer reads EOF and ends the session (the site redials and rejoins):
 /// once a frame is lost, the stream must not go on as if it were whole.
 ///
-/// Per-peer FIFO order holds across the backlog, so a site's barrier ack
-/// still follows every frame it sent before it — the flush guarantee of the
-/// coordinator's quiescence barrier (DESIGN.md §11.3).
+/// Per-peer FIFO order holds across the backlog and every write, so a
+/// site's barrier ack still follows every frame it sent before it — the
+/// flush guarantee of the coordinator's quiescence barrier (DESIGN.md
+/// §11.3).
 ///
 /// Topology is a peer map filled by the session layer: the coordinator
 /// registers every site's accepted connection under its hello'd site id;
@@ -131,6 +138,7 @@ int ConnectTcpLoopbackWithRetry(int port, const SocketRetryConfig& retry,
 ///    back — everything except session control (and transport acks, which
 ///    no socket node sends). The coordinator's barrier loop snapshots this
 ///    to detect induced traffic.
+///  * write_calls: sendmsg() calls, whatever they wrote.
 class SocketTransport final : public Transport {
  public:
   /// Frames one peer's backlog holds; a Send() beyond it drops the peer.
@@ -142,13 +150,21 @@ class SocketTransport final : public Transport {
   void UnregisterPeer(int peer);
   bool HasPeer(int peer) const;
 
+  /// Queues `message` behind its peer's backlog; never writes (Flush()
+  /// does). A broadcast queues one copy per registered site.
   void Send(const RuntimeMessage& message) override;
 
-  /// True while `peer` has bytes waiting for its fd to become writable.
+  /// True while `peer` has frames queued or waiting for its fd to become
+  /// writable: the owner polls such a peer for POLLOUT.
   bool HasBacklog(int peer) const;
-  /// Writes as much of `peer`'s backlog as its socket takes now. Call when
-  /// the owner's poll loop finds the peer's fd writable. A write error
-  /// drops the peer (and shuts its stream down).
+  /// The loop step's write: one sendmsg() per backlogged peer, over its
+  /// queued frames (at most IOV_MAX per call), skipping peers that wait for
+  /// POLLOUT. Call before every poll(). A write error drops the peer (and
+  /// shuts its stream down).
+  void Flush();
+  /// The POLLOUT path: writes `peer`'s backlog as Flush() does, resuming a
+  /// frame the kernel cut at its exact byte. Call when the owner's poll
+  /// loop finds the peer's fd writable.
   void FlushBacklog(int peer);
   /// Polls every backlogged peer for writability and flushes, until every
   /// backlog is empty (returns true) or `timeout_ms` has passed (false).
@@ -166,6 +182,8 @@ class SocketTransport final : public Transport {
   /// Writes that stopped mid-frame on a full kernel buffer; the rest of
   /// the frame waited in the backlog.
   long short_writes() const;
+  /// sendmsg() calls made, one per peer per flush that found frames.
+  long write_calls() const;
   /// Frames waiting across all backlogs.
   long send_queue_depth() const;
   /// Peers dropped because their backlog overflowed.
@@ -173,19 +191,23 @@ class SocketTransport final : public Transport {
 
  private:
   /// One peer's connection and outbound backlog. `head_offset` is the
-  /// already-written prefix of the head frame.
+  /// already-written prefix of the head frame; `blocked` marks a peer whose
+  /// last write the kernel cut short, which waits for POLLOUT.
   struct Peer {
     int fd = -1;
     std::deque<std::vector<std::uint8_t>> backlog;
     std::size_t head_offset = 0;
+    bool blocked = false;
   };
 
-  /// Appends `frame` to `peer`'s backlog, writing it through when the
-  /// backlog was empty; overflow drops the peer. Caller holds mu_.
+  /// Appends `frame` to `peer`'s backlog; overflow drops the peer. Caller
+  /// holds mu_.
   void EnqueueLocked(std::map<int, Peer>::iterator peer,
                      const std::vector<std::uint8_t>& frame);
-  /// Writes the backlog head first until it empties or the socket would
-  /// block; a write error drops the peer. Caller holds mu_.
+  /// Writes the backlog, head first, in one sendmsg() per IOV_MAX frames
+  /// until it empties or the kernel takes less than it was offered (the
+  /// peer then waits for POLLOUT); a write error drops the peer. Caller
+  /// holds mu_.
   void FlushLocked(std::map<int, Peer>::iterator peer);
   /// Gives up on `peer`: counts a send failure, shuts its fd down in both
   /// directions and forgets the peer with its backlog. Caller holds mu_.
@@ -201,7 +223,10 @@ class SocketTransport final : public Transport {
   long data_frames_sent_ = 0;
   long send_failures_ = 0;
   long short_writes_ = 0;
+  long write_calls_ = 0;
   long send_queue_drops_ = 0;
+  /// FlushLocked's iovec scratch, reused across calls.
+  std::vector<iovec> iov_;
 };
 
 }  // namespace sgm

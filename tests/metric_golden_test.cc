@@ -1,12 +1,13 @@
 // Pins what each deployment tier publishes: counter and gauge names and
 // values (wall-clock rows excluded) after seeded RuntimeDriver runs, and the
-// CoordinatorServer's metric name set. The goldens were captured from the
+// CoordinatorServer's and a SiteClient's metric name sets. The goldens were captured from the
 // two tiers' separate publishers, before they shared one; a difference means
 // a tier now publishes another metric set or another value.
 
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <memory>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -194,6 +195,7 @@ counter socket.short_writes
 counter socket.site_disconnects
 counter socket.site_rehellos
 counter socket.unbound_frames
+counter socket.write_calls
 counter transport.paper_messages
 counter transport.paper_site_messages
 counter transport.total_messages
@@ -258,34 +260,66 @@ TEST(MetricGoldenTest, FaultyDriverWithCheckpointsPublishesTheSameRows) {
   EXPECT_EQ(Rows(telemetry.registry), kFaultyRows);
 }
 
-TEST(MetricGoldenTest, CoordinatorServerPublishesTheSameNames) {
+constexpr char kSiteClientNames[] = R"(counter site.heartbeats_sent
+counter site.reconnects
+counter site.rejoin_requests_sent
+counter site.stale_epoch_applied
+counter site.stale_epoch_drops
+counter socket.send_failures
+counter socket.send_queue_drops
+counter socket.short_writes
+counter socket.write_calls
+counter transport.total_messages
+gauge transport.total_bytes
+)";
+
+/// One "counter|gauge name" line per metric.
+std::string Names(const MetricRegistry& registry) {
+  std::ostringstream names;
+  for (const auto& [name, value] : registry.SnapshotCounters()) {
+    names << "counter " << name << "\n";
+  }
+  for (const auto& [name, value] : registry.SnapshotGauges()) {
+    names << "gauge " << name << "\n";
+  }
+  return names.str();
+}
+
+/// Runs a 3-site loopback deployment through its initialization sync and
+/// 10 cycles, with `server_telemetry` on the coordinator and
+/// `site_telemetry` on site 0 (either may be null), then shuts it down.
+/// Returns site 0's client, its run over.
+std::unique_ptr<SiteClient> RunLoopbackDeployment(Telemetry* server_telemetry,
+                                                  Telemetry* site_telemetry) {
   constexpr int kServerSites = 3;
-  Telemetry telemetry;
   SyntheticDriftGenerator probe(Workload(kServerSites));
   CoordinatorServerConfig server_config;
   server_config.num_sites = kServerSites;
-  server_config.runtime = Protocol(probe, &telemetry);
+  server_config.runtime = Protocol(probe, server_telemetry);
   const L2Norm norm;
   CoordinatorServer server(norm, server_config);
-  ASSERT_TRUE(server.Listen());
+  EXPECT_TRUE(server.Listen());
+  std::vector<std::unique_ptr<SiteClient>> clients;
+  for (int id = 0; id < kServerSites; ++id) {
+    SiteClientConfig config;
+    config.site_id = id;
+    config.num_sites = kServerSites;
+    config.port = server.port();
+    config.runtime = Protocol(probe, id == 0 ? site_telemetry : nullptr);
+    clients.push_back(std::make_unique<SiteClient>(norm, config));
+  }
   std::atomic<int> failures{0};
   std::vector<std::thread> threads;
   for (int id = 0; id < kServerSites; ++id) {
     threads.emplace_back([&, id] {
-      SiteClientConfig config;
-      config.site_id = id;
-      config.num_sites = kServerSites;
-      config.port = server.port();
-      config.runtime = Protocol(probe, nullptr);
       SyntheticDriftGenerator generator(Workload(kServerSites));
-      SiteClient client(norm, config);
-      if (!client.Connect()) {
+      if (!clients[id]->Connect()) {
         failures.fetch_add(1);
         return;
       }
       std::vector<Vector> locals;
       long advanced = 0;
-      if (!client.Run([&](long cycle) {
+      if (!clients[id]->Run([&](long cycle) {
             while (advanced <= cycle) {
               generator.Advance(&locals);
               ++advanced;
@@ -296,21 +330,40 @@ TEST(MetricGoldenTest, CoordinatorServerPublishesTheSameNames) {
       }
     });
   }
-  ASSERT_TRUE(server.WaitForSites());
-  for (int cycle = 0; cycle <= 10; ++cycle) ASSERT_TRUE(server.RunCycle());
+  if (server.WaitForSites()) {
+    for (int cycle = 0; cycle <= 10; ++cycle) EXPECT_TRUE(server.RunCycle());
+  } else {
+    ADD_FAILURE() << "not all sites registered";
+  }
   server.Shutdown();
   for (std::thread& t : threads) t.join();
   EXPECT_EQ(failures.load(), 0);
   server.PublishMetrics();
+  return std::move(clients[0]);
+}
 
-  std::ostringstream names;
-  for (const auto& [name, value] : telemetry.registry.SnapshotCounters()) {
-    names << "counter " << name << "\n";
-  }
-  for (const auto& [name, value] : telemetry.registry.SnapshotGauges()) {
-    names << "gauge " << name << "\n";
-  }
-  EXPECT_EQ(names.str(), kServerNames);
+TEST(MetricGoldenTest, CoordinatorServerPublishesTheSameNames) {
+  Telemetry telemetry;
+  RunLoopbackDeployment(&telemetry, nullptr);
+  EXPECT_EQ(Names(telemetry.registry), kServerNames);
+}
+
+TEST(MetricGoldenTest, SiteClientPublishesItsCountersUnderTheDriversNames) {
+  Telemetry telemetry;
+  const std::unique_ptr<SiteClient> client =
+      RunLoopbackDeployment(nullptr, &telemetry);
+  EXPECT_EQ(Names(telemetry.registry), kSiteClientNames);
+  // Published when the loop ended: the values the run left.
+  MetricRegistry& registry = telemetry.registry;
+  EXPECT_EQ(registry.GetCounter("site.heartbeats_sent")->value(),
+            client->node().audit().heartbeats_sent);
+  EXPECT_GT(client->node().audit().heartbeats_sent, 0);
+  EXPECT_EQ(registry.GetCounter("socket.write_calls")->value(),
+            client->transport().write_calls());
+  EXPECT_GT(client->transport().write_calls(), 0);
+  EXPECT_EQ(registry.GetCounter("transport.total_messages")->value(),
+            client->transport().transport_messages_sent());
+  EXPECT_EQ(registry.GetCounter("site.reconnects")->value(), 0);
 }
 
 }  // namespace

@@ -1,9 +1,9 @@
 // Tests of the socket runtime's byte layer (src/runtime/socket_transport):
 // length-prefixed framing over arbitrary TCP re-segmentation, CRC rejection
 // of garbage frames before any parse reaches the protocol, oversized-prefix
-// poisoning, the one write path (write-through, per-peer backlog, short
-// writes, overflow, bounded flush), real loopback delivery, and peer loss /
-// reconnect accounting.
+// poisoning, the one write path (Send() queues, one sendmsg per peer per
+// flush, per-peer backlog, short writes, overflow, bounded flush), real
+// loopback delivery, and peer loss / reconnect accounting.
 
 #include <gtest/gtest.h>
 #include <poll.h>
@@ -13,6 +13,7 @@
 #include <algorithm>
 #include <array>
 #include <atomic>
+#include <cerrno>
 #include <chrono>
 #include <cstring>
 #include <thread>
@@ -202,6 +203,7 @@ TEST(SocketTransportTest, DeliversOverRealLoopbackWithPaperAccounting) {
   transport.RegisterPeer(kCoordinatorId, pair.client);
   const RuntimeMessage sent = MakeReport(1, 4.5, 16);
   transport.Send(sent);
+  transport.Flush();
 
   const std::vector<RuntimeMessage> got = ReadMessages(pair.server, 1);
   ASSERT_EQ(got.size(), 1u);
@@ -236,6 +238,7 @@ TEST(SocketTransportTest, BroadcastWritesEveryPeerButCountsOnce) {
   estimate.to = kBroadcastId;
   estimate.payload = Vector{1.0, 2.0};
   transport.Send(estimate);
+  transport.Flush();
 
   EXPECT_EQ(ReadMessages(a.server, 1).size(), 1u);
   EXPECT_EQ(ReadMessages(b.server, 1).size(), 1u);
@@ -265,6 +268,7 @@ TEST(SocketTransportTest, SessionControlAndAcksStayOutOfPaperCounters) {
   ack.to = kCoordinatorId;
   ack.seq = 7;
   transport.Send(ack);
+  transport.Flush();
 
   EXPECT_EQ(ReadMessages(pair.server, 2).size(), 2u);
   EXPECT_EQ(transport.messages_sent(), 0);
@@ -370,9 +374,9 @@ TEST(SocketTransportTest, AsyncWriterCountsShortWritesOnBigFrames) {
   ASSERT_TRUE(pair.Open());
   // The one write path is asynchronous without a thread of its own. A
   // small send buffer cannot take an ~800 KiB frame in one write: the
-  // write-through stops mid-frame, the rest waits in the backlog, and the
-  // flush resumes at the offset each time the fd turns writable while a
-  // reader drains the far end. Each pause is a counted short write.
+  // flush stops mid-frame, the rest waits in the backlog, and the flush
+  // resumes at the offset each time the fd turns writable while a reader
+  // drains the far end. Each pause is a counted short write.
   int small = 4096;
   ASSERT_EQ(::setsockopt(pair.client, SOL_SOCKET, SO_SNDBUF, &small,
                          sizeof(small)),
@@ -442,14 +446,15 @@ TEST(SocketTransportTest, PeerLossCountsFailureAndReconnectRecovers) {
   transport.RegisterPeer(kCoordinatorId, pair.client);
   ASSERT_TRUE(transport.HasPeer(kCoordinatorId));
 
-  // Kill the receiving end. The first send after the close may still land
-  // in the kernel buffer (and draws the RST); a follow-up write must fail
-  // with EPIPE, count a send failure, and drop the peer.
+  // Kill the receiving end. The first write after the close may still
+  // land in the kernel buffer (and draws the RST); a follow-up write must
+  // fail with EPIPE, count a send failure, and drop the peer.
   ::close(pair.server);
   pair.server = -1;
   const RuntimeMessage report = MakeReport(0, 1.0, 4);
   for (int i = 0; i < 50 && transport.send_failures() == 0; ++i) {
     transport.Send(report);
+    transport.Flush();
     std::this_thread::sleep_for(std::chrono::milliseconds(1));
   }
   EXPECT_GE(transport.send_failures(), 1);
@@ -472,6 +477,7 @@ TEST(SocketTransportTest, PeerLossCountsFailureAndReconnectRecovers) {
   ASSERT_TRUE(fresh.Open());
   transport.RegisterPeer(kCoordinatorId, fresh.client);
   transport.Send(report);
+  transport.Flush();
   const std::vector<RuntimeMessage> got = ReadMessages(fresh.server, 1);
   ASSERT_EQ(got.size(), 1u);
   EXPECT_EQ(got[0].scalar, report.scalar);
@@ -553,6 +559,7 @@ TEST(SocketTransportTest, MidFrameDisconnectDoesNotSpliceAcrossReconnect) {
   transport.RegisterPeer(kCoordinatorId, fresh.client);
   const RuntimeMessage survivor = MakeReport(2, 3.0, 16);
   transport.Send(survivor);
+  transport.Flush();
   ::shutdown(fresh.client, SHUT_WR);
   for (;;) {
     const ssize_t n =
@@ -672,8 +679,8 @@ TEST(SocketTransportTest, BacklogPreservesPerPeerFifoOrder) {
 
   SocketTransport transport;
   transport.RegisterPeer(0, pair.client);
-  // ~8 KiB frames with nobody reading: the first goes through (at least
-  // partly), the kernel fills, and the rest queue behind it.
+  // ~8 KiB frames with nobody reading: they queue until the flush, whose
+  // writes fill the kernel and leave the rest behind in order.
   constexpr int kFrames = 20;
   for (int i = 0; i < kFrames; ++i) {
     RuntimeMessage message = MakeEstimate(0, static_cast<double>(i));
@@ -762,6 +769,118 @@ TEST(SocketTransportTest, BacklogOverflowDropsStalledPeer) {
   // EOF once it drains what the kernel held, and its session ends there,
   // instead of staying open with frames missing from it.
   EXPECT_TRUE(DrainsToEof(pair.server, 5000));
+}
+
+// ── The one write path: Send() queues, a flush writes ───────────────────
+
+TEST(SocketTransportTest, SendQueuesAndOneFlushWritesTheBacklogInOneCall) {
+  LoopbackPair pair;
+  ASSERT_TRUE(pair.Open());
+  SocketTransport transport;
+  transport.RegisterPeer(kCoordinatorId, pair.client);
+
+  const std::vector<RuntimeMessage> sent = {
+      MakeReport(1, 1.0, 4), MakeReport(1, 2.0, 8), MakeReport(1, 3.0, 2)};
+  double framed_bytes = 0.0;
+  for (const RuntimeMessage& message : sent) {
+    transport.Send(message);
+    framed_bytes += static_cast<double>(Framed(message).size());
+  }
+  // Nothing is on the wire before the flush.
+  std::uint8_t byte = 0;
+  EXPECT_EQ(::recv(pair.server, &byte, 1, MSG_DONTWAIT), -1);
+  EXPECT_TRUE(errno == EAGAIN || errno == EWOULDBLOCK);
+  EXPECT_EQ(transport.write_calls(), 0);
+  EXPECT_EQ(transport.transport_messages_sent(), 0);
+  EXPECT_EQ(transport.messages_sent(), 3);  // the logical sends happened
+  EXPECT_EQ(transport.send_queue_depth(), 3);
+
+  // One sendmsg takes all three frames, whole and in order, with the same
+  // per-frame accounting a write per frame had.
+  transport.Flush();
+  EXPECT_EQ(transport.write_calls(), 1);
+  const std::vector<RuntimeMessage> got = ReadMessages(pair.server, 3);
+  ASSERT_EQ(got.size(), 3u);
+  for (std::size_t i = 0; i < got.size(); ++i) {
+    EXPECT_EQ(got[i].scalar, sent[i].scalar) << "frame " << i;
+    EXPECT_EQ(got[i].payload, sent[i].payload) << "frame " << i;
+  }
+  EXPECT_EQ(transport.transport_messages_sent(), 3);
+  EXPECT_EQ(transport.transport_bytes_sent(), framed_bytes);
+  EXPECT_EQ(transport.short_writes(), 0);
+  EXPECT_EQ(transport.send_queue_depth(), 0);
+  EXPECT_FALSE(transport.HasBacklog(kCoordinatorId));
+
+  // A flush with nothing queued makes no call.
+  transport.Flush();
+  EXPECT_EQ(transport.write_calls(), 1);
+}
+
+TEST(SocketTransportTest, FlushCutMidFrameResumesAtTheCutByteOnPollout) {
+  LoopbackPair pair;
+  ASSERT_TRUE(pair.Open());
+  int small = 4096;
+  ASSERT_EQ(::setsockopt(pair.client, SOL_SOCKET, SO_SNDBUF, &small,
+                         sizeof(small)),
+            0);
+  SocketTransport transport;
+  transport.RegisterPeer(0, pair.client);
+  // Three ~800 KiB frames, each far beyond what the small send buffer and
+  // an unread receive window hold together.
+  constexpr int kFrames = 3;
+  for (int i = 0; i < kFrames; ++i) {
+    RuntimeMessage message = MakeEstimate(0, static_cast<double>(i));
+    message.payload = Vector(100000, 0.25 * i);
+    transport.Send(message);
+  }
+
+  // Nobody reads: the flush's one call is cut inside the first frame, and
+  // the peer then waits for POLLOUT — a further flush skips it.
+  transport.Flush();
+  EXPECT_EQ(transport.write_calls(), 1);
+  EXPECT_EQ(transport.short_writes(), 1);
+  EXPECT_EQ(transport.transport_messages_sent(), 0);
+  EXPECT_EQ(transport.send_queue_depth(), kFrames);
+  EXPECT_TRUE(transport.HasBacklog(0));
+  transport.Flush();
+  EXPECT_EQ(transport.write_calls(), 1);
+
+  // Once the far end reads, each POLLOUT flush resumes at the byte the
+  // last one stopped at: every frame decodes whole and in order.
+  std::vector<RuntimeMessage> got;
+  std::thread reader([&] { got = ReadMessages(pair.server, kFrames); });
+  EXPECT_TRUE(transport.FlushBacklogs(/*timeout_ms=*/10000));
+  reader.join();
+  ASSERT_EQ(got.size(), static_cast<std::size_t>(kFrames));
+  for (int i = 0; i < kFrames; ++i) {
+    EXPECT_EQ(got[i].scalar, static_cast<double>(i)) << "frame " << i;
+    EXPECT_EQ(got[i].payload, Vector(100000, 0.25 * i)) << "frame " << i;
+  }
+  EXPECT_GE(transport.short_writes(), 1);
+  EXPECT_GT(transport.write_calls(), 1);
+  EXPECT_EQ(transport.transport_messages_sent(), kFrames);
+  EXPECT_EQ(transport.send_failures(), 0);
+}
+
+TEST(SocketTransportTest, QueuedBroadcastCostsOneWritePerPeerAndOneMessage) {
+  LoopbackPair pairs[3];
+  SocketTransport transport;
+  for (int site = 0; site < 3; ++site) {
+    ASSERT_TRUE(pairs[site].Open());
+    transport.RegisterPeer(site, pairs[site].client);
+  }
+  RuntimeMessage estimate = MakeEstimate(kBroadcastId, 1.5);
+  transport.Send(estimate);
+  transport.Flush();
+
+  EXPECT_EQ(transport.write_calls(), 3);
+  EXPECT_EQ(transport.messages_sent(), 1);
+  EXPECT_EQ(transport.transport_messages_sent(), 3);
+  for (LoopbackPair& pair : pairs) {
+    const std::vector<RuntimeMessage> got = ReadMessages(pair.server, 1);
+    ASSERT_EQ(got.size(), 1u);
+    EXPECT_EQ(got[0].scalar, 1.5);
+  }
 }
 
 }  // namespace

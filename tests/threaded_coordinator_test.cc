@@ -14,6 +14,7 @@
 #include <atomic>
 #include <chrono>
 #include <cstdint>
+#include <cstdio>
 #include <memory>
 #include <thread>
 #include <vector>
@@ -467,6 +468,74 @@ TEST(ThreadedCoordinatorTest, FramesSpeakOnlyForTheSiteTheirSessionHelloedAs) {
   EXPECT_EQ(telemetry.registry.GetCounter("socket.corrupt_frames")->value(),
             0);
   server.Shutdown();
+}
+
+TEST(ThreadedCoordinatorTest, QuietCycleWritesOncePerSite) {
+  // Constant vectors: zero drift keeps every g_i at 0, so a cycle draws no
+  // trial, no alarm and no grant, and only the session plane moves. The
+  // coordinator's kCycleBegin and the barrier behind it leave in one write
+  // per site; a site's heartbeat (every ⌈√N⌉ cycles) and its barrier ack
+  // leave in one write of its own.
+  constexpr int kQuietSites = 3;
+  constexpr int kQuietCycles = 100;
+  const L2Norm norm;
+  RuntimeConfig runtime;
+  runtime.threshold = 3.0;  // ‖v‖ = 1 never reaches it
+  CoordinatorServerConfig server_config;
+  server_config.num_sites = kQuietSites;
+  server_config.runtime = runtime;
+  CoordinatorServer server(norm, server_config);
+  ASSERT_TRUE(server.Listen());
+
+  std::vector<std::unique_ptr<SiteClient>> clients;
+  for (int id = 0; id < kQuietSites; ++id) {
+    SiteClientConfig config;
+    config.site_id = id;
+    config.num_sites = kQuietSites;
+    config.port = server.port();
+    config.runtime = runtime;
+    clients.push_back(std::make_unique<SiteClient>(norm, config));
+  }
+  std::atomic<bool> sites_ok{true};
+  std::vector<std::thread> sites;
+  for (int id = 0; id < kQuietSites; ++id) {
+    sites.emplace_back([id, &clients, &sites_ok] {
+      if (!clients[id]->Connect() ||
+          !clients[id]->Run([](long) { return Vector(4, 0.5); })) {
+        sites_ok.store(false);
+      }
+    });
+  }
+  ASSERT_TRUE(server.WaitForSites());
+  // The initialization sync and one warm-up cycle.
+  ASSERT_TRUE(server.RunCycle());
+  ASSERT_TRUE(server.RunCycle());
+  const long syncs = server.FullSyncs();
+  const long coordinator_before = server.transport().write_calls();
+  std::vector<long> site_before;
+  for (const auto& client : clients) {
+    site_before.push_back(client->transport().write_calls());
+  }
+  for (int cycle = 0; cycle < kQuietCycles; ++cycle) {
+    ASSERT_TRUE(server.RunCycle()) << "barrier timed out at cycle " << cycle;
+  }
+  const long coordinator_writes =
+      server.transport().write_calls() - coordinator_before;
+  // A site's count is printed, not gated: TCP may split the coordinator's
+  // one write across two recv()s, and the site then answers in two.
+  for (int id = 0; id < kQuietSites; ++id) {
+    std::printf("site %d: %ld write calls over %d quiet cycles\n", id,
+                clients[id]->transport().write_calls() - site_before[id],
+                kQuietCycles);
+  }
+  EXPECT_EQ(server.FullSyncs(), syncs);
+  EXPECT_EQ(server.PartialResolutions(), 0);
+  server.Shutdown();
+  for (std::thread& site : sites) site.join();
+  EXPECT_TRUE(sites_ok.load());
+  // The coordinator's writes follow its own loop steps alone: one per site
+  // per quiet cycle.
+  EXPECT_EQ(coordinator_writes, kQuietSites * kQuietCycles);
 }
 
 TEST(ThreadedCoordinatorTest, ShutdownWithoutCyclesIsClean) {
