@@ -40,8 +40,8 @@ struct CoordinatorServerConfig {
 
 /// The coordinator tier as a network service that runs on its caller's
 /// thread alone: one poll() loop accepts site connections, reads and
-/// dispatches their frames into a single CoordinatorNode, and flushes the
-/// SocketTransport backlogs, the same way SiteClient's loop serves a site.
+/// dispatches their frames into a single CoordinatorNode, and writes what
+/// the SocketTransport queued, the same way SiteClient's loop serves a site.
 /// WaitForSites(), RunCycle() and Shutdown() drive that loop; between those
 /// calls nothing reads the sockets, so site frames wait in the kernel.
 ///
@@ -51,7 +51,10 @@ struct CoordinatorServerConfig {
 /// runs the protocol node's cycle hook, then drives flush-barrier rounds
 /// until global quiescence: broadcast kBarrier(token), wait for every
 /// site's kBarrierAck, and check whether the coordinator put any new data
-/// frame on the wire since the barrier was issued. Because each stream is
+/// frame on the wire since the barrier was issued. kCycleBegin, whatever
+/// the hook sent and the first kBarrier are queued together and leave in
+/// one write per site, so a quiet cycle costs one round trip. Because each
+/// stream is
 /// FIFO, a site's barrier ack is ordered after its responses to everything
 /// the coordinator sent before the barrier — so a completed barrier with a
 /// stable data-frame counter means no protocol message is in flight in
@@ -65,9 +68,11 @@ struct CoordinatorServerConfig {
 /// CoordinatorNode, the barrier bookkeeping and the registration table, so
 /// that another thread (the /healthz ops endpoint) may call the getters
 /// mid-run. The loop takes it around dispatch and never holds it across
-/// poll(). No send blocks: SocketTransport writes
-/// with MSG_DONTWAIT and parks what the kernel does not take in a bounded
-/// per-peer backlog, so a stalled site backs up only its own backlog.
+/// poll(). No send blocks: SocketTransport::Send() only queues, the loop
+/// flushes before every poll() and before RunCycle() returns (one sendmsg
+/// per backlogged site, MSG_DONTWAIT), and what the kernel does not take
+/// waits in a bounded per-peer backlog for POLLOUT, so a stalled site backs
+/// up only its own backlog.
 ///
 /// Session-control frames (hello, barrier acks) are consumed here and
 /// never dispatched into the protocol node; every other frame goes straight
@@ -206,10 +211,10 @@ class CoordinatorServer {
   void PublishMetrics();
 
  private:
-  /// One step of the event loop: waits up to `timeout_ms` for the
-  /// listening socket, every session and every backlogged site, then
-  /// accepts, reads and dispatches, and flushes. Takes mu_ only around
-  /// dispatch.
+  /// One step of the event loop: flushes what the transport queued, waits
+  /// up to `timeout_ms` for the listening socket, every session and every
+  /// backlogged site, then accepts, resumes cut writes, reads and
+  /// dispatches. Takes mu_ only around dispatch.
   void PollOnce(int timeout_ms);
   /// Reads what `fd` has and dispatches every complete frame. Returns false
   /// when the session must end: EOF, a read error, a poisoned stream or a

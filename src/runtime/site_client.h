@@ -54,17 +54,19 @@ const char* SiteExitReasonName(SiteExitReason reason);
 
 /// One site process: a SiteNode over a SocketTransport connection to the
 /// coordinator, driven by a single-threaded poll loop (no locking — the
-/// site tier is naturally sequential: observe, respond, flush).
+/// site tier is naturally sequential: observe, respond, flush). The loop
+/// flushes before every poll(), so what one inbound batch draws (an alarm
+/// or heartbeat, the replies, the barrier ack) leaves in one write.
 ///
 /// The loop obeys the coordinator's session control plane:
 ///  * kCycleBegin → Observe(next_vector(cycle)) — the data is generated
 ///    locally (each process reconstructs its deterministic stream), only
 ///    protocol messages cross the wire, as in the real deployment shape.
 ///  * kBarrier → echo kBarrierAck. The node's responses to everything that
-///    preceded the barrier were sent during dispatch, written through or
-///    queued ahead of the ack in the same FIFO backlog, so the stream orders
-///    them before the ack — the flush guarantee the coordinator's
-///    quiescence detection builds on.
+///    preceded the barrier were queued during dispatch ahead of the ack in
+///    the same FIFO backlog (or already written), so the stream orders them
+///    before the ack — the flush guarantee the coordinator's quiescence
+///    detection builds on.
 ///  * kShutdown → clean exit.
 /// Every other frame from the coordinator goes straight to
 /// SiteNode::OnMessage: the stream delivers it once and in order, and the
