@@ -1,7 +1,8 @@
 // Transport scaling of the deployed runtime. The paper's claim is O(√N)
 // communication per cycle; this test fits how the faultless RuntimeDriver's
 // transport traffic — every message on the wire, acks and heartbeats
-// included — grows with N on the fleet calibration, and gates its exponent.
+// included — grows with N on the fleet calibration, and gates its exponent
+// and those of its acks and its liveness heartbeats.
 
 #include <cmath>
 #include <cstdint>
@@ -27,7 +28,17 @@ struct PerCycle {
   double transport = 0.0;
   double acks = 0.0;
   double paper = 0.0;
+  double heartbeats = 0.0;
 };
+
+/// Heartbeats the driver's sites have sent so far.
+long HeartbeatsSent(RuntimeDriver& driver) {
+  long total = 0;
+  for (int i = 0; i < driver.num_sites(); ++i) {
+    total += driver.site(i).audit().heartbeats_sent;
+  }
+  return total;
+}
 
 /// The fleet calibration (Jester-like L∞, window 50, 8 buckets, T = 20, no
 /// global mood shifts) at N sites. Each site seeds a quirk at a fixed rate
@@ -59,6 +70,7 @@ PerCycle RunFleet(int num_sites, std::uint64_t seed) {
   const long transport = bus.transport_messages_sent();
   const long acks = driver.reliable_transport().stats().acks_sent;
   const long paper = bus.messages_sent();
+  const long heartbeats = HeartbeatsSent(driver);
   for (int t = 0; t < kCycles; ++t) {
     source.Advance(&locals);
     driver.Tick(locals);
@@ -70,6 +82,8 @@ PerCycle RunFleet(int num_sites, std::uint64_t seed) {
                  driver.reliable_transport().stats().acks_sent - acks) /
              kCycles;
   out.paper = static_cast<double>(bus.messages_sent() - paper) / kCycles;
+  out.heartbeats =
+      static_cast<double>(HeartbeatsSent(driver) - heartbeats) / kCycles;
   return out;
 }
 
@@ -98,24 +112,35 @@ TEST(TransportScalingTest, FaultlessTransportGrowsAsSqrtN) {
   std::vector<double> transport;
   std::vector<double> acks;
   std::vector<double> paper;
+  std::vector<double> heartbeats;
   for (const int n : {128, 512, 2048}) {
     const PerCycle per_cycle = RunFleet(n, /*seed=*/1);
     std::printf(
-        "N=%d: transport %.2f, acks %.2f, paper %.2f messages per cycle\n", n,
-        per_cycle.transport, per_cycle.acks, per_cycle.paper);
+        "N=%d: transport %.2f, acks %.2f, paper %.2f, heartbeats %.2f "
+        "messages per cycle\n",
+        n, per_cycle.transport, per_cycle.acks, per_cycle.paper,
+        per_cycle.heartbeats);
     sites.push_back(n);
     transport.push_back(per_cycle.transport);
     acks.push_back(per_cycle.acks);
     paper.push_back(per_cycle.paper);
+    heartbeats.push_back(per_cycle.heartbeats);
   }
   const double transport_exponent = Exponent(sites, transport);
   const double ack_exponent = Exponent(sites, acks);
-  std::printf("exponents in N: transport %.3f, acks %.3f, paper %.3f\n",
-              transport_exponent, ack_exponent, Exponent(sites, paper));
+  const double heartbeat_exponent = Exponent(sites, heartbeats);
+  std::printf(
+      "exponents in N: transport %.3f, acks %.3f, paper %.3f, heartbeats "
+      "%.3f\n",
+      transport_exponent, ack_exponent, Exponent(sites, paper),
+      heartbeat_exponent);
   // Per-site acks of every broadcast copy would make both grow about
   // linearly in N; the paper's √N is 0.5.
   EXPECT_LE(transport_exponent, 0.6);
   EXPECT_LE(ack_exponent, 0.6);
+  // A beat every ⌈√N⌉ cycles per site is N/⌈√N⌉ beats per cycle; a beat
+  // every cycle would be N.
+  EXPECT_LE(heartbeat_exponent, 0.6);
 }
 
 }  // namespace

@@ -8,7 +8,8 @@
 //   sgm_monitor --workload=csv --csv=trace.csv --function=l2 \
 //               --protocol=gm --threshold=4
 //
-// Flags (all optional unless noted):
+// Flags (all optional unless noted; every number must parse whole and in
+// range, or the tool exits 2 before it simulates, listens or dials):
 //   --workload   jester | reuters | synthetic | csv      [jester]
 //   --csv        path for --workload=csv (cycle,site,x... rows)
 //   --function   linf | jd | sj | l2 | chi2 | stdev | entropy  [linf]
@@ -21,7 +22,8 @@
 //   --trace      write the structured protocol trace (JSONL)
 //   --metrics-out  write the metric-registry snapshot JSON
 //
-// Daemon modes (the real-process socket runtime; see docs/RUNTIME.md):
+// Daemon modes (the real-process socket runtime; see docs/RUNTIME.md). They
+// run SGM and refuse any other --protocol:
 //
 //   # coordinator service on loopback TCP
 //   sgm_monitor --listen=7450 --sites=4 --workload=synthetic \
@@ -90,12 +92,14 @@
 // locally, only protocol messages cross the wire.
 
 #include <cctype>
+#include <cerrno>
 #include <cmath>
 #include <csignal>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
+#include <limits>
 #include <map>
 #include <memory>
 #include <sstream>
@@ -131,6 +135,9 @@
 
 namespace sgm {
 namespace {
+
+/// Largest TCP port, the bound of --listen and --http-port.
+constexpr unsigned long long kMaxPort = 65535;
 
 struct Flags {
   std::string workload = "jester";
@@ -182,6 +189,30 @@ bool ParseFinite(const std::string& text, double* out) {
   return true;
 }
 
+// Parses all of `value` as a decimal integer in [min, max] into *out, or
+// says why --`key` is refused. std::atoi would read "4x" as 4 and "abc" as 0,
+// and std::strtoull would wrap "-1" to 2^64 - 1. No integer flag is signed.
+template <typename T>
+bool ParseInteger(const std::string& key, const std::string& value,
+                  unsigned long long min, T* out,
+                  unsigned long long max = std::numeric_limits<T>::max()) {
+  unsigned long long parsed = 0;
+  bool ok = !value.empty() && value.find_first_not_of("0123456789") ==
+                                  std::string::npos;
+  if (ok) {
+    errno = 0;
+    parsed = std::strtoull(value.c_str(), nullptr, 10);
+    ok = errno != ERANGE && parsed >= min && parsed <= max;
+  }
+  if (!ok) {
+    std::fprintf(stderr, "invalid --%s=%s: not an integer in [%llu, %llu]\n",
+                 key.c_str(), value.c_str(), min, max);
+    return false;
+  }
+  *out = static_cast<T>(parsed);
+  return true;
+}
+
 bool ParseFlags(int argc, char** argv, Flags* flags) {
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
@@ -210,7 +241,7 @@ bool ParseFlags(int argc, char** argv, Flags* flags) {
     } else if (key == "protocol") {
       flags->protocol = value;
     } else if (key == "sites") {
-      flags->sites = std::atoi(value.c_str());
+      if (!ParseInteger(key, value, 1, &flags->sites)) return false;
     } else if (key == "threshold") {
       if (!ParseFinite(value, &flags->threshold)) {
         std::fprintf(stderr, "invalid --threshold=%s: not a finite number\n",
@@ -227,17 +258,19 @@ bool ParseFlags(int argc, char** argv, Flags* flags) {
         return false;
       }
     } else if (key == "cycles") {
-      flags->cycles = std::atol(value.c_str());
+      if (!ParseInteger(key, value, 0, &flags->cycles)) return false;
     } else if (key == "seed") {
-      flags->seed = std::strtoull(value.c_str(), nullptr, 10);
+      if (!ParseInteger(key, value, 0, &flags->seed)) return false;
     } else if (key == "trace") {
       flags->trace_out = value;
     } else if (key == "metrics-out") {
       flags->metrics_out = value;
     } else if (key == "listen") {
-      flags->listen_port = std::atoi(value.c_str());
+      if (!ParseInteger(key, value, 0, &flags->listen_port, kMaxPort)) {
+        return false;
+      }
     } else if (key == "site") {
-      flags->site_id = std::atoi(value.c_str());
+      if (!ParseInteger(key, value, 0, &flags->site_id)) return false;
     } else if (key == "connect") {
       flags->connect = value;
     } else if (key == "prom-out") {
@@ -245,27 +278,43 @@ bool ParseFlags(int argc, char** argv, Flags* flags) {
     } else if (key == "series-out") {
       flags->series_out = value;
     } else if (key == "barrier-deadline-ms") {
-      flags->barrier_deadline_ms = std::atol(value.c_str());
+      if (!ParseInteger(key, value, 0, &flags->barrier_deadline_ms)) {
+        return false;
+      }
     } else if (key == "lagging-misses") {
-      flags->lagging_misses = std::atoi(value.c_str());
+      if (!ParseInteger(key, value, 1, &flags->lagging_misses)) return false;
     } else if (key == "checkpoint-dir") {
       flags->checkpoint_dir = value;
     } else if (key == "recover") {
       flags->recover = value != "0" && value != "false";
     } else if (key == "connect-attempts") {
-      flags->socket_retry.max_attempts = std::atoi(value.c_str());
+      if (!ParseInteger(key, value, 1, &flags->socket_retry.max_attempts)) {
+        return false;
+      }
     } else if (key == "connect-base-ms") {
-      flags->socket_retry.base_backoff_ms = std::atol(value.c_str());
+      if (!ParseInteger(key, value, 0, &flags->socket_retry.base_backoff_ms)) {
+        return false;
+      }
     } else if (key == "connect-max-ms") {
-      flags->socket_retry.max_backoff_ms = std::atol(value.c_str());
+      if (!ParseInteger(key, value, 0, &flags->socket_retry.max_backoff_ms)) {
+        return false;
+      }
     } else if (key == "max-reconnects") {
-      flags->max_reconnects = std::atoi(value.c_str());
+      if (!ParseInteger(key, value, 0, &flags->max_reconnects)) return false;
     } else if (key == "http-port") {
-      flags->http_port = std::atoi(value.c_str());
+      if (!ParseInteger(key, value, 0, &flags->http_port, kMaxPort)) {
+        return false;
+      }
     } else if (key == "alerts-out") {
       flags->alerts_out = value;
     } else if (key == "trace-sample") {
-      flags->trace_sample = std::atof(value.c_str());
+      if (!ParseFinite(value, &flags->trace_sample) ||
+          flags->trace_sample < 0.0 || flags->trace_sample > 1.0) {
+        std::fprintf(stderr,
+                     "invalid --trace-sample=%s: not a number in [0, 1]\n",
+                     value.c_str());
+        return false;
+      }
     } else if (key == "flight-dump") {
       flags->flight_dump = value;
     } else {
@@ -275,6 +324,14 @@ bool ParseFlags(int argc, char** argv, Flags* flags) {
   }
   if (!flags->threshold_set) {
     std::fprintf(stderr, "--threshold is required\n");
+    return false;
+  }
+  // The socket runtime runs SGM alone; any other protocol would be ignored.
+  if ((flags->listen_port >= 0 || flags->site_id >= 0) &&
+      flags->protocol != "sgm") {
+    std::fprintf(stderr,
+                 "invalid --protocol=%s: the daemon modes run sgm only\n",
+                 flags->protocol.c_str());
     return false;
   }
   return true;
@@ -436,8 +493,8 @@ int ParseConnectPort(const std::string& endpoint) {
       return -1;
     }
   }
-  const int port = std::atoi(port_str.c_str());
-  return port > 0 ? port : -1;
+  int port = -1;
+  return ParseInteger("connect", port_str, 1, &port, kMaxPort) ? port : -1;
 }
 
 /// Rewrites the Prometheus textfile atomically (write-then-rename), so a
