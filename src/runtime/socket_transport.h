@@ -95,21 +95,19 @@ int ConnectTcpLoopbackWithRetry(int port, const SocketRetryConfig& retry,
 /// Transport implementation over connected TCP sockets, with one write
 /// path. Send() only queues: it encodes the message (wire format v4),
 /// prepends the u32 length prefix and appends the frame to its peer's FIFO
-/// backlog. Flush() is the write: each backlogged peer's queued frames leave
-/// in one sendmsg() over an iovec of them, with MSG_DONTWAIT. The owner's
-/// poll loop calls Flush() once per loop step, before it blocks, so what a
-/// step's dispatch sent to a peer (a site's replies and its barrier ack; the
-/// coordinator's kCycleBegin, its hook's traffic and the barrier behind
-/// them) shares one write per peer. Whatever the kernel does not take
-/// (EAGAIN, or a write cut mid-frame) waits in the backlog, and that peer is
-/// skipped by Flush() until the owner's poll loop finds its fd writable and
-/// calls FlushBacklog(), which resumes at the exact byte. Nothing blocks: a
-/// stalled peer backs up only its own backlog, and a backlog that reaches
-/// kMaxBacklogFrames drops the peer exactly as a write error does. TCP
-/// cannot lose bytes on a healthy connection, so either means the peer is
-/// gone or wedged. Dropping a peer shuts its stream down, so the session
-/// layer reads EOF and ends the session (the site redials and rejoins):
-/// once a frame is lost, the stream must not go on as if it were whole.
+/// backlog. Flush() writes: one sendmsg() per backlogged peer over an iovec
+/// of its queued frames, with MSG_DONTWAIT. The owner's poll loop calls it
+/// once per step, before it blocks, so what one step sends a peer leaves in
+/// one write. What the kernel does not take (EAGAIN, or a write cut
+/// mid-frame) waits in the backlog; Flush() skips that peer until the
+/// owner's poll loop finds its fd writable and calls FlushBacklog(), which
+/// resumes at the exact byte. Nothing blocks: a stalled peer backs up only
+/// its own backlog, and a backlog that reaches kMaxBacklogFrames drops the
+/// peer exactly as a write error does. TCP cannot lose bytes on a healthy
+/// connection, so either means the peer is gone or wedged. Dropping a peer
+/// shuts its stream down, so the session layer reads EOF and ends the
+/// session (the site redials and rejoins): once a frame is lost, the stream
+/// must not go on as if it were whole.
 ///
 /// Per-peer FIFO order holds across the backlog and every write, so a
 /// site's barrier ack still follows every frame it sent before it — the
@@ -138,7 +136,6 @@ int ConnectTcpLoopbackWithRetry(int port, const SocketRetryConfig& retry,
 ///    back — everything except session control (and transport acks, which
 ///    no socket node sends). The coordinator's barrier loop snapshots this
 ///    to detect induced traffic.
-///  * write_calls: sendmsg() calls, whatever they wrote.
 class SocketTransport final : public Transport {
  public:
   /// Frames one peer's backlog holds; a Send() beyond it drops the peer.
@@ -182,7 +179,8 @@ class SocketTransport final : public Transport {
   /// Writes that stopped mid-frame on a full kernel buffer; the rest of
   /// the frame waited in the backlog.
   long short_writes() const;
-  /// sendmsg() calls made, one per peer per flush that found frames.
+  /// sendmsg() calls made, whatever they wrote: one per backlogged peer
+  /// per flush.
   long write_calls() const;
   /// Frames waiting across all backlogs.
   long send_queue_depth() const;

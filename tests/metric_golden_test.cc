@@ -1,8 +1,9 @@
 // Pins what each deployment tier publishes: counter and gauge names and
 // values (wall-clock rows excluded) after seeded RuntimeDriver runs, and the
-// CoordinatorServer's and a SiteClient's metric name sets. The goldens were captured from the
-// two tiers' separate publishers, before they shared one; a difference means
-// a tier now publishes another metric set or another value.
+// CoordinatorServer's and a SiteClient's metric name sets. The goldens were
+// captured from the two tiers' separate publishers, before they shared one;
+// a difference means a tier now publishes another metric set or another
+// value.
 
 #include <gtest/gtest.h>
 
