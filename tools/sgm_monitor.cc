@@ -482,6 +482,7 @@ void ArmFlightRecorder(const Flags& flags, Telemetry* telemetry,
 /// Parses "--connect=[host:]port". Only loopback is supported, so the host
 /// part (if any) is validated away rather than resolved.
 int ParseConnectPort(const std::string& endpoint) {
+  if (endpoint.empty()) return -1;  // no --connect: the caller says so
   const auto colon = endpoint.rfind(':');
   const std::string port_str =
       colon == std::string::npos ? endpoint : endpoint.substr(colon + 1);
