@@ -223,7 +223,7 @@ class SocketTransport final : public Transport {
   long short_writes_ = 0;
   long write_calls_ = 0;
   long send_queue_drops_ = 0;
-  /// FlushLocked's iovec scratch, reused across calls.
+  /// FlushLocked's iovec array, reused across calls.
   std::vector<iovec> iov_;
 };
 
