@@ -251,8 +251,8 @@ bool CoordinatorServer::HandleFrame(int fd, const RuntimeMessage& message) {
     return true;
   }
   if (message.type == RuntimeMessage::Type::kBarrierAck) {
+    // A void round's ack names an old token and is ignored.
     if (WireCount(message.scalar) == barrier_token_) {
-      ++barrier_acks_;
       barrier_acked_[message.from] = true;
     }
     return true;
@@ -315,14 +315,14 @@ int CoordinatorServer::ConnectedCountLocked() const {
 }
 
 bool CoordinatorServer::BarrierAckPendingLocked() const {
-  if (config_.barrier_deadline_ms <= 0) {
-    return barrier_acks_ < ConnectedCountLocked();
-  }
+  const bool soft_deadline = config_.barrier_deadline_ms > 0;
   const FailureDetector& fd = coordinator_->failure_detector();
   for (int site = 0; site < config_.num_sites; ++site) {
-    if (!connected_[site]) continue;
-    if (fd.state(site) == FailureDetector::State::kLagging) continue;
-    if (!barrier_acked_[site]) return true;
+    if (!connected_[site] || barrier_acked_[site]) continue;
+    if (soft_deadline && fd.state(site) == FailureDetector::State::kLagging) {
+      continue;
+    }
+    return true;
   }
   return false;
 }
@@ -364,10 +364,9 @@ bool CoordinatorServer::AwaitQuiescence() {
   std::unique_lock<std::mutex> lock(mu_);
   for (;;) {
     if (std::chrono::steady_clock::now() >= deadline) return false;
-    const long snapshot = transport_.data_frames_sent();
+    const long snapshot = transport_.reply_drawing_frames_sent();
     const long topology = topology_version_;
     const long token = ++barrier_token_;
-    barrier_acks_ = 0;
     std::fill(barrier_acked_.begin(), barrier_acked_.end(), false);
     RuntimeMessage barrier;
     barrier.type = RuntimeMessage::Type::kBarrier;
@@ -398,6 +397,10 @@ bool CoordinatorServer::AwaitQuiescence() {
         continue;  // quarantines may have emptied the pending population
       }
       if (expired) break;  // proceed over the responsive quorum
+      // A frame that can draw a reply voids the round at once: its reply
+      // may follow this round's acks. The next barrier is queued right
+      // behind it, so both reach each site in one write.
+      if (transport_.reply_drawing_frames_sent() != snapshot) break;
       // One event-loop step with mu_ released.
       lock.unlock();
       PollOnce(kPollSliceMs);
@@ -412,12 +415,14 @@ bool CoordinatorServer::AwaitQuiescence() {
       // now excludes the quarantined laggards.
       coordinator_->OnQuiescent();
     } else {
-      // Every connected site has flushed. If we put new data frames on the
-      // wire since the barrier went out (responses to late arrivals), their
-      // induced replies may still be in flight — flush again.
-      if (transport_.data_frames_sent() != snapshot) continue;
+      // Every connected site has flushed. If a frame that can draw a reply
+      // was queued since the barrier (a probe for an alarm, a grant for a
+      // rejoin request), its reply may still be owed — barrier again.
+      // kResolved and kNewEstimate owe no round: they leave in RunCycle()'s
+      // final flush, ahead of the next kCycleBegin on every stream.
+      if (transport_.reply_drawing_frames_sent() != snapshot) continue;
       coordinator_->OnQuiescent();
-      if (transport_.data_frames_sent() != snapshot) continue;
+      if (transport_.reply_drawing_frames_sent() != snapshot) continue;
       if (soft_deadline) {
         // A clean close within the deadline resets every responsive
         // site's consecutive-miss count.
@@ -627,6 +632,8 @@ MetricRows<CoordinatorServer> CoordinatorServer::SocketRows() {
        [](const Server& s) { return s.site_disconnects_; }},
       {"socket.site_rehellos",
        [](const Server& s) { return s.site_rehellos_; }},
+      {"socket.barrier_rounds",
+       [](const Server& s) { return s.barrier_token_; }},
   };
   static constexpr MetricRows<Server>::GaugeRow kGauges[] = {
       {"transport.paper_bytes",

@@ -50,18 +50,25 @@ struct CoordinatorServerConfig {
 /// sockets. It broadcasts kCycleBegin (sites observe their next vector),
 /// runs the protocol node's cycle hook, then drives flush-barrier rounds
 /// until global quiescence: broadcast kBarrier(token), wait for every
-/// site's kBarrierAck, and check whether the coordinator put any new data
-/// frame on the wire since the barrier was issued. kCycleBegin, whatever
-/// the hook sent and the first kBarrier are queued together and leave in
-/// one write per site, so a quiet cycle costs one round trip. Because each
-/// stream is
-/// FIFO, a site's barrier ack is ordered after its responses to everything
-/// the coordinator sent before the barrier — so a completed barrier with a
-/// stable data-frame counter means no protocol message is in flight in
-/// either direction. That is exactly the sim driver's quiescence point, at
-/// which OnQuiescent() fires; if it emits traffic, another barrier round
-/// settles it. Cascades are finite (every round's traffic is bounded), so
-/// the loop terminates.
+/// site's kBarrierAck, and check whether the coordinator queued a frame
+/// that can draw a reply (RuntimeMessage::DrawsNoReply) since the barrier
+/// was issued. kCycleBegin, whatever the hook sent and the first kBarrier
+/// are queued together and leave in one write per site, so a quiet cycle
+/// costs one round trip. Because each stream is FIFO, a site's barrier ack
+/// is ordered after its responses to everything the coordinator sent
+/// before the barrier — so a completed barrier with no reply-drawing frame
+/// queued since means no reply is owed in either direction. That is
+/// exactly the sim driver's quiescence point, at which OnQuiescent() fires.
+/// A round is owed only for frames that can draw a reply:
+///  * kResolved and kNewEstimate end their cascade and owe none; they leave
+///    in RunCycle()'s final flush, ahead of the next kCycleBegin on every
+///    stream, so each site applies them before it observes again;
+///  * a reply-drawing frame queued while a round still waits for acks (the
+///    probe an alarm draws) voids that round at once, and the next barrier
+///    is queued right behind the frame, so both leave in one write.
+/// A partial sync thus costs two rounds and an escalated full sync three.
+/// Cascades are finite (every round's traffic is bounded), so the loop
+/// terminates.
 ///
 /// ── Threading model ────────────────────────────────────────────────────
 /// The coordinator starts no thread. One mutex (mu_) guards the
@@ -236,9 +243,11 @@ class CoordinatorServer {
   void BroadcastControl(RuntimeMessage::Type type, double scalar);
   int ConnectedCountLocked() const;
   /// True while some barrier-population site has not acked the current
-  /// token. Without a deadline the population is every connected site;
-  /// under one, connected sites quarantined as kLagging are excluded
-  /// (their late acks are welcome but never waited for). Caller holds mu_.
+  /// token, read from the per-site flags (so a duplicate ack cannot stand
+  /// in for a silent site). Without a deadline the population is every
+  /// connected site; under one, connected sites quarantined as kLagging are
+  /// excluded (their late acks are welcome but never waited for). Caller
+  /// holds mu_.
   bool BarrierAckPendingLocked() const;
   /// Soft-deadline expiry: acked population sites reset their miss count,
   /// silent ones accrue a miss (consecutive misses quarantine), and the
@@ -248,8 +257,8 @@ class CoordinatorServer {
   /// Shared teardown of Shutdown()/Halt(): a bounded backlog flush, then
   /// every session and the listening socket closed.
   void CloseSessions();
-  /// The server's own metric rows (paper accounting, sessions and the
-  /// send queue), read under mu_.
+  /// The server's own metric rows (paper accounting, sessions, barrier
+  /// rounds and the send queue), read under mu_.
   static MetricRows<CoordinatorServer> SocketRows();
 
   CoordinatorServerConfig config_;
@@ -282,10 +291,9 @@ class CoordinatorServer {
   long site_disconnects_ = 0;
   long site_rehellos_ = 0;
   int hellos_ = 0;
+  /// Barrier tokens issued, one per round (`socket.barrier_rounds`).
   long barrier_token_ = 0;
-  int barrier_acks_ = 0;
-  /// Which sites acked the current barrier token (the deadline path judges
-  /// per-site responsiveness; the count alone cannot).
+  /// Which sites acked the current barrier token.
   std::vector<bool> barrier_acked_;
   /// Wall time each AwaitQuiescence spent, in ms (nullptr without
   /// telemetry). Metrics only — wall time never feeds the trace.

@@ -179,6 +179,17 @@ struct RuntimeMessage {
   }
   bool is_session_control() const { return IsSessionControl(type); }
 
+  /// Frames that owe the socket tier's quiescence barrier no round
+  /// (DESIGN.md §11.3): session control (a kCycleBegin always leaves with a
+  /// barrier, and a barrier's ack is what its round waits for), transport
+  /// acks, and the two broadcasts that end a sync cascade, kResolved and
+  /// kNewEstimate, which a site on a gap-free session applies without a
+  /// word. Any other frame can draw a reply.
+  static bool DrawsNoReply(Type type) {
+    return type == Type::kResolved || type == Type::kNewEstimate ||
+           type == Type::kAck || IsSessionControl(type);
+  }
+
   /// True when this transmission counts toward the paper-comparable
   /// communication figures (original protocol data, first transmission).
   bool counts_as_protocol_traffic() const {

@@ -33,6 +33,8 @@ constexpr MetricRows<SocketTransport>::CounterRow kSocketCounters[] = {
      [](const SocketTransport& t) { return t.send_queue_drops(); }},
     {"socket.write_calls",
      [](const SocketTransport& t) { return t.write_calls(); }},
+    {"socket.session_frames",
+     [](const SocketTransport& t) { return t.session_frames_sent(); }},
 };
 constexpr MetricRows<SocketTransport>::GaugeRow kSocketGauges[] = {
     {"transport.total_bytes",

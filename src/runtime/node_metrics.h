@@ -17,8 +17,9 @@ struct Telemetry;
 MetricRows<SiteNode::AuditStats> SiteAuditRows();
 
 /// A SocketTransport's write-side rows, the same in both daemon roles:
-/// `transport.total_messages`, `transport.total_bytes` and the `socket.*`
-/// send health (failures, short writes, queue drops, write calls).
+/// `transport.total_messages`, `transport.total_bytes`, the session-control
+/// frames among them (`socket.session_frames`) and the `socket.*` send
+/// health (failures, short writes, queue drops, write calls).
 MetricRows<SocketTransport> SocketTransportRows();
 
 /// The node-level metric publisher RuntimeDriver and CoordinatorServer

@@ -209,8 +209,8 @@ bool SocketTransport::FlushBacklogs(long timeout_ms) {
 }
 
 void SocketTransport::EnqueueLocked(std::map<int, Peer>::iterator peer,
-                                    const std::vector<std::uint8_t>& frame) {
-  std::deque<std::vector<std::uint8_t>>& backlog = peer->second.backlog;
+                                    const Frame& frame) {
+  std::deque<Frame>& backlog = peer->second.backlog;
   if (backlog.size() >= kMaxBacklogFrames) {
     // The peer has not taken a full backlog's worth of frames: it is
     // stalled. Dropping it (not blocking) keeps every other peer served.
@@ -241,7 +241,7 @@ void SocketTransport::FlushLocked(std::map<int, Peer>::iterator peer) {
     iov_.resize(count);
     std::size_t offered = 0;
     for (std::size_t i = 0; i < count; ++i) {
-      std::vector<std::uint8_t>& frame = state.backlog[i];
+      std::vector<std::uint8_t>& frame = state.backlog[i].bytes;
       const std::size_t skip = i == 0 ? state.head_offset : 0;
       iov_[i] = iovec{frame.data() + skip, frame.size() - skip};
       offered += frame.size() - skip;
@@ -267,8 +267,8 @@ void SocketTransport::FlushLocked(std::map<int, Peer>::iterator peer) {
     // written prefix as its offset.
     std::size_t left = static_cast<std::size_t>(n);
     while (left > 0) {
-      const std::vector<std::uint8_t>& head = state.backlog.front();
-      const std::size_t rest = head.size() - state.head_offset;
+      const Frame& head = state.backlog.front();
+      const std::size_t rest = head.bytes.size() - state.head_offset;
       if (left < rest) {
         state.head_offset += left;
         ++short_writes_;
@@ -276,7 +276,8 @@ void SocketTransport::FlushLocked(std::map<int, Peer>::iterator peer) {
       }
       left -= rest;
       ++transport_messages_sent_;
-      transport_bytes_sent_ += static_cast<double>(head.size());
+      transport_bytes_sent_ += static_cast<double>(head.bytes.size());
+      if (head.session) ++session_frames_sent_;
       state.backlog.pop_front();
       state.head_offset = 0;
     }
@@ -290,12 +291,13 @@ void SocketTransport::FlushLocked(std::map<int, Peer>::iterator peer) {
 
 void SocketTransport::Send(const RuntimeMessage& message) {
   std::vector<std::uint8_t> encoded = EncodeMessage(message);
-  std::vector<std::uint8_t> frame;
-  frame.reserve(sizeof(std::uint32_t) + encoded.size());
+  Frame frame;
+  frame.session = message.is_session_control();
+  frame.bytes.reserve(sizeof(std::uint32_t) + encoded.size());
   const std::uint32_t length = static_cast<std::uint32_t>(encoded.size());
-  frame.resize(sizeof(length));
-  std::memcpy(frame.data(), &length, sizeof(length));
-  frame.insert(frame.end(), encoded.begin(), encoded.end());
+  frame.bytes.resize(sizeof(length));
+  std::memcpy(frame.bytes.data(), &length, sizeof(length));
+  frame.bytes.insert(frame.bytes.end(), encoded.begin(), encoded.end());
 
   std::lock_guard<std::mutex> lock(mu_);
   if (message.counts_as_protocol_traffic()) {
@@ -303,11 +305,10 @@ void SocketTransport::Send(const RuntimeMessage& message) {
     if (message.from != kCoordinatorId) ++site_messages_sent_;
     bytes_sent_ += WireBytes(message);
   }
-  if (!message.is_session_control() &&
-      message.type != RuntimeMessage::Type::kAck) {
-    // Anything the receiver might answer (requests, reports, grants, even
-    // retransmissions of them) — the barrier loop watches this counter.
-    ++data_frames_sent_;
+  if (!RuntimeMessage::DrawsNoReply(message.type)) {
+    // Anything the receiver might answer (requests, reports, grants): the
+    // barrier loop owes such a frame a round.
+    ++reply_drawing_frames_sent_;
   }
   if (message.to == kBroadcastId) {
     for (auto it = peers_.begin(); it != peers_.end();) {
@@ -351,9 +352,14 @@ double SocketTransport::transport_bytes_sent() const {
   return transport_bytes_sent_;
 }
 
-long SocketTransport::data_frames_sent() const {
+long SocketTransport::reply_drawing_frames_sent() const {
   std::lock_guard<std::mutex> lock(mu_);
-  return data_frames_sent_;
+  return reply_drawing_frames_sent_;
+}
+
+long SocketTransport::session_frames_sent() const {
+  std::lock_guard<std::mutex> lock(mu_);
+  return session_frames_sent_;
 }
 
 long SocketTransport::send_failures() const {

@@ -132,10 +132,13 @@ int ConnectTcpLoopbackWithRetry(int port, const SocketRetryConfig& retry,
 ///  * transport totals (transport_messages_sent / transport_bytes_sent):
 ///    frames fully written per fd, actual encoded bytes + 4-byte prefix,
 ///    counted when the last byte reaches the kernel.
-///  * data_frames_sent: logical sends that can make the *receiver* talk
-///    back — everything except session control (and transport acks, which
-///    no socket node sends). The coordinator's barrier loop snapshots this
-///    to detect induced traffic.
+///  * reply_drawing_frames_sent: logical sends that can make the
+///    *receiver* talk back, which is every frame but those
+///    RuntimeMessage::DrawsNoReply names (session control, acks, kResolved
+///    and kNewEstimate). The coordinator's barrier loop owes a round only
+///    when this counter moves (DESIGN.md §11.3).
+///  * session_frames_sent: session-control frames fully written per fd,
+///    counted like the transport totals.
 class SocketTransport final : public Transport {
  public:
   /// Frames one peer's backlog holds; a Send() beyond it drops the peer.
@@ -174,7 +177,8 @@ class SocketTransport final : public Transport {
   double bytes_sent() const;
   long transport_messages_sent() const;
   double transport_bytes_sent() const;
-  long data_frames_sent() const;
+  long reply_drawing_frames_sent() const;
+  long session_frames_sent() const;
   long send_failures() const;
   /// Writes that stopped mid-frame on a full kernel buffer; the rest of
   /// the frame waited in the backlog.
@@ -188,20 +192,25 @@ class SocketTransport final : public Transport {
   long send_queue_drops() const;
 
  private:
+  /// One length-prefixed encoded frame, and whether it is session control
+  /// (for session_frames_sent, counted when its last byte is written).
+  struct Frame {
+    std::vector<std::uint8_t> bytes;
+    bool session = false;
+  };
   /// One peer's connection and outbound backlog. `head_offset` is the
   /// already-written prefix of the head frame; `blocked` marks a peer whose
   /// last write the kernel cut short, which waits for POLLOUT.
   struct Peer {
     int fd = -1;
-    std::deque<std::vector<std::uint8_t>> backlog;
+    std::deque<Frame> backlog;
     std::size_t head_offset = 0;
     bool blocked = false;
   };
 
   /// Appends `frame` to `peer`'s backlog; overflow drops the peer. Caller
   /// holds mu_.
-  void EnqueueLocked(std::map<int, Peer>::iterator peer,
-                     const std::vector<std::uint8_t>& frame);
+  void EnqueueLocked(std::map<int, Peer>::iterator peer, const Frame& frame);
   /// Writes the backlog, head first, in one sendmsg() per IOV_MAX frames
   /// until it empties or the kernel takes less than it was offered (the
   /// peer then waits for POLLOUT); a write error drops the peer. Caller
@@ -218,7 +227,8 @@ class SocketTransport final : public Transport {
   double bytes_sent_ = 0.0;
   long transport_messages_sent_ = 0;
   double transport_bytes_sent_ = 0.0;
-  long data_frames_sent_ = 0;
+  long reply_drawing_frames_sent_ = 0;
+  long session_frames_sent_ = 0;
   long send_failures_ = 0;
   long short_writes_ = 0;
   long write_calls_ = 0;

@@ -189,9 +189,11 @@ counter recovery.snapshots_written
 counter recovery.torn_wal_bytes
 counter recovery.wal_records
 counter recovery.wal_records_replayed
+counter socket.barrier_rounds
 counter socket.corrupt_frames
 counter socket.send_failures
 counter socket.send_queue_drops
+counter socket.session_frames
 counter socket.short_writes
 counter socket.site_disconnects
 counter socket.site_rehellos
@@ -268,6 +270,7 @@ counter site.stale_epoch_applied
 counter site.stale_epoch_drops
 counter socket.send_failures
 counter socket.send_queue_drops
+counter socket.session_frames
 counter socket.short_writes
 counter socket.write_calls
 counter transport.total_messages
@@ -364,6 +367,10 @@ TEST(MetricGoldenTest, SiteClientPublishesItsCountersUnderTheDriversNames) {
   EXPECT_GT(client->transport().write_calls(), 0);
   EXPECT_EQ(registry.GetCounter("transport.total_messages")->value(),
             client->transport().transport_messages_sent());
+  // The site's session frames are its hello and its barrier acks.
+  EXPECT_EQ(registry.GetCounter("socket.session_frames")->value(),
+            client->transport().session_frames_sent());
+  EXPECT_GT(client->transport().session_frames_sent(), 0);
   EXPECT_EQ(registry.GetCounter("site.reconnects")->value(), 0);
 }
 

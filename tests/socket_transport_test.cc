@@ -16,6 +16,7 @@
 #include <cerrno>
 #include <chrono>
 #include <cstring>
+#include <iterator>
 #include <thread>
 #include <vector>
 
@@ -177,10 +178,20 @@ struct LoopbackPair {
   int client = -1;
   int server = -1;
 
-  bool Open() {
+  // A positive `server_rcvbuf` sizes the accepted side's receive buffer.
+  // It is set on the listening socket before connect(), so the accepted
+  // socket inherits it and advertises a window that fits it; shrinking the
+  // buffer of a live connection below its advertised window makes the
+  // kernel drop segments, and the transfer crawl on retransmission timers.
+  bool Open(int server_rcvbuf = 0) {
     int port = 0;
     listen_fd = ListenTcpLoopback(0, &port);
     if (listen_fd < 0) return false;
+    if (server_rcvbuf > 0 &&
+        ::setsockopt(listen_fd, SOL_SOCKET, SO_RCVBUF, &server_rcvbuf,
+                     sizeof(server_rcvbuf)) != 0) {
+      return false;
+    }
     std::uint64_t jitter = 1;
     client = ConnectTcpLoopbackWithRetry(port, SocketRetryConfig{}, &jitter);
     if (client < 0) return false;
@@ -218,7 +229,7 @@ TEST(SocketTransportTest, DeliversOverRealLoopbackWithPaperAccounting) {
   // Actual bytes: encoded frame plus the 4-byte length prefix.
   EXPECT_EQ(transport.transport_bytes_sent(),
             static_cast<double>(EncodeMessage(sent).size() + 4));
-  EXPECT_EQ(transport.data_frames_sent(), 1);
+  EXPECT_EQ(transport.reply_drawing_frames_sent(), 1);
   EXPECT_EQ(transport.send_failures(), 0);
 }
 
@@ -275,19 +286,71 @@ TEST(SocketTransportTest, SessionControlAndAcksStayOutOfPaperCounters) {
   EXPECT_EQ(transport.transport_messages_sent(), 2);
   // Neither can induce protocol traffic from the receiver: the barrier
   // loop's quiescence check must not see them as data.
-  EXPECT_EQ(transport.data_frames_sent(), 0);
+  EXPECT_EQ(transport.reply_drawing_frames_sent(), 0);
 }
 
-// Shrinks both kernel buffers of `pair` and fills the client's until a
-// write would block, with nobody reading the server end: a frozen peer.
-// Returns the junk bytes written, which the server end must consume before
-// any frame.
+TEST(SocketTransportTest, CountsExactlyTheFramesThatCanDrawAReply) {
+  // Every message type once, in enum order, with whether the barrier loop
+  // owes it a round. Session control, acks and the two cascade-ending
+  // broadcasts draw no reply.
+  using Type = RuntimeMessage::Type;
+  struct Row {
+    Type type;
+    bool draws_reply;
+  };
+  constexpr Row kTable[] = {
+      {Type::kLocalViolation, true},   {Type::kProbeRequest, true},
+      {Type::kDriftReport, true},      {Type::kResolved, false},
+      {Type::kFullStateRequest, true}, {Type::kStateReport, true},
+      {Type::kNewEstimate, false},     {Type::kAck, false},
+      {Type::kHeartbeat, true},        {Type::kRejoinRequest, true},
+      {Type::kRejoinGrant, true},      {Type::kSiteHello, false},
+      {Type::kCycleBegin, false},      {Type::kBarrier, false},
+      {Type::kBarrierAck, false},      {Type::kShutdown, false},
+  };
+  constexpr std::size_t kTypes = std::size(kTable);
+  static_assert(kTypes == 16);
+  static_assert(static_cast<std::size_t>(Type::kShutdown) + 1 == kTypes);
+
+  LoopbackPair pair;
+  ASSERT_TRUE(pair.Open());
+  SocketTransport transport;
+  transport.RegisterPeer(0, pair.client);
+  long session = 0;
+  for (std::size_t i = 0; i < kTypes; ++i) {
+    const Row& row = kTable[i];
+    ASSERT_EQ(static_cast<std::size_t>(row.type), i);
+    EXPECT_EQ(RuntimeMessage::DrawsNoReply(row.type), !row.draws_reply)
+        << RuntimeMessage::TypeName(row.type);
+    RuntimeMessage message;
+    message.type = row.type;
+    message.to = 0;
+    const long before = transport.reply_drawing_frames_sent();
+    transport.Send(message);
+    EXPECT_EQ(transport.reply_drawing_frames_sent() - before,
+              row.draws_reply ? 1 : 0)
+        << RuntimeMessage::TypeName(row.type);
+    if (RuntimeMessage::IsSessionControl(row.type)) ++session;
+  }
+  // Session frames are counted as written, one per frame on the wire.
+  EXPECT_EQ(transport.session_frames_sent(), 0);
+  transport.Flush();
+  EXPECT_EQ(ReadMessages(pair.server, kTypes).size(), kTypes);
+  EXPECT_EQ(transport.transport_messages_sent(), static_cast<long>(kTypes));
+  EXPECT_EQ(session, 5);
+  EXPECT_EQ(transport.session_frames_sent(), session);
+}
+
+// The receive buffer a frozen peer is opened with (LoopbackPair::Open).
+constexpr int kSmallBuffer = 4096;
+
+// Shrinks the client's send buffer of `pair` (opened with a kSmallBuffer
+// receive buffer) and fills it until a write would block, with nobody
+// reading the server end: a frozen peer. Returns the junk bytes written,
+// which the server end must consume before any frame.
 std::size_t FillUntilFull(const LoopbackPair& pair) {
-  int small = 4096;
+  int small = kSmallBuffer;
   EXPECT_EQ(::setsockopt(pair.client, SOL_SOCKET, SO_SNDBUF, &small,
-                         sizeof(small)),
-            0);
-  EXPECT_EQ(::setsockopt(pair.server, SOL_SOCKET, SO_RCVBUF, &small,
                          sizeof(small)),
             0);
   std::vector<std::uint8_t> junk(65536, 0xAB);
@@ -404,7 +467,7 @@ TEST(SocketTransportTest, AsyncWriterCountsShortWritesOnBigFrames) {
 
 TEST(SocketTransportTest, SendToFullPeerReturnsAtOnceAndDeliversInOrder) {
   LoopbackPair pair;
-  ASSERT_TRUE(pair.Open());
+  ASSERT_TRUE(pair.Open(kSmallBuffer));
   const std::size_t junk = FillUntilFull(pair);
   ASSERT_GT(junk, 0u);
 
@@ -668,12 +731,9 @@ TEST(SocketRetryTest, ConnectRetriesUntilListenerAppearsAndGivesUp) {
 
 TEST(SocketTransportTest, BacklogPreservesPerPeerFifoOrder) {
   LoopbackPair pair;
-  ASSERT_TRUE(pair.Open());
-  int small = 4096;
+  ASSERT_TRUE(pair.Open(kSmallBuffer));
+  int small = kSmallBuffer;
   ASSERT_EQ(::setsockopt(pair.client, SOL_SOCKET, SO_SNDBUF, &small,
-                         sizeof(small)),
-            0);
-  ASSERT_EQ(::setsockopt(pair.server, SOL_SOCKET, SO_RCVBUF, &small,
                          sizeof(small)),
             0);
 
@@ -688,9 +748,10 @@ TEST(SocketTransportTest, BacklogPreservesPerPeerFifoOrder) {
     transport.Send(message);
   }
   // Paper accounting is at Send() time: all 20 logical sends are visible
-  // immediately, however much of them has reached the wire.
+  // immediately, however much of them has reached the wire. An estimate
+  // draws no reply, so none of them owes the barrier loop a round.
   EXPECT_EQ(transport.messages_sent(), kFrames);
-  EXPECT_EQ(transport.data_frames_sent(), kFrames);
+  EXPECT_EQ(transport.reply_drawing_frames_sent(), 0);
   EXPECT_GT(transport.send_queue_depth(), 0);
 
   std::vector<RuntimeMessage> got;
@@ -708,7 +769,7 @@ TEST(SocketTransportTest, BacklogPreservesPerPeerFifoOrder) {
 
 TEST(SocketTransportTest, ShutdownFlushGivesUpAtItsCapThenDrains) {
   LoopbackPair pair;
-  ASSERT_TRUE(pair.Open());
+  ASSERT_TRUE(pair.Open(kSmallBuffer));
   const std::size_t junk = FillUntilFull(pair);
 
   SocketTransport transport;
@@ -743,7 +804,7 @@ TEST(SocketTransportTest, ShutdownFlushGivesUpAtItsCapThenDrains) {
 
 TEST(SocketTransportTest, BacklogOverflowDropsStalledPeer) {
   LoopbackPair pair;
-  ASSERT_TRUE(pair.Open());
+  ASSERT_TRUE(pair.Open(kSmallBuffer));
   FillUntilFull(pair);
 
   SocketTransport transport;

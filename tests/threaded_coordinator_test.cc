@@ -34,9 +34,9 @@ namespace {
 constexpr int kSites = 4;
 constexpr int kCycles = 40;  // Tick cycles after the initialization sync
 
-SyntheticDriftConfig GeneratorConfig() {
+SyntheticDriftConfig GeneratorConfig(int num_sites = kSites) {
   SyntheticDriftConfig config;
-  config.num_sites = kSites;
+  config.num_sites = num_sites;
   config.dim = 4;
   config.seed = 23;
   // A short shared-drift period so the global average actually swings
@@ -47,8 +47,8 @@ SyntheticDriftConfig GeneratorConfig() {
   return config;
 }
 
-RuntimeConfig ProtocolConfig() {
-  SyntheticDriftGenerator probe(GeneratorConfig());
+RuntimeConfig ProtocolConfig(int num_sites = kSites) {
+  SyntheticDriftGenerator probe(GeneratorConfig(num_sites));
   RuntimeConfig config;
   config.threshold = 3.0;
   config.max_step_norm = probe.max_step_norm();
@@ -468,6 +468,133 @@ TEST(ThreadedCoordinatorTest, FramesSpeakOnlyForTheSiteTheirSessionHelloedAs) {
   EXPECT_EQ(telemetry.registry.GetCounter("socket.corrupt_frames")->value(),
             0);
   server.Shutdown();
+}
+
+TEST(ThreadedCoordinatorTest, DuplicateBarrierAckDoesNotStandInForASilentSite) {
+  // Site 1 says hello and then stays silent. Site 0 acks every barrier
+  // twice, as itself and on its own session. Counted, the second ack would
+  // make up for site 1's missing one and close the barrier; read per site,
+  // the deadline-free barrier waits on site 1 until its hard timeout.
+  const L2Norm norm;
+  CoordinatorServerConfig server_config;
+  server_config.num_sites = 2;
+  server_config.runtime = ProtocolConfig();
+  server_config.barrier_timeout_ms = 1000;
+  CoordinatorServer server(norm, server_config);
+  ASSERT_TRUE(server.Listen());
+  RawSite site0(server.port(), 0);
+  RawSite site1(server.port(), 1);
+  ASSERT_TRUE(site0.ok() && site1.ok());
+  ASSERT_TRUE(server.WaitForSites());
+
+  std::atomic<bool> done{false};
+  bool cycle_completed = true;
+  std::thread loop([&] {
+    cycle_completed = server.RunCycle();
+    done = true;
+  });
+  int doubled = 0;
+  while (!done) {
+    for (const RuntimeMessage& m : site0.Read(10)) {
+      if (m.type != RuntimeMessage::Type::kBarrier) continue;
+      RuntimeMessage ack;
+      ack.type = RuntimeMessage::Type::kBarrierAck;
+      ack.from = 0;
+      ack.to = kCoordinatorId;
+      ack.scalar = m.scalar;
+      site0.Write(ack);
+      site0.Write(ack);
+      ++doubled;
+    }
+  }
+  loop.join();
+  EXPECT_GE(doubled, 1);
+  EXPECT_FALSE(cycle_completed) << "a duplicate barrier ack closed the barrier";
+  server.Shutdown();
+}
+
+TEST(ThreadedCoordinatorTest, CycleTakesOnlyTheBarrierRoundsItsRepliesNeed) {
+  // A barrier round is owed only for frames that can draw a reply: a quiet
+  // cycle and a full sync take one round, a partial sync two (the alarm's
+  // probe carries the second barrier) and an escalated full sync three.
+  // kResolved and kNewEstimate owe none. A RuntimeDriver on the same
+  // inputs classifies each cycle: its epoch bumps once per probe and once
+  // per full sync.
+  constexpr int kRoundSites = 3;
+  constexpr int kRoundCycles = 200;
+  const L2Norm norm;
+  std::vector<std::vector<Vector>> inputs;
+  {
+    SyntheticDriftGenerator generator(GeneratorConfig(kRoundSites));
+    std::vector<Vector> locals;
+    for (int cycle = 0; cycle <= kRoundCycles; ++cycle) {
+      generator.Advance(&locals);
+      inputs.push_back(locals);
+    }
+  }
+  RuntimeDriver driver(kRoundSites, norm, ProtocolConfig(kRoundSites));
+  Telemetry telemetry;
+  CoordinatorServerConfig server_config;
+  server_config.num_sites = kRoundSites;
+  server_config.runtime = ProtocolConfig(kRoundSites);
+  server_config.runtime.telemetry = &telemetry;
+  CoordinatorServer server(norm, server_config);
+  ASSERT_TRUE(server.Listen());
+  std::atomic<bool> sites_ok{true};
+  std::vector<std::thread> sites;
+  for (int id = 0; id < kRoundSites; ++id) {
+    sites.emplace_back([id, &norm, &inputs, &sites_ok, port = server.port()] {
+      SiteClientConfig config;
+      config.site_id = id;
+      config.num_sites = kRoundSites;
+      config.port = port;
+      config.runtime = ProtocolConfig(kRoundSites);
+      SiteClient client(norm, config);
+      if (!client.Connect() ||
+          !client.Run([&](long cycle) { return inputs[cycle][id]; })) {
+        sites_ok.store(false);
+      }
+    });
+  }
+  ASSERT_TRUE(server.WaitForSites());
+
+  const Counter* rounds =
+      telemetry.registry.GetCounter("socket.barrier_rounds");
+  long rounds_before = 0;
+  int quiet = 0, partial = 0, escalated = 0;
+  for (int cycle = 0; cycle <= kRoundCycles; ++cycle) {
+    const std::int64_t epoch = driver.coordinator().epoch();
+    const long full_syncs = driver.coordinator().full_syncs();
+    if (cycle == 0) {
+      driver.Initialize(inputs[cycle]);
+    } else {
+      driver.Tick(inputs[cycle]);
+    }
+    const long syncs = driver.coordinator().full_syncs() - full_syncs;
+    const long probes =
+        cycle == 0 ? 0 : driver.coordinator().epoch() - epoch - syncs;
+    ASSERT_TRUE(server.RunCycle()) << "barrier timed out at cycle " << cycle;
+    ASSERT_EQ(server.Epoch(), driver.coordinator().epoch())
+        << "cycle " << cycle;
+    const long taken = rounds->value() - rounds_before;
+    rounds_before = rounds->value();
+    const long owed = 1 + probes + (probes > 0 ? syncs : 0);
+    EXPECT_EQ(taken, owed) << "cycle " << cycle << ": " << probes
+                           << " probe(s), " << syncs << " full sync(s)";
+    if (cycle > 0) {
+      quiet += probes == 0 && syncs == 0;
+      partial += probes == 1 && syncs == 0;
+      escalated += probes == 1 && syncs == 1;
+    }
+  }
+  server.Shutdown();
+  for (std::thread& site : sites) site.join();
+  EXPECT_TRUE(sites_ok.load());
+  std::printf("cycles: %d quiet, %d partial, %d escalated\n", quiet, partial,
+              escalated);
+  EXPECT_GE(quiet, 1);
+  EXPECT_GE(partial, 1);
+  EXPECT_GE(escalated, 1);
 }
 
 TEST(ThreadedCoordinatorTest, QuietCycleWritesOncePerSite) {
