@@ -8,6 +8,17 @@
 
 namespace sgm {
 
+namespace {
+
+/// A sample alerts when its z-score exceeds this.
+constexpr double kZThreshold = 6.0;
+/// Floor on the standard deviation used in the z-score denominator;
+/// prevents division by ~0 on constant histories (the z of a zero-tolerance
+/// signal's first motion is capped at min_delta / floor).
+constexpr double kStddevFloor = 1e-9;
+
+}  // namespace
+
 std::vector<AnomalySignal> DefaultAnomalySignals() {
   // min_delta floors are calibrated against the clean 50-seed dst_stress
   // sweep (24 sites, 300 cycles): a faultless run's per-cycle deltas must
@@ -84,14 +95,14 @@ void AnomalyDetector::ObserveCycle(long cycle,
                         : 0.0;
     const double deviation = x - state.mean;
     const double magnitude = std::fabs(deviation);
-    const double denom = std::max(sigma, config_.stddev_floor);
+    const double denom = std::max(sigma, kStddevFloor);
     const double z = magnitude / denom;
 
     const bool warm = state.count >= state.signal.warmup;
     const bool in_cooldown =
         state.alerted && cycle - state.last_alert_cycle < config_.cooldown;
     if (warm && !in_cooldown && magnitude >= state.signal.min_delta &&
-        z > config_.z_threshold) {
+        z > kZThreshold) {
       Alert alert;
       alert.cycle = cycle;
       alert.metric = state.signal.metric;

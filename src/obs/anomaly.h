@@ -35,16 +35,11 @@ struct AnomalySignal {
 /// identity of the metric stream's schedule, stamped into every alert so an
 /// alerts file names the run that produced it.
 struct AnomalyDetectorConfig {
-  double z_threshold = 6.0;
   long warmup = 25;
   /// Minimum cycles between consecutive alerts on the same signal, so a
   /// regime shift raises one alert instead of a storm while the Welford
   /// baseline absorbs the new regime.
   long cooldown = 25;
-  /// Floor on the standard deviation used in the z-score denominator;
-  /// prevents division by ~0 on constant histories (the z of a
-  /// zero-tolerance signal's first motion is capped at min_delta / floor).
-  double stddev_floor = 1e-9;
   std::uint64_t seed = 0;
   /// Signals to track; empty = DefaultAnomalySignals().
   std::vector<AnomalySignal> signals;
@@ -64,7 +59,7 @@ struct Alert {
   double value = 0.0;   ///< the per-cycle delta that fired
   double mean = 0.0;    ///< Welford mean of the history (pre-update)
   double stddev = 0.0;  ///< Welford stddev of the history (pre-update)
-  double z = 0.0;       ///< |value − mean| / max(stddev, stddev_floor)
+  double z = 0.0;       ///< |value − mean| / max(stddev, 1e-9)
   std::uint64_t seed = 0;
 };
 

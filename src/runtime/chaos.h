@@ -14,8 +14,8 @@ struct Telemetry;
 /// Seeded network-fault schedule for the socket runtime. All probabilities
 /// are per Send() draw from one deterministic stream, so the same seed
 /// reproduces the same fault sequence relative to the node's own send
-/// pattern (the chaos layer sits below the reliability layer and above the
-/// socket transport — exactly where a real network would misbehave).
+/// pattern (the chaos layer sits between the site node and its socket
+/// transport — exactly where a real network would misbehave).
 struct ChaosInjectionConfig {
   std::uint64_t seed = 1;
   /// Full connection reset (both directions die; the peer sees EOF, the

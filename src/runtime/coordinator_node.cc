@@ -37,12 +37,7 @@ CoordinatorNode::CoordinatorNode(int num_sites,
       grant_epoch_(num_sites, -1) {
   SGM_CHECK(num_sites > 0);
   SGM_CHECK(transport != nullptr);
-  SGM_CHECK(config.empty_collection_retry_cycles >= 1);
-  SGM_CHECK(config.degraded_resync_cycles >= 1);
-  SGM_CHECK(config.max_sync_retries >= 0);
-  SGM_CHECK(config.rejoin_resync_cycles >= 1);
   SGM_CHECK(config.checkpoint_interval_cycles >= 1);
-  SGM_CHECK(config.recovery_resync_cycles >= 1);
   if (telemetry_ != nullptr) {
     fd_.set_telemetry(telemetry_);
     ht_estimate_ns_ = telemetry_->registry.GetHistogram(
@@ -231,7 +226,7 @@ bool CoordinatorNode::Recover() {
       MaybeGrantRejoin(site);
       ++recovery_stats_.reconcile_grants;
     }
-    ScheduleResync(config_.recovery_resync_cycles);
+    ScheduleResync(kRecoveryResyncCycles);
   }
   if (telemetry_ != nullptr) {
     telemetry_->trace.Emit(
@@ -536,7 +531,7 @@ void CoordinatorNode::CompleteCollection() {
     // opens a fresh cascade, so this tree ends here.
     phase_ = Phase::kIdle;
     CloseCycleSpan();
-    ScheduleResync(config_.empty_collection_retry_cycles);
+    ScheduleResync(kEmptyCollectionRetryCycles);
     return;
   }
   bool degraded = false;
@@ -553,7 +548,7 @@ void CoordinatorNode::CompleteCollection() {
     ++degraded_syncs_;
     // Dead sites re-enter via the rejoin path (which schedules its own
     // resync); only transient losses from live sites warrant one here.
-    if (missing_live) ScheduleResync(config_.degraded_resync_cycles);
+    if (missing_live) ScheduleResync(kDegradedResyncCycles);
   }
   FinishFullSync(degraded);
 }
@@ -666,7 +661,7 @@ void CoordinatorNode::OnMessage(const RuntimeMessage& message) {
         // Rejoin handshake complete: the granted site shipped fresh state.
         // Fold its data back into the estimate via a scheduled resync.
         grant_pending_[site] = false;
-        ScheduleResync(config_.rejoin_resync_cycles);
+        ScheduleResync(kRejoinResyncCycles);
       }
       if (phase_ != Phase::kCollecting) {
         // Same-round straggler (after a degraded completion) or the rejoin
@@ -725,7 +720,7 @@ void CoordinatorNode::RecordDegradedCycle(int missing_sites) {
 void CoordinatorNode::OnQuiescent() {
   if (phase_ == Phase::kCollecting) {
     if (received_count_ > 0 && !AllLiveReported() &&
-        sync_retries_ < config_.max_sync_retries) {
+        sync_retries_ < kMaxSyncRetries) {
       // Per-epoch sync deadline: re-request the live stragglers directly
       // (same epoch — this continues the round, it does not start one).
       ++sync_retries_;

@@ -65,6 +65,27 @@ class CoordinatorNode {
   CoordinatorNode(int num_sites, const MonitoredFunction& function,
                   const RuntimeConfig& config, Transport* transport);
 
+  /// After a collection round in which *no* report survived (e.g. the very
+  /// first request on a lossy network), the coordinator goes idle and
+  /// retries the full sync this many cycles later.
+  static constexpr int kEmptyCollectionRetryCycles = 1;
+  /// After a degraded sync (stale last-known vectors folded in), a
+  /// follow-up full sync re-establishes a consistent anchor this many
+  /// cycles out, repeating until one completes cleanly.
+  static constexpr int kDegradedResyncCycles = 5;
+  /// Per-epoch collection deadline: when the transport goes quiescent with
+  /// live-site reports still missing, the coordinator re-requests the
+  /// stragglers (unicast, same epoch) at most this many times before
+  /// completing the sync degraded.
+  static constexpr int kMaxSyncRetries = 2;
+  /// A rejoined site's fresh state re-enters the estimate via a scheduled
+  /// full resync this many cycles after its rejoin handshake completes.
+  static constexpr int kRejoinResyncCycles = 2;
+  /// After recovery reconciliation (re-anchoring grants), a full resync is
+  /// scheduled this many cycles out so drift accumulated during the outage
+  /// re-enters the estimate promptly.
+  static constexpr int kRecoveryResyncCycles = 2;
+
   /// Wires the reliability layer in: transport give-ups feed the failure
   /// detector, and link up/down administration follows site liveness.
   /// Optional — without it the coordinator runs over a bare transport, as
@@ -98,7 +119,7 @@ class CoordinatorNode {
   /// Called by the driver when the transport has drained: an in-flight
   /// probe is then complete (every first-trial report has arrived) and the
   /// partial-synchronization decision is taken; an in-flight collection
-  /// either re-requests stragglers (bounded by max_sync_retries) or
+  /// either re-requests stragglers (bounded by kMaxSyncRetries) or
   /// completes, degraded if live reports are still missing.
   void OnQuiescent();
 
@@ -177,6 +198,17 @@ class CoordinatorNode {
     long snapshots_discarded = 0;   ///< torn/corrupt snapshots skipped
     long torn_wal_bytes = 0;        ///< WAL tail bytes rejected on restore
     long reconcile_grants = 0;      ///< reconciliation grants issued
+
+    RecoveryStats& operator+=(const RecoveryStats& other) {
+      restores += other.restores;
+      snapshots_written += other.snapshots_written;
+      wal_records += other.wal_records;
+      wal_records_replayed += other.wal_records_replayed;
+      snapshots_discarded += other.snapshots_discarded;
+      torn_wal_bytes += other.torn_wal_bytes;
+      reconcile_grants += other.reconcile_grants;
+      return *this;
+    }
   };
   const RecoveryStats& recovery_stats() const { return recovery_stats_; }
 
@@ -265,9 +297,7 @@ class CoordinatorNode {
   /// Cycles closed over a responsive quorum under a barrier deadline.
   /// Observability state, like the audit counters — not checkpointed.
   long degraded_cycles_ = 0;
-  /// Cycles until the next scheduled full resync (−1: none pending). Fed by
-  /// the named RuntimeConfig knobs: empty_collection_retry_cycles,
-  /// degraded_resync_cycles and rejoin_resync_cycles.
+  /// Cycles until the next scheduled full resync (−1: none pending).
   long retry_full_in_ = -1;
 
   /// Causal-span counter (logical, coordinator-authoritative; sites never

@@ -27,6 +27,8 @@ constexpr int kPollSliceMs = 10;
 /// Cap on the shutdown flush: a stalled site's full buffer cannot hold
 /// process exit hostage.
 constexpr long kShutdownFlushMs = 500;
+/// WaitForSites() gives up after this long without all hellos.
+constexpr long kHelloTimeoutMs = 30000;
 
 }  // namespace
 
@@ -81,7 +83,7 @@ bool CoordinatorServer::Recover() {
 bool CoordinatorServer::WaitForSites() {
   SGM_CHECK(listen_fd_ >= 0);
   const auto deadline = std::chrono::steady_clock::now() +
-                        std::chrono::milliseconds(config_.hello_timeout_ms);
+                        std::chrono::milliseconds(kHelloTimeoutMs);
   for (;;) {
     {
       std::lock_guard<std::mutex> lock(mu_);
@@ -567,14 +569,7 @@ CoordinatorServer::Health CoordinatorServer::GetHealth() const {
   health.lag_quarantines = fd.total_lagging_verdicts();
   health.site_states.reserve(config_.num_sites);
   for (int site = 0; site < config_.num_sites; ++site) {
-    std::string state;
-    switch (fd.state(site)) {
-      case FailureDetector::State::kAlive: state = "alive"; break;
-      case FailureDetector::State::kSuspect: state = "suspect"; break;
-      case FailureDetector::State::kDead: state = "dead"; break;
-      case FailureDetector::State::kRejoining: state = "rejoining"; break;
-      case FailureDetector::State::kLagging: state = "lagging"; break;
-    }
+    std::string state = ToString(fd.state(site));
     if (fd.IsQuarantined(site)) state += "+quarantined";
     health.site_states.push_back(std::move(state));
     health.site_connected.push_back(connected_[site]);

@@ -24,8 +24,6 @@ struct CoordinatorServerConfig {
   /// Node configuration, shared verbatim with every site process (the
   /// protocol requires both tiers to agree on thresholds and bounds).
   RuntimeConfig runtime;
-  /// WaitForSites() gives up after this long without all hellos.
-  long hello_timeout_ms = 30000;
   /// RunCycle() fails if its barrier rounds do not settle within this.
   long barrier_timeout_ms = 30000;
   /// Soft per-cycle barrier deadline in milliseconds; 0 disables (default —
@@ -130,7 +128,7 @@ class CoordinatorServer {
   bool Recover();
 
   /// Serves the event loop until all num_sites hellos have registered (or
-  /// hello_timeout_ms elapsed — returns false).
+  /// 30 s elapsed — returns false).
   bool WaitForSites();
 
   /// Runs one lockstep update cycle to global quiescence. The first call

@@ -134,7 +134,7 @@ void RuntimeDriver::CrashCoordinator() {
   SGM_CHECK_MSG(config_.checkpoint_store != nullptr,
                 "coordinator crash without a checkpoint store is fatal");
   last_crash_epoch_ = coordinator_->epoch();
-  AccumulateRecovery(coordinator_->recovery_stats());
+  recovery_totals_ += coordinator_->recovery_stats();
   ++coordinator_crashes_;
   crash_after_messages_ = 0;
   if (telemetry_ != nullptr) {
@@ -166,29 +166,9 @@ void RuntimeDriver::RecoverCoordinator() {
   PublishMetrics();
 }
 
-void RuntimeDriver::AccumulateRecovery(
-    const CoordinatorNode::RecoveryStats& stats) {
-  recovery_totals_.restores += stats.restores;
-  recovery_totals_.snapshots_written += stats.snapshots_written;
-  recovery_totals_.wal_records += stats.wal_records;
-  recovery_totals_.wal_records_replayed += stats.wal_records_replayed;
-  recovery_totals_.snapshots_discarded += stats.snapshots_discarded;
-  recovery_totals_.torn_wal_bytes += stats.torn_wal_bytes;
-  recovery_totals_.reconcile_grants += stats.reconcile_grants;
-}
-
 CoordinatorNode::RecoveryStats RuntimeDriver::recovery_totals() const {
   CoordinatorNode::RecoveryStats total = recovery_totals_;
-  if (coordinator_ != nullptr) {
-    const CoordinatorNode::RecoveryStats& live = coordinator_->recovery_stats();
-    total.restores += live.restores;
-    total.snapshots_written += live.snapshots_written;
-    total.wal_records += live.wal_records;
-    total.wal_records_replayed += live.wal_records_replayed;
-    total.snapshots_discarded += live.snapshots_discarded;
-    total.torn_wal_bytes += live.torn_wal_bytes;
-    total.reconcile_grants += live.reconcile_grants;
-  }
+  if (coordinator_ != nullptr) total += coordinator_->recovery_stats();
   return total;
 }
 

@@ -129,8 +129,6 @@ class RuntimeDriver {
   /// advancing the fault layer's delay rounds and the reliability layer's
   /// retransmission clock whenever the bus drains.
   void RouteToQuiescence();
-  /// Folds a dead incarnation's recovery counters into the totals.
-  void AccumulateRecovery(const CoordinatorNode::RecoveryStats& stats);
 
   InMemoryBus bus_;
   std::unique_ptr<SimTransport> sim_;

@@ -44,6 +44,12 @@ void ForEachAwaited(const std::vector<std::uint64_t>& awaiting, Visit visit) {
   }
 }
 
+/// The first retransmission fires this many transport rounds after the
+/// original send; each further one doubles the wait up to the ceiling
+/// (rounds, before jitter).
+constexpr long kBaseBackoffRounds = 1;
+constexpr long kMaxBackoffRounds = 8;
+
 using Stats = ReliableTransport::Stats;
 
 /// The `transport.*` rows PublishMetrics mirrors from Stats.
@@ -81,8 +87,6 @@ ReliableTransport::ReliableTransport(Transport* lower, int num_sites,
   SGM_CHECK(lower != nullptr);
   SGM_CHECK(num_sites > 0);
   SGM_CHECK(config.max_retransmits >= 0);
-  SGM_CHECK(config.base_backoff_rounds >= 1);
-  SGM_CHECK(config.max_backoff_rounds >= config.base_backoff_rounds);
   SGM_CHECK(config.max_in_flight_per_peer >= 1);
   SGM_CHECK(config.dedup_window >= 8);
 }
@@ -99,11 +103,11 @@ bool ReliableTransport::Tracked(const RuntimeMessage& message) {
 }
 
 long ReliableTransport::NextBackoff(int attempts) {
-  long backoff = config_.base_backoff_rounds;
-  for (int i = 0; i < attempts && backoff < config_.max_backoff_rounds; ++i) {
+  long backoff = kBaseBackoffRounds;
+  for (int i = 0; i < attempts && backoff < kMaxBackoffRounds; ++i) {
     backoff *= 2;
   }
-  backoff = std::min<long>(backoff, config_.max_backoff_rounds);
+  backoff = std::min(backoff, kMaxBackoffRounds);
   // Deterministic jitter: desynchronizes retransmission bursts without
   // breaking seed replay.
   return backoff + static_cast<long>(rng_.NextBounded(2));

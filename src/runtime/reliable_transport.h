@@ -23,11 +23,6 @@ struct ReliableTransportConfig {
   /// reported dead to the failure-detector hook. Bounds the quiescence loop:
   /// a message is in flight for at most max_retransmits backoff periods.
   int max_retransmits = 4;
-  /// First retransmission fires this many transport rounds after the
-  /// original send.
-  int base_backoff_rounds = 1;
-  /// Exponential backoff ceiling (rounds), before jitter.
-  int max_backoff_rounds = 8;
   /// Cap on tracked in-flight messages awaiting any single destination.
   /// When a new tracked send would exceed it, the oldest entry still
   /// awaiting that destination releases its expectation (best-effort from
@@ -37,11 +32,12 @@ struct ReliableTransportConfig {
   int max_in_flight_per_peer = 256;
   /// Receive-side dedup window per (receiver, sender) pair: the number of
   /// seen seqs retained above the floor; past it the lowest is promoted
-  /// into the floor. Duplicates arrive within
-  /// max_delay + max_backoff * max_retransmits rounds of the original — a
-  /// handful of messages — so the default is orders of magnitude above the
-  /// correctness requirement. A window stores the unseen gaps among those
-  /// seqs, not the seqs, so in-order traffic costs it no memory.
+  /// into the floor. Duplicates arrive within max_delay plus
+  /// max_retransmits backoff periods (each at most 9 rounds) of the
+  /// original — a handful of messages — so the default is orders of
+  /// magnitude above the correctness requirement. A window stores the
+  /// unseen gaps among those seqs, not the seqs, so in-order traffic costs
+  /// it no memory.
   int dedup_window = 1024;
 };
 

@@ -75,33 +75,29 @@ Result<RuntimeMessage> DecodeMessage(
   if (!Read(buffer, &offset, &version)) {
     return Status::InvalidArgument("truncated message: missing version");
   }
-  if (version != kWireFormatVersion && version != kWireFormatVersionV3 &&
-      version != kWireFormatVersionV2) {
-    // Version-1 frames led with the type byte (0..6), which lands here.
+  if (version != kWireFormatVersion) {
+    // Version-1 frames led with the type byte (0..6), which lands here, as
+    // do the retired checksum-less 0xA2/0xA3 layouts.
     return Status::InvalidArgument("unsupported wire version " +
                                    std::to_string(version) + " (want " +
                                    std::to_string(kWireFormatVersion) + ")");
   }
-  // v4: the trailing CRC32C covers every preceding byte and is verified
-  // before any field parsing, so a corrupted frame is rejected whole rather
-  // than half-interpreted. (A flipped version byte escapes this check only
-  // by landing on an unknown version — 0xA4's single-bit neighbours never
-  // hit 0xA2/0xA3 — which the check above already rejected.)
-  std::size_t frame_end = buffer.size();
-  if (version == kWireFormatVersion) {
-    static Counter* corrupt_frames =
-        MetricRegistry::Default().GetCounter("serialization.corrupt_frames");
-    std::uint32_t stored_crc = 0;
-    if (buffer.size() < offset + sizeof(stored_crc)) {
-      corrupt_frames->Increment();
-      return Status::InvalidArgument("truncated message: missing checksum");
-    }
-    frame_end = buffer.size() - sizeof(stored_crc);
-    std::memcpy(&stored_crc, buffer.data() + frame_end, sizeof(stored_crc));
-    if (Crc32c(buffer.data(), frame_end) != stored_crc) {
-      corrupt_frames->Increment();
-      return Status::InvalidArgument("frame checksum mismatch");
-    }
+  // The trailing CRC32C covers every preceding byte and is verified before
+  // any field parsing, so a corrupted frame is rejected whole rather than
+  // half-interpreted. (A flipped version byte escapes this check only by
+  // landing on an unknown version, which the check above already rejected.)
+  static Counter* corrupt_frames =
+      MetricRegistry::Default().GetCounter("serialization.corrupt_frames");
+  std::uint32_t stored_crc = 0;
+  if (buffer.size() < offset + sizeof(stored_crc)) {
+    corrupt_frames->Increment();
+    return Status::InvalidArgument("truncated message: missing checksum");
+  }
+  const std::size_t frame_end = buffer.size() - sizeof(stored_crc);
+  std::memcpy(&stored_crc, buffer.data() + frame_end, sizeof(stored_crc));
+  if (Crc32c(buffer.data(), frame_end) != stored_crc) {
+    corrupt_frames->Increment();
+    return Status::InvalidArgument("frame checksum mismatch");
   }
   if (!Read(buffer, &offset, &type)) {
     return Status::InvalidArgument("truncated message: missing type");
@@ -118,17 +114,9 @@ Result<RuntimeMessage> DecodeMessage(
                                    std::to_string(flags));
   }
   if (!Read(buffer, &offset, &from) || !Read(buffer, &offset, &to) ||
-      !Read(buffer, &offset, &epoch) || !Read(buffer, &offset, &seq)) {
-    return Status::InvalidArgument("truncated message header");
-  }
-  if (version != kWireFormatVersionV2) {
-    // Span fields arrived in v3; a v2 frame decodes with span 0 ("none").
-    if (!Read(buffer, &offset, &span) ||
-        !Read(buffer, &offset, &parent_span)) {
-      return Status::InvalidArgument("truncated message header");
-    }
-  }
-  if (!Read(buffer, &offset, &scalar) || !Read(buffer, &offset, &dim)) {
+      !Read(buffer, &offset, &epoch) || !Read(buffer, &offset, &seq) ||
+      !Read(buffer, &offset, &span) || !Read(buffer, &offset, &parent_span) ||
+      !Read(buffer, &offset, &scalar) || !Read(buffer, &offset, &dim)) {
     return Status::InvalidArgument("truncated message header");
   }
   if (dim > kMaxWireDimension) {

@@ -11,12 +11,9 @@
 namespace sgm {
 
 /// Binary wire format for RuntimeMessages, for transports that cross
-/// process/machine boundaries. Little-endian, fixed layout (version 4,
-/// which added the trailing CRC32C frame checksum; version 3 added the
-/// causal span fields; version 2 added the reliability layer's
-/// epoch/seq/flags fields; the socket runtime's session-control types —
-/// kSiteHello through kShutdown — extend the valid type range within v4
-/// without changing the layout):
+/// process/machine boundaries. Little-endian, fixed layout (version 4; the
+/// socket runtime's session-control types — kSiteHello through kShutdown —
+/// extend the valid type range within v4 without changing the layout):
 ///
 ///   u8   version (= kWireFormatVersion)
 ///   u8   type
@@ -25,30 +22,27 @@ namespace sgm {
 ///   i32  to
 ///   i64  epoch
 ///   i64  seq
-///   i64  span          (v3+)
-///   i64  parent_span   (v3+)
+///   i64  span
+///   i64  parent_span
 ///   f64  scalar
 ///   u32  payload dimension d
 ///   f64  payload[0..d)
-///   u32  crc32c over all preceding bytes (v4 only)
+///   u32  crc32c over all preceding bytes
 ///
-/// Encode always emits v4; Decode accepts v4, v3 and v2 frames (a v3/v2
-/// frame simply has no checksum; a v2 frame additionally has no span
-/// fields — they decode to 0, "no span"), so a rolling upgrade never
-/// partitions the deployment on wire version. Decode validates the
-/// checksum first (any bit flip anywhere in a v4 frame — including the
-/// version byte, whose flips land on unknown versions — is rejected before
-/// field parsing), then length, version, type range and dimension bounds,
-/// and returns precise errors (a transport must never crash the
-/// coordinator with a truncated or corrupted datagram). Rejected-checksum
-/// frames increment the `serialization.corrupt_frames` audit counter in
-/// the default metric registry.
+/// Decode accepts only this version: every frame it parses carries a
+/// checksum. It validates the checksum first (any bit flip anywhere in a
+/// frame — including the version byte, whose flips land on unknown
+/// versions — is rejected before field parsing), then length, type range
+/// and dimension bounds, and returns precise errors (a transport must never
+/// crash the coordinator with a truncated or corrupted datagram).
+/// Rejected-checksum frames increment the `serialization.corrupt_frames`
+/// audit counter in the default metric registry.
 ///
-/// Version-1 frames (no version byte — they led with the type) are rejected
-/// deterministically: their first byte is a protocol type in [0, 6], which
-/// can never equal any 0xA0-tagged version byte, so DecodeMessage fails
-/// with an "unsupported wire version" error instead of misreading stale
-/// fields.
+/// Frames of any other version are rejected deterministically with an
+/// "unsupported wire version" error: version-1 frames (no version byte —
+/// they led with a protocol type in [0, 6], which can never equal a
+/// 0xA0-tagged version byte) and the retired checksum-less layouts (0xA2,
+/// 0xA3) alike, so no stale or unchecked frame is ever misread.
 std::vector<std::uint8_t> EncodeMessage(const RuntimeMessage& message);
 
 /// Parses a buffer produced by EncodeMessage (or a hostile imitation).
@@ -59,11 +53,6 @@ Result<RuntimeMessage> DecodeMessage(const std::vector<std::uint8_t>& buffer);
 /// value (0..6) so old-format frames fail the version check, never a
 /// silent misparse.
 inline constexpr std::uint8_t kWireFormatVersion = 0xA4;
-
-/// Previous wire-format versions (v3: span fields but no checksum; v2:
-/// neither), still accepted by DecodeMessage for backward compatibility.
-inline constexpr std::uint8_t kWireFormatVersionV3 = 0xA3;
-inline constexpr std::uint8_t kWireFormatVersionV2 = 0xA2;
 
 /// Upper bound on accepted payload dimensionality (sanity guard against
 /// corrupted length fields allocating gigabytes).

@@ -34,12 +34,10 @@ struct SimTransportConfig {
 
   /// Probability that a message's encoded frame suffers a single bit flip
   /// on the link. The flip goes through the real wire codec: the frame is
-  /// encoded, mangled, and re-decoded — with the v4 CRC32C trailer every
-  /// single-bit flip is detected, so a corrupted frame becomes a *detected*
-  /// loss (counted separately from drops, plus the decoder's
-  /// `serialization.corrupt_frames` audit counter). If a flip ever did
-  /// decode, the mangled message would be delivered, modeling undetected
-  /// corruption on a checksum-less format.
+  /// encoded, mangled, and re-decoded — the CRC32C trailer detects every
+  /// single-bit flip, so a corrupted frame becomes a *detected* loss
+  /// (counted separately from drops, plus the decoder's
+  /// `serialization.corrupt_frames` audit counter).
   double corrupt_probability = 0.0;
 
   /// When false, only site-originated traffic is subject to faults —

@@ -13,7 +13,11 @@ SiteNode::SiteNode(int id, int num_sites, const MonitoredFunction& function,
     : id_(id),
       num_sites_(num_sites),
       function_(function.Clone()),
-      config_(config),
+      threshold_(config.threshold),
+      max_step_norm_(config.max_step_norm),
+      drift_norm_cap_(config.drift_norm_cap),
+      u_threshold_factor_(config.u_threshold_factor),
+      num_trials_(config.num_trials),
       transport_(transport),
       telemetry_(config.telemetry),
       rng_(config.seed + 0x9e37u * static_cast<std::uint64_t>(id + 1)),
@@ -115,20 +119,18 @@ void SiteNode::Observe(const Vector& local_vector) {
   // un-scaled GM ball test (Lemma 2).
   drift_ = local_;
   drift_ -= synced_local_;
-  const double U =
-      DriftBoundU(config_.max_step_norm, cycles_since_sync_,
-                  config_.drift_norm_cap, config_.u_threshold_factor,
-                  epsilon_t_);
+  const double U = DriftBoundU(max_step_norm_, cycles_since_sync_,
+                               drift_norm_cap_, u_threshold_factor_,
+                               epsilon_t_);
   inclusion_probability_ = sampling_.Probability(U, drift_.Norm());
-  const TrialDraw draw =
-      DrawTrials(&rng_, inclusion_probability_, config_.num_trials);
+  const TrialDraw draw = DrawTrials(&rng_, inclusion_probability_, num_trials_);
   in_first_trial_ = draw.first_trial;
   if (draw.any_trial) {
     bool crossed = false;
     {
       ScopedTimer timer(ball_test_ns_);
       const Ball constraint = Ball::LocalConstraint(e_, drift_);
-      crossed = function_->BallCrossesThreshold(constraint, config_.threshold);
+      crossed = function_->BallCrossesThreshold(constraint, threshold_);
     }
     if (crossed) {
       if (telemetry_ != nullptr) {

@@ -36,26 +36,9 @@ struct RuntimeConfig {
 
   // ── Reliability layer ──────────────────────────────────────────────────
 
-  /// After a collection round in which *no* report survived (e.g. the very
-  /// first request on a lossy network), the coordinator goes idle and
-  /// retries the full sync this many cycles later.
-  int empty_collection_retry_cycles = 1;
-  /// After a degraded sync (stale last-known vectors folded in), a
-  /// follow-up full sync re-establishes a consistent anchor this many
-  /// cycles out, repeating until one completes cleanly.
-  int degraded_resync_cycles = 5;
-  /// Per-epoch collection deadline: when the transport goes quiescent with
-  /// live-site reports still missing, the coordinator re-requests the
-  /// stragglers (unicast, same epoch) at most this many times before
-  /// completing the sync degraded.
-  int max_sync_retries = 2;
-  /// A rejoined site's fresh state re-enters the estimate via a scheduled
-  /// full resync this many cycles after its rejoin handshake completes.
-  int rejoin_resync_cycles = 2;
-
   /// Failure-detector thresholds (suspicion, death, flap quarantine).
   FailureDetectorConfig failure_detector;
-  /// Ack/retransmit layer tuning (backoff, retry budget, jitter seed). Only
+  /// Ack/retransmit layer tuning (retry budget, queue caps, jitter seed). Only
   /// RuntimeDriver reads it: the socket tier runs no such layer over TCP.
   ReliableTransportConfig reliability;
   /// Socket-runtime connection policy: bounded retry with seeded-jitter
@@ -74,10 +57,6 @@ struct RuntimeConfig {
   CheckpointStore* checkpoint_store = nullptr;
   /// Cycles between full snapshots; bounds WAL replay length on recovery.
   int checkpoint_interval_cycles = 25;
-  /// After recovery reconciliation (re-anchoring grants), a full resync is
-  /// scheduled this many cycles out so drift accumulated during the outage
-  /// re-enters the estimate promptly.
-  int recovery_resync_cycles = 2;
 
   // ── Observability ──────────────────────────────────────────────────────
 
@@ -193,7 +172,12 @@ class SiteNode {
   int id_;
   int num_sites_;
   std::unique_ptr<MonitoredFunction> function_;
-  RuntimeConfig config_;
+  /// The RuntimeConfig fields Observe reads; the rest are constructor-only.
+  double threshold_;
+  double max_step_norm_;
+  double drift_norm_cap_;
+  double u_threshold_factor_;
+  int num_trials_;
   Transport* transport_;
   Telemetry* telemetry_;
   /// Cached `site.ball_test_ns` histogram; nullptr when telemetry is off,

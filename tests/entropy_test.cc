@@ -1,12 +1,11 @@
-// Tests of the entropy and cosine-similarity monitored functions
-// (the DDoS-detection and sensor-outlier-detection GM applications).
+// Tests of the entropy monitored function (the DDoS-detection GM
+// application).
 
 #include <cmath>
 
 #include <gtest/gtest.h>
 
 #include "core/rng.h"
-#include "functions/cosine_similarity.h"
 #include "functions/entropy.h"
 
 namespace sgm {
@@ -80,75 +79,6 @@ TEST(EntropyTest, EnclosureCoversSamples) {
       EXPECT_LE(value, range.hi + 1e-7);
     }
   }
-}
-
-// ---------------------------------------------------------------- cosine --
-
-TEST(CosineTest, ParallelHalvesGiveOne) {
-  CosineSimilarity cos(4);
-  EXPECT_NEAR(cos.Value(Vector{1.0, 2.0, 2.0, 4.0}), 1.0, 1e-9);
-}
-
-TEST(CosineTest, OrthogonalHalvesGiveZero) {
-  CosineSimilarity cos(4);
-  EXPECT_NEAR(cos.Value(Vector{1.0, 0.0, 0.0, 1.0}), 0.0, 1e-12);
-}
-
-TEST(CosineTest, OppositeHalvesGiveMinusOne) {
-  CosineSimilarity cos(2);
-  EXPECT_NEAR(cos.Value(Vector{3.0, -3.0}), -1.0, 1e-9);
-}
-
-TEST(CosineTest, BoundedInUnitInterval) {
-  CosineSimilarity cos(6);
-  Rng rng(3);
-  for (int trial = 0; trial < 200; ++trial) {
-    Vector v(6);
-    for (int j = 0; j < 6; ++j) v[j] = rng.NextDouble(-4.0, 4.0);
-    const double value = cos.Value(v);
-    EXPECT_GE(value, -1.0 - 1e-9);
-    EXPECT_LE(value, 1.0 + 1e-9);
-  }
-}
-
-TEST(CosineTest, GradientMatchesNumeric) {
-  CosineSimilarity cos(4);
-  const Vector v{1.0, 2.0, -1.5, 0.5};
-  const Vector analytic = cos.Gradient(v);
-  Vector probe = v;
-  for (int j = 0; j < 4; ++j) {
-    const double step = 1e-6;
-    probe[j] = v[j] + step;
-    const double fp = cos.Value(probe);
-    probe[j] = v[j] - step;
-    const double fm = cos.Value(probe);
-    probe[j] = v[j];
-    EXPECT_NEAR(analytic[j], (fp - fm) / (2 * step), 1e-5) << "dim " << j;
-  }
-}
-
-TEST(CosineTest, ScaleInvariance) {
-  CosineSimilarity cos(4);
-  const Vector v{1.0, 2.0, 0.5, -1.0};
-  EXPECT_NEAR(cos.Value(v), cos.Value(v * 5.0), 1e-9);
-  double degree = 1.0;
-  EXPECT_TRUE(cos.HomogeneityDegree(&degree));
-  EXPECT_EQ(degree, 0.0);
-}
-
-TEST(CosineTest, EnclosureRespectsGlobalBounds) {
-  CosineSimilarity cos(4);
-  const Ball huge(Vector{1.0, 1.0, 1.0, 1.0}, 100.0);
-  const Interval range = cos.RangeOverBall(huge);
-  EXPECT_GE(range.lo, -1.0);
-  EXPECT_LE(range.hi, 1.0);
-}
-
-TEST(CosineTest, CloneWorks) {
-  CosineSimilarity cos(4);
-  auto clone = cos.Clone();
-  EXPECT_EQ(clone->name(), "cosine_similarity");
-  EXPECT_NEAR(clone->Value(Vector{1.0, 0.0, 1.0, 0.0}), 1.0, 1e-9);
 }
 
 }  // namespace

@@ -13,7 +13,6 @@
 
 #include "core/rng.h"
 #include "functions/chi_square.h"
-#include "functions/inner_product.h"
 #include "functions/jeffrey_divergence.h"
 #include "functions/l2_norm.h"
 #include "functions/linear.h"
@@ -60,9 +59,6 @@ std::unique_ptr<MonitoredFunction> MakeVariance() {
 std::unique_ptr<MonitoredFunction> MakeLinear() {
   return std::make_unique<LinearFunction>(Vector{1.0, -2.0, 0.5, 1.5}, 1.0);
 }
-std::unique_ptr<MonitoredFunction> MakeJoin() {
-  return std::make_unique<InnerProductJoin>(4);
-}
 
 std::vector<FunctionCase> AllCases() {
   // Count-valued functions get positive-orthant domains matching their
@@ -77,7 +73,6 @@ std::vector<FunctionCase> AllCases() {
       {"stdev", &MakeStdev, 4, -5.0, 5.0, 3.0},
       {"variance", &MakeVariance, 4, -5.0, 5.0, 3.0},
       {"linear", &MakeLinear, 4, -5.0, 5.0, 3.0},
-      {"join", &MakeJoin, 4, -4.0, 4.0, 2.0},
   };
 }
 
@@ -177,7 +172,7 @@ TEST_P(EnclosureTest, DistanceToSurfaceIsLowerBound) {
 }
 
 INSTANTIATE_TEST_SUITE_P(AllFunctions, EnclosureTest,
-                         ::testing::Range<std::size_t>(0, 10),
+                         ::testing::Range<std::size_t>(0, 9),
                          [](const ::testing::TestParamInfo<std::size_t>& info) {
                            return AllCases()[info.param].label;
                          });

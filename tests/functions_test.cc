@@ -4,7 +4,6 @@
 #include <gtest/gtest.h>
 
 #include "functions/chi_square.h"
-#include "functions/inner_product.h"
 #include "functions/jeffrey_divergence.h"
 #include "functions/l2_norm.h"
 #include "functions/linear.h"
@@ -316,28 +315,6 @@ TEST(LinearTest, HomogeneityOnlyWithoutBias) {
   double degree = 0.0;
   EXPECT_TRUE(LinearFunction(Vector{1.0, 1.0}).HomogeneityDegree(&degree));
   EXPECT_FALSE(LinearFunction(Vector{1.0}, 2.0).HomogeneityDegree(&degree));
-}
-
-// ------------------------------------------------------------------- join --
-
-TEST(InnerProductTest, Value) {
-  InnerProductJoin f(4);
-  EXPECT_DOUBLE_EQ(f.Value(Vector{1.0, 2.0, 3.0, 4.0}), 1 * 3.0 + 2 * 4.0);
-}
-
-TEST(InnerProductTest, GradientSwapsHalves) {
-  InnerProductJoin f(4);
-  const Vector grad = f.Gradient(Vector{1.0, 2.0, 3.0, 4.0});
-  EXPECT_EQ(grad, (Vector{3.0, 4.0, 1.0, 2.0}));
-}
-
-TEST(InnerProductTest, Homogeneity) {
-  InnerProductJoin f(2);
-  double degree = 0.0;
-  EXPECT_TRUE(f.HomogeneityDegree(&degree));
-  EXPECT_EQ(degree, 2.0);
-  EXPECT_NEAR(f.Value(Vector{3.0, 5.0} * 2.0), 4.0 * f.Value(Vector{3.0, 5.0}),
-              1e-12);
 }
 
 // ------------------------------------------------------------ clone names --

@@ -19,7 +19,6 @@
 
 #include "core/rng.h"
 #include "functions/chi_square.h"
-#include "functions/cosine_similarity.h"
 #include "functions/entropy.h"
 #include "functions/mutual_information.h"
 #include "functions/whitened_function.h"
@@ -128,33 +127,6 @@ TEST(ProbeGoldenTest, EntropyBalls) {
        0x1.5be60de866875p+0, 0x1.6428f9bc6ab23p+0, 0x1.dba6e2f2b3a22p-4},
       {{100.0, 50.0, 25.0, 12.5}, 10.0,
        0x1.e91bc5d4e1286p-1, 0x1.5465ad137ad3dp+0, 0x1.bbb730c8a0636p-6},
-  });
-}
-
-// Cosine similarity: the quadratic prober clamped to [-1, 1]; the default
-// gradient-norm prober.
-TEST(ProbeGoldenTest, CosineSimilarityBalls) {
-  ExpectBallGoldens(CosineSimilarity(4), {
-      {{1.0, 0.0, 1.0, 0.0}, 0.1,
-       0x1.f64afc016da5dp-1, 0x1p+0, 0x1.09a5382e7aa22p-2},
-      {{1.0, 0.0, 1.0, 0.0}, 0.0, 0x1p+0, 0x1p+0, 0x0p+0},
-      {{1.0, 2.0, 2.0, 1.0}, 0.5,
-       0x1.0ff5a60efb11cp-1, 0x1p+0, 0x1.80b782cc30fd8p-1},
-      {{-0.06, 1.0, 0.5, -0.3}, 0.2,
-       -0x1p+0, -0x1.65135683b5734p-4, 0x1.a487a85aa1faap+1},
-      {{3.0, -4.0, 4.0, 3.0}, 1.0,
-       -0x1.5007d9ea6668cp-2, 0x1.5007d9ea6668cp-2, 0x1.e9057216f837cp-2},
-      {{0.01, 0.02, 5.0, 5.0}, 0.005,
-       0x1.a3e9e5b69f938p-1, 0x1p+0, 0x1.2b7b56b67141ep+5},
-      {{10.0, 10.0, -10.0, -10.0}, 3.0,
-       -0x1p+0, -0x1.d724d50969361p-1, 0x1.439d72747b44ep-5},
-      {{0.5, 0.25, 0.125, 0.0625}, 0.05,
-       0x1.b5a50edb6f588p-1, 0x1p+0, 0x1.16d508491e737p+2},
-      {{2.0, 7.0, 1.0, 8.0}, 2.5,
-       0x1.70297775492c2p-1, 0x1p+0, 0x1.504fa4857ae0bp-3},
-      {{-3.0, -3.0, -3.0, 3.0}, 0.75,
-       -0x1.26477dd0a9a11p-2, 0x1.26477dd0a9a11p-2, 0x1.1bb4d27188c6ap-1},
-      {{6.0, 0.5, 0.5, 6.0}, 4.0, -0x1p+0, 0x1p+0, 0x1.74c2a3491202ep-1},
   });
 }
 

@@ -256,10 +256,10 @@ TEST(RuntimeFaultTest, CollectionLeftOpenAtCycleEndCompletesDegraded) {
   EXPECT_EQ(rebuilt.ValueOrDie().state.full_syncs, 1);
   EXPECT_EQ(rebuilt.ValueOrDie().state.degraded_syncs, 1);
 
-  // The follow-up resync opens degraded_resync_cycles cycles after the
+  // The follow-up resync opens kDegradedResyncCycles cycles after the
   // round's own cycle, the first BeginCycle above included.
   const std::int64_t epoch = coordinator.epoch();
-  for (int c = 2; c < config.degraded_resync_cycles; ++c) {
+  for (int c = 2; c < CoordinatorNode::kDegradedResyncCycles; ++c) {
     coordinator.BeginCycle();
     EXPECT_EQ(coordinator.epoch(), epoch) << "cycle " << c;
   }

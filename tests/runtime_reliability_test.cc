@@ -27,13 +27,13 @@ RuntimeConfig Config(double threshold, double step = 10.0) {
 }
 
 TEST(RuntimeReliabilityTest, NamedConfigDefaultsAreDocumentedValues) {
-  // These knobs replaced ad-hoc constants; the defaults are load-bearing
-  // (docs/DESIGN.md) and changing one is a deliberate, reviewed act.
+  // These defaults and the coordinator's retry/resync constants are
+  // load-bearing (docs/DESIGN.md); changing one is a deliberate, reviewed act.
   const RuntimeConfig config;
-  EXPECT_EQ(config.empty_collection_retry_cycles, 1);
-  EXPECT_EQ(config.degraded_resync_cycles, 5);
-  EXPECT_EQ(config.max_sync_retries, 2);
-  EXPECT_EQ(config.rejoin_resync_cycles, 2);
+  EXPECT_EQ(CoordinatorNode::kEmptyCollectionRetryCycles, 1);
+  EXPECT_EQ(CoordinatorNode::kDegradedResyncCycles, 5);
+  EXPECT_EQ(CoordinatorNode::kMaxSyncRetries, 2);
+  EXPECT_EQ(CoordinatorNode::kRejoinResyncCycles, 2);
   EXPECT_EQ(config.failure_detector.suspect_after_misses, 3);
   EXPECT_EQ(config.failure_detector.dead_after_misses, 6);
   EXPECT_EQ(config.reliability.max_retransmits, 4);
@@ -42,7 +42,7 @@ TEST(RuntimeReliabilityTest, NamedConfigDefaultsAreDocumentedValues) {
   EXPECT_EQ(config.failure_detector.threshold_jitter, 0.0);
   EXPECT_EQ(config.checkpoint_store, nullptr);
   EXPECT_EQ(config.checkpoint_interval_cycles, 25);
-  EXPECT_EQ(config.recovery_resync_cycles, 2);
+  EXPECT_EQ(CoordinatorNode::kRecoveryResyncCycles, 2);
 }
 
 TEST(RuntimeReliabilityTest, EpochAdvancesWithEverySyncRound) {

@@ -83,7 +83,7 @@ TEST(SerializationTest, ReliabilityFieldsRoundTrip) {
   EXPECT_TRUE(decoded.ValueOrDie().retransmit);
 }
 
-// Wire v3 carries the causal span pair; both must survive the full i64
+// The frame carries the causal span pair; both must survive the full i64
 // width — trace reconstruction keys span trees on exact ids.
 TEST(SerializationTest, SpanFieldsRoundTrip) {
   RuntimeMessage m = SampleMessage();
@@ -93,62 +93,6 @@ TEST(SerializationTest, SpanFieldsRoundTrip) {
   ASSERT_TRUE(decoded.ok());
   EXPECT_EQ(decoded.ValueOrDie().span, m.span);
   EXPECT_EQ(decoded.ValueOrDie().parent_span, m.parent_span);
-}
-
-/// Hand-builds a v2 (0xA2) frame: the pre-span layout, 39-byte header.
-std::vector<std::uint8_t> EncodeV2Frame(const RuntimeMessage& m) {
-  std::vector<std::uint8_t> wire;
-  auto append = [&wire](const void* data, std::size_t size) {
-    const auto* bytes = static_cast<const std::uint8_t*>(data);
-    wire.insert(wire.end(), bytes, bytes + size);
-  };
-  const std::uint8_t version = kWireFormatVersionV2;
-  const std::uint8_t type = static_cast<std::uint8_t>(m.type);
-  const std::uint8_t flags = m.retransmit ? 0x01 : 0x00;
-  const std::uint32_t dim = static_cast<std::uint32_t>(m.payload.dim());
-  append(&version, 1);
-  append(&type, 1);
-  append(&flags, 1);
-  append(&m.from, 4);
-  append(&m.to, 4);
-  append(&m.epoch, 8);
-  append(&m.seq, 8);
-  append(&m.scalar, 8);
-  append(&dim, 4);
-  for (std::size_t j = 0; j < m.payload.dim(); ++j) {
-    const double value = m.payload[j];
-    append(&value, 8);
-  }
-  return wire;
-}
-
-// Backward compatibility: a peer still emitting v2 frames (no span fields)
-// must keep interoperating through a rolling upgrade — the frame decodes
-// with span/parent_span = 0, everything else intact.
-TEST(SerializationTest, AcceptsV2FramesWithoutSpans) {
-  const RuntimeMessage original = SampleMessage();
-  const auto v2 = EncodeV2Frame(original);
-  ASSERT_EQ(v2.size(), 39u + 8u * original.payload.dim());
-  auto decoded = DecodeMessage(v2);
-  ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
-  const RuntimeMessage& m = decoded.ValueOrDie();
-  EXPECT_EQ(m.type, original.type);
-  EXPECT_EQ(m.from, original.from);
-  EXPECT_EQ(m.to, original.to);
-  EXPECT_EQ(m.epoch, original.epoch);
-  EXPECT_EQ(m.seq, original.seq);
-  EXPECT_EQ(m.scalar, original.scalar);
-  EXPECT_EQ(m.payload, original.payload);
-  EXPECT_EQ(m.span, 0);
-  EXPECT_EQ(m.parent_span, 0);
-}
-
-TEST(SerializationTest, RejectsTruncatedV2Frames) {
-  const auto v2 = EncodeV2Frame(SampleMessage());
-  for (std::size_t keep = 0; keep < v2.size(); ++keep) {
-    const std::vector<std::uint8_t> prefix(v2.begin(), v2.begin() + keep);
-    EXPECT_FALSE(DecodeMessage(prefix).ok()) << "v2 prefix length " << keep;
-  }
 }
 
 TEST(SerializationTest, EmptyPayloadRoundTrips) {
@@ -315,27 +259,32 @@ TEST(SerializationTest, RejectsHugeDimension) {
   EXPECT_EQ(decoded.status().code(), StatusCode::kOutOfRange);
 }
 
-/// Strips the CRC trailer off a v4 frame and relabels it v3 — exactly the
-/// layout a pre-checksum peer emits.
-std::vector<std::uint8_t> AsV3Frame(std::vector<std::uint8_t> wire) {
-  wire.resize(wire.size() - 4);
-  wire[0] = kWireFormatVersionV3;
+/// Appends a valid CRC trailer to `wire`.
+std::vector<std::uint8_t> WithCrc(std::vector<std::uint8_t> wire) {
+  wire.resize(wire.size() + 4);
+  FixCrc(&wire);
   return wire;
 }
 
-// Backward compatibility: a peer still emitting v3 frames (spans, no CRC)
-// keeps interoperating through a rolling upgrade.
-TEST(SerializationTest, AcceptsV3FramesWithoutChecksum) {
-  RuntimeMessage original = SampleMessage();
-  original.span = 77;
-  original.parent_span = 33;
-  auto decoded = DecodeMessage(AsV3Frame(EncodeMessage(original)));
-  ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
-  const RuntimeMessage& m = decoded.ValueOrDie();
-  EXPECT_EQ(m.epoch, original.epoch);
-  EXPECT_EQ(m.span, original.span);
-  EXPECT_EQ(m.parent_span, original.parent_span);
-  EXPECT_EQ(m.payload, original.payload);
+// Only v4 is decoded. The retired checksum-less layouts, v3 (0xA3: no CRC
+// trailer) and v2 (0xA2: no span pair either), are refused at the version
+// byte, with or without a trailer, so no frame is parsed unchecked.
+TEST(SerializationTest, RejectsRetiredWireVersions) {
+  const std::vector<std::uint8_t> v4 = EncodeMessage(SampleMessage());
+  std::vector<std::uint8_t> v3(v4.begin(), v4.end() - 4);
+  std::vector<std::uint8_t> v2 = v3;
+  v2.erase(v2.begin() + 27, v2.begin() + 43);  // span, parent_span
+  v3[0] = 0xA3;
+  v2[0] = 0xA2;
+  for (const std::vector<std::uint8_t>& wire :
+       {v3, WithCrc(v3), v2, WithCrc(v2)}) {
+    const Result<RuntimeMessage> decoded = DecodeMessage(wire);
+    ASSERT_FALSE(decoded.ok())
+        << "version " << int{wire[0]} << ", " << wire.size() << " bytes";
+    EXPECT_NE(decoded.status().message().find("unsupported wire version"),
+              std::string::npos)
+        << decoded.status().ToString();
+  }
 }
 
 // The corruption-detection guarantee the bit-flip fault mode relies on:

@@ -130,30 +130,41 @@ TEST(FrameReaderTest, OversizedPrefixPoisonsPermanently) {
 }
 
 TEST(FrameReaderTest, CrcRejectsGarbageFrameAndStreamStaysInSync) {
-  // Middle frame of three gets one payload byte flipped. The CRC32C trailer
-  // must reject it before any field reaches the protocol, and the length
-  // prefix must carry the reader straight to the third (clean) frame.
+  // The middle frame of three is mangled: one payload byte flipped, or
+  // relabelled as a checksum-less v3 (0xA3) frame with its CRC trailer
+  // stripped. Either way the decoder must reject it before any field
+  // reaches the protocol, and the length prefix must carry the reader
+  // straight to the third (clean) frame.
   const RuntimeMessage a = MakeReport(0, 1.0, 8);
   const RuntimeMessage b = MakeReport(1, 2.0, 8);
   const RuntimeMessage c = MakeReport(2, 3.0, 8);
-  std::vector<std::uint8_t> stream = Framed(a);
-  std::vector<std::uint8_t> framed_b = Framed(b);
-  framed_b[framed_b.size() / 2] ^= 0x40;
-  stream.insert(stream.end(), framed_b.begin(), framed_b.end());
-  const std::vector<std::uint8_t> framed_c = Framed(c);
-  stream.insert(stream.end(), framed_c.begin(), framed_c.end());
+  std::vector<std::uint8_t> flipped = Framed(b);
+  flipped[flipped.size() / 2] ^= 0x40;
+  std::vector<std::uint8_t> unchecked = Framed(b);
+  unchecked.resize(unchecked.size() - 4);
+  const std::uint32_t length = static_cast<std::uint32_t>(unchecked.size() - 4);
+  std::memcpy(unchecked.data(), &length, sizeof(length));
+  unchecked[4] = 0xA3;
 
-  FrameReader reader;
-  reader.Append(stream.data(), stream.size());
-  std::vector<RuntimeMessage> out;
-  FrameStats stats;
-  ASSERT_TRUE(DrainDecodedFrames(&reader, &out, &stats));
-  EXPECT_EQ(stats.corrupt, 1);
-  EXPECT_EQ(stats.frames, 2);
-  ASSERT_EQ(out.size(), 2u);
-  EXPECT_EQ(out[0].from, 0);
-  EXPECT_EQ(out[1].from, 2);
-  EXPECT_FALSE(reader.poisoned());
+  for (const std::vector<std::uint8_t>& framed_b : {flipped, unchecked}) {
+    SCOPED_TRACE(framed_b[4] == 0xA3 ? "v3 relabel" : "bit flip");
+    std::vector<std::uint8_t> stream = Framed(a);
+    stream.insert(stream.end(), framed_b.begin(), framed_b.end());
+    const std::vector<std::uint8_t> framed_c = Framed(c);
+    stream.insert(stream.end(), framed_c.begin(), framed_c.end());
+
+    FrameReader reader;
+    reader.Append(stream.data(), stream.size());
+    std::vector<RuntimeMessage> out;
+    FrameStats stats;
+    ASSERT_TRUE(DrainDecodedFrames(&reader, &out, &stats));
+    EXPECT_EQ(stats.corrupt, 1);
+    EXPECT_EQ(stats.frames, 2);
+    ASSERT_EQ(out.size(), 2u);
+    EXPECT_EQ(out[0].from, 0);
+    EXPECT_EQ(out[1].from, 2);
+    EXPECT_FALSE(reader.poisoned());
+  }
 }
 
 // Reads frames from `fd` until `want` messages decoded (or EOF/error).
@@ -406,7 +417,7 @@ TEST(SocketTransportTest, WriteAllSurvivesShortWrites) {
   // queues behind the unwritten tail of the first, so the flush must
   // finish one frame at its offset and go on into the next. Every byte of
   // both must arrive, whole and in order.
-  int small = 4096;
+  int small = 65536;
   ASSERT_EQ(::setsockopt(pair.client, SOL_SOCKET, SO_SNDBUF, &small,
                          sizeof(small)),
             0);
@@ -880,7 +891,7 @@ TEST(SocketTransportTest, SendQueuesAndOneFlushWritesTheBacklogInOneCall) {
 TEST(SocketTransportTest, FlushCutMidFrameResumesAtTheCutByteOnPollout) {
   LoopbackPair pair;
   ASSERT_TRUE(pair.Open());
-  int small = 4096;
+  int small = 65536;
   ASSERT_EQ(::setsockopt(pair.client, SOL_SOCKET, SO_SNDBUF, &small,
                          sizeof(small)),
             0);
