@@ -3,10 +3,11 @@
 // construction and threshold tests, sampling-probability evaluation,
 // Horvitz–Thompson estimation, signed distances, receive-side dedup) plus
 // the heavier geometric utilities (χ² certified enclosures and surface
-// distances, hull projection), and the telemetry plane's per-cycle costs at
-// fleet scale.
+// distances, hull projection), the telemetry plane's per-cycle costs at
+// fleet scale, and the simulated runtime's broadcast fan-out and setup.
 
 #include <cmath>
+#include <cstdint>
 #include <memory>
 #include <vector>
 
@@ -178,10 +179,14 @@ void BM_SamplingScaleProbability(benchmark::State& state) {
 BENCHMARK(BM_SamplingScaleProbability);
 
 // A fleet's broadcast fan-out on the receive side: 2,048 sites each take
-// the coordinator's seqs in order, except that every 16th seq is a unicast
-// to another site and leaves a gap. One iteration is one delivery.
+// the coordinator's seqs in order through the verdict RuntimeDriver uses.
+// With an argument g > 0, every g-th seq is a unicast to another site and
+// leaves a gap, so every window keeps holes and each arrival takes the
+// general path; with 0 each takes the in-order step. One iteration is one
+// delivery.
 void BM_InOrderDedup(benchmark::State& state) {
   constexpr int kSites = 2048;
+  const std::int64_t gap_every = state.range(0);
   InMemoryBus bus;
   ReliableTransport transport(&bus, kSites, ReliableTransportConfig{});
   RuntimeMessage broadcast;
@@ -189,19 +194,17 @@ void BM_InOrderDedup(benchmark::State& state) {
   broadcast.from = kCoordinatorId;
   broadcast.to = kBroadcastId;
   broadcast.seq = 1;
-  std::vector<RuntimeMessage> fresh;
   int site = 0;
   for (auto _ : state) {
-    transport.OnDeliver(site, broadcast, &fresh);
-    benchmark::DoNotOptimize(fresh.size());
-    fresh.clear();
+    benchmark::DoNotOptimize(transport.Receive(site, broadcast));
     if (++site == kSites) {
       site = 0;
-      if (++broadcast.seq % 16 == 0) ++broadcast.seq;
+      ++broadcast.seq;
+      if (gap_every > 0 && broadcast.seq % gap_every == 0) ++broadcast.seq;
     }
   }
 }
-BENCHMARK(BM_InOrderDedup);
+BENCHMARK(BM_InOrderDedup)->Arg(0)->Arg(16);
 
 void BM_HtEstimate(benchmark::State& state) {
   Rng rng(7);
@@ -262,37 +265,103 @@ void BM_TraceLogEmit(benchmark::State& state) {
 }
 BENCHMARK(BM_TraceLogEmit)->Unit(benchmark::kMicrosecond);
 
-// The per-cycle metric publish of a warm fleet-like deployment: 2,048
-// sites, Jester-like L∞ without global mood shifts, telemetry at rate 0.1.
-void BM_RuntimeDriverPublishMetrics(benchmark::State& state) {
-  constexpr int kSites = 2048;
+// The fleet the driver benchmarks share, perfbench's fleet-2048
+// calibration: 2,048 sites, Jester-like L∞ without global mood shifts,
+// T = 20.
+constexpr int kFleetSites = 2048;
+constexpr std::size_t kFleetBuckets = 8;
+
+JesterLikeConfig FleetWorkload() {
   JesterLikeConfig workload;
-  workload.num_sites = kSites;
+  workload.num_sites = kFleetSites;
   workload.window = 50;
-  workload.num_buckets = 8;
+  workload.num_buckets = kFleetBuckets;
   workload.shift_spacing = 1000000000;
   workload.seed = 101;
-  JesterLikeGenerator source(workload);
-  const LInfDistance function{Vector(workload.num_buckets)};
-  Telemetry telemetry;
+  return workload;
+}
+
+RuntimeConfig FleetConfig(const JesterLikeGenerator& source) {
   RuntimeConfig config;
   config.threshold = 20.0;
   config.max_step_norm = source.max_step_norm();
   config.drift_norm_cap = source.max_drift_norm();
   config.seed = 202;
+  return config;
+}
+
+/// Initializes `driver` from `source` and runs it 50 cycles.
+void Warm(JesterLikeGenerator* source, RuntimeDriver* driver) {
+  std::vector<Vector> locals;
+  source->Advance(&locals);
+  driver->Initialize(locals);
+  for (int t = 0; t < 50; ++t) {
+    source->Advance(&locals);
+    driver->Tick(locals);
+  }
+}
+
+// The per-cycle metric publish of a warm fleet, telemetry at rate 0.1.
+void BM_RuntimeDriverPublishMetrics(benchmark::State& state) {
+  JesterLikeGenerator source(FleetWorkload());
+  const LInfDistance function{Vector(kFleetBuckets)};
+  Telemetry telemetry;
+  RuntimeConfig config = FleetConfig(source);
   config.telemetry = &telemetry;
   config.trace_sample_rate = 0.1;
-  RuntimeDriver driver(kSites, function, config);
-  std::vector<Vector> locals;
-  source.Advance(&locals);
-  driver.Initialize(locals);
-  for (int t = 0; t < 50; ++t) {
-    source.Advance(&locals);
-    driver.Tick(locals);
-  }
+  RuntimeDriver driver(kFleetSites, function, config);
+  Warm(&source, &driver);
   for (auto _ : state) driver.PublishMetrics();
 }
 BENCHMARK(BM_RuntimeDriverPublishMetrics)->Unit(benchmark::kMicrosecond);
+
+// One whole kResolved broadcast in a warm fleet, handled as RuntimeDriver
+// handles it: at each of the 2,048 sites, the receive-side verdict, then
+// SiteNode::OnMessage. The verdicts come from a reliability layer of the
+// benchmark's own, fed the broadcast seqs in order. One iteration is one
+// broadcast.
+void BM_BroadcastFanOut(benchmark::State& state) {
+  JesterLikeGenerator source(FleetWorkload());
+  const LInfDistance function{Vector(kFleetBuckets)};
+  RuntimeDriver driver(kFleetSites, function, FleetConfig(source));
+  Warm(&source, &driver);
+  InMemoryBus bus;
+  ReliableTransport receiver(&bus, kFleetSites, ReliableTransportConfig{});
+  RuntimeMessage resolved;
+  resolved.type = RuntimeMessage::Type::kResolved;
+  resolved.from = kCoordinatorId;
+  resolved.to = kBroadcastId;
+  resolved.epoch = driver.coordinator().epoch();
+  for (auto _ : state) {
+    ++resolved.seq;
+    for (int site = 0; site < kFleetSites; ++site) {
+      if (receiver.Receive(site, resolved)) {
+        driver.site(site).OnMessage(resolved);
+      }
+    }
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(state.iterations() * kFleetSites);
+}
+BENCHMARK(BM_BroadcastFanOut)->Unit(benchmark::kMicrosecond);
+
+// A fleet deployment's setup: building the driver with its 2,048 sites,
+// then the initialization sync, whose 2,048 state reports overrun the
+// coordinator's cap of 256 in-flight expectations 1,792 times. One
+// iteration is one deployment, its teardown included.
+void BM_RuntimeDriverInitialize(benchmark::State& state) {
+  JesterLikeGenerator source(FleetWorkload());
+  const LInfDistance function{Vector(kFleetBuckets)};
+  const RuntimeConfig config = FleetConfig(source);
+  std::vector<Vector> locals;
+  source.Advance(&locals);
+  for (auto _ : state) {
+    RuntimeDriver driver(kFleetSites, function, config);
+    driver.Initialize(locals);
+    benchmark::DoNotOptimize(driver.coordinator().epoch());
+  }
+}
+BENCHMARK(BM_RuntimeDriverInitialize)->Unit(benchmark::kMillisecond);
 
 }  // namespace
 }  // namespace sgm

@@ -80,7 +80,13 @@ void RuntimeDriver::BuildNodes(int num_sites,
 }
 
 void RuntimeDriver::Deliver(int receiver, const RuntimeMessage& message) {
-  if (receiver == kCoordinatorId && coordinator_ == nullptr) {
+  if (receiver != kCoordinatorId) {
+    if (reliable_->Receive(receiver, message)) {
+      sites_[receiver]->OnMessage(message);
+    }
+    return;
+  }
+  if (coordinator_ == nullptr) {
     // A dead coordinator acks nothing and processes nothing: the frame is
     // lost unacked (before the receive-side reliability layer, which would
     // ack it), exactly as a crashed host loses it. Senders retransmit and
@@ -89,24 +95,15 @@ void RuntimeDriver::Deliver(int receiver, const RuntimeMessage& message) {
     return;
   }
   // The receive-side reliability layer consumes acks, dedups and acks data;
-  // at most one message survives to the node. Handlers only queue on the
-  // bus, never re-enter Deliver, so one buffer serves every delivery.
-  fresh_.clear();
-  reliable_->OnDeliver(receiver, message, &fresh_);
-  for (const RuntimeMessage& m : fresh_) {
-    if (receiver == kCoordinatorId) {
-      coordinator_->OnMessage(m);
-      if (crash_after_messages_ > 0 && --crash_after_messages_ == 0) {
-        // Armed mid-cascade crash: fires between two message handlers of
-        // one delivery burst. Anything already acked but not yet dispatched
-        // dies with the process (ack-then-crash is a real failure mode the
-        // WAL ordering must survive).
-        CrashCoordinator();
-        break;
-      }
-    } else {
-      sites_[receiver]->OnMessage(m);
-    }
+  // the node handles what it admits, in place.
+  if (!reliable_->Receive(kCoordinatorId, message)) return;
+  coordinator_->OnMessage(message);
+  if (crash_after_messages_ > 0 && --crash_after_messages_ == 0) {
+    // Armed mid-cascade crash: fires between two message handlers of one
+    // delivery burst. Anything already acked but not yet dispatched dies
+    // with the process (ack-then-crash is a real failure mode the WAL
+    // ordering must survive).
+    CrashCoordinator();
   }
 }
 
@@ -181,10 +178,14 @@ void RuntimeDriver::RouteToQuiescence() {
           Deliver(kCoordinatorId, message);
         } else if (message.to == kBroadcastId) {
           // A broadcast is one wire message but N receiver-side stacks:
-          // each live site dedups it independently, and none acks it.
+          // each live site dedups it independently (in order, one window
+          // step), none acks it, and each node handles the popped message
+          // itself.
           for (auto& site : sites_) {
             if (sim_ && sim_->IsCrashed(site->id())) continue;
-            Deliver(site->id(), message);
+            if (reliable_->Receive(site->id(), message)) {
+              site->OnMessage(message);
+            }
           }
         } else {
           SGM_CHECK(message.to >= 0 &&

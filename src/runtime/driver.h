@@ -31,6 +31,11 @@ namespace sgm {
 /// overhead-wise — every ack arrives in the same drain, so no
 /// retransmission ever fires and paper-comparable accounting is unchanged.
 ///
+/// Each message popped off the bus is handled in place: the reliability
+/// layer's verdict (ReliableTransport::Receive) decides whether the node
+/// sees it, with no copy in between. A whole broadcast thus costs each live
+/// site one dedup-window step and one SiteNode::OnMessage call.
+///
 /// The four-argument constructor layers a seeded SimTransport between the
 /// reliability layer and the bus, turning the driver into the
 /// deterministic-simulation harness: drops, duplicates, bounded delays
@@ -122,8 +127,8 @@ class RuntimeDriver {
  private:
   void BuildNodes(int num_sites, const MonitoredFunction& function,
                   const RuntimeConfig& config, Transport* lower);
-  /// Runs one bus message through the receive-side reliability layer for
-  /// `receiver` and dispatches whatever survives dedup.
+  /// Runs one unicast bus message through the receive-side reliability
+  /// layer for `receiver` and hands it to the node if it survives dedup.
   void Deliver(int receiver, const RuntimeMessage& message);
   /// Delivers queued messages (and quiescence callbacks) to a fixed point,
   /// advancing the fault layer's delay rounds and the reliability layer's
@@ -137,8 +142,6 @@ class RuntimeDriver {
   std::vector<std::unique_ptr<SiteNode>> sites_;
   /// Every site's audit counters, totalled as the sites bump them.
   SiteNode::AuditStats site_totals_;
-  /// Deliver()'s output buffer, reused across deliveries.
-  std::vector<RuntimeMessage> fresh_;
   Telemetry* telemetry_ = nullptr;
   long cycle_ = 0;
 

@@ -129,20 +129,32 @@ bool ReliableTransport::ReleaseAwait(InFlight* entry, int dest) {
 }
 
 void ReliableTransport::EvictOldestFor(int dest) {
-  for (std::vector<InFlight>& list : in_flight_) {
-    for (auto it = list.begin(); it != list.end(); ++it) {
-      if (!Awaits(*it, dest)) continue;
-      ++stats_.queue_evictions;
-      if (telemetry_ != nullptr) {
-        telemetry_->trace.Emit(TraceEventId::kQueueEvict, it->message.from,
-                               {{"dest", dest}, {"seq", it->message.seq}});
-      }
-      if (ReleaseAwait(&*it, dest)) {
-        list.erase(it);
-        --in_flight_count_;
-      }
-      return;
+  std::vector<InFlight>* list;
+  std::vector<InFlight>::iterator victim;
+  if (dest == kCoordinatorId) {
+    // The cap was reached, so some site list at or past the bound holds an
+    // entry, and its head is the victim.
+    while (in_flight_[first_site_list_].empty()) {
+      ++first_site_list_;
+      SGM_CHECK(first_site_list_ < in_flight_.size());
     }
+    list = &in_flight_[first_site_list_];
+    victim = list->begin();
+  } else {
+    list = &in_flight_[Slot(kCoordinatorId)];
+    victim = std::find_if(list->begin(), list->end(), [dest](const InFlight& e) {
+      return Awaits(e, dest);
+    });
+    if (victim == list->end()) return;
+  }
+  ++stats_.queue_evictions;
+  if (telemetry_ != nullptr) {
+    telemetry_->trace.Emit(TraceEventId::kQueueEvict, victim->message.from,
+                           {{"dest", dest}, {"seq", victim->message.seq}});
+  }
+  if (ReleaseAwait(&*victim, dest)) {
+    list->erase(victim);
+    --in_flight_count_;
   }
 }
 
@@ -195,45 +207,48 @@ void ReliableTransport::Send(const RuntimeMessage& message) {
   stamped.seq = ++next_seq_[Slot(message.from)];
   stamped.retransmit = false;
 
+  // The destinations an ack can confirm, as a bitset just wide enough for
+  // them. A whole-delivered broadcast is lost only together with its
+  // receiver, which an ack cannot repair: it stays sequenced, for dedup,
+  // but awaits no one. Per-destination links track each site's copy. An
+  // administratively-down destination is best-effort (the rejoin machinery
+  // owns resynchronization).
   InFlight entry;
-  // Wide enough for every site slot, or for the coordinator's slot alone.
-  entry.awaiting.assign(from_coordinator ? WordOf(Slot(num_sites_ - 1)) + 1 : 1,
-                        0);
   const auto await = [&entry](int dest) {
     entry.awaiting[WordOf(Slot(dest))] |= BitOf(Slot(dest));
     ++entry.awaiting_count;
   };
   if (stamped.to == kBroadcastId) {
-    // A whole-delivered broadcast is lost only together with its receiver,
-    // which an ack cannot repair: it stays sequenced, for dedup, but
-    // untracked. Per-destination links track each site's copy.
     if (!lower_->DeliversWhole(stamped)) {
+      entry.awaiting.assign(WordOf(Slot(num_sites_ - 1)) + 1, 0);
       for (int site = 0; site < num_sites_; ++site) {
         if (link_up_[site]) await(site);
       }
     }
-  } else if (stamped.to >= 0 && !link_up_[stamped.to]) {
-    // Administratively-down destination: best-effort, no tracking (the
-    // rejoin machinery owns resynchronization).
-  } else {
+  } else if (stamped.to < 0 || link_up_[stamped.to]) {
+    entry.awaiting.assign(WordOf(Slot(stamped.to)) + 1, 0);
     await(stamped.to);
   }
-  if (entry.awaiting_count > 0) {
-    ++stats_.tracked_sends;
-    entry.due_round = round_ + NextBackoff(0);
-    ForEachAwaited(entry.awaiting, [&](int dest) {
-      // Per-peer queue cap: free a slot before claiming one, so the newest
-      // message (the one the protocol currently cares about) always tracks.
-      if (pending_per_dest_[Slot(dest)] >= config_.max_in_flight_per_peer) {
-        EvictOldestFor(dest);
-      }
-      ++pending_per_dest_[Slot(dest)];
-    });
-    entry.message = stamped;
-    in_flight_[Slot(stamped.from)].push_back(std::move(entry));
-    ++in_flight_count_;
+  if (entry.awaiting_count == 0) {
+    lower_->Send(stamped);
+    return;
   }
-  lower_->Send(stamped);
+  ++stats_.tracked_sends;
+  entry.due_round = round_ + NextBackoff(0);
+  ForEachAwaited(entry.awaiting, [&](int dest) {
+    // Per-peer queue cap: free a slot before claiming one, so the newest
+    // message (the one the protocol currently cares about) always tracks.
+    if (pending_per_dest_[Slot(dest)] >= config_.max_in_flight_per_peer) {
+      EvictOldestFor(dest);
+    }
+    ++pending_per_dest_[Slot(dest)];
+  });
+  const std::size_t slot = Slot(stamped.from);
+  if (!from_coordinator) first_site_list_ = std::min(first_site_list_, slot);
+  entry.message = std::move(stamped);
+  in_flight_[slot].push_back(std::move(entry));
+  ++in_flight_count_;
+  lower_->Send(in_flight_[slot].back().message);
 }
 
 void ReliableTransport::Ack(int receiver, const RuntimeMessage& message) {
@@ -280,15 +295,18 @@ ReliableTransport::SeenWindow& ReliableTransport::WindowFor(int receiver,
 void ReliableTransport::OnDeliver(int receiver, const RuntimeMessage& message,
                                   std::vector<RuntimeMessage>* deliver) {
   SGM_CHECK(deliver != nullptr);
+  if (Receive(receiver, message)) deliver->push_back(message);
+}
+
+bool ReliableTransport::ReceiveGeneral(int receiver,
+                                       const RuntimeMessage& message) {
   if (message.type == RuntimeMessage::Type::kAck) {
     // message.to is the original sender whose seq is being acknowledged.
     Resolve(message.to, message.seq, message.from);
-    return;
+    return false;
   }
-  if (message.seq == 0) {  // unsequenced control (heartbeat, rejoin request)
-    deliver->push_back(message);
-    return;
-  }
+  // Unsequenced control (heartbeat, rejoin request) skips dedup.
+  if (message.seq == 0) return true;
 
   SeenWindow& window = WindowFor(receiver, message.from);
   if (!window.Admit(message.seq)) {
@@ -298,11 +316,18 @@ void ReliableTransport::OnDeliver(int receiver, const RuntimeMessage& message,
                              {{"sender", message.from}, {"seq", message.seq}});
     }
     Ack(receiver, message);  // the previous ack may have been lost
-    return;
+    return false;
   }
   stats_.dedup_evictions += window.Trim(config_.dedup_window);
   Ack(receiver, message);
-  deliver->push_back(message);
+  return true;
+}
+
+ReliableTransport::SiteWindowView ReliableTransport::SiteWindow(
+    int site) const {
+  SGM_CHECK(site >= 0 && site < num_sites_);
+  const SeenWindow& window = seen_at_site_[site];
+  return {window.top, window.top - window.floor - window.seen};
 }
 
 bool ReliableTransport::SeenWindow::Admit(std::int64_t seq) {

@@ -6,6 +6,7 @@
 #include <functional>
 #include <vector>
 
+#include "core/check.h"
 #include "core/rng.h"
 #include "obs/metric_registry.h"
 #include "runtime/transport.h"
@@ -46,10 +47,11 @@ struct ReliableTransportConfig {
 /// deterministic seeded jitter, and receive-side duplicate suppression.
 ///
 /// Sits between the protocol nodes and the (possibly fault-injecting) lower
-/// transport. The runtime driver is the event loop: it forwards every
-/// delivered message through OnDeliver() (which consumes acks, suppresses
-/// duplicates and emits acks for fresh data) and calls AdvanceRound()
-/// whenever the network drains, which is when due retransmissions fire.
+/// transport. The runtime driver is the event loop: it passes every
+/// delivered message through Receive() (which consumes acks, suppresses
+/// duplicates and emits acks for fresh data) and hands the node what it
+/// admits, and it calls AdvanceRound() whenever the network drains, which
+/// is when due retransmissions fire.
 ///
 /// Only RuntimeDriver runs this layer: its SimTransport models a lossy
 /// datagram network. The socket tier does not. A TCP stream already
@@ -126,8 +128,35 @@ class ReliableTransport final : public Transport {
   /// kCoordinatorId; broadcast fan-out calls this once per site). Consumes
   /// acks, drops duplicates (re-acking them, in case the first ack was
   /// lost), acks fresh sequenced data — except a message still addressed to
-  /// kBroadcastId, which came whole and is awaited by no one — and appends
-  /// to `deliver` the messages the node should actually process.
+  /// kBroadcastId, which came whole and is awaited by no one — and returns
+  /// true when `receiver`'s node should process `message`.
+  ///
+  /// Inline here is the fan-out's common case: a coordinator broadcast,
+  /// still whole, that is the next seq at a site whose window has no holes.
+  /// Admit plus Trim would move only `top` and `seen` (or, at a full
+  /// window, the floor), so this does exactly that; everything else — acks,
+  /// control, gaps, duplicates, readdressed copies — takes ReceiveGeneral.
+  bool Receive(int receiver, const RuntimeMessage& message) {
+    if (message.to == kBroadcastId && message.from == kCoordinatorId &&
+        message.type != RuntimeMessage::Type::kAck) {
+      SGM_CHECK(receiver >= 0 && receiver < num_sites_);
+      SeenWindow& window = seen_at_site_[receiver];
+      if (message.seq == window.top + 1 && window.holes.empty()) {
+        window.top = message.seq;
+        if (window.seen < config_.dedup_window) {
+          ++window.seen;
+        } else {
+          ++window.floor;
+          ++stats_.dedup_evictions;
+        }
+        return true;
+      }
+    }
+    return ReceiveGeneral(receiver, message);
+  }
+
+  /// Receive() that appends an admitted message to `deliver`, for callers
+  /// that collect what survives.
   void OnDeliver(int receiver, const RuntimeMessage& message,
                  std::vector<RuntimeMessage>* deliver);
 
@@ -167,6 +196,15 @@ class ReliableTransport final : public Transport {
     dead_link_handler_ = std::move(handler);
   }
 
+  /// Site `site`'s view of the coordinator's seq stream: the highest seq
+  /// it took, and how many seqs between its window's floor and that one it
+  /// has not. Diagnostic; tests read it.
+  struct SiteWindowView {
+    std::int64_t top = 0;
+    std::int64_t missing = 0;
+  };
+  SiteWindowView SiteWindow(int site) const;
+
   Stats stats() const { return stats_; }
   /// Mirrors the Stats counters into `registry` under `transport.*`
   /// (transport.retransmissions, transport.acks_sent, ...). The handles are
@@ -195,7 +233,9 @@ class ReliableTransport final : public Transport {
   /// counts the seen seqs above the floor. In-order arrival moves only
   /// `top` and `seen`; a gap adds one hole and a late fill shrinks or
   /// splits one, so memory follows the gaps, not the history: a seen seq
-  /// closes every hole, so there are at most `seen` of them.
+  /// closes every hole, so there are at most `seen` of them. Trim drops a
+  /// fully consumed `holes`, so after every admission "no holes" reads
+  /// `holes.empty()`.
   struct SeenWindow {
     struct Hole {
       std::int64_t first;
@@ -223,6 +263,8 @@ class ReliableTransport final : public Transport {
     return endpoint >= kCoordinatorId && endpoint < num_sites_;
   }
   static bool Tracked(const RuntimeMessage& message);
+  /// Receive()'s path for everything but an in-order whole broadcast.
+  bool ReceiveGeneral(int receiver, const RuntimeMessage& message);
   long NextBackoff(int attempts);
   void Ack(int receiver, const RuntimeMessage& message);
   void Resolve(int sender, std::int64_t seq, int receiver);
@@ -234,7 +276,10 @@ class ReliableTransport final : public Transport {
   /// Frees one queue slot for `dest` by evicting the oldest in-flight
   /// expectation on it (oldest in (sender, seq) order, coordinator first —
   /// per sender that is send order, which is what matters: entries piling
-  /// up on one peer come from the one endpoint still talking to it).
+  /// up on one peer come from the one endpoint still talking to it). Only
+  /// the coordinator's entries await sites, and every entry of a site's
+  /// list awaits the coordinator, so the coordinator's victim is the head
+  /// of the first non-empty site list, found from `first_site_list_`.
   void EvictOldestFor(int dest);
   /// The dedup window for sequenced traffic from `sender` at `receiver`.
   SeenWindow& WindowFor(int receiver, int sender);
@@ -258,6 +303,10 @@ class ReliableTransport final : public Transport {
   /// Tracked unacked messages per sender, each list in seq order.
   std::vector<std::vector<InFlight>> in_flight_;
   long in_flight_count_ = 0;
+  /// Lower bound on the slot of the first non-empty site list: lowered by
+  /// every site's tracked send and moved past empty lists by eviction, so
+  /// a burst of evictions never rescans lists it already emptied.
+  std::size_t first_site_list_ = Slot(0);
   /// In-flight expectations per destination, bounded by
   /// max_in_flight_per_peer via eviction.
   std::vector<long> pending_per_dest_;

@@ -502,6 +502,35 @@ TEST(ReliableTransportTest, QueueCapEvictsInSenderThenSeqOrder) {
             (std::set<std::pair<int, std::int64_t>>{{1, 1}, {1, 2}}));
 }
 
+TEST(ReliableTransportTest, QueueCapEvictsALowerSiteThatSendsAgainFirst) {
+  // Evictions move past the site lists they empty. A lower site that then
+  // sends again holds the lowest (sender, seq) entry once more, so its
+  // entry is the next victim.
+  InMemoryBus bus;
+  ReliableTransportConfig config;
+  config.max_in_flight_per_peer = 2;
+  ReliableTransport rt(&bus, 3, config);
+  rt.Send(Report(0));  // (0, 1)
+  rt.Send(Report(1));  // (1, 1)
+  rt.Send(Report(2));  // (2, 1): evicts (0, 1)
+  rt.Send(Report(2));  // (2, 2): evicts (1, 1), past site 0's empty list
+  rt.Send(Report(0));  // (0, 2): evicts (2, 1), past site 1's
+  rt.Send(Report(2));  // (2, 3): evicts (0, 2)
+  EXPECT_EQ(rt.stats().queue_evictions, 4);
+  while (!bus.empty()) bus.Pop();
+
+  std::set<std::pair<int, std::int64_t>> retransmitted;
+  rt.AdvanceRound();
+  rt.AdvanceRound();
+  while (!bus.empty()) {
+    const RuntimeMessage copy = bus.Pop();
+    EXPECT_TRUE(copy.retransmit);
+    retransmitted.emplace(copy.from, copy.seq);
+  }
+  EXPECT_EQ(retransmitted,
+            (std::set<std::pair<int, std::int64_t>>{{2, 2}, {2, 3}}));
+}
+
 TEST(ReliableTransportTest, AckNamingAnOutOfRangeEndpointIsIgnored) {
   PerSiteWire wire(2);
   ReliableTransport rt(&wire, 2, ReliableTransportConfig{});
@@ -739,6 +768,14 @@ class SortedSeqWindow {
     return true;
   }
   std::int64_t floor() const { return floor_; }
+  /// True if `seq` is the next seq past a window without gaps: the arrival
+  /// that, as a whole broadcast, takes the transport's in-order step.
+  bool InOrder(std::int64_t seq) const {
+    const std::int64_t top = seqs_.empty() ? floor_ : seqs_.back();
+    return seq == top + 1 &&
+           static_cast<std::int64_t>(seqs_.size()) == top - floor_;
+  }
+  bool full() const { return seqs_.size() == limit_; }
 
  private:
   std::size_t limit_;
@@ -772,17 +809,26 @@ TEST(ReliableTransportTest, DedupWindowMatchesTheSortedSeqReference) {
       long duplicates = 0;
       long evictions = 0;
       long acks = 0;
+      // Arrivals that took the in-order step, and those of them that also
+      // promoted a seq out of a full window.
+      long in_order_steps = 0;
+      long promoting_steps = 0;
       const auto pick = [&](const std::vector<std::int64_t>& seqs) {
         return seqs[rng.NextBounded(seqs.size())];
       };
-      const auto deliver = [&](int pair, std::int64_t seq) {
+      const auto deliver = [&](int pair, std::int64_t seq,
+                               bool whole = false) {
         const int site = pair % kSites;
         const bool downlink = pair < kSites;
         RuntimeMessage m = downlink ? EstimateBroadcast() : Report(site);
         // Some downlink traffic comes as a whole-delivered broadcast, which
         // is deduped like a unicast but never acked.
-        if (downlink && rng.NextBounded(4) != 0) m.to = site;
+        if (downlink && !whole && rng.NextBounded(4) != 0) m.to = site;
         m.seq = seq;
+        if (m.to == kBroadcastId && reference[pair].InOrder(seq)) {
+          ++in_order_steps;
+          if (reference[pair].full()) ++promoting_steps;
+        }
         const bool fresh = reference[pair].Deliver(seq, &evictions);
         if (!fresh) ++duplicates;
         if (m.to != kBroadcastId) ++acks;
@@ -827,6 +873,20 @@ TEST(ReliableTransportTest, DedupWindowMatchesTheSortedSeqReference) {
         }
         if (HasFatalFailure()) return;
       }
+      EXPECT_GT(in_order_steps, 0);
+      // Then a run of whole broadcasts in order at every site, long enough
+      // to promote the window past every hole the steps above left: the
+      // rest of the run takes the in-order step, each arrival promoting.
+      const long steps_before_run = in_order_steps;
+      const long promoting_before_run = promoting_steps;
+      for (int site = 0; site < kSites; ++site) {
+        for (int k = 0; k < 2 * limit + 16; ++k) {
+          deliver(site, ++streams[site].next, /*whole=*/true);
+          if (HasFatalFailure()) return;
+        }
+      }
+      EXPECT_GE(in_order_steps - steps_before_run, kSites * (limit + 16));
+      EXPECT_GE(promoting_steps - promoting_before_run, kSites * (limit + 16));
       EXPECT_GT(rt.stats().dedup_evictions, 0);
       EXPECT_GT(rt.stats().duplicates_suppressed, 0);
     }

@@ -678,6 +678,52 @@ TEST(RuntimeReliabilityTest, CrashedSiteThatMissedASyncRejoinsViaGrant) {
   EXPECT_EQ(driver.site(2).epoch(), driver.coordinator().epoch());
 }
 
+// A site crashed in the fault layer takes no part in the whole broadcasts
+// it misses: neither its dedup window nor its node sees them. After
+// recovery the next broadcast lands past a hole in the window, which the
+// general receive path records (the in-order step needs none), and the
+// epoch gap it carries makes the site ask to rejoin.
+TEST(RuntimeReliabilityTest, CrashedSiteMissesWholeBroadcastsAndFindsTheHole) {
+  const L2Norm norm;
+  RuntimeDriver driver(4, norm, Config(3.0), SimTransportConfig{});
+  std::vector<Vector> locals(4, Vector{1.0, 0.0});
+  driver.Initialize(locals);
+  const ReliableTransport& reliable = driver.reliable_transport();
+  const ReliableTransport::SiteWindowView before = reliable.SiteWindow(2);
+  const SiteNode::AuditStats audit_before = driver.site(2).audit();
+  const std::int64_t epoch_before = driver.site(2).epoch();
+  ASSERT_GT(before.top, 0);
+  ASSERT_EQ(before.missing, 0);
+
+  driver.sim_transport()->CrashSite(2);
+  for (auto& v : locals) v = Vector{6.0, 0.0};
+  for (int t = 0; t < 8 && !driver.coordinator().BelievesAbove(); ++t) {
+    driver.Tick(locals);
+  }
+  ASSERT_TRUE(driver.coordinator().BelievesAbove());
+  EXPECT_GT(reliable.SiteWindow(0).top, before.top);
+  EXPECT_EQ(reliable.SiteWindow(2).top, before.top);
+  EXPECT_EQ(reliable.SiteWindow(2).missing, 0);
+  EXPECT_EQ(driver.site(2).epoch(), epoch_before);
+  EXPECT_EQ(driver.site(2).audit().stale_epoch_drops,
+            audit_before.stale_epoch_drops);
+  EXPECT_EQ(driver.site(2).audit().rejoin_requests_sent,
+            audit_before.rejoin_requests_sent);
+
+  // Site 2 comes back on its old anchor and stays quiet; the others fall
+  // back below the threshold, which draws a probe.
+  driver.sim_transport()->RecoverSite(2);
+  for (auto& v : locals) v = Vector{1.0, 0.0};
+  for (int t = 0; t < 4 && reliable.SiteWindow(2).top == before.top; ++t) {
+    driver.Tick(locals);
+  }
+  const ReliableTransport::SiteWindowView after = reliable.SiteWindow(2);
+  ASSERT_GT(after.top, before.top);
+  EXPECT_GT(after.missing, 0);
+  EXPECT_GT(driver.site(2).audit().rejoin_requests_sent,
+            audit_before.rejoin_requests_sent);
+}
+
 TEST(RuntimeReliabilityTest, FaultFreeRunNeverRetransmits) {
   const L2Norm norm;
   RuntimeDriver driver(8, norm, Config(3.0));
