@@ -346,9 +346,9 @@ void BM_BroadcastFanOut(benchmark::State& state) {
 BENCHMARK(BM_BroadcastFanOut)->Unit(benchmark::kMicrosecond);
 
 // A fleet deployment's setup: building the driver with its 2,048 sites,
-// then the initialization sync, whose 2,048 state reports overrun the
-// coordinator's cap of 256 in-flight expectations 1,792 times. One
-// iteration is one deployment, its teardown included.
+// then the initialization sync, whose 2,048 state reports all await the
+// coordinator's ack at once. One iteration is one deployment, its teardown
+// included.
 void BM_RuntimeDriverInitialize(benchmark::State& state) {
   JesterLikeGenerator source(FleetWorkload());
   const LInfDistance function{Vector(kFleetBuckets)};

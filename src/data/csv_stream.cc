@@ -1,7 +1,6 @@
 #include "data/csv_stream.h"
 
 #include <algorithm>
-#include <cmath>
 #include <cstdlib>
 #include <fstream>
 #include <sstream>
@@ -149,74 +148,6 @@ void CsvVectorStream::Advance(std::vector<Vector>* local_vectors) {
   const std::size_t index = std::min(next_, frames_.size() - 1);
   *local_vectors = frames_[index];
   ++next_;
-}
-
-// ----------------------------------------------------------------------
-
-CsvEventStream::CsvEventStream(
-    std::vector<std::vector<std::size_t>> events_per_site, std::size_t window,
-    std::size_t dim)
-    : events_(std::move(events_per_site)), window_size_(window), dim_(dim) {
-  cursor_.assign(events_.size(), 0);
-  windows_.reserve(events_.size());
-  for (std::size_t i = 0; i < events_.size(); ++i) {
-    windows_.emplace_back(window, dim);
-  }
-}
-
-Result<CsvEventStream> CsvEventStream::Load(const std::string& path,
-                                            int num_sites, std::size_t window,
-                                            std::size_t dim) {
-  if (num_sites <= 0 || window == 0 || dim == 0) {
-    return Status::InvalidArgument("num_sites, window and dim must be > 0");
-  }
-  std::ifstream file(path);
-  if (!file.is_open()) {
-    return Status::NotFound("cannot open CSV file: " + path);
-  }
-  std::vector<std::vector<std::size_t>> events(num_sites);
-  std::string line;
-  long row = 0;
-  while (std::getline(file, line)) {
-    ++row;
-    if (line.empty() || line[0] == '#') continue;
-    const std::vector<std::string> cells = SplitCsv(line);
-    if (cells.size() != 2) {
-      return Status::InvalidArgument("row " + std::to_string(row) +
-                                     ": expected site,category");
-    }
-    long site = 0, category = 0;
-    SGM_RETURN_NOT_OK(ParseLong(cells[0], row, &site));
-    SGM_RETURN_NOT_OK(ParseLong(cells[1], row, &category));
-    if (site < 0 || site >= num_sites) {
-      return Status::OutOfRange("row " + std::to_string(row) +
-                                ": site out of range");
-    }
-    if (category < 0 || static_cast<std::size_t>(category) > dim) {
-      return Status::OutOfRange("row " + std::to_string(row) +
-                                ": category out of range");
-    }
-    events[site].push_back(static_cast<std::size_t>(category));
-  }
-  return CsvEventStream(std::move(events), window, dim);
-}
-
-void CsvEventStream::Advance(std::vector<Vector>* local_vectors) {
-  SGM_CHECK(local_vectors != nullptr);
-  local_vectors->resize(windows_.size());
-  for (std::size_t i = 0; i < windows_.size(); ++i) {
-    if (cursor_[i] < events_[i].size()) {
-      windows_[i].Push(events_[i][cursor_[i]]);
-      ++cursor_[i];
-    }
-    (*local_vectors)[i] = windows_[i].counts();
-  }
-}
-
-double CsvEventStream::max_step_norm() const { return std::sqrt(2.0); }
-
-double CsvEventStream::max_drift_norm() const {
-  return std::sqrt(2.0) * static_cast<double>(window_size_);
 }
 
 }  // namespace sgm

@@ -6,7 +6,6 @@
 
 #include "core/status.h"
 #include "core/vector.h"
-#include "data/sliding_window.h"
 #include "data/stream.h"
 
 namespace sgm {
@@ -43,40 +42,6 @@ class CsvVectorStream final : public StreamSource {
   std::vector<std::vector<Vector>> frames_;
   double max_step_norm_;
   std::size_t next_ = 0;
-};
-
-/// Streams categorical events from CSV into per-site sliding-window count
-/// vectors — the shape of the paper's real workloads (ratings → histogram
-/// buckets, tagged documents → contingency cells).
-///
-/// Format: one event row per line,
-///     site,category
-/// where category ∈ [0, dim] (dim = the uncounted placeholder). Each
-/// Advance() consumes one event per site (events are dealt to sites in file
-/// order; a site with no remaining events replays its last state).
-class CsvEventStream final : public StreamSource {
- public:
-  static Result<CsvEventStream> Load(const std::string& path, int num_sites,
-                                     std::size_t window, std::size_t dim);
-
-  std::string name() const override { return "csv_event_stream"; }
-  int num_sites() const override {
-    return static_cast<int>(windows_.size());
-  }
-  std::size_t dim() const override { return dim_; }
-  void Advance(std::vector<Vector>* local_vectors) override;
-  double max_step_norm() const override;
-  double max_drift_norm() const override;
-
- private:
-  CsvEventStream(std::vector<std::vector<std::size_t>> events_per_site,
-                 std::size_t window, std::size_t dim);
-
-  std::vector<std::vector<std::size_t>> events_;  ///< per site, in order
-  std::vector<std::size_t> cursor_;
-  std::vector<SlidingCountWindow> windows_;
-  std::size_t window_size_;
-  std::size_t dim_;
 };
 
 }  // namespace sgm

@@ -85,7 +85,6 @@ constexpr EventSpec kCatalog[] = {
     {Id::kGiveUp, "reliability", "give_up", {"sender", "seq"}},
     {Id::kDuplicateSuppressed, "reliability", "duplicate_suppressed",
      {"sender", "seq"}, kNoise},
-    {Id::kQueueEvict, "reliability", "queue_evict", {"dest", "seq"}},
     // Failure detector transitions.
     {Id::kHeartbeatMiss, "failure", "heartbeat_miss", {"misses"}, kNoise},
     {Id::kSuspect, "failure", "suspect", {"misses"}},

@@ -72,7 +72,6 @@ enum class TraceEventId : std::uint8_t {
   kRetransmit,
   kGiveUp,
   kDuplicateSuppressed,
-  kQueueEvict,
   // Failure detector.
   kHeartbeatMiss,
   kSuspect,

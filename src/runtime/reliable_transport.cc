@@ -61,8 +61,6 @@ constexpr MetricRows<Stats>::CounterRow kStatsRows[] = {
     {"transport.duplicates_suppressed",
      [](const Stats& s) { return s.duplicates_suppressed; }},
     {"transport.give_ups", [](const Stats& s) { return s.give_ups; }},
-    {"transport.queue_evictions",
-     [](const Stats& s) { return s.queue_evictions; }},
     {"transport.dedup_evictions",
      [](const Stats& s) { return s.dedup_evictions; }},
 };
@@ -80,14 +78,12 @@ ReliableTransport::ReliableTransport(Transport* lower, int num_sites,
       link_up_(num_sites, true),
       next_seq_(num_sites + 1, 0),
       in_flight_(num_sites + 1),
-      pending_per_dest_(num_sites + 1, 0),
       seen_at_site_(num_sites),
       seen_at_coordinator_(num_sites),
       metric_rows_(kStatsRows) {
   SGM_CHECK(lower != nullptr);
   SGM_CHECK(num_sites > 0);
   SGM_CHECK(config.max_retransmits >= 0);
-  SGM_CHECK(config.max_in_flight_per_peer >= 1);
   SGM_CHECK(config.dedup_window >= 8);
 }
 
@@ -123,39 +119,8 @@ bool ReliableTransport::ReleaseAwait(InFlight* entry, int dest) {
   if (Awaits(*entry, dest)) {
     entry->awaiting[WordOf(Slot(dest))] &= ~BitOf(Slot(dest));
     --entry->awaiting_count;
-    --pending_per_dest_[Slot(dest)];
   }
   return entry->awaiting_count == 0;
-}
-
-void ReliableTransport::EvictOldestFor(int dest) {
-  std::vector<InFlight>* list;
-  std::vector<InFlight>::iterator victim;
-  if (dest == kCoordinatorId) {
-    // The cap was reached, so some site list at or past the bound holds an
-    // entry, and its head is the victim.
-    while (in_flight_[first_site_list_].empty()) {
-      ++first_site_list_;
-      SGM_CHECK(first_site_list_ < in_flight_.size());
-    }
-    list = &in_flight_[first_site_list_];
-    victim = list->begin();
-  } else {
-    list = &in_flight_[Slot(kCoordinatorId)];
-    victim = std::find_if(list->begin(), list->end(), [dest](const InFlight& e) {
-      return Awaits(e, dest);
-    });
-    if (victim == list->end()) return;
-  }
-  ++stats_.queue_evictions;
-  if (telemetry_ != nullptr) {
-    telemetry_->trace.Emit(TraceEventId::kQueueEvict, victim->message.from,
-                           {{"dest", dest}, {"seq", victim->message.seq}});
-  }
-  if (ReleaseAwait(&*victim, dest)) {
-    list->erase(victim);
-    --in_flight_count_;
-  }
 }
 
 void ReliableTransport::MarkLinkDown(int site) {
@@ -172,10 +137,6 @@ void ReliableTransport::MarkLinkDown(int site) {
 void ReliableTransport::AbandonSender(int sender) {
   if (!IsEndpoint(sender)) return;
   std::vector<InFlight>& list = in_flight_[Slot(sender)];
-  for (const InFlight& entry : list) {
-    ForEachAwaited(entry.awaiting,
-                   [&](int dest) { --pending_per_dest_[Slot(dest)]; });
-  }
   in_flight_count_ -= static_cast<long>(list.size());
   list.clear();
 }
@@ -195,8 +156,7 @@ void ReliableTransport::Send(const RuntimeMessage& message) {
   }
   // Sequenced traffic has the coordinator at exactly one end: a site talks
   // to the coordinator, the coordinator to one site or to all of them.
-  const bool from_coordinator = message.from == kCoordinatorId;
-  if (from_coordinator) {
+  if (message.from == kCoordinatorId) {
     SGM_CHECK(message.to == kBroadcastId ||
               (message.to >= 0 && message.to < num_sites_));
   } else {
@@ -235,16 +195,7 @@ void ReliableTransport::Send(const RuntimeMessage& message) {
   }
   ++stats_.tracked_sends;
   entry.due_round = round_ + NextBackoff(0);
-  ForEachAwaited(entry.awaiting, [&](int dest) {
-    // Per-peer queue cap: free a slot before claiming one, so the newest
-    // message (the one the protocol currently cares about) always tracks.
-    if (pending_per_dest_[Slot(dest)] >= config_.max_in_flight_per_peer) {
-      EvictOldestFor(dest);
-    }
-    ++pending_per_dest_[Slot(dest)];
-  });
   const std::size_t slot = Slot(stamped.from);
-  if (!from_coordinator) first_site_list_ = std::min(first_site_list_, slot);
   entry.message = std::move(stamped);
   in_flight_[slot].push_back(std::move(entry));
   ++in_flight_count_;
@@ -398,7 +349,6 @@ void ReliableTransport::AdvanceRound() {
               {{"sender", entry.message.from}, {"seq", entry.message.seq}});
         }
         ForEachAwaited(entry.awaiting, [&](int dest) {
-          --pending_per_dest_[Slot(dest)];
           if (dest >= 0) exhausted_links.emplace_back(dest, entry.message);
         });
         return true;

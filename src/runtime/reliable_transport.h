@@ -24,13 +24,6 @@ struct ReliableTransportConfig {
   /// reported dead to the failure-detector hook. Bounds the quiescence loop:
   /// a message is in flight for at most max_retransmits backoff periods.
   int max_retransmits = 4;
-  /// Cap on tracked in-flight messages awaiting any single destination.
-  /// When a new tracked send would exceed it, the oldest entry still
-  /// awaiting that destination releases its expectation (best-effort from
-  /// then on, counted in queue_evictions), so a long-unresponsive peer —
-  /// a dead link the failure detector has not yet condemned, or a crashed
-  /// coordinator — cannot grow the retransmit queue without bound.
-  int max_in_flight_per_peer = 256;
   /// Receive-side dedup window per (receiver, sender) pair: the number of
   /// seen seqs retained above the floor; past it the lowest is promoted
   /// into the floor. Duplicates arrive within max_delay plus
@@ -103,9 +96,6 @@ class ReliableTransport final : public Transport {
     long duplicates_suppressed = 0;
     /// Messages abandoned after max_retransmits (dead-link reports fired).
     long give_ups = 0;
-    /// Per-peer queue-cap evictions: tracked expectations released because
-    /// max_in_flight_per_peer was reached for their destination.
-    long queue_evictions = 0;
     /// Dedup-window compactions: seen seqs promoted into the floor once
     /// more than dedup_window were retained above it.
     long dedup_evictions = 0;
@@ -270,17 +260,9 @@ class ReliableTransport final : public Transport {
   void Resolve(int sender, std::int64_t seq, int receiver);
   /// True while `entry` still awaits an ack from `dest`.
   static bool Awaits(const InFlight& entry, int dest);
-  /// Releases `dest` from an entry's awaiting set, maintaining the per-peer
-  /// pending count. Returns true if the set is now empty.
-  bool ReleaseAwait(InFlight* entry, int dest);
-  /// Frees one queue slot for `dest` by evicting the oldest in-flight
-  /// expectation on it (oldest in (sender, seq) order, coordinator first —
-  /// per sender that is send order, which is what matters: entries piling
-  /// up on one peer come from the one endpoint still talking to it). Only
-  /// the coordinator's entries await sites, and every entry of a site's
-  /// list awaits the coordinator, so the coordinator's victim is the head
-  /// of the first non-empty site list, found from `first_site_list_`.
-  void EvictOldestFor(int dest);
+  /// Releases `dest` from an entry's awaiting set. Returns true if the set
+  /// is now empty.
+  static bool ReleaseAwait(InFlight* entry, int dest);
   /// The dedup window for sequenced traffic from `sender` at `receiver`.
   SeenWindow& WindowFor(int receiver, int sender);
 
@@ -300,16 +282,12 @@ class ReliableTransport final : public Transport {
 
   /// Last sequence number stamped per sender.
   std::vector<std::int64_t> next_seq_;
-  /// Tracked unacked messages per sender, each list in seq order.
+  /// Tracked unacked messages per sender, each list in seq order. Every
+  /// entry is acked, released or given up within max_retransmits backoff
+  /// periods, and the driver drains the network until none is left, so no
+  /// list outlives the drain that follows its sends.
   std::vector<std::vector<InFlight>> in_flight_;
   long in_flight_count_ = 0;
-  /// Lower bound on the slot of the first non-empty site list: lowered by
-  /// every site's tracked send and moved past empty lists by eviction, so
-  /// a burst of evictions never rescans lists it already emptied.
-  std::size_t first_site_list_ = Slot(0);
-  /// In-flight expectations per destination, bounded by
-  /// max_in_flight_per_peer via eviction.
-  std::vector<long> pending_per_dest_;
   /// Dedup windows, one per site and direction: the coordinator's traffic
   /// as site i receives it, and site i's traffic at the coordinator.
   std::vector<SeenWindow> seen_at_site_;

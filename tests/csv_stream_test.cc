@@ -2,10 +2,10 @@
 
 #include <unistd.h>
 
-#include <cmath>
 #include <cstdio>
 #include <fstream>
 #include <string>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -104,52 +104,6 @@ TEST(CsvVectorStreamTest, RejectsGarbageNumbers) {
   TempCsv csv("0,0,banana\n");
   auto result = CsvVectorStream::Load(csv.path());
   EXPECT_FALSE(result.ok());
-}
-
-TEST(CsvEventStreamTest, BuildsWindowedCounts) {
-  TempCsv csv(
-      "# site,category\n"
-      "0,0\n0,1\n0,1\n"
-      "1,2\n1,2\n");
-  auto result = CsvEventStream::Load(csv.path(), /*num_sites=*/2,
-                                     /*window=*/2, /*dim=*/3);
-  ASSERT_TRUE(result.ok()) << result.status().ToString();
-  CsvEventStream stream = std::move(result).ValueOrDie();
-
-  std::vector<Vector> locals;
-  stream.Advance(&locals);  // site0: [0], site1: [2]
-  EXPECT_EQ(locals[0], (Vector{1.0, 0.0, 0.0}));
-  EXPECT_EQ(locals[1], (Vector{0.0, 0.0, 1.0}));
-  stream.Advance(&locals);  // site0: [0,1], site1: [2,2]
-  EXPECT_EQ(locals[0], (Vector{1.0, 1.0, 0.0}));
-  EXPECT_EQ(locals[1], (Vector{0.0, 0.0, 2.0}));
-  stream.Advance(&locals);  // site0 window slides to [1,1]; site1 replays
-  EXPECT_EQ(locals[0], (Vector{0.0, 2.0, 0.0}));
-  EXPECT_EQ(locals[1], (Vector{0.0, 0.0, 2.0}));
-}
-
-TEST(CsvEventStreamTest, UncountedPlaceholderAllowed) {
-  TempCsv csv("0,3\n");  // category == dim: occupies a slot, counts nowhere
-  auto result = CsvEventStream::Load(csv.path(), 1, 2, 3);
-  ASSERT_TRUE(result.ok());
-  CsvEventStream stream = std::move(result).ValueOrDie();
-  std::vector<Vector> locals;
-  stream.Advance(&locals);
-  EXPECT_EQ(locals[0], (Vector{0.0, 0.0, 0.0}));
-}
-
-TEST(CsvEventStreamTest, RejectsOutOfRange) {
-  TempCsv bad_site("5,0\n");
-  EXPECT_FALSE(CsvEventStream::Load(bad_site.path(), 2, 2, 3).ok());
-  TempCsv bad_category("0,7\n");
-  EXPECT_FALSE(CsvEventStream::Load(bad_category.path(), 2, 2, 3).ok());
-}
-
-TEST(CsvEventStreamTest, DriftCapMatchesWindow) {
-  TempCsv csv("0,0\n");
-  CsvEventStream stream =
-      std::move(CsvEventStream::Load(csv.path(), 1, 50, 3)).ValueOrDie();
-  EXPECT_NEAR(stream.max_drift_norm(), std::sqrt(2.0) * 50.0, 1e-12);
 }
 
 }  // namespace

@@ -97,7 +97,6 @@ counter transport.duplicates_suppressed 0
 counter transport.give_ups 0
 counter transport.paper_messages 146
 counter transport.paper_site_messages 125
-counter transport.queue_evictions 0
 counter transport.retransmissions 0
 counter transport.total_messages 752
 counter transport.tracked_sends 125
@@ -152,7 +151,6 @@ counter transport.faults_duplicated 119
 counter transport.give_ups 2
 counter transport.paper_messages 168
 counter transport.paper_site_messages 148
-counter transport.queue_evictions 0
 counter transport.retransmissions 535
 counter transport.total_messages 2371
 counter transport.tracked_sends 185

@@ -1,7 +1,8 @@
 // Runtime-level tests of the reliability layer: epoch fencing at both node
 // types, heartbeat liveness (staggered slots, detection latency in missed
-// beats, proof of anchor), the named resync/retry configuration knobs, and
-// the crash → rejoin → reconverge path (see docs/DESIGN.md).
+// beats, proof of anchor), the named resync/retry configuration knobs, the
+// crash → rejoin → reconverge path, and the drain that bounds what the layer
+// tracks (see docs/DESIGN.md).
 
 #include <cstdint>
 #include <limits>
@@ -13,6 +14,7 @@
 #include <gtest/gtest.h>
 
 #include "functions/l2_norm.h"
+#include "runtime/checkpoint.h"
 #include "runtime/driver.h"
 #include "test_util.h"
 
@@ -37,7 +39,6 @@ TEST(RuntimeReliabilityTest, NamedConfigDefaultsAreDocumentedValues) {
   EXPECT_EQ(config.failure_detector.suspect_after_misses, 3);
   EXPECT_EQ(config.failure_detector.dead_after_misses, 6);
   EXPECT_EQ(config.reliability.max_retransmits, 4);
-  EXPECT_EQ(config.reliability.max_in_flight_per_peer, 256);
   EXPECT_EQ(config.reliability.dedup_window, 1024);
   EXPECT_EQ(config.failure_detector.threshold_jitter, 0.0);
   EXPECT_EQ(config.checkpoint_store, nullptr);
@@ -741,6 +742,63 @@ TEST(RuntimeReliabilityTest, FaultFreeRunNeverRetransmits) {
   EXPECT_EQ(driver.reliable_transport().stats().give_ups, 0);
   EXPECT_EQ(driver.reliable_transport().stats().duplicates_suppressed, 0);
   EXPECT_EQ(driver.coordinator().audit().stale_epoch_applied, 0);
+}
+
+// The reliability layer keeps no cap on what it tracks, because the driver
+// bounds it: each drain returns only once nothing is delayed on the wire and
+// nothing awaits an ack, so every tracked message is acked, released or
+// given up within the drain that sent it. Checked over a lossy, duplicating,
+// reordering network with site crashes and both kinds of coordinator crash,
+// at 24 sites and at 300, where a full sync's reports all await the
+// coordinator at once.
+TEST(RuntimeReliabilityTest, NothingOutlivesADrain) {
+  const L2Norm norm;
+  for (const int n : {24, 300}) {
+    SCOPED_TRACE(testing::Message() << n << " sites");
+    InMemoryCheckpointStore store;
+    RuntimeConfig config = Config(3.0);
+    config.checkpoint_store = &store;
+    SimTransportConfig sim;
+    sim.seed = 11;
+    sim.drop_probability = 0.3;
+    sim.duplicate_probability = 0.1;
+    sim.max_delay_rounds = 3;
+    RuntimeDriver driver(n, norm, config, sim);
+    const auto expect_drained = [&](const char* after, int cycle) {
+      EXPECT_FALSE(driver.reliable_transport().HasUnacked())
+          << after << " " << cycle;
+      EXPECT_FALSE(driver.sim_transport()->HasPending())
+          << after << " " << cycle;
+    };
+
+    std::vector<Vector> locals(n, Vector{1.0, 0.0});
+    driver.Initialize(locals);
+    expect_drained("Initialize", 0);
+    for (int t = 1; t <= 40; ++t) {
+      // Crossings every ten cycles draw probes and full syncs.
+      const double x = (t / 5) % 2 == 1 ? 6.0 : 1.0;
+      for (Vector& v : locals) v = Vector{x, 0.0};
+      if (t == 3) {
+        for (int s = 0; s < n; s += 7) driver.sim_transport()->CrashSite(s);
+      }
+      if (t == 18) {
+        for (int s = 0; s < n; s += 7) driver.sim_transport()->RecoverSite(s);
+      }
+      if (t == 12) driver.CrashCoordinator();  // down for cycles 12 and 13
+      if (t == 25) driver.ArmCoordinatorCrash(3);  // fires inside a drain
+      driver.Tick(locals);
+      expect_drained("Tick", t);
+      if (driver.coordinator_down() && t != 12 && t != 13) {
+        driver.RecoverCoordinator();
+        expect_drained("RecoverCoordinator", t);
+      }
+    }
+    EXPECT_EQ(driver.coordinator_crashes(), 2);
+    EXPECT_GT(driver.coordinator().full_syncs(), 2);
+    const ReliableTransport::Stats stats = driver.reliable_transport().stats();
+    EXPECT_GT(stats.retransmissions, 0);
+    EXPECT_GT(stats.give_ups, 0);
+  }
 }
 
 }  // namespace

@@ -48,7 +48,8 @@
 //                site is quarantined (jittered per site)           [2]
 //   --checkpoint-dir  coordinator: durable snapshot+WAL directory
 //   --recover    coordinator: restore from --checkpoint-dir before serving
-//                (restart-from-checkpoint; see docs/RUNTIME.md runbook)
+//                (restart-from-checkpoint; see docs/RUNTIME.md runbook);
+//                also --recover=1|true, or =0|false to start fresh
 //   --connect-attempts / --connect-base-ms / --connect-max-ms
 //                site: bounded-retry dial policy with seeded jitter,
 //                shared by the first connect and every reconnect
@@ -286,7 +287,16 @@ bool ParseFlags(int argc, char** argv, Flags* flags) {
     } else if (key == "checkpoint-dir") {
       flags->checkpoint_dir = value;
     } else if (key == "recover") {
-      flags->recover = value != "0" && value != "false";
+      if (value == "1" || value == "true") {
+        flags->recover = true;
+      } else if (value == "0" || value == "false") {
+        flags->recover = false;
+      } else {
+        std::fprintf(stderr,
+                     "invalid --recover=%s: not one of 1, true, 0, false\n",
+                     value.c_str());
+        return false;
+      }
     } else if (key == "connect-attempts") {
       if (!ParseInteger(key, value, 1, &flags->socket_retry.max_attempts)) {
         return false;
