@@ -4,7 +4,8 @@
 // Horvitz–Thompson estimation, signed distances, receive-side dedup) plus
 // the heavier geometric utilities (χ² certified enclosures and surface
 // distances, hull projection), the telemetry plane's per-cycle costs at
-// fleet scale, and the simulated runtime's broadcast fan-out and setup.
+// fleet scale, and the simulated runtime's per-site pass, broadcast fan-out
+// and setup.
 
 #include <cmath>
 #include <cstdint>
@@ -93,8 +94,9 @@ void BM_JdBallTest(benchmark::State& state) {
   Vector ref = RandomVector(16, &rng);
   for (std::size_t j = 0; j < 16; ++j) ref[j] = std::abs(ref[j]) + 1.0;
   const JeffreyDivergence f(ref);
-  Vector center = ref;
-  center[3] += 2.0;
+  Vector center(16);
+  center[3] = 2.0;
+  center += ref;  // ref, 2 further along coordinate 3
   const Ball ball(center, 1.5);
   for (auto _ : state) {
     benchmark::DoNotOptimize(f.BallCrossesThreshold(ball, 5.0));
@@ -344,6 +346,32 @@ void BM_BroadcastFanOut(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * kFleetSites);
 }
 BENCHMARK(BM_BroadcastFanOut)->Unit(benchmark::kMicrosecond);
+
+// One cycle of the warm fleet: RuntimeDriver::Tick, so every site's Observe
+// (the per-site pass) plus the routing of whatever the cycle sends. The
+// frames are generated before the timed loop and replayed forward, then
+// backward, then forward again: each step still slides one window, so the
+// fleet stays as quiet as the live generator keeps it. One iteration is one
+// cycle.
+void BM_FleetTick(benchmark::State& state) {
+  constexpr int kFrames = 32;
+  JesterLikeGenerator source(FleetWorkload());
+  const LInfDistance function{Vector(kFleetBuckets)};
+  RuntimeDriver driver(kFleetSites, function, FleetConfig(source));
+  Warm(&source, &driver);
+  std::vector<std::vector<Vector>> frames(kFrames);
+  for (std::vector<Vector>& frame : frames) source.Advance(&frame);
+  int next = 0;
+  int step = 1;
+  for (auto _ : state) {
+    driver.Tick(frames[next]);
+    benchmark::ClobberMemory();
+    if (next + step < 0 || next + step >= kFrames) step = -step;
+    next += step;
+  }
+  state.SetItemsProcessed(state.iterations() * kFleetSites);
+}
+BENCHMARK(BM_FleetTick)->Unit(benchmark::kMicrosecond);
 
 // A fleet deployment's setup: building the driver with its 2,048 sites,
 // then the initialization sync, whose 2,048 state reports all await the

@@ -1,5 +1,6 @@
 #include "core/vector.h"
 
+#include <algorithm>
 #include <cmath>
 #include <cstdio>
 
@@ -7,31 +8,31 @@ namespace sgm {
 
 Vector& Vector::operator+=(const Vector& rhs) {
   SGM_CHECK(dim() == rhs.dim());
-  for (std::size_t i = 0; i < data_.size(); ++i) data_[i] += rhs.data_[i];
+  for (std::size_t i = 0; i < size_; ++i) begin_[i] += rhs.begin_[i];
   return *this;
 }
 
 Vector& Vector::operator-=(const Vector& rhs) {
   SGM_CHECK(dim() == rhs.dim());
-  for (std::size_t i = 0; i < data_.size(); ++i) data_[i] -= rhs.data_[i];
+  for (std::size_t i = 0; i < size_; ++i) begin_[i] -= rhs.begin_[i];
   return *this;
 }
 
 Vector& Vector::operator*=(double scalar) {
-  for (double& x : data_) x *= scalar;
+  for (std::size_t i = 0; i < size_; ++i) begin_[i] *= scalar;
   return *this;
 }
 
 Vector& Vector::operator/=(double scalar) {
   SGM_CHECK(scalar != 0.0);
-  for (double& x : data_) x /= scalar;
+  for (std::size_t i = 0; i < size_; ++i) begin_[i] /= scalar;
   return *this;
 }
 
 Vector& Vector::Axpy(double scalar, const Vector& rhs) {
   SGM_CHECK(dim() == rhs.dim());
-  for (std::size_t i = 0; i < data_.size(); ++i) {
-    data_[i] += scalar * rhs.data_[i];
+  for (std::size_t i = 0; i < size_; ++i) {
+    begin_[i] += scalar * rhs.begin_[i];
   }
   return *this;
 }
@@ -40,33 +41,35 @@ double Vector::Norm() const { return std::sqrt(SquaredNorm()); }
 
 double Vector::SquaredNorm() const {
   double sum = 0.0;
-  for (double x : data_) sum += x * x;
+  for (std::size_t i = 0; i < size_; ++i) sum += begin_[i] * begin_[i];
   return sum;
 }
 
 double Vector::L1Norm() const {
   double sum = 0.0;
-  for (double x : data_) sum += std::abs(x);
+  for (std::size_t i = 0; i < size_; ++i) sum += std::abs(begin_[i]);
   return sum;
 }
 
 double Vector::LInfNorm() const {
   double best = 0.0;
-  for (double x : data_) best = std::max(best, std::abs(x));
+  for (std::size_t i = 0; i < size_; ++i) {
+    best = std::max(best, std::abs(begin_[i]));
+  }
   return best;
 }
 
 double Vector::Sum() const {
   double sum = 0.0;
-  for (double x : data_) sum += x;
+  for (std::size_t i = 0; i < size_; ++i) sum += begin_[i];
   return sum;
 }
 
 double Vector::Dot(const Vector& rhs) const {
   SGM_CHECK(dim() == rhs.dim());
   double sum = 0.0;
-  for (std::size_t i = 0; i < data_.size(); ++i) {
-    sum += data_[i] * rhs.data_[i];
+  for (std::size_t i = 0; i < size_; ++i) {
+    sum += begin_[i] * rhs.begin_[i];
   }
   return sum;
 }
@@ -74,22 +77,20 @@ double Vector::Dot(const Vector& rhs) const {
 double Vector::DistanceTo(const Vector& rhs) const {
   SGM_CHECK(dim() == rhs.dim());
   double sum = 0.0;
-  for (std::size_t i = 0; i < data_.size(); ++i) {
-    const double diff = data_[i] - rhs.data_[i];
+  for (std::size_t i = 0; i < size_; ++i) {
+    const double diff = begin_[i] - rhs.begin_[i];
     sum += diff * diff;
   }
   return std::sqrt(sum);
 }
 
-void Vector::SetZero() {
-  for (double& x : data_) x = 0.0;
-}
+void Vector::SetZero() { std::fill_n(begin_, size_, 0.0); }
 
 std::string Vector::ToString() const {
   std::string out = "[";
   char buf[32];
-  for (std::size_t i = 0; i < data_.size(); ++i) {
-    std::snprintf(buf, sizeof(buf), "%.6g", data_[i]);
+  for (std::size_t i = 0; i < size_; ++i) {
+    std::snprintf(buf, sizeof(buf), "%.6g", begin_[i]);
     if (i > 0) out += ", ";
     out += buf;
   }

@@ -1,6 +1,8 @@
 #include "data/csv_stream.h"
 
 #include <algorithm>
+#include <cerrno>
+#include <cmath>
 #include <cstdlib>
 #include <fstream>
 #include <sstream>
@@ -20,6 +22,8 @@ std::vector<std::string> SplitCsv(const std::string& line) {
   return cells;
 }
 
+/// A finite coordinate: `nan`, `inf` and a literal past the double range
+/// (which strtod turns into inf) would reach the protocols' arithmetic.
 Status ParseDouble(const std::string& cell, long row, double* out) {
   char* end = nullptr;
   *out = std::strtod(cell.c_str(), &end);
@@ -27,15 +31,24 @@ Status ParseDouble(const std::string& cell, long row, double* out) {
     return Status::InvalidArgument("row " + std::to_string(row) +
                                    ": not a number: '" + cell + "'");
   }
+  if (!std::isfinite(*out)) {
+    return Status::InvalidArgument("row " + std::to_string(row) +
+                                   ": not a finite number: '" + cell + "'");
+  }
   return Status::OK();
 }
 
 Status ParseLong(const std::string& cell, long row, long* out) {
   char* end = nullptr;
+  errno = 0;
   *out = std::strtol(cell.c_str(), &end, 10);
   if (end == cell.c_str() || *end != '\0') {
     return Status::InvalidArgument("row " + std::to_string(row) +
                                    ": not an integer: '" + cell + "'");
+  }
+  if (errno == ERANGE) {
+    return Status::InvalidArgument("row " + std::to_string(row) +
+                                   ": integer out of range: '" + cell + "'");
   }
   return Status::OK();
 }
@@ -66,9 +79,19 @@ Result<CsvVectorStream> CsvVectorStream::Load(const std::string& path) {
     return Status::NotFound("cannot open CSV file: " + path);
   }
 
+  // A valid file fills each (cycle, site) cell from a data row of its own,
+  // so an index that needs more cells than the file has data rows is
+  // refused before anything is sized by it. A first pass counts the rows.
+  long data_rows = 0;
+  std::string line;
+  while (std::getline(file, line)) {
+    if (!line.empty() && line[0] != '#') ++data_rows;
+  }
+  file.clear();
+  file.seekg(0);
+
   // (cycle, site) → vector; validated for contiguity afterwards.
   std::vector<std::vector<Vector>> frames;
-  std::string line;
   long row = 0;
   std::size_t dim = 0;
   while (std::getline(file, line)) {
@@ -85,6 +108,13 @@ Result<CsvVectorStream> CsvVectorStream::Load(const std::string& path) {
     if (cycle < 0 || site < 0) {
       return Status::InvalidArgument("row " + std::to_string(row) +
                                      ": negative cycle or site");
+    }
+    // Cycles 0..cycle times sites 0..site need (cycle + 1)·(site + 1) cells.
+    if (cycle >= data_rows || site >= data_rows / (cycle + 1)) {
+      return Status::InvalidArgument(
+          "row " + std::to_string(row) + ": cycle " + std::to_string(cycle) +
+          ", site " + std::to_string(site) + " needs more cells than the " +
+          std::to_string(data_rows) + " data rows of the file");
     }
     if (dim == 0) {
       dim = cells.size() - 2;

@@ -2,8 +2,10 @@
 #define SGM_ESTIMATORS_SGM_RULES_H_
 
 #include <algorithm>
+#include <cmath>
 #include <cstddef>
 
+#include "core/check.h"
 #include "core/rng.h"
 #include "core/vector.h"
 #include "functions/monitored_function.h"
@@ -26,6 +28,23 @@ inline double DriftBoundU(double max_step_norm, long cycles_since_sync,
                                  std::max<long>(1, cycles_since_sync));
   const double threshold_scale = beta * std::max(epsilon_t, max_step_norm);
   return std::min({accumulated, drift_norm_cap, threshold_scale});
+}
+
+/// Δv_i = v_i(t) − v_i(t_s) written into `*drift`, whose buffer is reused
+/// when its dimension matches, and ‖Δv_i‖ from the same pass. The doubles
+/// equal `*drift = local; *drift -= synced; drift->Norm()`. Inline: per site
+/// and cycle.
+inline double DriftAndNorm(const Vector& local, const Vector& synced,
+                           Vector* drift) {
+  SGM_CHECK(local.dim() == synced.dim());
+  if (drift->dim() != local.dim()) *drift = Vector(local.dim());
+  double squared = 0.0;
+  for (std::size_t i = 0; i < local.dim(); ++i) {
+    const double x = local[i] - synced[i];
+    (*drift)[i] = x;
+    squared += x * x;
+  }
+  return std::sqrt(squared);
 }
 
 /// A site's membership in one cycle's M sampling trials (Lemma 2).

@@ -42,7 +42,7 @@ inline double ChiSquare::Score(const double* v) const {
 
 double ChiSquare::Value(const Vector& v) const {
   SGM_CHECK_MSG(v.dim() == 3, "chi_square expects [a, b, c] count vectors");
-  return Score(v.data().data());
+  return Score(v.data());
 }
 
 Interval ChiSquare::RangeOverBall(const Ball& ball) const {

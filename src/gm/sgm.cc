@@ -55,8 +55,9 @@ CycleOutcome SamplingGeometricMonitor::MonitorCycle(
   first_trial_g_.clear();
   bool alarm = false;
   for (int i = 0; i < num_sites_; ++i) {
-    Drift(i, local_vectors, &drift_);
-    const double g = InclusionProbability(drift_.Norm(), U);
+    const double drift_norm =
+        DriftAndNorm(local_vectors[i], synced_locals_[i], &drift_);
+    const double g = InclusionProbability(drift_norm, U);
     const TrialDraw draw = DrawTrials(&site_rngs_[i], g, effective_trials_);
     if (draw.first_trial) {
       first_trial_.push_back(i);

@@ -41,11 +41,11 @@ bool ReadVector(const std::vector<std::uint8_t>& in, std::size_t* offset,
                 Vector* out) {
   std::uint32_t dim = 0;
   if (!Read(in, offset, &dim) || dim > kMaxCheckpointElements) return false;
-  std::vector<double> coords(dim);
+  Vector coords(dim);
   for (std::uint32_t i = 0; i < dim; ++i) {
     if (!Read(in, offset, &coords[i])) return false;
   }
-  *out = Vector(std::move(coords));
+  *out = std::move(coords);
   return true;
 }
 

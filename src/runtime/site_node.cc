@@ -11,18 +11,17 @@ namespace sgm {
 SiteNode::SiteNode(int id, int num_sites, const MonitoredFunction& function,
                    const RuntimeConfig& config, Transport* transport)
     : id_(id),
-      num_sites_(num_sites),
-      function_(function.Clone()),
-      threshold_(config.threshold),
+      heartbeat_interval_(HeartbeatIntervalCycles(num_sites)),
+      num_trials_(config.num_trials),
       max_step_norm_(config.max_step_norm),
       drift_norm_cap_(config.drift_norm_cap),
       u_threshold_factor_(config.u_threshold_factor),
-      num_trials_(config.num_trials),
+      sampling_(config.delta, num_sites),
+      rng_(config.seed + 0x9e37u * static_cast<std::uint64_t>(id + 1)),
       transport_(transport),
       telemetry_(config.telemetry),
-      rng_(config.seed + 0x9e37u * static_cast<std::uint64_t>(id + 1)),
-      sampling_(config.delta, num_sites),
-      heartbeat_interval_(HeartbeatIntervalCycles(num_sites)) {
+      threshold_(config.threshold),
+      function_(function.Clone()) {
   SGM_CHECK(id >= 0 && id < num_sites);
   SGM_CHECK(transport != nullptr);
   SGM_CHECK(config.num_trials >= 1);
@@ -117,12 +116,11 @@ void SiteNode::Observe(const Vector& local_vector) {
 
   // Monitoring phase: M independent self-sampling trials; any hit arms the
   // un-scaled GM ball test (Lemma 2).
-  drift_ = local_;
-  drift_ -= synced_local_;
+  const double drift_norm = DriftAndNorm(local_, synced_local_, &drift_);
   const double U = DriftBoundU(max_step_norm_, cycles_since_sync_,
                                drift_norm_cap_, u_threshold_factor_,
                                epsilon_t_);
-  inclusion_probability_ = sampling_.Probability(U, drift_.Norm());
+  inclusion_probability_ = sampling_.Probability(U, drift_norm);
   const TrialDraw draw = DrawTrials(&rng_, inclusion_probability_, num_trials_);
   in_first_trial_ = draw.first_trial;
   if (draw.any_trial) {

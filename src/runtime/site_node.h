@@ -96,7 +96,10 @@ struct RuntimeConfig {
 /// Usage per update cycle:
 ///   site.Observe(new_local_vector);   // after the local window slid
 ///   ... transport delivers; site.OnMessage(...) for each inbound ...
-class SiteNode {
+///
+/// Aligned to a 64-byte cache line so that the members Observe touches every
+/// cycle fall on the same lines in every node (see the member list).
+class alignas(64) SiteNode {
  public:
   /// `id` ∈ [0, N); the function is cloned (reference-anchored functions
   /// re-anchor on every kNewEstimate).
@@ -169,49 +172,58 @@ class SiteNode {
   /// trace event with which one it was.
   void ApplyAnchor(const RuntimeMessage& message, const char* source);
 
+  // ── Hot: what Observe reads or writes every cycle ─────────────────────
+  // The node is 64-byte aligned, so these 408 bytes always fill the same
+  // cache lines: the slot clock, counters, flags and U policy in line 0; ε_T,
+  // g_i, the sampling scale and the RNG in lines 1–2; then v_i, v_i(t_s) and
+  // Δv_i, 88 bytes each with their coordinates inline. A quiet cycle that
+  // sends nothing touches lines 0–5 of the node for 3-coordinate vectors, and
+  // lines 0–6 for 8-coordinate ones, whose last three Δv_i coordinates share
+  // line 6 with what a send reads.
   int id_;
-  int num_sites_;
-  std::unique_ptr<MonitoredFunction> function_;
-  /// The RuntimeConfig fields Observe reads; the rest are constructor-only.
-  double threshold_;
+  /// Heartbeat cadence H and the Observe calls so far (the slot clock).
+  int heartbeat_interval_;
+  long observes_ = 0;
+  long cycles_since_sync_ = 0;
+  long mute_remaining_ = 0;
+  /// The RuntimeConfig fields Observe reads (with threshold_, below); the
+  /// rest are constructor-only.
+  int num_trials_;
+  bool in_first_trial_ = false;
+  bool initialized_ = false;
+  bool anchored_ = false;
+  bool rejoin_requested_ = false;  ///< one outstanding request at a time
   double max_step_norm_;
   double drift_norm_cap_;
   double u_threshold_factor_;
-  int num_trials_;
-  Transport* transport_;
-  Telemetry* telemetry_;
-  /// Cached `site.ball_test_ns` histogram; nullptr when telemetry is off,
-  /// which disables the profiling scope entirely (no clock reads).
-  Histogram* ball_test_ns_ = nullptr;
-  Rng rng_;
+  double epsilon_t_ = 0.0;
+  double inclusion_probability_ = 0.0;
   SamplingScale sampling_;
-
+  Rng rng_;
   Vector local_;         ///< v_i(t)
   Vector synced_local_;  ///< v_i(t_s)
   /// Δv_i of the last monitored Observe; its buffer is reused every cycle.
   Vector drift_;
-  Vector e_;             ///< coordinator's last broadcast estimate
-  double epsilon_t_ = 0.0;
-  double inclusion_probability_ = 0.0;
-  bool in_first_trial_ = false;
-  long cycles_since_sync_ = 0;
-  long mute_remaining_ = 0;
-  bool initialized_ = false;
 
+  // ── What every send and every received message reads (line 6) ─────────
   std::int64_t epoch_ = 0;
   /// Epoch of the anchor (kNewEstimate or kRejoinGrant) last applied; each
   /// heartbeat names it so the coordinator can tell whether the site holds
   /// its last estimate broadcast, and a probe naming a newer one un-anchors
   /// the site.
   std::int64_t anchor_epoch_ = 0;
-  bool anchored_ = false;
-  bool rejoin_requested_ = false;  ///< one outstanding request at a time
-  /// Heartbeat cadence H and the Observe calls so far (the slot clock).
-  int heartbeat_interval_;
-  long observes_ = 0;
-
-  AuditStats audit_;
+  Transport* transport_;
+  Telemetry* telemetry_;
   AuditStats* audit_totals_ = nullptr;
+  AuditStats audit_;
+
+  // ── The ball test's and the anchor's ───────────────────────────────────
+  double threshold_;
+  /// Cached `site.ball_test_ns` histogram; nullptr when telemetry is off,
+  /// which disables the profiling scope entirely (no clock reads).
+  Histogram* ball_test_ns_ = nullptr;
+  std::unique_ptr<MonitoredFunction> function_;
+  Vector e_;  ///< coordinator's last broadcast estimate
 };
 
 }  // namespace sgm

@@ -106,5 +106,54 @@ TEST(CsvVectorStreamTest, RejectsGarbageNumbers) {
   EXPECT_FALSE(result.ok());
 }
 
+/// Two sites over three cycles of 2-d vectors, with `cell` as the second
+/// coordinate of the row for cycle 1, site 1 (row 4 of the file).
+std::string GridWith(const std::string& cell) {
+  return "0,0,1,2\n0,1,1,2\n1,0,1,2\n1,1,1," + cell +
+         "\n2,0,1,2\n2,1,1,2\n";
+}
+
+TEST(CsvVectorStreamTest, RejectsNanCoordinate) {
+  TempCsv csv(GridWith("nan"));
+  auto result = CsvVectorStream::Load(csv.path());
+  ASSERT_FALSE(result.ok());
+  EXPECT_NE(result.status().message().find("row 4"), std::string::npos)
+      << result.status().message();
+}
+
+TEST(CsvVectorStreamTest, RejectsCoordinatePastTheDoubleRange) {
+  TempCsv csv(GridWith("1e999"));
+  auto result = CsvVectorStream::Load(csv.path());
+  ASSERT_FALSE(result.ok());
+  EXPECT_NE(result.status().message().find("row 4"), std::string::npos)
+      << result.status().message();
+  // The same grid with a finite cell loads.
+  TempCsv finite(GridWith("1e300"));
+  EXPECT_TRUE(CsvVectorStream::Load(finite.path()).ok());
+}
+
+TEST(CsvVectorStreamTest, RejectsCycleIndexPastTheIntegerRange) {
+  TempCsv csv("0,0,1\n99999999999999999999,0,1\n");
+  auto result = CsvVectorStream::Load(csv.path());
+  ASSERT_FALSE(result.ok());
+  EXPECT_NE(result.status().message().find("row 2"), std::string::npos)
+      << result.status().message();
+}
+
+TEST(CsvVectorStreamTest, RejectsIndicesNeedingMoreCellsThanRows) {
+  // In range for a long, but no file of 2 rows covers cycle 1000000000000;
+  // the loader must refuse it rather than size a frame table by it.
+  TempCsv far_cycle("0,0,1\n1000000000000,0,1\n");
+  auto result = CsvVectorStream::Load(far_cycle.path());
+  ASSERT_FALSE(result.ok());
+  EXPECT_NE(result.status().message().find("row 2"), std::string::npos)
+      << result.status().message();
+  TempCsv far_site("0,0,1\n0,9223372036854775807,1\n");
+  EXPECT_FALSE(CsvVectorStream::Load(far_site.path()).ok());
+  // 2 cycles × 2 sites need 4 rows; a 3-row file naming (1, 1) is refused.
+  TempCsv short_grid("0,0,1\n1,0,1\n1,1,1\n");
+  EXPECT_FALSE(CsvVectorStream::Load(short_grid.path()).ok());
+}
+
 }  // namespace
 }  // namespace sgm

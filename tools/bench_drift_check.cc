@@ -26,11 +26,10 @@
 // a new benchmark column (refresh the baseline to start gating it). A
 // schema_version mismatch between the files is likewise a warning only.
 //
-// A baseline cell missing from the current file fails by default (silently
-// dropping coverage must be loud). `--allow-missing-cells` downgrades that
-// to a warning, for gating a deliberate subset sweep against a fuller
-// committed baseline (the scale-bench CI job re-runs only the site counts
-// cheap enough for CI hardware).
+// A baseline cell missing from the current file fails (silently dropping
+// coverage must be loud): every gate re-runs every committed cell, the
+// scale-bench CI job included, which re-runs all four BENCH_scale.json site
+// counts.
 
 #include <cmath>
 #include <cstdio>
@@ -79,14 +78,11 @@ int main(int argc, char** argv) {
   std::string baseline_path;
   std::string current_path;
   double tolerance = 0.10;
-  bool allow_missing_cells = false;
   std::vector<std::string> columns(std::begin(kPaperColumns),
                                    std::end(kPaperColumns));
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
-    if (arg == "--allow-missing-cells") {
-      allow_missing_cells = true;
-    } else if (arg.rfind("--tolerance=", 0) == 0) {
+    if (arg.rfind("--tolerance=", 0) == 0) {
       tolerance = std::atof(arg.c_str() + std::strlen("--tolerance="));
     } else if (arg.rfind("--columns=", 0) == 0) {
       columns.clear();
@@ -117,8 +113,7 @@ int main(int argc, char** argv) {
   if (current_path.empty()) {
     std::fprintf(stderr,
                  "usage: bench_drift_check BASELINE CURRENT"
-                 " [--tolerance=0.10] [--columns=a,b,c]"
-                 " [--allow-missing-cells]\n");
+                 " [--tolerance=0.10] [--columns=a,b,c]\n");
     return 2;
   }
 
@@ -166,15 +161,8 @@ int main(int argc, char** argv) {
     const std::string key = CellKey(base_cell);
     const sgm::JsonValue* cur_cell = FindCell(current_runs->array(), key);
     if (cur_cell == nullptr) {
-      if (allow_missing_cells) {
-        std::printf("warn  [%s] cell missing from current run — skipped"
-                    " (--allow-missing-cells)\n",
-                    key.c_str());
-      } else {
-        std::printf("FAIL  [%s] cell missing from current run\n",
-                    key.c_str());
-        ++failures;
-      }
+      std::printf("FAIL  [%s] cell missing from current run\n", key.c_str());
+      ++failures;
       continue;
     }
     ++cells_checked;
