@@ -657,7 +657,7 @@ StressReport RunRuntimeStress(const StressConfig& config) {
   // Rejoin-convergence tracking: a crashed-and-recovered site must hold an
   // anchor at least as fresh as its recovery epoch within this horizon
   // (covers the grant handshake plus retries under 30% loss; a quarantined
-  // flapper gets its deadline extended by the quarantine length).
+  // flapper's horizon starts when its quarantine ends).
   constexpr long kRejoinHorizon = 40;
   std::vector<bool> prev_crashed(config.num_sites, false);
   std::vector<long> rejoin_deadline(config.num_sites, -1);
@@ -818,15 +818,13 @@ StressReport RunRuntimeStress(const StressConfig& config) {
       if (epoch_needed[i] < 0) epoch_needed[i] = d.coordinator().epoch();
       if (d.site(i).anchored() && d.site(i).epoch() >= epoch_needed[i]) {
         rejoin_deadline[i] = -1;  // converged
+      } else if (d.coordinator().failure_detector().IsQuarantined(i)) {
+        // A flapper's rejoin is legitimately deferred: its horizon starts
+        // when the quarantine ends.
+        rejoin_deadline[i] = t + kRejoinHorizon;
       } else if (t >= rejoin_deadline[i]) {
-        if (d.coordinator().failure_detector().IsQuarantined(i)) {
-          // A flapper's rejoin is legitimately deferred; re-arm past the
-          // quarantine rather than reporting a false violation.
-          rejoin_deadline[i] = t + kRejoinHorizon;
-        } else {
-          checker.CheckRejoinConvergence(t, i, recovered_at[i], false);
-          rejoin_deadline[i] = -1;
-        }
+        checker.CheckRejoinConvergence(t, i, recovered_at[i], false);
+        rejoin_deadline[i] = -1;
       }
     }
 
