@@ -340,7 +340,6 @@ void CoordinatorNode::RequestFullState() {
   phase_span_ = TagSpan(MintSpan());
   phase_ = Phase::kCollecting;
   sync_retries_ = 0;
-  collected_.assign(num_sites_, Vector());
   received_.assign(num_sites_, false);
   received_count_ = 0;
   if (telemetry_ != nullptr) {
@@ -358,11 +357,13 @@ void CoordinatorNode::RequestFullState() {
 
 void CoordinatorNode::FinishFullSync(bool degraded) {
   ScopedTimer timer(full_sync_ns_);
-  // A degraded sync may hold no vector at all for a site that has never
-  // managed to report; average over the sites we have state for.
+  // Every report accepted this round is already in last_known_, and a
+  // site's vector cannot change within one round. A degraded sync may hold
+  // no vector at all for a site that has never managed to report; average
+  // over the sites we have state for.
   Vector sum;
   int have = 0;
-  for (const Vector& v : collected_) {
+  for (const Vector& v : last_known_) {
     if (v.empty()) continue;
     if (sum.empty()) sum = Vector(v.dim());
     sum.Axpy(1.0, v);
@@ -540,9 +541,6 @@ void CoordinatorNode::CompleteCollection() {
     if (received_[i]) continue;
     degraded = true;
     missing_live = missing_live || fd_.IsLive(i);
-    if (!last_known_[i].empty()) {
-      collected_[i] = last_known_[i];
-    }  // else: leave empty, FinishFullSync averages over the rest
   }
   if (degraded) {
     ++degraded_syncs_;
@@ -675,7 +673,6 @@ void CoordinatorNode::OnMessage(const RuntimeMessage& message) {
       }
       if (!received_[site]) {
         received_[site] = true;
-        collected_[site] = message.payload;
         ++received_count_;
       }
       if (received_count_ == num_sites_) FinishFullSync(false);  // clean
@@ -767,8 +764,7 @@ void CoordinatorNode::OnQuiescent() {
     v_hat = estimator.Estimate(e_);
     const double U =
         DriftBoundU(config_.max_step_norm, cycles_since_sync_,
-                    config_.drift_norm_cap, config_.u_threshold_factor,
-                    epsilon_t_);
+                    config_.drift_norm_cap, epsilon_t_);
     epsilon = PartialCheckEpsilon(BernsteinEpsilon(config_.delta, U),
                                   epsilon_t_);
     escalate = ProbeEscalates(*function_, config_.threshold, believes_above_,

@@ -368,8 +368,7 @@ class CoordinatorNode {
   std::vector<double> probe_g_;
   std::vector<int> probe_sites_;
 
-  // Full-sync collection state.
-  std::vector<Vector> collected_;
+  // Full-sync collection state; the reports themselves land in last_known_.
   std::vector<bool> received_;
   int received_count_ = 0;
 };
