@@ -16,17 +16,21 @@ namespace sgm {
 // CvSamplingMonitor) and the runtime (SiteNode, CoordinatorNode) share, each
 // defined once, pure and IO-free; callers own every RNG and all state.
 
+/// β of U(t) ≤ β·ε_T (DriftBoundU); Lemma 3's P_FN bound becomes
+/// δ^(|Z|M/(β√N)).
+inline constexpr double kUThresholdFactor = 6.0;
+
 /// U(t), the drift-norm scale of Section 3, the minimum of: the drift one
 /// step per cycle accumulates since the sync (Example 3); the a-priori drift
 /// cap (√2·window for windowed streams); and β·max(ε_T, step), the U ∝ ε_T
 /// that Lemma 3's final P_FN = O(δ^{|Z|M/√N}) bound instantiates, floored at
 /// one step so U never vanishes on the surface. Inline: per site and cycle.
 inline double DriftBoundU(double max_step_norm, long cycles_since_sync,
-                          double drift_norm_cap, double beta,
-                          double epsilon_t) {
+                          double drift_norm_cap, double epsilon_t) {
   const double accumulated = max_step_norm * static_cast<double>(
                                  std::max<long>(1, cycles_since_sync));
-  const double threshold_scale = beta * std::max(epsilon_t, max_step_norm);
+  const double threshold_scale =
+      kUThresholdFactor * std::max(epsilon_t, max_step_norm);
   return std::min({accumulated, drift_norm_cap, threshold_scale});
 }
 

@@ -15,7 +15,6 @@ SiteNode::SiteNode(int id, int num_sites, const MonitoredFunction& function,
       num_trials_(config.num_trials),
       max_step_norm_(config.max_step_norm),
       drift_norm_cap_(config.drift_norm_cap),
-      u_threshold_factor_(config.u_threshold_factor),
       sampling_(config.delta, num_sites),
       rng_(config.seed + 0x9e37u * static_cast<std::uint64_t>(id + 1)),
       transport_(transport),
@@ -118,8 +117,7 @@ void SiteNode::Observe(const Vector& local_vector) {
   // un-scaled GM ball test (Lemma 2).
   const double drift_norm = DriftAndNorm(local_, synced_local_, &drift_);
   const double U = DriftBoundU(max_step_norm_, cycles_since_sync_,
-                               drift_norm_cap_, u_threshold_factor_,
-                               epsilon_t_);
+                               drift_norm_cap_, epsilon_t_);
   inclusion_probability_ = sampling_.Probability(U, drift_norm);
   const TrialDraw draw = DrawTrials(&rng_, inclusion_probability_, num_trials_);
   in_first_trial_ = draw.first_trial;

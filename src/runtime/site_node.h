@@ -30,8 +30,6 @@ struct RuntimeConfig {
   double max_step_norm = 1.0;
   /// A-priori ‖Δv_i‖ cap (√2·window for sliding windows; +inf if unknown).
   double drift_norm_cap = 1e18;
-  /// β of the U ≤ β·ε_T ceiling (see estimators/sgm_rules.h's DriftBoundU).
-  double u_threshold_factor = 6.0;
   std::uint64_t seed = 99;
 
   // ── Reliability layer ──────────────────────────────────────────────────
@@ -195,7 +193,6 @@ class alignas(64) SiteNode {
   bool rejoin_requested_ = false;  ///< one outstanding request at a time
   double max_step_norm_;
   double drift_norm_cap_;
-  double u_threshold_factor_;
   double epsilon_t_ = 0.0;
   double inclusion_probability_ = 0.0;
   SamplingScale sampling_;

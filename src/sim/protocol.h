@@ -120,7 +120,7 @@ class ProtocolBase : public Protocol {
   /// U(t) for this cycle (estimators/sgm_rules.h's DriftBoundU).
   double CurrentU() const {
     return DriftBoundU(max_step_norm_, cycles_since_sync_, drift_norm_cap_,
-                       kUThresholdFactor, epsilon_t_);
+                       epsilon_t_);
   }
 
   /// Certified cooldown: true while an earlier resolution's mute covers
@@ -143,9 +143,6 @@ class ProtocolBase : public Protocol {
   double max_step_norm_;
   double drift_norm_cap_;
   double epsilon_t_ = 0.0;
-  /// β of U(t) ≤ β·ε_T (DriftBoundU); Lemma 3's P_FN bound becomes
-  /// δ^(|Z|M/(β√N)). RuntimeConfig::u_threshold_factor defaults to it.
-  static constexpr double kUThresholdFactor = 6.0;
 
   int num_sites_ = 0;
   std::size_t dim_ = 0;

@@ -76,13 +76,12 @@ TEST(RuntimeTest, TrueCrossingFlipsBelief) {
 
 TEST(RuntimeTest, PartialResolutionAvoidsFullSync) {
   const L2Norm norm;
-  RuntimeConfig config = BasicConfig(6.0, /*step=*/10.0);
+  // Keep U tight through a small step so a single-site Horvitz–Thompson
+  // sample stays informative: the inverse-probability weight of a lone
+  // report is U/(ln(1/δ)·√N), so a large U would inflate v̂ toward the
+  // surface and conservatively escalate.
+  RuntimeConfig config = BasicConfig(6.0, /*step=*/2.0);
   config.seed = 3;
-  // Keep U tight so a single-site Horvitz–Thompson sample stays
-  // informative: the inverse-probability weight of a lone report is
-  // U/(ln(1/δ)·√N), so a large U would inflate v̂ toward the surface and
-  // conservatively escalate.
-  config.u_threshold_factor = 2.0;
   const int n = 40;
   RuntimeDriver driver(n, norm, config);
   std::vector<Vector> locals(n, Vector{1.0, 0.0});
