@@ -63,6 +63,11 @@ class Status {
   std::string message_;
 };
 
+/// The status a value-holding Result reports. Defined out of line: GCC 12
+/// reads an inline function-local static's guard as a path on which the
+/// caller's Result<T> may hold a Status, and warns -Wmaybe-uninitialized.
+const Status& OkStatus();
+
 /// Value-or-error holder, the exception-free analogue of `T` returns.
 ///
 /// A Result is either a value of type T or an error Status; `ok()`
@@ -84,8 +89,7 @@ class Result {
   bool ok() const { return std::holds_alternative<T>(payload_); }
 
   const Status& status() const {
-    static const Status kOk;
-    return ok() ? kOk : std::get<Status>(payload_);
+    return ok() ? OkStatus() : std::get<Status>(payload_);
   }
 
   /// Returns the value; aborts if this Result holds an error.

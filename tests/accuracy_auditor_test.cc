@@ -164,7 +164,9 @@ TEST(AccuracyAuditorTest, ViolationEmitsBoundViolationTraceEventWithSpan) {
         has_span = true;
         EXPECT_EQ(arg.int_value, 13);
       }
-      if (arg.key == "kind") EXPECT_EQ(arg.string_value, "false_negative");
+      if (arg.key == "kind") {
+        EXPECT_EQ(arg.string_value, "false_negative");
+      }
     }
     EXPECT_TRUE(has_span);
   }

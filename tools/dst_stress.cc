@@ -5,9 +5,9 @@
 // that replays it deterministically:
 //
 //   dst_stress --seeds=20                 # the CI stress sweep
-//   dst_stress --leg=runtime --protocol=SGM --function=l2 --seed=77 \
+//   dst_stress --leg=runtime --protocol=SGM --function=l2 --seed=77
 //              --drop=0.25 --delay=3     # replay one leg
-//   dst_stress --leg=sim --protocol=SGM --function=linf --seed=5 \
+//   dst_stress --leg=sim --protocol=SGM --function=linf --seed=5
 //              --sabotage                # force a violation (tolerance = 0)
 //
 // Flags:

@@ -1,7 +1,7 @@
 // obs_report — renders a per-run accuracy / cost report from the
 // observability exports of a single leg:
 //
-//   dst_stress --leg=runtime --seed=7 --drop=0.3 --audit \
+//   dst_stress --leg=runtime --seed=7 --drop=0.3 --audit
 //              --metrics-out=metrics.json --series-out=series.jsonl
 //   obs_report --metrics=metrics.json --series=series.jsonl
 //
