@@ -8,13 +8,6 @@ namespace sgm {
 
 namespace {
 
-std::uint64_t SplitMix64(std::uint64_t* state) {
-  std::uint64_t z = (*state += 0x9e3779b97f4a7c15ULL);
-  z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
-  z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
-  return z ^ (z >> 31);
-}
-
 std::uint64_t Rotl(std::uint64_t x, int k) {
   return (x << k) | (x >> (64 - k));
 }
@@ -38,9 +31,7 @@ std::uint64_t Rng::NextUint64() {
   return result;
 }
 
-double Rng::NextDouble() {
-  return static_cast<double>(NextUint64() >> 11) * 0x1.0p-53;
-}
+double Rng::NextDouble() { return UnitInterval(NextUint64()); }
 
 double Rng::NextDouble(double lo, double hi) {
   return lo + (hi - lo) * NextDouble();
@@ -96,7 +87,7 @@ std::uint64_t DeriveSeed(std::uint64_t seed, std::uint64_t stream) {
   // land on unrelated points of the sequence.
   std::uint64_t state = seed;
   const std::uint64_t whitened = SplitMix64(&state);
-  state = whitened ^ (stream + 0x9e3779b97f4a7c15ULL);
+  state = whitened ^ (stream + kSplitMix64Gamma);
   return SplitMix64(&state);
 }
 

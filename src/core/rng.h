@@ -49,6 +49,30 @@ class Rng {
   double cached_gaussian_ = 0.0;
 };
 
+/// SplitMix64's counter increment, 2^64 divided by the golden ratio.
+inline constexpr std::uint64_t kSplitMix64Gamma = 0x9e3779b97f4a7c15ULL;
+
+/// SplitMix64's output function (Steele, Lea and Flood, OOPSLA 2014): a
+/// bijection on 64-bit words in which every output bit depends on every
+/// input bit. It is the library's one mixer: the streams below, the trace
+/// sampler, the AMS sketch's hashes and the sampling coins all call it.
+inline std::uint64_t MixBits(std::uint64_t z) {
+  z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
+  z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
+  return z ^ (z >> 31);
+}
+
+/// One SplitMix64 step: advances `*state` by the increment and returns the
+/// mix of the new state.
+inline std::uint64_t SplitMix64(std::uint64_t* state) {
+  return MixBits(*state += kSplitMix64Gamma);
+}
+
+/// The top 53 bits of `bits` as a uniform double in [0, 1).
+inline double UnitInterval(std::uint64_t bits) {
+  return static_cast<double>(bits >> 11) * 0x1.0p-53;
+}
+
 /// Derives an independent sub-seed from a master seed and a stream id
 /// (splitmix64 over the pair). The deterministic-simulation components use
 /// this to fan one replayable seed out into per-link / per-site / per-config

@@ -10,6 +10,7 @@
 #include <string_view>
 
 #include "core/check.h"
+#include "core/rng.h"
 #include "obs/flight_recorder.h"
 #include "obs/json.h"
 
@@ -183,22 +184,11 @@ const EventSpec* FindSpec(std::string_view name) {
   return it == by_name->end() ? nullptr : it->second;
 }
 
-/// SplitMix64 finalizer — the same mixing the seeded RNGs use, applied to
-/// sampling decisions so they are a pure function of (seed, key).
-std::uint64_t MixBits(std::uint64_t x) {
-  x += 0x9e3779b97f4a7c15ULL;
-  x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ULL;
-  x = (x ^ (x >> 27)) * 0x94d049bb133111ebULL;
-  return x ^ (x >> 31);
-}
-
-/// Deterministic coin: true with probability ~`rate` as a function of the
-/// mixed key alone.
+/// Deterministic coin: true with probability ~`rate` as a pure function of
+/// `key`. Sampling mixes each key as SplitMix64 mixes the state one step
+/// past it, MixBits(key + γ).
 bool SampledCoin(std::uint64_t key, double rate) {
-  // Top 53 bits → uniform double in [0, 1).
-  const double u =
-      static_cast<double>(MixBits(key) >> 11) * (1.0 / 9007199254740992.0);
-  return u < rate;
+  return UnitInterval(MixBits(key + kSplitMix64Gamma)) < rate;
 }
 
 /// Removes kSpanUnsampledBit from span-carrying args so recorded traces
@@ -219,9 +209,8 @@ bool TraceSampleDecision(std::uint64_t seed, std::int64_t root_span,
                          double rate) {
   if (rate >= 1.0) return true;
   if (rate <= 0.0) return false;
-  return SampledCoin(seed ^ MixBits(static_cast<std::uint64_t>(
-                                SpanId(root_span))),
-                     rate);
+  const auto root = static_cast<std::uint64_t>(SpanId(root_span));
+  return SampledCoin(seed ^ MixBits(root + kSplitMix64Gamma), rate);
 }
 
 const char* TraceEventCategory(TraceEventId id) { return Spec(id).cat; }
@@ -324,12 +313,13 @@ bool TraceLog::ShouldRecordLocked(SampleClass sample, int actor,
       // sim protocols emit these — so they always record.
       StripSpanTags(args);
       return true;
-    case SampleClass::kNoise:
-      return SampledCoin(sample_seed_ ^
-                             MixBits(static_cast<std::uint64_t>(actor) *
-                                         0x51ed270b0f4dULL +
-                                     static_cast<std::uint64_t>(cycle_)),
+    case SampleClass::kNoise: {
+      const std::uint64_t key =
+          static_cast<std::uint64_t>(actor) * 0x51ed270b0f4dULL +
+          static_cast<std::uint64_t>(cycle_);
+      return SampledCoin(sample_seed_ ^ MixBits(key + kSplitMix64Gamma),
                          sample_rate_);
+    }
   }
   return true;
 }

@@ -4,6 +4,8 @@
 #include <algorithm>
 #include <cstdint>
 
+#include "core/rng.h"
+
 namespace sgm {
 
 /// Bounded-retry / jittered-backoff policy for TCP connection establishment.
@@ -29,19 +31,10 @@ struct SocketRetryConfig {
   std::uint64_t jitter_seed = 17;
 };
 
-/// The deterministic jitter stream: a splitmix64 step over `state`. Kept as
-/// a tiny free function (rather than core/rng.h's Rng) so the header stays
-/// dependency-free for both socket_transport.h and site_node.h.
-inline std::uint64_t SocketRetryNextRandom(std::uint64_t* state) {
-  std::uint64_t z = (*state += 0x9e3779b97f4a7c15ULL);
-  z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
-  z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
-  return z ^ (z >> 31);
-}
-
 /// Backoff before retry number `attempt` (1-based: the delay after the
 /// attempt-th failure): exponential in the attempt, capped, then jittered
-/// into [delay/2, delay]. Pure given (config, attempt, *state).
+/// into [delay/2, delay] by one SplitMix64 step over `*state`, the
+/// deterministic jitter stream. Pure given (config, attempt, *state).
 inline long SocketRetryDelayMs(const SocketRetryConfig& config, int attempt,
                                std::uint64_t* state) {
   long delay = config.base_backoff_ms;
@@ -51,7 +44,7 @@ inline long SocketRetryDelayMs(const SocketRetryConfig& config, int attempt,
   delay = std::min(delay, config.max_backoff_ms);
   if (delay <= 1) return delay;
   const long half = delay / 2;
-  return half + static_cast<long>(SocketRetryNextRandom(state) %
+  return half + static_cast<long>(SplitMix64(state) %
                                   static_cast<std::uint64_t>(delay - half + 1));
 }
 

@@ -4,24 +4,12 @@
 #include <cmath>
 
 #include "core/check.h"
+#include "core/rng.h"
 
 namespace sgm {
 
-namespace {
-
-// Strong 64-bit mixer (splitmix64 finalizer); applied to (seed ^ item) it
-// gives hash values that comfortably pass the four-wise-independence needs
-// of AMS in practice.
-std::uint64_t Mix(std::uint64_t x) {
-  x ^= x >> 30;
-  x *= 0xbf58476d1ce4e5b9ULL;
-  x ^= x >> 27;
-  x *= 0x94d049bb133111ebULL;
-  x ^= x >> 31;
-  return x;
-}
-
-}  // namespace
+// The hashes apply SplitMix64's mixer to (row seed ^ item); the values
+// comfortably pass the four-wise-independence needs of AMS in practice.
 
 AmsSketch::AmsSketch(int depth, int width, std::uint64_t seed)
     : depth_(depth),
@@ -32,17 +20,17 @@ AmsSketch::AmsSketch(int depth, int width, std::uint64_t seed)
   row_seeds_.reserve(depth);
   std::uint64_t s = seed;
   for (int r = 0; r < depth; ++r) {
-    s = Mix(s + 0x9e3779b97f4a7c15ULL);
+    s = MixBits(s + kSplitMix64Gamma);
     row_seeds_.push_back(s);
   }
 }
 
 double AmsSketch::Sign(int row, std::uint64_t item) const {
-  return (Mix(row_seeds_[row] ^ item) & 1ULL) ? 1.0 : -1.0;
+  return (MixBits(row_seeds_[row] ^ item) & 1ULL) ? 1.0 : -1.0;
 }
 
 int AmsSketch::Bucket(int row, std::uint64_t item) const {
-  return static_cast<int>(Mix(row_seeds_[row] + 0x51ULL ^ item) %
+  return static_cast<int>(MixBits((row_seeds_[row] + 0x51ULL) ^ item) %
                           static_cast<std::uint64_t>(width_));
 }
 
