@@ -4,6 +4,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstddef>
+#include <cstdint>
 
 #include "core/check.h"
 #include "core/rng.h"
@@ -14,7 +15,7 @@ namespace sgm {
 
 // The SGM decisions the simulator (SamplingGeometricMonitor,
 // CvSamplingMonitor) and the runtime (SiteNode, CoordinatorNode) share, each
-// defined once, pure and IO-free; callers own every RNG and all state.
+// defined once, pure and IO-free; callers own all state.
 
 /// β of U(t) ≤ β·ε_T (DriftBoundU); Lemma 3's P_FN bound becomes
 /// δ^(|Z|M/(β√N)).
@@ -51,20 +52,44 @@ inline double DriftAndNorm(const Vector& local, const Vector& synced,
   return std::sqrt(squared);
 }
 
+/// Largest M the coin's key holds: trials are numbered in 16 bits.
+inline constexpr int kMaxSamplingTrials = 1 << 16;
+
+/// The sampling coin of site `site` in trial `trial` of cycle `cycle`: a
+/// uniform double in [0, 1) and a pure function of its key, so that both
+/// tiers, whatever each site drew before, flip the same coin. The key
+/// (seed + γ·(site + 1), cycle·2^16 + trial) is injective for 0 ≤ site <
+/// 2^31, 0 ≤ cycle < 2^47 and 0 ≤ trial < 2^16; mixing its first word and
+/// stepping by the second is SplitMix64 seeded per site, read at output
+/// cycle·2^16 + trial + 1. Inline: per site, cycle and trial.
+inline double CoinUniform(std::uint64_t seed, int site, long cycle,
+                          int trial) {
+  const std::uint64_t site_key =
+      MixBits(seed + kSplitMix64Gamma * (static_cast<std::uint64_t>(site) + 1));
+  const std::uint64_t draw = (static_cast<std::uint64_t>(cycle) << 16) |
+                             static_cast<std::uint64_t>(trial);
+  return UnitInterval(MixBits(site_key + kSplitMix64Gamma * (draw + 1)));
+}
+
 /// A site's membership in one cycle's M sampling trials (Lemma 2).
 struct TrialDraw {
   bool first_trial = false;  ///< trial 1: the sample a probe asks
   bool any_trial = false;    ///< some trial: arms the local ball test
 };
 
-/// Flips all M coins with probability g, whatever they show, so the RNG's
-/// use never depends on the outcome. Inline: per site and cycle.
-inline TrialDraw DrawTrials(Rng* rng, double g, int num_trials) {
+/// The site's M trials, each sampling it when its coin falls below g: g ≤ 0
+/// never samples and g ≥ 1 always does. Stops at the first hit, which fixes
+/// both flags. Inline: per site and cycle.
+inline TrialDraw DrawTrials(std::uint64_t seed, int site, long cycle,
+                            double g, int num_trials) {
   TrialDraw draw;
+  if (g <= 0.0) return draw;
   for (int trial = 0; trial < num_trials; ++trial) {
-    const bool sampled = rng->NextBernoulli(g);
-    if (trial == 0) draw.first_trial = sampled;
-    draw.any_trial = draw.any_trial || sampled;
+    if (g >= 1.0 || CoinUniform(seed, site, cycle, trial) < g) {
+      draw.first_trial = trial == 0;
+      draw.any_trial = true;
+      break;
+    }
   }
   return draw;
 }

@@ -23,13 +23,11 @@ CvSamplingMonitor::CvSamplingMonitor(const MonitoredFunction& function,
 void CvSamplingMonitor::AfterSync(const std::vector<Vector>& local_vectors,
                                   Metrics* metrics) {
   ConvexSafeZoneMonitor::AfterSync(local_vectors, metrics);
-  if (!site_rngs_.empty()) return;
-  Rng root(options_.seed);
-  site_rngs_.reserve(num_sites_);
-  for (int i = 0; i < num_sites_; ++i) site_rngs_.push_back(root.Fork());
+  if (sampling_.has_value()) return;  // one-time setup on the first sync
   effective_trials_ = options_.num_trials > 0
                           ? options_.num_trials
                           : NumTrialsCV(options_.delta, num_sites_);
+  SGM_CHECK(effective_trials_ <= kMaxSamplingTrials);
   sampling_.emplace(options_.delta, num_sites_);
 }
 
@@ -51,7 +49,8 @@ CycleOutcome CvSamplingMonitor::MonitorCycle(
     position_ += drift_;
     distances_[i] = zone_->SignedDistance(position_);
     const double g = sampling_->ProbabilityCV(U, distances_[i]);
-    const TrialDraw draw = DrawTrials(&site_rngs_[i], g, effective_trials_);
+    const TrialDraw draw =
+        DrawTrials(options_.seed, i, absolute_cycle_, g, effective_trials_);
     if (draw.first_trial) {
       first_trial_.push_back(i);
       first_trial_g_.push_back(g);

@@ -1,11 +1,11 @@
 #ifndef SGM_GM_CVSGM_H_
 #define SGM_GM_CVSGM_H_
 
+#include <cstdint>
 #include <optional>
 #include <string>
 #include <vector>
 
-#include "core/rng.h"
 #include "estimators/sampling.h"
 #include "gm/cvgm.h"
 
@@ -26,6 +26,7 @@ struct CvsgmOptions {
   /// monitoring can pause ⌊(−D̂_C − ε_C)/max_step⌋ cycles risk-free.
   bool certified_cooldown = true;
   CvOptions cv;
+  /// Seed of the sampling coins (estimators/sgm_rules.h's CoinUniform).
   std::uint64_t seed = 4242;
 };
 
@@ -63,9 +64,8 @@ class CvSamplingMonitor : public ConvexSafeZoneMonitor {
 
  private:
   CvsgmOptions options_;
-  std::vector<Rng> site_rngs_;
   int effective_trials_ = 1;
-  /// ln(1/δ) and √N, set with site_rngs_ once N is known.
+  /// ln(1/δ) and √N, set once N is known.
   std::optional<SamplingScale> sampling_;
   bool last_alarm_reached_stage2_ = false;
   // MonitorCycle's per-cycle buffers, reused so that a cycle allocates

@@ -25,13 +25,11 @@ std::string SamplingGeometricMonitor::name() const {
 
 void SamplingGeometricMonitor::AfterSync(
     const std::vector<Vector>& /*local_vectors*/, Metrics* /*metrics*/) {
-  if (!site_rngs_.empty()) return;  // one-time setup on the first sync
-  Rng root(options_.seed);
-  site_rngs_.reserve(num_sites_);
-  for (int i = 0; i < num_sites_; ++i) site_rngs_.push_back(root.Fork());
+  if (sampling_.has_value()) return;  // one-time setup on the first sync
   effective_trials_ = options_.num_trials > 0
                           ? options_.num_trials
                           : NumTrials(options_.delta, num_sites_);
+  SGM_CHECK(effective_trials_ <= kMaxSamplingTrials);
   sampling_.emplace(options_.delta, num_sites_);
 }
 
@@ -58,16 +56,15 @@ CycleOutcome SamplingGeometricMonitor::MonitorCycle(
     const double drift_norm =
         DriftAndNorm(local_vectors[i], synced_locals_[i], &drift_);
     const double g = InclusionProbability(drift_norm, U);
-    const TrialDraw draw = DrawTrials(&site_rngs_[i], g, effective_trials_);
+    const TrialDraw draw =
+        DrawTrials(options_.seed, i, absolute_cycle_, g, effective_trials_);
     if (draw.first_trial) {
       first_trial_.push_back(i);
       first_trial_g_.push_back(g);
     }
     if (draw.any_trial && !alarm) {
       const Ball constraint = Ball::LocalConstraint(e_, drift_);
-      if (function_->BallCrossesThreshold(constraint, threshold_)) {
-        alarm = true;  // keep drawing samples so RNG use stays uniform
-      }
+      alarm = function_->BallCrossesThreshold(constraint, threshold_);
     }
   }
   if (!alarm) return outcome;

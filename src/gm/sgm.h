@@ -1,11 +1,11 @@
 #ifndef SGM_GM_SGM_H_
 #define SGM_GM_SGM_H_
 
+#include <cstdint>
 #include <optional>
 #include <string>
 #include <vector>
 
-#include "core/rng.h"
 #include "estimators/sampling.h"
 #include "sim/protocol.h"
 
@@ -50,6 +50,7 @@ struct SgmOptions {
   /// Ablation switch: skip the partial synchronization entirely and answer
   /// every alarm with a full synchronization (sampling-only monitoring).
   bool always_full_sync = false;
+  /// Seed of the sampling coins (estimators/sgm_rules.h's CoinUniform).
   std::uint64_t seed = 2024;
 };
 
@@ -91,9 +92,8 @@ class SamplingGeometricMonitor : public ProtocolBase {
   double InclusionProbability(double drift_norm, double U) const;
 
   SgmOptions options_;
-  std::vector<Rng> site_rngs_;
   int effective_trials_ = 1;
-  /// ln(1/δ) and √N, set with site_rngs_ once N is known.
+  /// ln(1/δ) and √N, set once N is known.
   std::optional<SamplingScale> sampling_;
   // MonitorCycle's per-cycle buffers, reused so that a cycle allocates
   // nothing per site: the drift of the site at hand, and the first-trial

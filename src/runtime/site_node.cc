@@ -16,14 +16,15 @@ SiteNode::SiteNode(int id, int num_sites, const MonitoredFunction& function,
       max_step_norm_(config.max_step_norm),
       drift_norm_cap_(config.drift_norm_cap),
       sampling_(config.delta, num_sites),
-      rng_(config.seed + 0x9e37u * static_cast<std::uint64_t>(id + 1)),
+      seed_(config.seed),
       transport_(transport),
       telemetry_(config.telemetry),
       threshold_(config.threshold),
       function_(function.Clone()) {
   SGM_CHECK(id >= 0 && id < num_sites);
   SGM_CHECK(transport != nullptr);
-  SGM_CHECK(config.num_trials >= 1);
+  SGM_CHECK(config.num_trials >= 1 &&
+            config.num_trials <= kMaxSamplingTrials);
   SGM_CHECK(config.max_step_norm > 0.0);
   if (telemetry_ != nullptr) {
     ball_test_ns_ = telemetry_->registry.GetHistogram("site.ball_test_ns",
@@ -114,12 +115,14 @@ void SiteNode::Observe(const Vector& local_vector) {
   }
 
   // Monitoring phase: M independent self-sampling trials; any hit arms the
-  // un-scaled GM ball test (Lemma 2).
+  // un-scaled GM ball test (Lemma 2). The coins' cycle is the slot clock,
+  // with initialization at cycle 0, as in the simulator.
   const double drift_norm = DriftAndNorm(local_, synced_local_, &drift_);
   const double U = DriftBoundU(max_step_norm_, cycles_since_sync_,
                                drift_norm_cap_, epsilon_t_);
   inclusion_probability_ = sampling_.Probability(U, drift_norm);
-  const TrialDraw draw = DrawTrials(&rng_, inclusion_probability_, num_trials_);
+  const TrialDraw draw = DrawTrials(seed_, id_, observes_ - 1,
+                                    inclusion_probability_, num_trials_);
   in_first_trial_ = draw.first_trial;
   if (draw.any_trial) {
     bool crossed = false;

@@ -4,7 +4,6 @@
 #include <cstdint>
 #include <memory>
 
-#include "core/rng.h"
 #include "estimators/sampling.h"
 #include "functions/monitored_function.h"
 #include "runtime/failure_detector.h"
@@ -30,6 +29,8 @@ struct RuntimeConfig {
   double max_step_norm = 1.0;
   /// A-priori ‖Δv_i‖ cap (√2·window for sliding windows; +inf if unknown).
   double drift_norm_cap = 1e18;
+  /// Seed of the sampling coins (estimators/sgm_rules.h's CoinUniform) and
+  /// of trace sampling.
   std::uint64_t seed = 99;
 
   // ── Reliability layer ──────────────────────────────────────────────────
@@ -171,13 +172,13 @@ class alignas(64) SiteNode {
   void ApplyAnchor(const RuntimeMessage& message, const char* source);
 
   // ── Hot: what Observe reads or writes every cycle ─────────────────────
-  // The node is 64-byte aligned, so these 408 bytes always fill the same
-  // cache lines: the slot clock, counters, flags and U policy in line 0; ε_T,
-  // g_i, the sampling scale and the RNG in lines 1–2; then v_i, v_i(t_s) and
-  // Δv_i, 88 bytes each with their coordinates inline. A quiet cycle that
-  // sends nothing touches lines 0–5 of the node for 3-coordinate vectors, and
-  // lines 0–6 for 8-coordinate ones, whose last three Δv_i coordinates share
-  // line 6 with what a send reads.
+  // The node is 64-byte aligned, so these 360 bytes always fill the same
+  // cache lines: the slot clock, counters, flags, U policy and ε_T in line 0;
+  // g_i, the sampling scale and the coins' seed in line 1; then v_i, v_i(t_s)
+  // and Δv_i, 88 bytes each with their coordinates inline. A quiet cycle that
+  // sends nothing touches lines 0–4 of the node for 3-coordinate vectors, and
+  // lines 0–5 for 8-coordinate ones, whose last Δv_i coordinates share line 5
+  // with what a send reads.
   int id_;
   /// Heartbeat cadence H and the Observe calls so far (the slot clock).
   int heartbeat_interval_;
@@ -196,13 +197,14 @@ class alignas(64) SiteNode {
   double epsilon_t_ = 0.0;
   double inclusion_probability_ = 0.0;
   SamplingScale sampling_;
-  Rng rng_;
+  /// RuntimeConfig::seed, the key of this site's coins.
+  std::uint64_t seed_;
   Vector local_;         ///< v_i(t)
   Vector synced_local_;  ///< v_i(t_s)
   /// Δv_i of the last monitored Observe; its buffer is reused every cycle.
   Vector drift_;
 
-  // ── What every send and every received message reads (line 6) ─────────
+  // ── What every send and every received message reads (lines 5–6) ──────
   std::int64_t epoch_ = 0;
   /// Epoch of the anchor (kNewEstimate or kRejoinGrant) last applied; each
   /// heartbeat names it so the coordinator can tell whether the site holds

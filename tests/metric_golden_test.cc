@@ -70,95 +70,95 @@ std::string Rows(const MetricRegistry& registry) {
 }
 
 constexpr char kFaultlessRows[] = R"(counter coordinator.degraded_syncs 0
-counter coordinator.epoch 13
-counter coordinator.full_syncs 6
+counter coordinator.epoch 14
+counter coordinator.full_syncs 7
 counter coordinator.late_reports 0
 counter coordinator.malformed_reports 0
-counter coordinator.partial_resolutions 2
+counter coordinator.partial_resolutions 1
 counter coordinator.rejoins_granted 0
 counter coordinator.stale_epoch_applied 0
-counter coordinator.stale_epoch_drops 2
+counter coordinator.stale_epoch_drops 0
 counter coordinator.sync_rerequests 0
 counter degraded.cycles 0
 counter degraded.lag_quarantines 0
 counter degraded.staleness_cycles_total 0
 counter failure.total_deaths 0
 counter obs.trace.bytes_written 0
-counter obs.trace.events 630
-counter obs.trace.recorded 53
-counter obs.trace.sampled_out 577
-counter site.heartbeats_sent 481
+counter obs.trace.events 645
+counter obs.trace.recorded 50
+counter obs.trace.sampled_out 595
+counter site.heartbeats_sent 482
 counter site.rejoin_requests_sent 0
 counter site.stale_epoch_applied 0
 counter site.stale_epoch_drops 0
-counter transport.acks_sent 125
+counter transport.acks_sent 135
 counter transport.dedup_evictions 0
 counter transport.duplicates_suppressed 0
 counter transport.give_ups 0
-counter transport.paper_messages 146
-counter transport.paper_site_messages 125
+counter transport.paper_messages 157
+counter transport.paper_site_messages 135
 counter transport.retransmissions 0
-counter transport.total_messages 752
-counter transport.tracked_sends 125
+counter transport.total_messages 774
+counter transport.tracked_sends 135
 gauge degraded.lagging_sites 0
 gauge degraded.staleness_cycles_max 0
 gauge failure.live_count 16
-gauge transport.paper_bytes 6416
-gauge transport.total_bytes 16112
+gauge transport.paper_bytes 6968
+gauge transport.total_bytes 16840
 )";
 
-constexpr char kFaultyRows[] = R"(counter coordinator.degraded_syncs 1
-counter coordinator.epoch 13
-counter coordinator.full_syncs 7
+constexpr char kFaultyRows[] = R"(counter coordinator.degraded_syncs 2
+counter coordinator.epoch 20
+counter coordinator.full_syncs 10
 counter coordinator.late_reports 16
 counter coordinator.malformed_reports 0
-counter coordinator.partial_resolutions 1
+counter coordinator.partial_resolutions 2
 counter coordinator.rejoins_granted 16
 counter coordinator.stale_epoch_applied 0
-counter coordinator.stale_epoch_drops 0
+counter coordinator.stale_epoch_drops 1
 counter coordinator.sync_rerequests 0
 counter degraded.cycles 10
 counter degraded.lag_quarantines 3
-counter degraded.staleness_cycles_total 13
-counter failure.total_deaths 1
+counter degraded.staleness_cycles_total 9
+counter failure.total_deaths 2
 counter obs.ring.dropped 0
-counter obs.ring.overwrites 3974
-counter obs.ring.recorded 4038
+counter obs.ring.overwrites 5280
+counter obs.ring.recorded 5344
 counter obs.trace.bytes_written 0
-counter obs.trace.events 4038
-counter obs.trace.recorded 4038
+counter obs.trace.events 5344
+counter obs.trace.recorded 5344
 counter obs.trace.sampled_out 0
 counter recovery.coordinator_crashes 1
-counter recovery.down_drops 28
+counter recovery.down_drops 25
 counter recovery.reconcile_grants 16
 counter recovery.restores 1
 counter recovery.snapshots_discarded 0
 counter recovery.snapshots_written 7
 counter recovery.torn_wal_bytes 0
-counter recovery.wal_records 37
-counter recovery.wal_records_replayed 0
-counter site.heartbeats_sent 596
+counter recovery.wal_records 48
+counter recovery.wal_records_replayed 2
+counter site.heartbeats_sent 594
 counter site.rejoin_requests_sent 0
 counter site.stale_epoch_applied 0
 counter site.stale_epoch_drops 0
-counter transport.acks_sent 936
+counter transport.acks_sent 1394
 counter transport.dedup_evictions 0
-counter transport.duplicates_suppressed 454
+counter transport.duplicates_suppressed 684
 counter transport.faults_corrupted 0
-counter transport.faults_delayed 1653
-counter transport.faults_dropped 278
-counter transport.faults_duplicated 119
+counter transport.faults_delayed 2238
+counter transport.faults_dropped 373
+counter transport.faults_duplicated 152
 counter transport.give_ups 2
-counter transport.paper_messages 168
-counter transport.paper_site_messages 148
-counter transport.retransmissions 535
-counter transport.total_messages 2371
-counter transport.tracked_sends 185
+counter transport.paper_messages 234
+counter transport.paper_site_messages 203
+counter transport.retransmissions 784
+counter transport.total_messages 3175
+counter transport.tracked_sends 251
 gauge degraded.lagging_sites 0
-gauge degraded.staleness_cycles_max 7
+gauge degraded.staleness_cycles_max 4
 gauge failure.live_count 16
-gauge transport.paper_bytes 7616
-gauge transport.total_bytes 54344
+gauge transport.paper_bytes 10360
+gauge transport.total_bytes 72432
 )";
 
 constexpr char kServerNames[] = R"(counter coordinator.degraded_syncs

@@ -186,22 +186,21 @@ TEST(RuntimeTest, AgreesWithSimulatorOnWorkloadScale) {
 // take the same decision every cycle: the same belief, the same cumulative
 // full-sync and partial-resolution counts, and bit-identical e and ε_T.
 //
-// The tiers seed their sampling coins differently, so the stream leaves the
-// coins nothing to decide. Every site either stands still (Δv_i = 0, so
-// g_i = 0) or has moved one full step per cycle in a fixed direction since
-// the last full sync (‖Δv_i‖ = max_step·k ≥ U after k cycles). With
-// ln(1/δ)/√N > 1, g_i then clamps to 1, and Rng::NextBernoulli draws nothing
-// at g ∈ {0, 1}. Directions are re-drawn only right after a full sync, when
-// every drift restarts from zero.
+// Both tiers flip the same sampling coin, keyed by (seed, site, cycle,
+// trial) (estimators/sgm_rules.h's CoinUniform), and are seeded alike. Every
+// site either stands still (Δv_i = 0, so g_i = 0) or has moved one full step
+// per cycle in a fixed direction since the last full sync (‖Δv_i‖ =
+// max_step·k after k cycles). Directions are re-drawn only right after a
+// full sync, when every drift restarts from zero. Where ln(1/δ)/√N > 1, a
+// mover's g_i clamps to 1; where it is below 1, g_i is fractional and the
+// coins decide who is sampled, who alarms and who enters the probe.
 //
-// Blind spot: a change that only moves g_i inside its clamp, such as a
-// site-only change to U, cannot show in this regime. The runtime runs no
-// escalation, so the simulator's two escalation rules are off. Message
-// totals are not compared: with identical decisions the runtime still sends
-// more paper messages, because (1) every alarming site sends its own
-// kLocalViolation, (2) a full sync broadcasts a request and re-collects all
-// N sites where the simulator collects N − |K1|, and (3) kResolved is
-// broadcast even when the mute is 0.
+// The runtime runs no escalation, so the simulator's two escalation rules
+// are off. Message totals are not compared: with identical decisions the
+// runtime still sends more paper messages, because (1) every alarming site
+// sends its own kLocalViolation, (2) a full sync broadcasts a request and
+// re-collects all N sites where the simulator collects N − |K1|, and (3)
+// kResolved is broadcast even when the mute is 0.
 
 /// The monitored function: the L2 norm, the L∞ distance to the last
 /// estimate, or χ² of [a, b, c] counts in a window of 200 (the storm-128
@@ -211,10 +210,10 @@ enum class Query { kL2, kLInf, kChiSquare };
 
 struct DifferentialScenario {
   int sites;
-  double delta;  ///< ln(1/δ)/√N > 1, so every g_i clamps to 0 or 1
+  double delta;  ///< ln(1/δ)/√N > 1 clamps every g_i to 0 or 1
   Query query;
   double threshold;
-  std::uint64_t seed;
+  std::uint64_t seed;  ///< the stream's and both tiers' coins'
   /// Sites start at start ± spread·(unit Gaussian) per coordinate; empty
   /// means (T/2, 0, 0) ± 1.
   Vector start = {};
@@ -267,11 +266,13 @@ void RunDifferential(const DifferentialScenario& s,
   options.delta = s.delta;
   options.escalate_after_consecutive_alarms = 0;
   options.escalate_probe_fraction = 0.0;
+  options.seed = s.seed;
   SamplingGeometricMonitor sim(*f, s.threshold, kStep, options);
   RuntimeConfig config;
   config.threshold = s.threshold;
   config.delta = s.delta;
   config.max_step_norm = kStep;
+  config.seed = s.seed;
   RuntimeDriver driver(s.sites, *f, config);
   const CoordinatorNode& rt = driver.coordinator();
 
@@ -335,9 +336,9 @@ void RunDifferential(const DifferentialScenario& s,
 }
 
 TEST(RuntimeTest, MatchesSimulatorCycleForCycle) {
-  // δ per N: ln(1/δ)/√N is 1.15 at N = 4, 16 and 64.
   using enum Query;
   const DifferentialScenario scenarios[] = {
+      // ln(1/δ)/√N is 1.15 at N = 4, 16 and 64: every g_i is 0 or 1.
       {4, 0.1, kL2, 6.0, 11},
       {4, 0.1, kLInf, 6.0, 12},
       {16, 0.01, kL2, 8.0, 13},
@@ -348,6 +349,17 @@ TEST(RuntimeTest, MatchesSimulatorCycleForCycle) {
       {64, 1e-4, kLInf, 3.0, 18},
       {16, 0.01, kChiSquare, 0.5, 22, {20.0, 10.0, 30.0}, 3.0},
       {16, 0.01, kChiSquare, 0.3, 23, {10.0, 20.0, 40.0}, 3.0},
+      // ln(1/δ)/√N < 1: a mover's g_i is fractional, so the shared coins
+      // decide. It is 0.29 at N = 64, 0.26 and 0.20 at 128, 0.10, 0.19 and
+      // 0.14 at 256, and 0.10 at 512.
+      {64, 0.1, kL2, 8.0, 31},
+      {128, 0.05, kLInf, 3.0, 32},
+      {256, 0.2, kL2, 12.0, 33},
+      {512, 0.1, kLInf, 3.0, 38},
+      {512, 0.1, kL2, 8.0, 39},
+      {128, 0.1, kChiSquare, 0.3, 40, {10.0, 20.0, 40.0}, 3.0},
+      {256, 0.05, kLInf, 3.0, 41},
+      {256, 0.1, kChiSquare, 0.3, 42, {10.0, 20.0, 40.0}, 3.0},
   };
   for (const DifferentialScenario& s : scenarios) {
     DifferentialCoverage seen;
