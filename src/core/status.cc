@@ -24,11 +24,6 @@ const char* CodeName(StatusCode code) {
 
 }  // namespace
 
-const Status& OkStatus() {
-  static const Status kOk;
-  return kOk;
-}
-
 std::string Status::ToString() const {
   if (ok()) return "OK";
   std::string out = CodeName(code_);

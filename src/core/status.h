@@ -63,11 +63,6 @@ class Status {
   std::string message_;
 };
 
-/// The status a value-holding Result reports. Defined out of line: GCC 12
-/// reads an inline function-local static's guard as a path on which the
-/// caller's Result<T> may hold a Status, and warns -Wmaybe-uninitialized.
-const Status& OkStatus();
-
 /// Value-or-error holder, the exception-free analogue of `T` returns.
 ///
 /// A Result is either a value of type T or an error Status; `ok()`
@@ -88,8 +83,10 @@ class Result {
 
   bool ok() const { return std::holds_alternative<T>(payload_); }
 
-  const Status& status() const {
-    return ok() ? OkStatus() : std::get<Status>(payload_);
+  /// By value: an inline function-local static here made GCC 12 warn
+  /// -Wmaybe-uninitialized wherever a value-holding Result<T> was destroyed.
+  Status status() const {
+    return ok() ? Status() : std::get<Status>(payload_);
   }
 
   /// Returns the value; aborts if this Result holds an error.

@@ -141,7 +141,7 @@ TEST(FrameReaderTest, CrcRejectsGarbageFrameAndStreamStaysInSync) {
   std::vector<std::uint8_t> flipped = Framed(b);
   flipped[flipped.size() / 2] ^= 0x40;
   std::vector<std::uint8_t> unchecked = Framed(b);
-  unchecked.resize(unchecked.size() - 4);
+  unchecked.erase(unchecked.end() - 4, unchecked.end());
   const std::uint32_t length = static_cast<std::uint32_t>(unchecked.size() - 4);
   std::memcpy(unchecked.data(), &length, sizeof(length));
   unchecked[4] = 0xA3;
