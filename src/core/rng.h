@@ -7,11 +7,11 @@ namespace sgm {
 
 /// Deterministic, fast pseudo-random generator (xoshiro256**).
 ///
-/// Every stochastic component of the library — the sites' independent biased
-/// coin flips, the dataset generators, the Monte-Carlo geometry estimators —
-/// draws from an explicitly-seeded Rng so that simulations and tests are
-/// bit-reproducible across runs and platforms. No global RNG state exists
-/// anywhere in the library.
+/// Every stochastic component of the library — the dataset generators, the
+/// fault injectors, the Monte-Carlo geometry estimators — draws from an
+/// explicitly-seeded Rng, or hashes its key with MixBits below, so that
+/// simulations and tests are bit-reproducible across runs and platforms. No
+/// global RNG state exists anywhere in the library.
 class Rng {
  public:
   /// Seeds the generator; distinct seeds give independent-looking streams
@@ -52,10 +52,9 @@ class Rng {
 /// SplitMix64's counter increment, 2^64 divided by the golden ratio.
 inline constexpr std::uint64_t kSplitMix64Gamma = 0x9e3779b97f4a7c15ULL;
 
-/// SplitMix64's output function (Steele, Lea and Flood, OOPSLA 2014): a
-/// bijection on 64-bit words in which every output bit depends on every
-/// input bit. It is the library's one mixer: the streams below, the trace
-/// sampler, the AMS sketch's hashes and the sampling coins all call it.
+/// SplitMix64's output function (Steele, Lea and Flood, OOPSLA 2014), a
+/// bijective 64-bit mixer: the one every seeded hash, stream and sampling
+/// coin in the library calls.
 inline std::uint64_t MixBits(std::uint64_t z) {
   z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
   z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;

@@ -55,13 +55,11 @@ inline double DriftAndNorm(const Vector& local, const Vector& synced,
 /// Largest M the coin's key holds: trials are numbered in 16 bits.
 inline constexpr int kMaxSamplingTrials = 1 << 16;
 
-/// The sampling coin of site `site` in trial `trial` of cycle `cycle`: a
-/// uniform double in [0, 1) and a pure function of its key, so that both
-/// tiers, whatever each site drew before, flip the same coin. The key
-/// (seed + γ·(site + 1), cycle·2^16 + trial) is injective for 0 ≤ site <
-/// 2^31, 0 ≤ cycle < 2^47 and 0 ≤ trial < 2^16; mixing its first word and
-/// stepping by the second is SplitMix64 seeded per site, read at output
-/// cycle·2^16 + trial + 1. Inline: per site, cycle and trial.
+/// Site `site`'s coin in trial `trial` of cycle `cycle`: a uniform double in
+/// [0, 1), a pure function of its key, so both tiers flip the same coin. The
+/// key (seed + γ·(site + 1), cycle·2^16 + trial) is injective for site <
+/// 2^31, cycle < 2^47 and trial < 2^16: output number cycle·2^16 + trial + 1
+/// of SplitMix64 seeded per site. Inline: per site, cycle and trial.
 inline double CoinUniform(std::uint64_t seed, int site, long cycle,
                           int trial) {
   const std::uint64_t site_key =

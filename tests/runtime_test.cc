@@ -132,8 +132,9 @@ TEST(RuntimeTest, CooldownSuppressesRepeatAlarms) {
 TEST(RuntimeTest, AgreesWithSimulatorOnWorkloadScale) {
   // The runtime and the simulator implement the same protocol; on the same
   // Jester workload their communication costs must land in the same
-  // ballpark (sampling RNG streams differ, so exact equality is not
-  // expected) and both must track the truth.
+  // ballpark (the tiers seed their coins differently here and count
+  // messages differently, so exact equality is not expected) and both must
+  // track the truth.
   JesterLikeConfig jester;
   jester.num_sites = 120;
   jester.window = 60;
