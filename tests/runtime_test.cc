@@ -214,7 +214,7 @@ struct DifferentialScenario {
   double delta;  ///< ln(1/δ)/√N > 1 clamps every g_i to 0 or 1
   Query query;
   double threshold;
-  std::uint64_t seed;  ///< the stream's and both tiers' coins'
+  std::uint64_t seed;  ///< seeds the stream and both tiers' coins
   /// Sites start at start ± spread·(unit Gaussian) per coordinate; empty
   /// means (T/2, 0, 0) ± 1.
   Vector start = {};
