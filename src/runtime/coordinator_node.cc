@@ -357,21 +357,21 @@ void CoordinatorNode::RequestFullState() {
 
 void CoordinatorNode::FinishFullSync(bool degraded) {
   ScopedTimer timer(full_sync_ns_);
-  // Every report accepted this round is already in last_known_, and a
-  // site's vector cannot change within one round. A degraded sync may hold
-  // no vector at all for a site that has never managed to report; average
-  // over the sites we have state for.
+  // Reports accepted this round are already in last_known_. A degraded sync
+  // stands in each missing site's last-known vector, except where it
+  // predates the site's lag quarantine: the site's stream moved on without
+  // it. A site that has never managed to report has no vector to average.
   Vector sum;
   int have = 0;
-  for (const Vector& v : last_known_) {
-    if (v.empty()) continue;
+  for (int i = 0; i < num_sites_; ++i) {
+    const Vector& v = last_known_[i];
+    if (v.empty() || (!received_[i] && fd_.lagging_since(i) >= 0)) continue;
     if (sum.empty()) sum = Vector(v.dim());
     sum.Axpy(1.0, v);
     ++have;
   }
   SGM_CHECK(have > 0);
-  sum /= static_cast<double>(have);
-  e_ = sum;
+  e_ = std::move(sum) / static_cast<double>(have);
   AnchorAt(function_.get(), e_, config_.threshold, &believes_above_,
            &epsilon_t_);
   cycles_since_sync_ = 0;

@@ -154,9 +154,9 @@ class CoordinatorNode {
   long partial_resolutions() const { return partial_resolutions_; }
 
   /// Full synchronizations completed with one or more site reports missing
-  /// (lost messages / dead sites), using each absent site's last-known
-  /// vector instead. Nonzero values mean the estimate e carries staleness —
-  /// surface this in deployment health metrics.
+  /// (lost messages / dead sites), using a missing site's last-known vector
+  /// unless it predates the site's lag quarantine. Nonzero values mean the
+  /// estimate e carries staleness — surface this in deployment health metrics.
   long degraded_syncs() const { return degraded_syncs_; }
 
   /// Current epoch (== number of sync rounds started since Start()).
@@ -258,8 +258,8 @@ class CoordinatorNode {
   void OnLinkDead(int site, const RuntimeMessage& message);
   bool AllLiveReported() const;
   /// Completes the in-flight collection with whatever arrived, folding in
-  /// last-known vectors for the missing sites; with nothing arrived, goes
-  /// idle and schedules a retry instead.
+  /// last-known vectors for the missing sites, bar those that predate a lag
+  /// quarantine; with nothing arrived, goes idle and schedules a retry.
   void CompleteCollection();
   /// Captures the full durable state into a checkpoint struct.
   CoordinatorCheckpoint BuildCheckpoint() const;

@@ -267,6 +267,55 @@ TEST(RuntimeFaultTest, CollectionLeftOpenAtCycleEndCompletesDegraded) {
   EXPECT_EQ(coordinator.epoch(), epoch + 1);
 }
 
+// A lagging site is alive and its stream moves on, but the vector the
+// coordinator holds for it predates its quarantine. A degraded sync leaves
+// that vector out rather than average it with this round's reports.
+TEST(RuntimeFaultTest, DegradedSyncLeavesOutALaggingSitesVector) {
+  const L2Norm norm;
+  InMemoryBus bus;
+  CoordinatorNode coordinator(3, norm, Config(3.0), &bus);
+  const auto send = [&coordinator](RuntimeMessage::Type type, int site,
+                                   Vector payload, double scalar = 0.0) {
+    RuntimeMessage m;
+    m.type = type;
+    m.from = site;
+    m.to = kCoordinatorId;
+    m.epoch = coordinator.epoch();
+    m.payload = std::move(payload);
+    m.scalar = scalar;
+    coordinator.OnMessage(m);
+  };
+  const auto report = [&send](int site, Vector v) {
+    send(RuntimeMessage::Type::kStateReport, site, std::move(v));
+  };
+  coordinator.Start();
+  report(0, Vector{1.0, 0.0});
+  report(1, Vector{1.0, 0.0});
+  report(2, Vector{-2.0, 0.0});
+  ASSERT_EQ(coordinator.full_syncs(), 1);
+
+  bool quarantined = false;
+  for (int miss = 0; miss < 10 && !quarantined; ++miss) {
+    quarantined = coordinator.OnBarrierDeadlineMissed(2);
+  }
+  ASSERT_TRUE(quarantined);
+
+  // A drift across T escalates the probe to a collection that waits on the
+  // two live sites only.
+  coordinator.BeginCycle();
+  send(RuntimeMessage::Type::kLocalViolation, 0, Vector());
+  send(RuntimeMessage::Type::kDriftReport, 0, Vector{10.0, 0.0}, 1.0);
+  coordinator.OnQuiescent();
+  report(0, Vector{4.0, 0.0});
+  report(1, Vector{4.0, 0.0});
+  coordinator.OnQuiescent();
+  EXPECT_EQ(coordinator.full_syncs(), 2);
+  EXPECT_EQ(coordinator.degraded_syncs(), 1);
+  // Not (4 + 4 − 2)/3 = 2, which would sit below T.
+  EXPECT_EQ(coordinator.estimate(), (Vector{4.0, 0.0}));
+  EXPECT_TRUE(coordinator.BelievesAbove());
+}
+
 TEST(RuntimeFaultTest, InvalidMuteLengthLeavesTheSiteMonitoring) {
   // A lone site (N = 1, so g clamps to 1) anchored at e = (1, 0) under T = 3
   // alarms on a 10-unit drift unless muted.
