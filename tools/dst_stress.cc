@@ -2,14 +2,15 @@
 //
 // Default mode sweeps the full protocol × function × fault matrix over many
 // master seeds; any invariant violation prints the exact single-leg command
-// that replays it deterministically:
-//
-//   dst_stress --seeds=20                 # the CI stress sweep
-//   dst_stress --leg=runtime --protocol=SGM --function=l2 --seed=77
-//              --drop=0.25 --delay=3     # replay one leg
-//   dst_stress --leg=sim --protocol=SGM --function=linf --seed=5
-//              --sabotage                # force a violation (tolerance = 0)
-//
+// that replays it deterministically (the examples sit in a block comment,
+// where their line continuations are plain text):
+/*
+    dst_stress --seeds=20                 # the CI stress sweep
+    dst_stress --leg=runtime --protocol=SGM --function=l2 --seed=77 \
+               --drop=0.25 --delay=3     # replay one leg
+    dst_stress --leg=sim --protocol=SGM --function=linf --seed=5 \
+               --sabotage                # force a violation (tolerance = 0)
+*/
 // Flags:
 //   --seeds      number of master seeds for the sweep mode     [20]
 //   --seed       master (sweep) or leg seed (with --leg)       [1]

@@ -1,10 +1,11 @@
 // obs_report — renders a per-run accuracy / cost report from the
-// observability exports of a single leg:
-//
-//   dst_stress --leg=runtime --seed=7 --drop=0.3 --audit
-//              --metrics-out=metrics.json --series-out=series.jsonl
-//   obs_report --metrics=metrics.json --series=series.jsonl
-//
+// observability exports of a single leg (the example sits in a block
+// comment, where its line continuation is plain text):
+/*
+    dst_stress --leg=runtime --seed=7 --drop=0.3 --audit \
+               --metrics-out=metrics.json --series-out=series.jsonl
+    obs_report --metrics=metrics.json --series=series.jsonl
+*/
 // Sections:
 //   accuracy   auditor verdict counts (TP/FP/FN/TN), out-of-zone
 //              disagreements, ε-bound violations, |f(v̂) − f(v)| quantiles

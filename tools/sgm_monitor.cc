@@ -1,13 +1,15 @@
 // sgm_monitor — command-line experiment runner.
 //
 // Runs any protocol/function/workload combination of the library and prints
-// the full metrics block, so ad-hoc comparisons don't require writing code:
-//
-//   sgm_monitor --workload=jester --function=linf --protocol=sgm
-//               --sites=500 --threshold=10 --cycles=2000 --delta=0.1
-//   sgm_monitor --workload=csv --csv=trace.csv --function=l2
-//               --protocol=gm --threshold=4
-//
+// the full metrics block, so ad-hoc comparisons don't require writing code
+// (the examples sit in block comments, where their line continuations are
+// plain text):
+/*
+    sgm_monitor --workload=jester --function=linf --protocol=sgm \
+                --sites=500 --threshold=10 --cycles=2000 --delta=0.1
+    sgm_monitor --workload=csv --csv=trace.csv --function=l2 \
+                --protocol=gm --threshold=4
+*/
 // Flags (all optional unless noted; every number must parse whole and in
 // range, or the tool exits 2 before it simulates, listens or dials):
 //   --workload   jester | reuters | synthetic | csv      [jester]
@@ -24,15 +26,15 @@
 //
 // Daemon modes (the real-process socket runtime; see docs/RUNTIME.md). They
 // run SGM and refuse any other --protocol:
-//
-//   # coordinator service on loopback TCP
-//   sgm_monitor --listen=7450 --sites=4 --workload=synthetic
-//               --function=l2 --threshold=4 --cycles=200
-//               --prom-out=/run/sgm/metrics.prom --series-out=series.jsonl
-//   # one process per site, same workload/function/threshold flags
-//   sgm_monitor --site=0 --connect=127.0.0.1:7450 --sites=4
-//               --workload=synthetic --function=l2 --threshold=4
-//
+/*
+    # coordinator service on loopback TCP
+    sgm_monitor --listen=7450 --sites=4 --workload=synthetic \
+                --function=l2 --threshold=4 --cycles=200 \
+                --prom-out=/run/sgm/metrics.prom --series-out=series.jsonl
+    # one process per site, same workload/function/threshold flags
+    sgm_monitor --site=0 --connect=127.0.0.1:7450 --sites=4 \
+                --workload=synthetic --function=l2 --threshold=4
+*/
 //   --listen     run as coordinator daemon on this port (0 = ephemeral)
 //   --site       run as site daemon with this site id
 //   --connect    coordinator endpoint for --site ([host:]port; loopback)
